@@ -54,6 +54,7 @@ from .maps import (
     counts,
     delete_semi_edges,
     dual,
+    equivalence_key,
     equivalent_up_to_duality,
     euler_characteristic,
     euler_characteristic_formula,

@@ -16,7 +16,6 @@ non-isomorphic and match the documented count for that order.
 from __future__ import annotations
 
 import json
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -37,11 +36,9 @@ from .groups import (
 )
 from .maps import (
     EdgeBiregularMap,
-    _unchecked,
     all_map_quadruples,
-    commuting_involution_pairs,
     counts,
-    equivalent_up_to_duality,
+    equivalence_key,
     euler_characteristic,
     euler_characteristic_formula,
     is_fully_regular,
@@ -428,43 +425,17 @@ def atlas(order: int) -> tuple[FiniteGroup, ...]:
 # exhaustive enumeration, deduplicated
 
 
-def _shard_worker(args) -> list[tuple[int, int, int, int]]:
-    group, want_chi, pairs = args
-    return [m.marks for m in all_map_quadruples(group, want_chi, pairs)]
-
-
-def enumerate_maps(
-    group: FiniteGroup,
-    want_chi: int | None = None,
-    jobs: int = 1,
-    shards: int | None = None,
-) -> list[EdgeBiregularMap]:
+def enumerate_maps(group: FiniteGroup, want_chi: int | None = None) -> list[EdgeBiregularMap]:
     """All maps on the group (optionally at fixed chi), up to equivalence.
 
     Equivalence is isomorphism composed with any of {identity, dual, twin,
-    dual of twin}; the retained representative of each class is its
-    lexicographically least quadruple.  The (x, y) pair space is split
-    into ``shards`` independent slices (run in ``jobs`` processes when
-    jobs > 1); the merged result is independent of both settings.
+    dual of twin}, decided by ``equivalence_key``; the retained
+    representative of each class is its lexicographically least quadruple.
     """
-    pairs = commuting_involution_pairs(group)
-    if shards is None:
-        shards = jobs
-    shards = max(1, min(shards, len(pairs) or 1))
-    chunks = [pairs[i::shards] for i in range(shards)]
-    work = [(group, want_chi, chunk) for chunk in chunks]
-    if jobs > 1 and len(chunks) > 1:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            results = pool.map(_shard_worker, work)
-    else:
-        results = [_shard_worker(item) for item in work]
-    candidates = sorted(set().union(*map(set, results)))
-    kept: list[EdgeBiregularMap] = []
-    for marks in candidates:
-        m = _unchecked(group, marks)
-        if not any(equivalent_up_to_duality(m, r) for r in kept):
-            kept.append(m)
-    return kept
+    kept: dict[tuple[int, ...], EdgeBiregularMap] = {}
+    for m in all_map_quadruples(group, want_chi):
+        kept.setdefault(equivalence_key(m), m)
+    return list(kept.values())
 
 
 # ---------------------------------------------------------------------------
@@ -511,34 +482,34 @@ def _constructive_entries(p: int) -> list[CatalogEntry]:
                     families.exceptional_order36_map(), "h3", families.exceptional_order36_text()
                 )
             )
+    wrong = [entry.family for entry in built if euler_characteristic(entry.map) != -p]
+    if wrong:
+        raise AssertionError(f"constructors {wrong} do not give chi = {-p}")
+    deduped: dict[tuple[int, ...], CatalogEntry] = {}
     for entry in built:
-        assert euler_characteristic(entry.map) == -p
-    deduped: list[CatalogEntry] = []
-    for entry in built:
-        if not any(equivalent_up_to_duality(entry.map, kept.map) for kept in deduped):
-            deduped.append(entry)
-    return deduped
+        deduped.setdefault(equivalence_key(entry.map), entry)
+    return list(deduped.values())
+
+
+def _order_and_type(m: EdgeBiregularMap) -> tuple[int, int, int]:
+    """(|H|, k, l) with the type normalized to k <= l."""
+    k, l = type_of(m)
+    return (m.group.order, min(k, l), max(k, l))
 
 
 def _sort_entries(entries: list[CatalogEntry]) -> list[CatalogEntry]:
-    def key(entry: CatalogEntry):
-        k, l = type_of(entry.map)
-        if k > l:
-            k, l = l, k
-        return (entry.map.group.order, k, l, entry.family or "")
-
-    return sorted(entries, key=key)
+    return sorted(entries, key=lambda e: (*_order_and_type(e.map), e.family or ""))
 
 
-def classify(p: int, profile: str = "exhaustive", jobs: int = 1) -> list[CatalogEntry]:
+def classify(p: int, profile: str = "exhaustive") -> list[CatalogEntry]:
     """The catalog of all edge-biregular maps with chi = -p, up to equivalence.
 
     profile="constructive" runs the family constructors only (any prime p).
     profile="exhaustive" additionally enumerates every group of every
     admissible order and proves the constructive catalog complete by
-    bijective matching; it needs full atlas coverage, which holds for
-    p in {2, 3} and raises UnsupportedOrder otherwise.  ``jobs`` caps the
-    process count of the per-group searches.
+    bijective matching of equivalence keys; it needs full atlas coverage,
+    which holds for p in {2, 3} and raises UnsupportedOrder otherwise.
+    A failed matching raises AssertionError naming the unmatched classes.
     """
     if profile not in ("exhaustive", "constructive"):
         raise ValueError(f"unknown profile {profile!r}")
@@ -554,33 +525,24 @@ def classify(p: int, profile: str = "exhaustive", jobs: int = 1) -> list[Catalog
         raise UnsupportedOrder(
             f"exhaustive classification at p={p} needs atlas orders {missing}"
         )
-    found: list[EdgeBiregularMap] = []
+    found: dict[tuple[int, ...], EdgeBiregularMap] = {}
     for n in orders:
         for group in atlas(n):
-            for m in enumerate_maps(group, want_chi=-p, jobs=jobs):
-                if not any(equivalent_up_to_duality(m, r) for r in found):
-                    found.append(m)
+            for m in enumerate_maps(group, want_chi=-p):
+                found.setdefault(equivalence_key(m), m)
 
-    assert len(found) == len(constructive), (
-        f"exhaustive search found {len(found)} classes,"
-        f" constructors give {len(constructive)}"
-    )
-    entries: list[CatalogEntry] = []
-    used = [False] * len(constructive)
-    for m in found:
-        matches = [
-            i
-            for i, entry in enumerate(constructive)
-            if not used[i] and equivalent_up_to_duality(m, entry.map)
-        ]
-        assert len(matches) == 1, (
-            f"map of type {type_of(m)} on order {m.group.order} matched"
-            f" {len(matches)} constructive entries"
+    built = {equivalence_key(entry.map): entry for entry in constructive}
+    if found.keys() != built.keys():
+        only_found = sorted(_order_and_type(found[key]) for key in found.keys() - built.keys())
+        only_built = sorted(_order_and_type(built[key].map) for key in built.keys() - found.keys())
+        raise AssertionError(
+            f"exhaustive search and constructors disagree at p={p}:"
+            f" (order, k, l) found only by search {only_found},"
+            f" only by constructors {only_built}"
         )
-        used[matches[0]] = True
-        matched = constructive[matches[0]]
-        entries.append(CatalogEntry(m, matched.family, matched.presentation))
-    assert all(used)
+    entries = [
+        CatalogEntry(m, built[key].family, built[key].presentation) for key, m in found.items()
+    ]
     return _sort_entries(entries)
 
 
@@ -620,7 +582,7 @@ def catalog_json(entries: list[CatalogEntry]) -> str:
 # verification reports
 
 
-def verify_chi_minus_1_dihedral(jobs: int = 1) -> dict:
+def verify_chi_minus_1_dihedral() -> dict:
     """Search all groups of orders 8 and 12 for maps with chi = -1.
 
     Any such map must live in a dihedral group; the report carries the
@@ -631,7 +593,7 @@ def verify_chi_minus_1_dihedral(jobs: int = 1) -> dict:
     for n in (8, 12):
         reference = _d(n)
         for group in atlas(n):
-            found = enumerate_maps(group, want_chi=-1, jobs=jobs)
+            found = enumerate_maps(group, want_chi=-1)
             is_dih = are_isomorphic(group, reference)
             ok = not found or is_dih
             passed = passed and ok
@@ -647,7 +609,7 @@ def verify_chi_minus_1_dihedral(jobs: int = 1) -> dict:
     return {"check": "chi-minus-1-dihedral", "passed": passed, "groups": rows}
 
 
-def verify_p_divides_exclusions(p: int, jobs: int = 1) -> dict:
+def verify_p_divides_exclusions(p: int) -> dict:
     """Exhaustively confirm there is no map of chi = -p on any group of an
     admissible order divisible by p, for p in {5, 7, 11}.
 
@@ -663,7 +625,7 @@ def verify_p_divides_exclusions(p: int, jobs: int = 1) -> dict:
         if n not in _RECIPES:
             rows.append({"order": n, "status": "UNSUPPORTED", "maps_found": None})
             continue
-        total = sum(len(enumerate_maps(g, want_chi=-p, jobs=jobs)) for g in atlas(n))
+        total = sum(len(enumerate_maps(g, want_chi=-p)) for g in atlas(n))
         ok = total == 0
         passed = passed and ok
         rows.append(

@@ -48,6 +48,9 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 
+# Existing command lines pass --jobs, so classify and verify still accept it.
+_JOBS_HELP = "accepted for compatibility and ignored"
+
 _MARK_STYLES = {"x": "bold", "y": "solid", "s": "dashed", "t": "dotted"}
 
 
@@ -117,7 +120,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    entries = census.classify(args.p, args.profile, jobs=args.jobs)
+    entries = census.classify(args.p, args.profile)
     _write_out(args, census.catalog_json(entries))
     return EXIT_OK
 
@@ -126,8 +129,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # verify targets
 
 
-def _verify_thm_even(lines: list[str], jobs: int = 1) -> bool:
-    rows = census.catalog_rows(census.classify(2, "exhaustive", jobs=jobs))
+def _verify_thm_even(lines: list[str]) -> bool:
+    rows = census.catalog_rows(census.classify(2, "exhaustive"))
     expected = []
     for i in range(1, 13):
         k, l = families.CHI2_EXPECTED_TYPES[i - 1]
@@ -151,8 +154,8 @@ def _verify_thm_even(lines: list[str], jobs: int = 1) -> bool:
     return matched == 12 and len(rows) == 12
 
 
-def _verify_thm_odd(p: int, lines: list[str], jobs: int = 1) -> bool:
-    exhaustive = census.classify(p, "exhaustive", jobs=jobs)
+def _verify_thm_odd(p: int, lines: list[str]) -> bool:
+    exhaustive = census.classify(p, "exhaustive")
     constructive = census.classify(p, "constructive")
     same = census.catalog_json(exhaustive) == census.catalog_json(constructive)
     for row in census.catalog_rows(exhaustive):
@@ -182,8 +185,8 @@ def _verify_lemma_4_3(lines: list[str]) -> bool:
     return ok
 
 
-def _verify_lemma_4_2(lines: list[str], jobs: int = 1) -> bool:
-    report = census.verify_chi_minus_1_dihedral(jobs=jobs)
+def _verify_lemma_4_2(lines: list[str]) -> bool:
+    report = census.verify_chi_minus_1_dihedral()
     for row in report["groups"]:
         lines.append(
             f"  order {row['order']} group {row['group']}:"
@@ -192,8 +195,8 @@ def _verify_lemma_4_2(lines: list[str], jobs: int = 1) -> bool:
     return report["passed"]
 
 
-def _verify_exclusions(p: int, lines: list[str], jobs: int = 1) -> bool:
-    report = census.verify_p_divides_exclusions(p, jobs=jobs)
+def _verify_exclusions(p: int, lines: list[str]) -> bool:
+    report = census.verify_p_divides_exclusions(p)
     for row in report["orders"]:
         if row["status"] == "UNSUPPORTED":
             lines.append(f"  order {row['order']}: UNSUPPORTED (no atlas recipes)")
@@ -207,19 +210,19 @@ def _verify_exclusions(p: int, lines: list[str], jobs: int = 1) -> bool:
 def cmd_verify(args: argparse.Namespace) -> int:
     lines: list[str] = []
     if args.target == "thm-even":
-        passed = _verify_thm_even(lines, jobs=args.jobs)
+        passed = _verify_thm_even(lines)
     elif args.target == "thm-odd":
         if args.p is None:
             raise ValueError("verify thm-odd requires --p")
-        passed = _verify_thm_odd(args.p, lines, jobs=args.jobs)
+        passed = _verify_thm_odd(args.p, lines)
     elif args.target == "lemma-4-2":
-        passed = _verify_lemma_4_2(lines, jobs=args.jobs)
+        passed = _verify_lemma_4_2(lines)
     elif args.target == "lemma-4-3":
         passed = _verify_lemma_4_3(lines)
     else:  # exclusions
         if args.p is None:
             raise ValueError("verify exclusions requires --p")
-        passed = _verify_exclusions(args.p, lines, jobs=args.jobs)
+        passed = _verify_exclusions(args.p, lines)
     verdict = "PASS" if passed else "FAIL"
     _write_out(args, "\n".join([f"verify {args.target}: {verdict}"] + lines) + "\n")
     return EXIT_OK if passed else EXIT_FAIL
@@ -324,7 +327,7 @@ def _parser() -> argparse.ArgumentParser:
     p_cls.add_argument(
         "--profile", choices=("exhaustive", "constructive"), default="exhaustive"
     )
-    p_cls.add_argument("--jobs", type=int, default=1)
+    p_cls.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     common(p_cls)
     p_cls.set_defaults(func=cmd_classify)
 
@@ -334,7 +337,7 @@ def _parser() -> argparse.ArgumentParser:
         choices=("thm-odd", "thm-even", "lemma-4-2", "lemma-4-3", "exclusions"),
     )
     p_ver.add_argument("--p", type=int)
-    p_ver.add_argument("--jobs", type=int, default=1)
+    p_ver.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     common(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 

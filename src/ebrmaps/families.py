@@ -47,7 +47,7 @@ from .groups import (
 from .maps import (
     EdgeBiregularMap,
     all_map_quadruples,
-    equivalent_up_to_duality,
+    equivalence_key,
     euler_characteristic,
     is_map_isomorphic,
     load_map,
@@ -458,7 +458,7 @@ def cyclic_by_dihedral_probe(p: int, lam: int) -> list[EdgeBiregularMap]:
     def unit_perm(u: int) -> tuple[int, ...]:
         return tuple((c * u) % p for c in range(p))
 
-    found: list[EdgeBiregularMap] = []
+    found: dict[tuple[int, ...], EdgeBiregularMap] = {}
     for e1 in square_roots_of_one:
         for e2 in square_roots_of_one:
             images = (unit_index[e1], unit_index[e2])
@@ -469,9 +469,8 @@ def cyclic_by_dihedral_probe(p: int, lam: int) -> list[EdgeBiregularMap]:
             grp = semidirect(cp, dih.group, action, name=f"C{p}:D{nu}")
             for m in all_map_quadruples(grp):
                 _assert_probe_conformance(p, nu, m)
-                if not any(equivalent_up_to_duality(m, f) for f in found):
-                    found.append(m)
-    return found
+                found.setdefault(equivalence_key(m), m)
+    return list(found.values())
 
 
 def _assert_probe_conformance(p: int, nu: int, m: EdgeBiregularMap) -> None:

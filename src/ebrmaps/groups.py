@@ -13,9 +13,8 @@ formulas in this package follow that convention.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from math import gcd
 
 
@@ -86,6 +85,24 @@ class FiniteGroup:
 
     def involutions(self) -> list[int]:
         return [a for a in range(self.order) if self.element_orders[a] == 2]
+
+    @cached_property
+    def fingerprint(self) -> tuple:
+        """Isomorphism invariants, computed once per group: order, sorted
+        element orders, abelian flag, center size, conjugacy class sizes."""
+        n = self.order
+        mul = self.mul
+        orders = tuple(sorted(self.element_orders))
+        center = sum(1 for x in range(n) if all(mul[x][y] == mul[y][x] for y in range(n)))
+        seen = [False] * n
+        sizes = []
+        for x in range(n):
+            if not seen[x]:
+                cls = {mul[mul[y][x]][self.inv[y]] for y in range(n)}
+                for c in cls:
+                    seen[c] = True
+                sizes.append(len(cls))
+        return (n, orders, self.is_abelian(), center, tuple(sorted(sizes)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -409,26 +426,6 @@ def greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
     return tuple(gens)
 
 
-@lru_cache(maxsize=None)
-def _fingerprint(g: FiniteGroup) -> tuple:
-    n = g.order
-    orders = tuple(sorted(g.element_orders))
-    abelian = g.is_abelian()
-    center = sum(
-        1 for x in range(n) if all(g.mul[x][y] == g.mul[y][x] for y in range(n))
-    )
-    # conjugacy class sizes
-    seen = [False] * n
-    sizes = []
-    for x in range(n):
-        if not seen[x]:
-            cls = {g.mul[g.mul[y][x]][g.inv[y]] for y in range(n)}
-            for c in cls:
-                seen[c] = True
-            sizes.append(len(cls))
-    return (n, orders, abelian, center, tuple(sorted(sizes)))
-
-
 def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
     """Abstract group isomorphism test.
 
@@ -438,7 +435,7 @@ def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
     """
     if a is b:
         return True
-    if a.order != b.order or _fingerprint(a) != _fingerprint(b):
+    if a.order != b.order or a.fingerprint != b.fingerprint:
         return False
     gens = greedy_generators(a)
     by_order: dict[int, list[int]] = {}
@@ -462,30 +459,3 @@ def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
         return False
 
     return search(0, ())
-
-
-# ---------------------------------------------------------------------------
-# table validation (used by the test suite on every constructor)
-
-
-def validate_group_table(
-    g: FiniteGroup, exhaustive_limit: int = 100, samples: int = 100_000, seed: int = 0
-) -> None:
-    """Check the group axioms on the table; raises AssertionError on failure.
-
-    Associativity is checked exhaustively for orders up to
-    ``exhaustive_limit`` and on ``samples`` random triples above that.
-    """
-    n = g.order
-    mul = g.mul
-    e = g.identity
-    assert all(mul[e][x] == x and mul[x][e] == x for x in range(n))
-    assert all(mul[x][g.inv[x]] == e and mul[g.inv[x]][x] == e for x in range(n))
-    assert all(sorted(row) == list(range(n)) for row in mul), "rows must permute"
-    if n <= exhaustive_limit:
-        triples = itertools.product(range(n), repeat=3)
-    else:
-        rng = random.Random(seed)
-        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples))
-    for x, y, z in triples:
-        assert mul[mul[x][y]][z] == mul[x][mul[y][z]], f"associativity fails at {(x, y, z)}"

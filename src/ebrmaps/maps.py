@@ -273,12 +273,48 @@ def is_self_dual(m: EdgeBiregularMap) -> bool:
     return is_map_isomorphic(m, dual(m))
 
 
+def _standard_table(group: FiniteGroup, marks: tuple[int, ...]) -> tuple[int, ...]:
+    """Right multiplication by the marks, with H renumbered canonically.
+
+    H is numbered in breadth-first order from the identity, applying the
+    marks in the given order (the standardized coset table of Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory, ch. 5).  Entry
+    i * len(marks) + j is the number of h_i * marks[j].  Two marked groups
+    have equal tables exactly when an isomorphism carries one's marks to
+    the other's.
+    """
+    mul = group.mul
+    number = {group.identity: 0}
+    elements = [group.identity]
+    table = []
+    for h in elements:  # grows while it is walked
+        row = mul[h]
+        for z in marks:
+            g = row[z]
+            i = number.get(g)
+            if i is None:
+                i = number[g] = len(elements)
+                elements.append(g)
+            table.append(i)
+    return tuple(table)
+
+
+def equivalence_key(m: EdgeBiregularMap) -> tuple[int, ...]:
+    """Canonical key of m up to isomorphism, duality and twinning.
+
+    The least standardized table over the orderings of m, dual(m), twin(m)
+    and dual(twin(m)); two maps are equivalent iff their keys are equal.
+    """
+    x, y, s, t = m.marks
+    return min(
+        _standard_table(m.group, marks)
+        for marks in ((x, y, s, t), (y, x, t, s), (s, t, x, y), (t, s, y, x))
+    )
+
+
 def equivalent_up_to_duality(a: EdgeBiregularMap, b: EdgeBiregularMap) -> bool:
     """True when a is isomorphic to b, dual(b), twin(b) or dual(twin(b))."""
-    return any(
-        is_map_isomorphic(a, variant)
-        for variant in (b, dual(b), twin(b), dual(twin(b)))
-    )
+    return equivalence_key(a) == equivalence_key(b)
 
 
 # ---------------------------------------------------------------------------
@@ -425,24 +461,16 @@ def commuting_involution_pairs(group: FiniteGroup) -> list[tuple[int, int]]:
     ]
 
 
-def all_map_quadruples(
-    group: FiniteGroup,
-    want_chi: int | None = None,
-    xy_pairs: list[tuple[int, int]] | None = None,
-):
+def all_map_quadruples(group: FiniteGroup, want_chi: int | None = None):
     """Yield every valid map on the group, in lexicographic mark order.
 
     ``want_chi`` filters by Euler characteristic before the (relatively
-    expensive) generation check.  ``xy_pairs`` restricts the outer two marks
-    to the given pairs, which lets a caller shard the search space; the
-    default covers all commuting pairs of distinct involutions.
+    expensive) generation check.
     """
     mul = group.mul
     orders = group.element_orders
     invs = [g for g in range(group.order) if orders[g] == 2]
-    if xy_pairs is None:
-        xy_pairs = commuting_involution_pairs(group)
-    for x, y in xy_pairs:
+    for x, y in commuting_involution_pairs(group):
         for s in invs:
             if s in (x, y):
                 continue

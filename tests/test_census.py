@@ -3,9 +3,14 @@ groups of supported orders, exhaustive per-group search, classification and
 the verification reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ebrmaps
 from ebrmaps.census import (
     ATLAS_EXPECTED_COUNTS,
     ATLAS_ORDERS,
@@ -152,14 +157,6 @@ def test_enumerate_maps_dedup_is_complete():
         assert any(equivalent_up_to_duality(m, r) for r in kept)
 
 
-def test_enumerate_maps_shards_and_jobs_agree():
-    g = dihedral(24).group
-    base = [m.marks for m in enumerate_maps(g)]
-    assert base == [m.marks for m in enumerate_maps(g, shards=5)]
-    assert base == [m.marks for m in enumerate_maps(g, jobs=2)]
-    assert base == [m.marks for m in enumerate_maps(g, jobs=2, shards=3)]
-
-
 def test_exceptional_map_is_unique_at_order36():
     # among all fourteen groups of order 36 there is exactly one map class
     # with chi = -3, and it is the exceptional type-(4,6) map
@@ -170,6 +167,33 @@ def test_exceptional_map_is_unique_at_order36():
                 classes.append(m)
     assert len(classes) == 1
     assert equivalent_up_to_duality(classes[0], exceptional_order36_map())
+
+
+_DROP_ONE_CONSTRUCTOR = """
+import ebrmaps.census as census
+
+assert False, "assert statements must be stripped"
+full = census._constructive_entries
+census._constructive_entries = lambda p: full(p)[:-1]
+census.classify(3)
+"""
+
+
+def test_classify_mismatch_raises_under_python_O():
+    # the completeness check is explicit code, not an assert statement, so
+    # python -O still reports a search class the constructors do not give
+    env = dict(os.environ, PYTHONPATH=str(Path(ebrmaps.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _DROP_ONE_CONSTRUCTOR],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("AssertionError: exhaustive search and constructors disagree at p=3")
+    assert "found only by search [(36, 4, 6)]" in last
 
 
 def test_classify_p2():

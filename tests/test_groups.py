@@ -1,7 +1,9 @@
 """Tests for the concrete finite-group layer: constructors, encodings,
 homomorphism extension and isomorphism testing."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -22,8 +24,8 @@ from ebrmaps.groups import (
     semidirect,
     subgroup_closure,
     symmetric,
-    validate_group_table,
 )
+from table_checks import validate_group_table
 
 
 def test_cyclic_basics():
@@ -193,6 +195,23 @@ def test_are_isomorphic_negative():
     assert not are_isomorphic(cyclic(8), direct_product(cyclic(4), cyclic(2)))
     assert not are_isomorphic(dihedral(24).group, dicyclic(6))
     assert not are_isomorphic(cyclic(4), cyclic(5))
+
+
+def test_are_isomorphic_keeps_no_group_alive():
+    # the invariants are cached on the group, so comparing groups must not
+    # keep them reachable after the caller drops them
+    g = direct_product(cyclic(4), cyclic(3))
+    ref = weakref.ref(g)
+    assert are_isomorphic(g, cyclic(12))
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+def test_fingerprint_is_computed_once():
+    g = symmetric(4)
+    assert g.fingerprint is g.fingerprint
+    assert g.fingerprint == (24, tuple(sorted(g.element_orders)), False, 1, (1, 3, 6, 6, 8))
 
 
 def test_greedy_generators():

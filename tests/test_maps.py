@@ -1,11 +1,13 @@
 """Tests for the map layer: marked quadruples, invariants, flags,
 duality/twin operators, semi-edge maps and the map file format."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from ebrmaps.groups import MarkedGroup, cyclic, dihedral, direct_product, symmetric
+from ebrmaps.census import atlas
+from ebrmaps.groups import FiniteGroup, MarkedGroup, cyclic, dihedral, direct_product, symmetric
 from ebrmaps.maps import (
     EdgeBiregularMap,
     MapStructureError,
@@ -13,11 +15,13 @@ from ebrmaps.maps import (
     NotGenerating,
     NotInvolution,
     PairNotCommuting,
+    _standard_table,
     all_map_quadruples,
     commuting_involution_pairs,
     counts,
     delete_semi_edges,
     dual,
+    equivalence_key,
     equivalent_up_to_duality,
     euler_characteristic,
     euler_characteristic_formula,
@@ -30,6 +34,7 @@ from ebrmaps.maps import (
     load_map,
     map_file_text,
     map_invariants,
+    new_map,
     semi_edge_counts,
     semi_edge_type,
     strip_mark_lines,
@@ -184,6 +189,66 @@ def test_isomorphism_and_equivalence():
     other = new_map(e16, (1, 2, 4, 8))
     assert not is_map_isomorphic(m, other)
     assert not equivalent_up_to_duality(m, other)
+
+
+def _small_quadruples():
+    """Every quadruple on the groups of order 12 and on D16, the chi = -2
+    ones included: 280 maps in 15 isomorphism classes."""
+    groups = list(atlas(12)) + [dihedral(16).group]
+    return [m for g in groups for m in all_map_quadruples(g)]
+
+
+def _assert_key_decides(maps, key, related):
+    """key(a) == key(b) exactly when related(a, b), for an equivalence
+    relation ``related``: every class member is related to the class's
+    first map, and the first maps are pairwise unrelated (transitivity
+    covers the remaining pairs)."""
+    classes = {}
+    for m in maps:
+        classes.setdefault(key(m), []).append(m)
+    assert len(classes) > 1
+    for first, *rest in classes.values():
+        for m in rest:
+            assert related(first, m), (first.marks, m.marks)
+    firsts = [members[0] for members in classes.values()]
+    for i, a in enumerate(firsts):
+        for b in firsts[i + 1 :]:
+            assert not related(a, b), (a.marks, b.marks)
+
+
+def test_standard_table_decides_map_isomorphism():
+    _assert_key_decides(
+        _small_quadruples(), lambda m: _standard_table(m.group, m.marks), is_map_isomorphic
+    )
+
+
+def test_equivalence_key_decides_equivalence_up_to_duality():
+    def four_variants(a, b):
+        return any(is_map_isomorphic(a, v) for v in (b, dual(b), twin(b), dual(twin(b))))
+
+    _assert_key_decides(_small_quadruples(), equivalence_key, four_variants)
+
+
+def _relabelled(m, rng):
+    """The same map with H renumbered by a random permutation."""
+    n = m.group.order
+    perm = list(range(n))
+    rng.shuffle(perm)
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[m.group.mul[a][b]]
+    group = FiniteGroup(tuple(map(tuple, table)), name=m.group.name)
+    return new_map(group, tuple(perm[z] for z in m.marks))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_equivalence_key_ignores_relabelling(seed):
+    rng = random.Random(seed)
+    for m in _small_quadruples() + [load_map(TORUS_LIKE)]:
+        other = _relabelled(m, rng)
+        assert _standard_table(other.group, other.marks) == _standard_table(m.group, m.marks)
+        assert equivalence_key(other) == equivalence_key(m)
 
 
 def test_fully_regular_and_self_dual_flags():
