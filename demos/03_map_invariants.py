@@ -37,7 +37,7 @@ mark x y s t
 
 def main():
     m = load_map(MAP_FILE)
-    print("group order:", m.group.order)
+    print("group order:", m.order)
     k, l = type_of(m)
     print(f"type (k, l) = ({k}, {l}): vertex valency {k}, face length {l}")
     v, e, f = counts(m)

@@ -40,7 +40,7 @@ def main():
 
     print("\nexhaustive classification at chi = -3 (matched to constructors)")
     for e in classify(3, profile="exhaustive"):
-        print(f"  {e.family:<4} on a group of order {e.map.group.order}")
+        print(f"  {e.family:<4} on a group of order {e.map.order}")
 
     print("\nby-product: chi = -1 maps exist only in dihedral groups")
     report = verify_chi_minus_1_dihedral()

@@ -14,6 +14,7 @@ for chi in {-2, -3} from a self-verifying atlas of small groups.
 from .groups import (
     FiniteGroup,
     MarkedGroup,
+    VerificationError,
     alternating,
     are_isomorphic,
     cyclic,
@@ -37,9 +38,11 @@ from .presentations import (
     Word,
     coset_enumerate,
     evaluate_word,
+    group_from_action,
     group_from_presentation,
     index_of_even_subgroup,
     parse_presentation,
+    regular_action,
 )
 from .maps import (
     EdgeBiregularMap,
@@ -66,8 +69,10 @@ from .maps import (
     is_self_dual,
     load_map,
     map_file_text,
+    map_from_action,
     map_invariants,
     new_map,
+    product_order,
     semi_edge_counts,
     semi_edge_type,
     twin,

@@ -23,6 +23,7 @@ from functools import lru_cache
 from . import families
 from .groups import (
     FiniteGroup,
+    VerificationError,
     alternating,
     are_isomorphic,
     cyclic,
@@ -94,7 +95,8 @@ def admissible_types(p: int) -> list[AdmissibleType]:
                 if euler_characteristic_formula(n, k, l) != -p:
                     continue
                 nu = Fraction(2 * k * l, k * l - 2 * (k + l))
-                assert nu == Fraction(n, p) and nu <= 12
+                if nu != Fraction(n, p) or nu > 12:
+                    raise VerificationError(f"type ({k},{l}) at order {n} has nu = {nu}")
                 out.append(AdmissibleType(n, k, l, nu))
     return out
 
@@ -189,7 +191,8 @@ def _sl23() -> FiniteGroup:
     q8 = dicyclic(2)
     a_idx, b_idx, ab_idx = 2, 1, 3  # a^1, b^1, a^1*b^1 in the i*2+j encoding
     theta = extend_generator_map(q8, (a_idx, b_idx), q8, (b_idx, ab_idx))
-    assert theta is not None and sorted(theta) == list(range(8))
+    if theta is None or sorted(theta) != list(range(8)):
+        raise VerificationError("i -> j -> ij does not extend to an automorphism of Q8")
     theta2 = tuple(theta[theta[i]] for i in range(8))
     return semidirect(q8, cyclic(3), (tuple(range(8)), theta, theta2), name="SL(2,3)")
 
@@ -409,15 +412,18 @@ def atlas(order: int) -> tuple[FiniteGroup, ...]:
     if order not in _RECIPES:
         raise UnsupportedOrder(f"no atlas recipes for order {order}")
     groups = tuple(build() for build in _RECIPES[order])
-    assert len(groups) == ATLAS_EXPECTED_COUNTS[order]
+    if len(groups) != ATLAS_EXPECTED_COUNTS[order]:
+        raise VerificationError(f"atlas({order}) has {len(groups)} recipes")
     for g in groups:
-        assert g.order == order, f"{g.name} has order {g.order}, not {order}"
+        if g.order != order:
+            raise VerificationError(f"{g.name} has order {g.order}, not {order}")
     for i in range(len(groups)):
         for j in range(i + 1, len(groups)):
-            assert not are_isomorphic(groups[i], groups[j]), (
-                f"atlas({order}) entries {i} ({groups[i].name}) and"
-                f" {j} ({groups[j].name}) are isomorphic"
-            )
+            if are_isomorphic(groups[i], groups[j]):
+                raise VerificationError(
+                    f"atlas({order}) entries {i} ({groups[i].name}) and"
+                    f" {j} ({groups[j].name}) are isomorphic"
+                )
     return groups
 
 
@@ -494,7 +500,7 @@ def _constructive_entries(p: int) -> list[CatalogEntry]:
 def _order_and_type(m: EdgeBiregularMap) -> tuple[int, int, int]:
     """(|H|, k, l) with the type normalized to k <= l."""
     k, l = type_of(m)
-    return (m.group.order, min(k, l), max(k, l))
+    return (m.order, min(k, l), max(k, l))
 
 
 def _sort_entries(entries: list[CatalogEntry]) -> list[CatalogEntry]:
@@ -557,7 +563,7 @@ def catalog_rows(entries: list[CatalogEntry]) -> list[dict]:
             k, l, v, f = l, k, f, v
         rows.append(
             {
-                "group_order": m.group.order,
+                "group_order": m.order,
                 "type": [k, l],
                 "vertices": v,
                 "edges": e,

@@ -39,7 +39,7 @@ from .presentations import (
     DEFAULT_MAX_COSETS,
     CapacityExceeded,
     ParseError,
-    group_from_presentation,
+    coset_enumerate,
     parse_presentation,
 )
 
@@ -72,8 +72,8 @@ def _write_out(args: argparse.Namespace, text: str) -> None:
 def cmd_order(args: argparse.Namespace) -> int:
     text = strip_mark_lines(_read_text(args.file))
     pres = parse_presentation(text)
-    marked = group_from_presentation(pres, max_cosets=args.max_cosets)
-    _write_out(args, f"{marked.group.order}\n")
+    table = coset_enumerate(pres, (), max_cosets=args.max_cosets)
+    _write_out(args, f"{table.num_cosets}\n")
     return EXIT_OK
 
 
@@ -88,33 +88,33 @@ def cmd_construct(args: argparse.Namespace) -> int:
         if value is None:
             raise ValueError(f"--family {args.family} requires {flag}")
 
+    # each family member is built (and so checked) before its file is written
     if args.family in ("dh1", "dh2"):
         need("--p", args.p)
         if args.family == "dh1":
-            m = families.dihedral_family_1(args.p, max_cosets=args.max_cosets)
+            families.dihedral_family_1(args.p, max_cosets=args.max_cosets)
             text = families.dihedral_family_1_text(args.p)
         else:
-            m = families.dihedral_family_2(args.p, max_cosets=args.max_cosets)
+            families.dihedral_family_2(args.p, max_cosets=args.max_cosets)
             text = families.dihedral_family_2_text(args.p)
     elif args.family == "hpj":
         need("--kappa", args.kappa)
         need("--lambda", args.lam)
         need("--j", args.j)
         params = families.FamilyParams(args.kappa, args.lam, args.j)
-        m = families.cyclic_fitting_map(params, max_cosets=args.max_cosets)
+        families.cyclic_fitting_map(params, max_cosets=args.max_cosets)
         text = families.cyclic_fitting_text(params)
     elif args.family == "hp":
         need("--m", args.m)
-        m = families.valency_eight_map(args.m, max_cosets=args.max_cosets)
+        families.valency_eight_map(args.m, max_cosets=args.max_cosets)
         text = families.valency_eight_text(args.m)
     elif args.family == "h3":
-        m = families.exceptional_order36_map(max_cosets=args.max_cosets)
+        families.exceptional_order36_map(max_cosets=args.max_cosets)
         text = families.exceptional_order36_text()
     else:  # chi2
         need("--index", args.index)
         text = families.chi_minus_2_text(args.index)
-        m = load_map(map_file_text(text, families.MARK_NAMES), max_cosets=args.max_cosets)
-    assert m is not None  # construction validated the parameters
+        load_map(map_file_text(text, families.MARK_NAMES), max_cosets=args.max_cosets)
     _write_out(args, map_file_text(text, families.MARK_NAMES))
     return EXIT_OK
 
@@ -155,6 +155,8 @@ def _verify_thm_even(lines: list[str]) -> bool:
 
 
 def _verify_thm_odd(p: int, lines: list[str]) -> bool:
+    if p == 2 or not families.is_prime(p):
+        raise ValueError(f"verify thm-odd covers odd primes only, got --p {p}")
     exhaustive = census.classify(p, "exhaustive")
     constructive = census.classify(p, "constructive")
     same = census.catalog_json(exhaustive) == census.catalog_json(constructive)
@@ -234,10 +236,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _cayley_edges(m: EdgeBiregularMap) -> list[tuple[int, int, str]]:
     edges = []
-    mul = m.group.mul
-    for label, g in zip(("x", "y", "s", "t"), m.marks):
-        for h in range(m.group.order):
-            other = mul[h][g]
+    for label, perm in zip(("x", "y", "s", "t"), m.perms):
+        for h in range(m.order):
+            other = perm[h]
             if h < other:
                 edges.append((h, other, label))
     return edges
@@ -273,10 +274,9 @@ def _json_graph(num_nodes: int, edges: list[tuple[int, int, str]]) -> str:
 def cmd_export(args: argparse.Namespace) -> int:
     m = load_map(_read_text(args.file), max_cosets=args.max_cosets)
     if args.what == "cayley":
-        num_nodes, edges = m.group.order, _cayley_edges(m)
+        num_nodes, edges = m.order, _cayley_edges(m)
     else:  # flags
-        fs = flag_structure(m)
-        num_nodes, edges = fs.num_flags, _flag_edges(m)
+        num_nodes, edges = 2 * m.order, _flag_edges(m)
     if args.format == "dot":
         _write_out(args, _dot_graph(args.what, num_nodes, edges))
     else:

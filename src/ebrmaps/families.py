@@ -9,36 +9,37 @@ up to duality and twins, to one of the families built here:
   dihedral group of order 4(p+2);
 * ``cyclic_fitting_map(kappa, lam, j)`` - maps of type (4*kappa, 2*lambda)
   of order 4*kappa*lambda whose group is C_{kappa*lambda} extended by V_4;
-  built two ways (from the presentation and as an explicit semidirect
-  product) and cross-checked;
+  built two ways (from the presentation and as the right-regular action of
+  an explicit semidirect product) and cross-checked;
 * ``valency_eight_map(m)``  - maps of type (8, 6m) of order 24m (chi = -(9m-4));
 * ``exceptional_order36_map()`` - the unique fully regular example, of
   type (4,6) on a group of order 36 isomorphic to D6 x D6;
 * ``chi_minus_2_catalog()`` - the twelve maps with chi = -2.
 
 ``cyclic_by_dihedral_probe`` exhaustively searches groups of the shape
-C_p x| D_nu for maps and asserts the structural restrictions that any such
+C_p x| D_nu for maps and checks the structural restrictions that any such
 map must satisfy.
 
-All presentation texts are kept verbatim, including redundant relators.
+Each constructor checks the order and type of what it built and raises
+VerificationError on a mismatch.  All presentation texts are kept
+verbatim, including redundant relators.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .groups import (
-    FiniteGroup,
-    MarkedGroup,
+    VerificationError,
     _group_from_perms,
     are_isomorphic,
     cyclic,
     dihedral,
-    direct_product,
     extend_generator_map,
     multiplicative_units,
     semidirect,
@@ -46,16 +47,17 @@ from .groups import (
 )
 from .maps import (
     EdgeBiregularMap,
+    _standard_table,
     all_map_quadruples,
     equivalence_key,
     euler_characteristic,
-    is_map_isomorphic,
     load_map,
     map_file_text,
-    new_map,
+    map_from_action,
+    product_order,
     type_of,
 )
-from .presentations import DEFAULT_MAX_COSETS, coset_enumerate, parse_presentation
+from .presentations import DEFAULT_MAX_COSETS, Perm, coset_enumerate, parse_presentation
 
 
 def is_prime(n: int) -> bool:
@@ -93,6 +95,15 @@ def _build(text: str, name: str, max_cosets: int) -> EdgeBiregularMap:
     return load_map(map_file_text(text, MARK_NAMES), max_cosets=max_cosets, name=name)
 
 
+def _expect(m: EdgeBiregularMap, order: int, map_type: tuple[int, int]) -> EdgeBiregularMap:
+    """m itself, after checking its order and type against the family's."""
+    if m.order != order:
+        raise VerificationError(f"{m.name}: expected order {order}, got {m.order}")
+    if type_of(m) != map_type:
+        raise VerificationError(f"{m.name}: expected type {map_type}, got {type_of(m)}")
+    return m
+
+
 # ---------------------------------------------------------------------------
 # the two dihedral families
 
@@ -105,9 +116,7 @@ def dihedral_family_1(p: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBireg
     """Single-vertex map of type (4(p+1), 4) on the dihedral group of order 4(p+1)."""
     _require_odd_prime(p)
     m = _build(dihedral_family_1_text(p), f"dh1({p})", max_cosets)
-    assert m.group.order == 4 * (p + 1)
-    assert type_of(m) == (4 * (p + 1), 4)
-    return m
+    return _expect(m, 4 * (p + 1), (4 * (p + 1), 4))
 
 
 def dihedral_family_2_text(p: int) -> str:
@@ -118,9 +127,7 @@ def dihedral_family_2(p: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBireg
     """Two-vertex map of type (2(p+2), 4) on the dihedral group of order 4(p+2)."""
     _require_odd_prime(p)
     m = _build(dihedral_family_2_text(p), f"dh2({p})", max_cosets)
-    assert m.group.order == 4 * (p + 2)
-    assert type_of(m) == (2 * (p + 2), 4)
-    return m
+    return _expect(m, 4 * (p + 2), (2 * (p + 2), 4))
 
 
 # ---------------------------------------------------------------------------
@@ -221,44 +228,83 @@ def cyclic_fitting_text(params: FamilyParams) -> str:
     )
 
 
-def _cyclic_fitting_direct(params: FamilyParams) -> EdgeBiregularMap:
-    """The same map as an explicit (C_lam x C_kappa) x| V_4 construction.
+def _cyclic_fitting_action(params: FamilyParams) -> tuple[Perm, Perm, Perm, Perm]:
+    """How V_4 = <s, t> acts on A = C_lam x C_kappa = <u> x <w>.
 
-    The V_4 = <s, t> acts on u (order lam) and w = v^2 (order kappa) by
-    s: u -> u^-1, w -> w; t: u -> u^-j, w -> w^-1.  Then x = s*u and
-    y = u^a * w^((kappa-1)/2) * s * t.
+    s: u -> u^-1, w -> w; t: u -> u^-j, w -> w^-1.  Element u^i w^m of A is
+    i*kappa + m, and element b1*2 + b2 of V_4 is s^b1 t^b2, so the entries
+    are the identity, t, s and s*t.
     """
-    kappa, lam, j, a = params.kappa, params.lam, params.j, params.a
-    fitting = direct_product(cyclic(lam), cyclic(kappa))
+    kappa, lam, j = params.kappa, params.lam, params.j
 
-    def pow_perm(eu: int, ew: int) -> tuple[int, ...]:
+    def pow_perm(eu: int, ew: int) -> Perm:
         return tuple(
             ((i * eu) % lam) * kappa + (m * ew) % kappa
             for i in range(lam)
             for m in range(kappa)
         )
 
-    klein = direct_product(cyclic(2), cyclic(2))
-    t_idx, s_idx = 1, 2  # (0,1) and (1,0) in the product encoding
-    action = [()] * 4
-    action[0] = pow_perm(1, 1)
-    action[s_idx] = pow_perm(-1 % lam, 1)
-    action[t_idx] = pow_perm(-j % lam, -1 % kappa)
-    action[3] = pow_perm(j % lam, -1 % kappa)
-    grp = semidirect(fitting, klein, tuple(action), name=f"cf({kappa},{lam},{j})")
+    return (
+        pow_perm(1, 1),
+        pow_perm(-j % lam, -1 % kappa),
+        pow_perm(-1 % lam, 1),
+        pow_perm(j % lam, -1 % kappa),
+    )
 
-    def lift(f_idx: int, k_idx: int) -> int:
-        return f_idx * 4 + k_idx
 
-    s_el = lift(0, s_idx)
-    t_el = lift(0, t_idx)
-    u_el = lift(1 * kappa + 0, 0)
-    x_el = grp.mul[s_el][u_el]
-    b_prime = (kappa - 1) // 2
-    w_part = lift((a % lam) * kappa + b_prime, 0)
-    st_el = grp.mul[s_el][t_el]
-    y_el = grp.mul[w_part][st_el]
-    return new_map(grp, (x_el, y_el, s_el, t_el))
+def _check_v4_action(
+    action: tuple[Perm, ...], add: Callable[[int, int], int], gens: tuple[int, ...]
+) -> None:
+    """Each action[v] is an automorphism of A and v -> action[v] is a
+    homomorphism from V_4, in O(|A|): a bijection of A that respects right
+    multiplication by A's generators respects every product."""
+    na = len(action[0])
+    for v, perm in enumerate(action):
+        if sorted(perm) != list(range(na)):
+            raise ValueError(f"action[{v}] is not a permutation of A")
+        for g in gens:
+            pg = perm[g]
+            if any(perm[add(a, g)] != add(perm[a], pg) for a in range(na)):
+                raise ValueError(f"action[{v}] is not an automorphism of A")
+    for v1 in range(4):
+        for v2 in range(4):
+            composed = tuple(action[v1][a] for a in action[v2])
+            if action[v1 ^ v2] != composed:
+                raise ValueError("action is not a homomorphism V_4 -> Aut(A)")
+
+
+def _cyclic_fitting_direct(params: FamilyParams) -> EdgeBiregularMap:
+    """The same map as the right-regular action of (C_lam x C_kappa) x| V_4.
+
+    Element (f, v) of the split extension is the point f*4 + v, with
+    (f1, v1)(f2, v2) = (f1 + action[v1](f2), v1 v2) and V_4 multiplying by
+    xor.  The marks are s, t, x = s*u and y = u^a * w^((kappa-1)/2) * s*t.
+    """
+    kappa, lam = params.kappa, params.lam
+    na = kappa * lam
+
+    def add(a: int, b: int) -> int:
+        return ((a // kappa + b // kappa) % lam) * kappa + (a + b) % kappa
+
+    action = _cyclic_fitting_action(params)
+    _check_v4_action(action, add, (kappa, 1 % kappa))  # u and w
+
+    def mul(e1: tuple[int, int], e2: tuple[int, int]) -> tuple[int, int]:
+        return add(e1[0], action[e1[1]][e2[0]]), e1[1] ^ e2[1]
+
+    s_el, t_el, u_el = (0, 2), (0, 1), (kappa, 0)
+    x_el = mul(s_el, u_el)
+    w_part = ((params.a % lam) * kappa + (kappa - 1) // 2, 0)
+    y_el = mul(w_part, mul(s_el, t_el))
+    perms = []
+    for f2, v2 in (x_el, y_el, s_el, t_el):
+        perm = [0] * (4 * na)
+        for f1 in range(na):
+            for v1 in range(4):
+                perm[f1 * 4 + v1] = add(f1, action[v1][f2]) * 4 + (v1 ^ v2)
+        perms.append(tuple(perm))
+    name = f"cf({kappa},{lam},{params.j})"
+    return map_from_action(tuple(perms), name)
 
 
 def cyclic_fitting_map(
@@ -270,7 +316,8 @@ def cyclic_fitting_map(
 
     route = "presentation" runs coset enumeration on the defining relators;
     route = "direct" assembles the split extension explicitly; the default
-    "both" builds both and asserts they are isomorphic as maps.
+    "both" builds both and checks that they are isomorphic as maps (equal
+    standardized tables), raising VerificationError if not.
     """
     if route not in ("both", "presentation", "direct"):
         raise ValueError(f"unknown route {route!r}")
@@ -281,14 +328,13 @@ def cyclic_fitting_map(
     if route in ("both", "direct"):
         built["direct"] = _cyclic_fitting_direct(params)
     for m in built.values():
-        assert m.group.order == params.order, (
-            f"expected order {params.order}, got {m.group.order}"
-        )
-        assert type_of(m) == params.map_type
+        _expect(m, params.order, params.map_type)
     if route == "both":
-        assert is_map_isomorphic(built["presentation"], built["direct"]), (
-            "presentation and direct constructions disagree"
-        )
+        presented, direct = built["presentation"], built["direct"]
+        if _standard_table(presented.perms) != _standard_table(direct.perms):
+            raise VerificationError(
+                f"{presented.name}: presentation and direct constructions disagree"
+            )
     return built.get("presentation") or built["direct"]
 
 
@@ -316,7 +362,8 @@ def valency_eight_quotient_certificate() -> bool:
     cube = (2, 0, 2, 0, 2, 0)  # the word (s x)^3
     table = coset_enumerate(pres, subgroup_generators=(cube,))
     n = table.num_cosets
-    assert n == 24, f"expected index 24, got {n}"
+    if n != 24:
+        raise VerificationError(f"expected index 24, got {n}")
     gens = [tuple(table.table[c][g] for c in range(n)) for g in range(4)]
     identity = tuple(range(n))
     closure = {identity}
@@ -331,7 +378,8 @@ def valency_eight_quotient_certificate() -> bool:
                     nxt.append(prod)
         frontier = nxt
     image = _group_from_perms(sorted(closure), name="coset-action")
-    assert are_isomorphic(image, symmetric(4)), "coset action is not S4"
+    if not are_isomorphic(image, symmetric(4)):
+        raise VerificationError("coset action is not S4")
     return True
 
 
@@ -350,11 +398,10 @@ def valency_eight_map(m: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBireg
             " Euler characteristic is not minus a prime",
             stacklevel=2,
         )
-    assert valency_eight_quotient_certificate()
-    built = _build(valency_eight_text(m), f"ve({m})", max_cosets)
-    assert built.group.order == 24 * m
-    assert type_of(built) == (8, 6 * m)
-    assert built.group.element_orders[built.group.mul[built.s][built.x]] == 3 * m
+    valency_eight_quotient_certificate()
+    built = _expect(_build(valency_eight_text(m), f"ve({m})", max_cosets), 24 * m, (8, 6 * m))
+    if product_order(built, 2, 0) != 3 * m:
+        raise VerificationError(f"ve({m}): s*x does not have order {3 * m}")
     return built
 
 
@@ -374,10 +421,7 @@ def exceptional_order36_map(max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBiregul
     Type (4,6), group of order 36 isomorphic to D6 x D6, chi = -3,
     non-orientable.
     """
-    m = _build(exceptional_order36_text(), "x36", max_cosets)
-    assert m.group.order == 36
-    assert type_of(m) == (4, 6)
-    return m
+    return _expect(_build(exceptional_order36_text(), "x36", max_cosets), 36, (4, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +465,7 @@ def chi_minus_2_catalog(max_cosets: int = DEFAULT_MAX_COSETS) -> list[EdgeBiregu
     out = []
     for i in range(1, 13):
         m = _build(chi_minus_2_text(i), f"chi2({i})", max_cosets)
-        assert m.group.order == CHI2_EXPECTED_ORDERS[i - 1]
-        assert type_of(m) == CHI2_EXPECTED_TYPES[i - 1]
-        out.append(m)
+        out.append(_expect(m, CHI2_EXPECTED_ORDERS[i - 1], CHI2_EXPECTED_TYPES[i - 1]))
     return out
 
 
@@ -439,9 +481,9 @@ def cyclic_by_dihedral_probe(p: int, lam: int) -> list[EdgeBiregularMap]:
     deduplicated up to duality, twins and isomorphism.
 
     Every found map of type (k, l) with l/2 >= 3 and p dividing neither k/2
-    nor l/2 is asserted to satisfy the structural restrictions: l = nu with
+    nor l/2 is checked against the structural restrictions: l = nu with
     nu = 4 (mod 8), k/2 in {2, l/2}, and chi = p(1 - l/4) for k = 4 or
-    chi = p(2 - l/2) for k = l.  Violations raise AssertionError.
+    chi = p(2 - l/2) for k = l.  Violations raise VerificationError.
     """
     _require_odd_prime(p)
     if lam < 3:
@@ -478,12 +520,18 @@ def _assert_probe_conformance(p: int, nu: int, m: EdgeBiregularMap) -> None:
     half_k, half_l = k // 2, l // 2
     if half_l < 3 or half_k % p == 0 or half_l % p == 0:
         return  # outside the hypotheses; nothing is claimed
-    assert l == nu, f"found type ({k},{l}) but the dihedral complement has order {nu}"
-    assert nu % 8 == 4, f"map of type ({k},{l}) found although {nu} != 4 mod 8"
-    assert half_k in (2, half_l), f"vertex parameter {half_k} not in {{2, {half_l}}}"
+    if l != nu:
+        raise VerificationError(
+            f"found type ({k},{l}) but the dihedral complement has order {nu}"
+        )
+    if nu % 8 != 4:
+        raise VerificationError(f"map of type ({k},{l}) found although {nu} != 4 mod 8")
+    if half_k not in (2, half_l):
+        raise VerificationError(f"vertex parameter {half_k} not in {{2, {half_l}}}")
     chi = euler_characteristic(m)
     if half_k == 2:
         expected = Fraction(p * (2 - half_l), 2)
     else:
         expected = Fraction(p * (2 - half_l), 1)
-    assert chi == expected, f"chi {chi} differs from the predicted {expected}"
+    if chi != expected:
+        raise VerificationError(f"chi {chi} differs from the predicted {expected}")

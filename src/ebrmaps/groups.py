@@ -18,6 +18,14 @@ from functools import cached_property
 from math import gcd
 
 
+class VerificationError(AssertionError):
+    """A computed object failed one of the library's own consistency checks.
+
+    Raised explicitly rather than by ``assert`` statements, so the checks
+    also run under ``python -O``; the CLI reports it with exit code 1.
+    """
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """Immutable finite group given by its multiplication table.

@@ -13,21 +13,32 @@ Duality swaps the two sides' roles pairwise ((x,y,s,t) -> (y,x,t,s)), the
 twin swaps sides wholesale ((x,y,s,t) -> (s,t,x,y)); a map is fully regular
 when it is isomorphic to its twin and self-dual when isomorphic to its dual.
 
+A map is stored as H acting on itself by right multiplication: four
+permutations of |H| points, one per mark, so its size is linear in |H|.
+Every invariant below is computed from them.  A dense multiplication table
+is built only on request (``m.group``), for abstract isomorphism tests.
+
 Orientability is computed two independent ways (index of the subgroup of
 even words, and 2-colorability of the flag graph) which must agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groups import FiniteGroup, MarkedGroup, _extend_iso, subgroup_closure
+from .groups import (
+    FiniteGroup,
+    MarkedGroup,
+    VerificationError,
+    _extend_iso,
+    subgroup_closure,
+)
 from .presentations import (
-    Presentation,
-    index_of_even_subgroup,
-    group_from_presentation,
+    Perm,
+    group_from_action,
     parse_presentation,
+    regular_action,
 )
 
 
@@ -56,40 +67,108 @@ _MARK_NAMES = ("x", "y", "s", "t")
 
 @dataclass(frozen=True)
 class EdgeBiregularMap:
-    """Value object: a group and its marked quadruple (x, y, s, t)."""
+    """Value object: H acting on itself by right multiplication by the marks.
 
-    group: FiniteGroup
-    marks: tuple[int, int, int, int]
+    ``perms[i][h]`` is the point h times the i-th mark of (x, y, s, t), and
+    the point ``base`` is the identity, so the mark itself is
+    ``perms[i][base]``.  Maps built from a presentation number H by coset
+    and have base 0; maps built on a dense group use its element numbers.
+    """
+
+    perms: tuple[Perm, Perm, Perm, Perm]
+    base: int = 0
+    name: str = field(default="H", compare=False)
+    dense: FiniteGroup | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def order(self) -> int:
+        return len(self.perms[0])
+
+    @property
+    def marks(self) -> tuple[int, int, int, int]:
+        return tuple(perm[self.base] for perm in self.perms)  # type: ignore[return-value]
 
     @property
     def x(self) -> int:
-        return self.marks[0]
+        return self.perms[0][self.base]
 
     @property
     def y(self) -> int:
-        return self.marks[1]
+        return self.perms[1][self.base]
 
     @property
     def s(self) -> int:
-        return self.marks[2]
+        return self.perms[2][self.base]
 
     @property
     def t(self) -> int:
-        return self.marks[3]
+        return self.perms[3][self.base]
+
+    @property
+    def group(self) -> FiniteGroup:
+        """The dense group, built from the action on first use (|H|^2 entries)."""
+        if self.dense is None:
+            object.__setattr__(self, "dense", group_from_action(self.perms, self.name))
+        return self.dense  # type: ignore[return-value]
 
     def marked_group(self) -> MarkedGroup:
         return MarkedGroup(self.group, self.marks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         k, l = type_of(self)
-        return f"EdgeBiregularMap({self.group.name}, order={self.group.order}, type=({k},{l}))"
+        return f"EdgeBiregularMap({self.name}, order={self.order}, type=({k},{l}))"
+
+
+def _check_marks(perms: tuple[Perm, ...], base: int) -> None:
+    """The marks are distinct commuting pairs of involutions generating H.
+
+    Raises NotInvolution / NotDistinct / PairNotCommuting / NotGenerating,
+    each naming the offending marks.  O(|H|): in a regular action an element
+    is the identity iff it fixes the base point, and the marks generate H
+    iff the base point's orbit under them is all of H.
+    """
+    points = range(len(perms[0]))
+    for name, perm in zip(_MARK_NAMES, perms):
+        if perm[base] == base or any(perm[perm[h]] != h for h in points):
+            raise NotInvolution(f"mark {name} is not an involution")
+    if len({perm[base] for perm in perms}) != 4:
+        raise NotDistinct("marks x, y, s, t must be pairwise distinct")
+    px, py, ps, pt = perms
+    if any(py[px[h]] != px[py[h]] for h in points):
+        raise PairNotCommuting("x and y do not commute")
+    if any(pt[ps[h]] != ps[pt[h]] for h in points):
+        raise PairNotCommuting("s and t do not commute")
+    if len(_orbit(perms, base)) != len(points):
+        raise NotGenerating("marks do not generate the group")
+
+
+def _orbit(perms: tuple[Perm, ...] | list[Perm], base: int) -> list[int]:
+    """The points reached from base by the permutations, breadth first."""
+    seen = {base}
+    orbit = [base]
+    for h in orbit:  # grows while it is walked
+        for perm in perms:
+            g = perm[h]
+            if g not in seen:
+                seen.add(g)
+                orbit.append(g)
+    return orbit
+
+
+def map_from_action(perms: tuple[Perm, ...], name: str = "H") -> EdgeBiregularMap:
+    """Validate the four mark permutations of a regular right action (point
+    0 the identity) and build the map; raises as :func:`new_map` does."""
+    if len(perms) != 4:
+        raise MapStructureError("a map needs exactly four marked elements")
+    _check_marks(perms, 0)
+    return EdgeBiregularMap(tuple(perms), 0, name)  # type: ignore[arg-type]
 
 
 def new_map(
     source: MarkedGroup | FiniteGroup,
     marks: tuple[int, int, int, int] | None = None,
 ) -> EdgeBiregularMap:
-    """Validate a marked quadruple and build the map.
+    """Validate a marked quadruple of a dense group and build the map.
 
     Raises NotInvolution / NotDistinct / PairNotCommuting / NotGenerating,
     each naming the offending marks.
@@ -103,42 +182,43 @@ def new_map(
     for name, m in zip(_MARK_NAMES, marks):
         if not (0 <= m < group.order):
             raise MapStructureError(f"mark {name} out of range")
-        if group.element_orders[m] != 2:
-            raise NotInvolution(f"mark {name} is not an involution")
-    if len(set(marks)) != 4:
-        raise NotDistinct("marks x, y, s, t must be pairwise distinct")
-    x, y, s, t = marks
-    if group.mul[x][y] != group.mul[y][x]:
-        raise PairNotCommuting("x and y do not commute")
-    if group.mul[s][t] != group.mul[t][s]:
-        raise PairNotCommuting("s and t do not commute")
-    if len(subgroup_closure(group, marks)) != group.order:
-        raise NotGenerating("marks do not generate the group")
-    return EdgeBiregularMap(group, tuple(marks))  # type: ignore[arg-type]
+    m = _unchecked(group, tuple(marks))  # type: ignore[arg-type]
+    _check_marks(m.perms, m.base)
+    return m
 
 
 def _unchecked(group: FiniteGroup, marks: tuple[int, int, int, int]) -> EdgeBiregularMap:
-    return EdgeBiregularMap(group, marks)
+    perms = tuple(tuple(row[z] for row in group.mul) for z in marks)
+    return EdgeBiregularMap(perms, group.identity, group.name, group)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
 # invariants
 
 
+def product_order(m: EdgeBiregularMap, first: int, second: int) -> int:
+    """Order of the product of marks number ``first`` and ``second`` (0..3
+    for x, y, s, t), by walking its cycle through the base point."""
+    a, b = m.perms[first], m.perms[second]
+    h, k = b[a[m.base]], 1
+    while h != m.base:
+        h = b[a[h]]
+        k += 1
+    return k
+
+
 def type_of(m: EdgeBiregularMap) -> tuple[int, int]:
     """(k, l): twice the orders of t*y and s*x.  Not normalized; the census
     layer sorts k <= l for reporting."""
-    g = m.group
-    k = 2 * g.element_orders[g.mul[m.t][m.y]]
-    l = 2 * g.element_orders[g.mul[m.s][m.x]]
-    return k, l
+    return 2 * product_order(m, 3, 1), 2 * product_order(m, 2, 0)
 
 
 def counts(m: EdgeBiregularMap) -> tuple[int, int, int]:
     """(vertices, edges, faces)."""
-    n = m.group.order
+    n = m.order
     k, l = type_of(m)
-    assert n % k == 0 and n % l == 0 and n % 2 == 0
+    if n % k or n % l or n % 2:
+        raise VerificationError(f"type ({k},{l}) does not divide the order {n}")
     return n // k, n // 2, n // l
 
 
@@ -147,9 +227,17 @@ def euler_characteristic(m: EdgeBiregularMap) -> int:
     return v - e + f
 
 
-def euler_characteristic_formula(order: int, k: int, l: int) -> Fraction:
-    """|H| * (1/k - 1/2 + 1/l) as an exact rational."""
-    return order * (Fraction(1, k) - Fraction(1, 2) + Fraction(1, l))
+def euler_characteristic_formula(order: int, k: int, l: int) -> int | Fraction:
+    """|H| * (1/k - 1/2 + 1/l) as an exact rational: an int when integral.
+
+    Integer arithmetic on |H| * (2l - kl + 2k) / (2kl); a Fraction is made
+    only for the rare non-integral value.
+    """
+    num = order * (2 * l - k * l + 2 * k)
+    den = 2 * k * l
+    if num % den:
+        return Fraction(num, den)
+    return num // den
 
 
 # ---------------------------------------------------------------------------
@@ -196,24 +284,38 @@ class FlagStructure:
 
 
 def flag_structure(m: EdgeBiregularMap) -> FlagStructure:
-    g = m.group
-    n = g.order
-    x, y, s, t = m.marks
-    rho0 = [0] * (2 * n)
-    rho1 = [0] * (2 * n)
-    rho2 = [0] * (2 * n)
-    for h in range(n):
-        rho0[2 * h] = 2 * g.mul[h][x]
-        rho0[2 * h + 1] = 2 * g.mul[h][s] + 1
-        rho2[2 * h] = 2 * g.mul[h][y]
-        rho2[2 * h + 1] = 2 * g.mul[h][t] + 1
+    px, py, ps, pt = m.perms
+    rho0 = [0] * (2 * m.order)
+    rho1 = [0] * (2 * m.order)
+    rho2 = [0] * (2 * m.order)
+    for h in range(m.order):
+        rho0[2 * h] = 2 * px[h]
+        rho0[2 * h + 1] = 2 * ps[h] + 1
+        rho2[2 * h] = 2 * py[h]
+        rho2[2 * h + 1] = 2 * pt[h] + 1
         rho1[2 * h] = 2 * h + 1
         rho1[2 * h + 1] = 2 * h
     return FlagStructure(tuple(rho0), tuple(rho1), tuple(rho2))
 
 
 # ---------------------------------------------------------------------------
-# orientability (two independent routes, asserted to agree)
+# orientability (two independent routes, checked to agree)
+
+
+def _even_subgroup_index(m: EdgeBiregularMap) -> int:
+    """Index (1 or 2) of the subgroup generated by the pairwise products of
+    the marks: |H| over the size of the base point's orbit under them."""
+    products = [
+        tuple(v[u[h]] for h in range(m.order))
+        for i, u in enumerate(m.perms)
+        for j, v in enumerate(m.perms)
+        if i != j
+    ]
+    size = len(_orbit(products, m.base))
+    index, remainder = divmod(m.order, size)
+    if remainder or index not in (1, 2):
+        raise VerificationError(f"even subgroup of order {size} in a group of order {m.order}")
+    return index
 
 
 def _flag_graph_bipartite(fs: FlagStructure) -> bool:
@@ -238,9 +340,10 @@ def _flag_graph_bipartite(fs: FlagStructure) -> bool:
 
 
 def is_orientable(m: EdgeBiregularMap) -> bool:
-    by_index = index_of_even_subgroup(m.marked_group()) == 2
+    by_index = _even_subgroup_index(m) == 2
     by_flags = _flag_graph_bipartite(flag_structure(m))
-    assert by_index == by_flags, "orientability algorithms disagree"
+    if by_index != by_flags:
+        raise VerificationError("orientability algorithms disagree")
     return by_index
 
 
@@ -248,55 +351,63 @@ def is_orientable(m: EdgeBiregularMap) -> bool:
 # duality, twins, isomorphism
 
 
+def _reordered(m: EdgeBiregularMap, order: tuple[int, int, int, int]) -> EdgeBiregularMap:
+    perms = tuple(m.perms[i] for i in order)
+    return EdgeBiregularMap(perms, m.base, m.name, m.dense)  # type: ignore[arg-type]
+
+
 def dual(m: EdgeBiregularMap) -> EdgeBiregularMap:
-    x, y, s, t = m.marks
-    return _unchecked(m.group, (y, x, t, s))
+    return _reordered(m, (1, 0, 3, 2))
 
 
 def twin(m: EdgeBiregularMap) -> EdgeBiregularMap:
-    x, y, s, t = m.marks
-    return _unchecked(m.group, (s, t, x, y))
+    return _reordered(m, (2, 3, 0, 1))
 
 
 def is_map_isomorphic(a: EdgeBiregularMap, b: EdgeBiregularMap) -> bool:
-    """Group isomorphism carrying a's quadruple to b's, in order."""
-    if a.group.order != b.group.order or type_of(a) != type_of(b):
+    """Group isomorphism carrying a's quadruple to b's, in order.
+
+    Works on the dense groups; it is the independent reference for the
+    standardized tables that every other equivalence test uses.
+    """
+    if a.order != b.order or type_of(a) != type_of(b):
         return False
     return _extend_iso(a.group, a.marks, b.group, b.marks) is not None
 
 
-def is_fully_regular(m: EdgeBiregularMap) -> bool:
-    return is_map_isomorphic(m, twin(m))
-
-
-def is_self_dual(m: EdgeBiregularMap) -> bool:
-    return is_map_isomorphic(m, dual(m))
-
-
-def _standard_table(group: FiniteGroup, marks: tuple[int, ...]) -> tuple[int, ...]:
+def _standard_table(perms: tuple[Perm, ...], base: int = 0) -> tuple[int, ...]:
     """Right multiplication by the marks, with H renumbered canonically.
 
-    H is numbered in breadth-first order from the identity, applying the
-    marks in the given order (the standardized coset table of Holt, Eick
-    and O'Brien, Handbook of Computational Group Theory, ch. 5).  Entry
-    i * len(marks) + j is the number of h_i * marks[j].  Two marked groups
-    have equal tables exactly when an isomorphism carries one's marks to
-    the other's.
+    H is numbered in breadth-first order from the identity ``base``,
+    applying the mark permutations in the given order (the standardized
+    coset table of Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, ch. 5).  Entry i * len(perms) + j is the number of h_i * mark_j.
+    Two regular actions have equal tables exactly when an isomorphism
+    carries one's marks to the other's.
     """
-    mul = group.mul
-    number = {group.identity: 0}
-    elements = [group.identity]
+    number = [-1] * len(perms[0])
+    number[base] = 0
+    elements = [base]
     table = []
     for h in elements:  # grows while it is walked
-        row = mul[h]
-        for z in marks:
-            g = row[z]
-            i = number.get(g)
-            if i is None:
+        for perm in perms:
+            g = perm[h]
+            i = number[g]
+            if i < 0:
                 i = number[g] = len(elements)
                 elements.append(g)
             table.append(i)
     return tuple(table)
+
+
+def is_fully_regular(m: EdgeBiregularMap) -> bool:
+    """m is isomorphic to its twin."""
+    return _standard_table(m.perms, m.base) == _standard_table(twin(m).perms, m.base)
+
+
+def is_self_dual(m: EdgeBiregularMap) -> bool:
+    """m is isomorphic to its dual."""
+    return _standard_table(m.perms, m.base) == _standard_table(dual(m).perms, m.base)
 
 
 def equivalence_key(m: EdgeBiregularMap) -> tuple[int, ...]:
@@ -305,10 +416,10 @@ def equivalence_key(m: EdgeBiregularMap) -> tuple[int, ...]:
     The least standardized table over the orderings of m, dual(m), twin(m)
     and dual(twin(m)); two maps are equivalent iff their keys are equal.
     """
-    x, y, s, t = m.marks
+    x, y, s, t = m.perms
     return min(
-        _standard_table(m.group, marks)
-        for marks in ((x, y, s, t), (y, x, t, s), (s, t, x, y), (t, s, y, x))
+        _standard_table(perms, m.base)
+        for perms in ((x, y, s, t), (y, x, t, s), (s, t, x, y), (t, s, y, x))
     )
 
 
@@ -423,13 +534,13 @@ def load_map(
     if len(mark_names) != 4:
         raise MapStructureError("mark line must name exactly four generators")
     pres = parse_presentation("\n".join(pres_lines))
-    marked = group_from_presentation(pres, max_cosets=max_cosets, name=name)
-    images = dict(zip(pres.generator_names, marked.marked))
+    action = regular_action(pres, max_cosets)
+    images = dict(zip(pres.generator_names, action))
     try:
         quad = tuple(images[nm] for nm in mark_names)
     except KeyError as exc:
         raise MapStructureError(f"mark line names unknown generator {exc}") from None
-    return new_map(marked.group, quad)  # type: ignore[arg-type]
+    return map_from_action(quad, name or f"fp[{len(action[0])}]")
 
 
 def strip_mark_lines(text: str) -> str:

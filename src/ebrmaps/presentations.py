@@ -25,9 +25,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, MarkedGroup, subgroup_closure
+from .groups import FiniteGroup, MarkedGroup, VerificationError, subgroup_closure
 
 Word = tuple[int, ...]
+Perm = tuple[int, ...]
 
 DEFAULT_MAX_COSETS = 100_000
 
@@ -339,7 +340,8 @@ def coset_enumerate(
         row = []
         for g in range(state.ngens):
             d = state.table[c][g]
-            assert d is not None, "table incomplete after enumeration"
+            if d is None:
+                raise VerificationError("table incomplete after enumeration")
             row.append(renumber[state.rep(d)])
         rows.append(tuple(row))
     result = CosetTable(tuple(rows))
@@ -351,18 +353,57 @@ def _check_table(ct: CosetTable, pres: Presentation, subgens: tuple[Word, ...]) 
     table = ct.table
     for c, row in enumerate(table):
         for g, d in enumerate(row):
-            assert table[d][g] == c, "generator column is not an involution"
+            if table[d][g] != c:
+                raise VerificationError("generator column is not an involution")
     for w in subgens:
         c = 0
         for g in w:
             c = table[c][g]
-        assert c == 0, "subgroup generator does not fix coset 0"
+        if c != 0:
+            raise VerificationError("subgroup generator does not fix coset 0")
     for c in range(len(table)):
         for w in pres.relators:
             d = c
             for g in w:
                 d = table[d][g]
-            assert d == c, "relator does not close"
+            if d != c:
+                raise VerificationError("relator does not close")
+
+
+def regular_action(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> tuple[Perm, ...]:
+    """The presented group acting on itself by right multiplication.
+
+    One permutation per generator: the columns of the coset table of the
+    trivial subgroup, on |H| points with point 0 the identity.  Its size is
+    linear in |H|; no multiplication table is built.
+    """
+    table = coset_enumerate(pres, (), max_cosets).table
+    return tuple(tuple(row[g] for row in table) for g in range(pres.num_generators))
+
+
+def group_from_action(perms: tuple[Perm, ...], name: str) -> FiniteGroup:
+    """Dense group of a regular right action whose point 0 is the identity.
+
+    ``perms[g][h]`` is h times the g-th generator, and point h stands for
+    the element carrying 0 to h.  Column b of the table (h -> h*b) is
+    reached from the identity column along a breadth-first spanning tree,
+    since column b*g is column b followed by perms[g].  Builds |H|^2
+    entries, so it is meant for small groups and for tests.
+    """
+    n = len(perms[0])
+    columns: list[list[int] | None] = [None] * n
+    columns[0] = list(range(n))
+    found = [0]
+    for b in found:
+        col = columns[b]
+        for perm in perms:
+            d = perm[b]
+            if columns[d] is None:
+                columns[d] = [perm[c] for c in col]  # type: ignore[union-attr]
+                found.append(d)
+    if len(found) != n:
+        raise ValueError("the action is not transitive")
+    return FiniteGroup(tuple(zip(*columns)), name=name)  # type: ignore[arg-type]
 
 
 def group_from_presentation(
@@ -372,36 +413,14 @@ def group_from_presentation(
 ) -> MarkedGroup:
     """Concrete group defined by the presentation, via its regular action.
 
-    Enumerates cosets of the trivial subgroup, then reads the multiplication
-    table off the coset table: coset c corresponds to the element carrying
-    coset 0 to c.  The returned group is marked with the generator images.
+    Enumerates cosets of the trivial subgroup, then builds the dense
+    multiplication table of that action (:func:`group_from_action`): coset
+    c corresponds to the element carrying coset 0 to c.  The returned group
+    is marked with the generator images.
     """
-    ct = coset_enumerate(pres, (), max_cosets)
-    table = ct.table
-    n = ct.num_cosets
-    # breadth-first spanning tree rooted at the identity coset
-    parent = [-1] * n
-    via = [-1] * n
-    order_found: list[int] = [0]
-    parent[0] = 0
-    for c in order_found:
-        for g in range(pres.num_generators):
-            d = table[c][g]
-            if parent[d] == -1:
-                parent[d] = c
-                via[d] = g
-                order_found.append(d)
-    mul = [[0] * n for _ in range(n)]
-    for a in range(n):
-        mul[a][0] = a
-    for b in order_found[1:]:
-        p, g = parent[b], via[b]
-        col_p = [mul[a][p] for a in range(n)]
-        for a in range(n):
-            mul[a][b] = table[col_p[a]][g]
-    group = FiniteGroup(tuple(tuple(row) for row in mul), name=name or f"fp[{n}]")
-    marks = tuple(table[0][g] for g in range(pres.num_generators))
-    return MarkedGroup(group, marks)
+    perms = regular_action(pres, max_cosets)
+    group = group_from_action(perms, name or f"fp[{len(perms[0])}]")
+    return MarkedGroup(group, tuple(perm[0] for perm in perms))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +447,6 @@ def index_of_even_subgroup(marked: MarkedGroup) -> int:
     )
     size = len(subgroup_closure(g, products))
     index, remainder = divmod(g.order, size)
-    assert remainder == 0
-    if index not in (1, 2):
-        raise AssertionError(f"even subgroup has unexpected index {index}")
+    if remainder or index not in (1, 2):
+        raise VerificationError(f"even subgroup has unexpected index {index}")
     return index

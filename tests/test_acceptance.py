@@ -151,7 +151,7 @@ def test_criterion_5_route_cross_validation():
     with _Gate(
         5, "presentation and direct constructions agree on all 84 parameter sets"
     ) as g:
-        maps = _hpj_maps()  # route="both" asserts map isomorphism internally
+        maps = _hpj_maps()  # route="both" checks map isomorphism internally
         assert len(maps) == 84
         for q, m in zip(_hpj_parameter_range(), maps):
             assert type_of(m) == (4 * q.kappa, 2 * q.lam)

@@ -2,10 +2,12 @@
 main(argv).  Exit codes: 0 success/PASS, 1 verification FAIL, 2 bad input,
 3 coset capacity exceeded."""
 
+import hashlib
 import json
 import re
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +253,14 @@ def test_verify_thm_odd_requires_p(capsys):
     assert "--p" in err
 
 
+@pytest.mark.parametrize("p", ["2", "9"])
+def test_verify_thm_odd_rejects_non_odd_prime(capsys, p):
+    code, out, err = run(capsys, "verify", "thm-odd", "--p", p)
+    assert code == 2
+    assert out == ""
+    assert f"odd primes only, got --p {p}" in err
+
+
 def test_verify_lemma_4_2(capsys):
     code, out, _ = run(capsys, "verify", "lemma-4-2")
     assert code == 0
@@ -344,12 +354,53 @@ def test_export_json_format(tmp_path, capsys):
     assert set(payload["edges"][0]) == {"source", "target", "label"}
 
 
+# SHA-256 of the export output before maps were stored as permutations
+_EXPORT_DIGESTS = {
+    ("chi2", "cayley", "dot"): "a91feb86173495968296bd3aa5ee7f3135e049f3d18690913a9b02739d6c7fce",
+    ("chi2", "cayley", "json"): "5c325937c7545b74c37152a7fac96420e28ddf6340d941b79da0dd9145fbb852",
+    ("chi2", "flags", "dot"): "8785b140044cef7b0dae04a0d4d970b0627f6b6588d89cb0cd326b2291235a15",
+    ("chi2", "flags", "json"): "5876723c8828698c2f1bc7c9cb1aac28bfb4bbcec489668fb7d0d5c9f8c78ea9",
+    ("hp", "cayley", "dot"): "35dc6041482b0b75cb9b405b347f795c1c0cf4919b6418ecd302622258a2781a",
+    ("hp", "cayley", "json"): "2513b56f3dad5268782e2a7ce6aa6bce171dbdde0028047b87cc611d6375bf88",
+    ("hp", "flags", "dot"): "74ff9fd22ebb7f539081ec7d38e4a465e463378d28a7aac998bc5ac4f4c70295",
+    ("hp", "flags", "json"): "1b191f77c2ee04021f3345472f5740b89df087d898da77138bbbec0ce4320e4c",
+}
+
+
+@pytest.mark.parametrize("family, what, fmt", sorted(_EXPORT_DIGESTS))
+def test_export_output_unchanged(tmp_path, capsys, family, what, fmt):
+    if family == "chi2":
+        f = tmp_path / "chi2_4.map"
+        f.write_text(map_file_text(families.chi_minus_2_text(4), families.MARK_NAMES))
+    else:
+        f = _write_hp1(tmp_path)
+    code, out, _ = run(capsys, "export", what, str(f), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _EXPORT_DIGESTS[family, what, fmt]
+
+
 def test_export_deterministic(tmp_path):
     f = _write_hp1(tmp_path)
     a, b = tmp_path / "a.dot", tmp_path / "b.dot"
     assert main(["export", "flags", str(f), "--out", str(a)]) == 0
     assert main(["export", "flags", str(f), "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- benchmark reference outputs -----------------------------------------
+
+_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["classify --p 401 --profile constructive", "construct --family dh1 --p 997"],
+)
+def test_large_constructions_match_reference_digest(capsys, command):
+    want = json.loads(_REFERENCE.read_text())["commands"][command]
+    code, out, _ = run(capsys, *command.split())
+    assert code == want["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
 
 
 # --- console script -------------------------------------------------------

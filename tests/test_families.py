@@ -1,12 +1,19 @@
 """Tests for the parameterized map families and the structured probes.
 
-Each family constructor asserts its own order and type internally; the
+Each family constructor checks its own order and type internally; the
 tests here pin the expected values independently and exercise invariants,
 cross-route agreement and parameter validation.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ebrmaps
+from ebrmaps import census, families
 from ebrmaps.families import (
     CHI2_EXPECTED_ORDERS,
     CHI2_EXPECTED_TYPES,
@@ -27,7 +34,7 @@ from ebrmaps.families import (
     valency_eight_map,
     valency_eight_quotient_certificate,
 )
-from ebrmaps.groups import are_isomorphic, dihedral
+from ebrmaps.groups import FiniteGroup, are_isomorphic, dihedral
 from ebrmaps.maps import (
     counts,
     equivalent_up_to_duality,
@@ -143,7 +150,7 @@ def test_cyclic_fitting_params_small_primes():
 
 def test_cyclic_fitting_map_both_routes():
     # route="both" builds from the presentation and as an explicit
-    # extension of a cyclic group by the Klein four group, then asserts
+    # extension of a cyclic group by the Klein four group, then checks
     # the two are map-isomorphic
     for q in [FamilyParams(1, 5, 1), FamilyParams(1, 5, 4), FamilyParams(3, 5, 4)]:
         m = cyclic_fitting_map(q, route="both")
@@ -261,3 +268,91 @@ def test_probe_parameter_validation():
         cyclic_by_dihedral_probe(5, 2)  # lambda >= 3
     with pytest.raises(ValueError):
         cyclic_by_dihedral_probe(3, 9)  # p must not divide lambda
+
+
+# --- linear-size construction ----------------------------------------------
+
+
+def test_families_build_no_large_dense_group(monkeypatch):
+    # maps come from the coset table's permutations; a dense table is only
+    # built for small auxiliary groups (the S4 certificate has 24 elements)
+    orders = []
+    original = FiniteGroup.__post_init__
+
+    def counting(self):
+        orders.append(len(self.mul))
+        original(self)
+
+    monkeypatch.setattr(FiniteGroup, "__post_init__", counting)
+    m = dihedral_family_1(997)
+    assert m.order == 3992
+    entries = census.classify(101, "constructive")
+    assert len(entries) == 3
+    assert max(orders, default=0) <= 64
+
+
+def _run_optimized(script):
+    env = dict(os.environ, PYTHONPATH=str(Path(ebrmaps.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+_CORRUPT_ACTION = """
+import ebrmaps.families as families
+
+assert False, "assert statements must be stripped"
+good = families._cyclic_fitting_action
+def corrupted(params):
+    action = list(good(params))
+    s = list(action[2])
+    s[1], s[2] = s[2], s[1]
+    action[2] = tuple(s)
+    return tuple(action)
+families._cyclic_fitting_action = corrupted
+families.cyclic_fitting_map(families.FamilyParams(1, 5, 4), route="direct")
+"""
+
+_WRONG_RELATOR = """
+import ebrmaps.families as families
+
+assert False, "assert statements must be stripped"
+text = families.cyclic_fitting_text
+families.cyclic_fitting_text = lambda q: text(families.FamilyParams(q.kappa, q.lam, q.lam - q.j))
+families.cyclic_fitting_map(families.FamilyParams(1, 5, 4))
+"""
+
+_WRONG_ORDER = """
+import ebrmaps.families as families
+
+assert False, "assert statements must be stripped"
+families.dihedral_family_1_text = families.dihedral_family_2_text
+families.dihedral_family_1(5)
+"""
+
+
+def test_corrupted_direct_action_fails_under_python_O():
+    proc = _run_optimized(_CORRUPT_ACTION)
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last == "ValueError: action[2] is not an automorphism of A"
+
+
+def test_wrong_relator_fails_under_python_O():
+    # the relators of j = 1 with the action of j = 4: both routes give
+    # order 20 and type (4, 10), but different maps
+    proc = _run_optimized(_WRONG_RELATOR)
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("ebrmaps.groups.VerificationError: cf(1,5,4): presentation and direct")
+
+
+def test_family_order_check_survives_python_O():
+    proc = _run_optimized(_WRONG_ORDER)
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last == "ebrmaps.groups.VerificationError: dh1(5): expected order 24, got 28"

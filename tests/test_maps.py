@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ebrmaps.census import atlas
+from ebrmaps.families import chi_minus_2_catalog
 from ebrmaps.groups import FiniteGroup, MarkedGroup, cyclic, dihedral, direct_product, symmetric
 from ebrmaps.maps import (
     EdgeBiregularMap,
@@ -33,6 +34,7 @@ from ebrmaps.maps import (
     is_self_dual,
     load_map,
     map_file_text,
+    map_from_action,
     map_invariants,
     new_map,
     semi_edge_counts,
@@ -41,6 +43,7 @@ from ebrmaps.maps import (
     twin,
     type_of,
 )
+from ebrmaps.presentations import group_from_presentation, index_of_even_subgroup, parse_presentation
 
 TORUS_LIKE = """\
 # single map file used across several tests
@@ -191,6 +194,19 @@ def test_isomorphism_and_equivalence():
     assert not equivalent_up_to_duality(m, other)
 
 
+def test_euler_characteristic_formula_integer_or_fraction():
+    # an int whenever the value is integral, as in every chi test of the
+    # search; a Fraction otherwise
+    value = euler_characteristic_formula(24, 4, 6)
+    assert type(value) is int and value == -2
+    assert euler_characteristic_formula(6, 4, 6) == Fraction(-1, 2)
+    for n in (4, 8, 12, 24, 36, 60):
+        for k in (2, 4, 6, 8, 12):
+            for l in (4, 6, 10):
+                exact = n * (Fraction(1, k) - Fraction(1, 2) + Fraction(1, l))
+                assert euler_characteristic_formula(n, k, l) == exact
+
+
 def _small_quadruples():
     """Every quadruple on the groups of order 12 and on D16, the chi = -2
     ones included: 280 maps in 15 isomorphism classes."""
@@ -218,7 +234,7 @@ def _assert_key_decides(maps, key, related):
 
 def test_standard_table_decides_map_isomorphism():
     _assert_key_decides(
-        _small_quadruples(), lambda m: _standard_table(m.group, m.marks), is_map_isomorphic
+        _small_quadruples(), lambda m: _standard_table(m.perms, m.base), is_map_isomorphic
     )
 
 
@@ -247,8 +263,70 @@ def test_equivalence_key_ignores_relabelling(seed):
     rng = random.Random(seed)
     for m in _small_quadruples() + [load_map(TORUS_LIKE)]:
         other = _relabelled(m, rng)
-        assert _standard_table(other.group, other.marks) == _standard_table(m.group, m.marks)
+        assert _standard_table(other.perms, other.base) == _standard_table(m.perms, m.base)
         assert equivalence_key(other) == equivalence_key(m)
+
+
+def _dense_standard_table(group, marks):
+    """The standardized table read off the multiplication table."""
+    number = {group.identity: 0}
+    elements = [group.identity]
+    table = []
+    for h in elements:
+        for z in marks:
+            g = group.mul[h][z]
+            if g not in number:
+                number[g] = len(elements)
+                elements.append(g)
+            table.append(number[g])
+    return tuple(table)
+
+
+def _dense_key(m):
+    x, y, s, t = m.marks
+    orderings = ((x, y, s, t), (y, x, t, s), (s, t, x, y), (t, s, y, x))
+    return min(_dense_standard_table(m.group, marks) for marks in orderings)
+
+
+def test_permutation_invariants_match_dense_references():
+    # every invariant computed from the four mark permutations equals its
+    # reference computed on the dense multiplication table
+    maps = _small_quadruples() + chi_minus_2_catalog()
+    for m in maps:
+        g = m.group
+        x, y, s, t = m.marks
+        k = 2 * g.element_orders[g.mul[t][y]]
+        l = 2 * g.element_orders[g.mul[s][x]]
+        assert type_of(m) == (k, l)
+        assert counts(m) == (g.order // k, g.order // 2, g.order // l)
+        assert is_orientable(m) == (index_of_even_subgroup(m.marked_group()) == 2)
+        assert is_fully_regular(m) == is_map_isomorphic(m, twin(m))
+        assert is_self_dual(m) == is_map_isomorphic(m, dual(m))
+        assert equivalence_key(m) == _dense_key(m)
+
+
+def test_map_from_presentation_holds_only_the_action():
+    m = load_map(TORUS_LIKE)
+    assert m.dense is None  # no table until one is asked for
+    assert m.order == 16 and len(m.perms) == 4
+    assert m.marks == tuple(perm[0] for perm in m.perms)
+    marked = group_from_presentation(parse_presentation(strip_mark_lines(TORUS_LIKE)))
+    assert m.group.mul == marked.group.mul
+    assert m.marks == marked.marked
+    assert m.dense is m.group
+
+
+def test_map_from_action_validates():
+    m = load_map(TORUS_LIKE)
+    px, py, ps, pt = m.perms
+    with pytest.raises(NotInvolution):
+        map_from_action((tuple(range(16)), py, ps, pt))
+    with pytest.raises(NotDistinct):
+        map_from_action((px, px, ps, pt))
+    with pytest.raises(PairNotCommuting):
+        map_from_action((px, ps, py, pt))  # x and s generate a group of order 8
+    with pytest.raises(MapStructureError):
+        map_from_action((px, py, ps))
 
 
 def test_fully_regular_and_self_dual_flags():

@@ -6,8 +6,14 @@ inverses, which is exactly right for groups generated by reflections.
 Each `rel` line carries one relator word.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ebrmaps
 from ebrmaps.groups import MarkedGroup, are_isomorphic, dihedral, subgroup_closure
 from ebrmaps.presentations import (
     CapacityExceeded,
@@ -15,9 +21,11 @@ from ebrmaps.presentations import (
     Presentation,
     coset_enumerate,
     evaluate_word,
+    group_from_action,
     group_from_presentation,
     index_of_even_subgroup,
     parse_presentation,
+    regular_action,
 )
 
 DIHEDRAL_12 = """\
@@ -240,3 +248,36 @@ def test_against_sympy_coset_enumeration():
                 expr = expr * gens[idx]
             rels.append(expr)
         assert FpGroup(F, rels).order() == expected
+
+
+def test_regular_action_is_the_coset_table():
+    pres = parse_presentation(DIHEDRAL_12)
+    table = coset_enumerate(pres).table
+    perms = regular_action(pres)
+    assert perms == tuple(tuple(row[g] for row in table) for g in range(2))
+    group = group_from_action(perms, "D12")
+    assert group.mul == group_from_presentation(pres).group.mul
+    assert group.identity == 0
+
+
+_BROKEN_TABLE = """
+from ebrmaps.presentations import CosetTable, _check_table, parse_presentation
+
+assert False, "assert statements must be stripped"
+pres = parse_presentation("gens a b\\nrel a^2\\nrel b^2\\nrel (a b)^3\\n")
+_check_table(CosetTable(((1, 0), (0, 1))), pres, ())
+"""
+
+
+def test_check_table_survives_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(ebrmaps.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_TABLE],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last == "ebrmaps.groups.VerificationError: relator does not close"
