@@ -16,6 +16,7 @@ non-isomorphic and match the documented count for that order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -87,7 +88,8 @@ def admissible_types(p: int) -> list[AdmissibleType]:
         raise ValueError(f"p must be prime, got {p}")
     out: list[AdmissibleType] = []
     for n in range(4, 12 * p + 1, 4):
-        divisors = [d for d in range(4, n + 1) if n % d == 0 and d % 2 == 0]
+        small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        divisors = sorted({e for d in small for e in (d, n // d) if e >= 4 and e % 2 == 0})
         for i, k in enumerate(divisors):
             for l in divisors[i:]:
                 if l < 6:
@@ -521,9 +523,8 @@ def classify(p: int, profile: str = "exhaustive") -> list[CatalogEntry]:
         raise ValueError(f"unknown profile {profile!r}")
     if not families.is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    constructive = _sort_entries(_constructive_entries(p))
     if profile == "constructive":
-        return constructive
+        return _sort_entries(_constructive_entries(p))
 
     orders = sorted({a.n for a in admissible_types(p)})
     missing = [n for n in orders if n not in _RECIPES]
@@ -531,6 +532,7 @@ def classify(p: int, profile: str = "exhaustive") -> list[CatalogEntry]:
         raise UnsupportedOrder(
             f"exhaustive classification at p={p} needs atlas orders {missing}"
         )
+    constructive = _sort_entries(_constructive_entries(p))
     found: dict[tuple[int, ...], EdgeBiregularMap] = {}
     for n in orders:
         for group in atlas(n):

@@ -364,7 +364,7 @@ def valency_eight_quotient_certificate() -> bool:
     n = table.num_cosets
     if n != 24:
         raise VerificationError(f"expected index 24, got {n}")
-    gens = [tuple(table.table[c][g] for c in range(n)) for g in range(4)]
+    gens = table.columns
     identity = tuple(range(n))
     closure = {identity}
     frontier = [identity]

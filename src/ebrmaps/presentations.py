@@ -10,12 +10,21 @@ Presentation text format (one directive per line, ``#`` starts a comment):
 ``word = factor+`` and ``factor = name | name^k | ( word )^k`` with k >= 1.
 Every generator is taken to be an involution: the enumerator stores a single
 symmetric column per generator (g is its own inverse), so words never need
-explicit inverses.
+explicit inverses.  A relator may expand to at most ``MAX_RELATOR_LENGTH``
+letters; the parser checks this before it expands a power.  Next to the
+expanded word the parser keeps the written form, powers included.
 
 The enumerator is the HLT strategy with row filling: cosets are scanned in
 creation order against the relators in presentation order, gaps are filled
 by defining new cosets, and coincidences are processed immediately with a
-union-find over coset numbers.  Identical input yields an identical numbered
+union-find over coset numbers.  The table is kept by column, one list per
+generator.  The first time no live coset has an undefined entry, the table
+is compacted and every relator is checked at every coset; if they all
+close, the enumeration stops there, since every later HLT step would
+define nothing and merge nothing.  That check composes the columns along
+the written form, taking each power ``(w)^k`` of w's permutation by
+repeated squaring, so it costs O(|H| x written size x log k) rather than
+O(|H| x expanded length).  Identical input yields an identical numbered
 table.  Enumerations that would exceed ``max_cosets`` raise
 :class:`CapacityExceeded` rather than returning a wrong answer.
 """
@@ -23,14 +32,18 @@ table.  Enumerations that would exceed ``max_cosets`` raise
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 from .groups import FiniteGroup, MarkedGroup, VerificationError, subgroup_closure
 
 Word = tuple[int, ...]
 Perm = tuple[int, ...]
+# A written word: each factor is a generator or a pair (form, k) for form^k.
+Form = tuple["int | tuple[Form, int]", ...]
 
 DEFAULT_MAX_COSETS = 100_000
+MAX_RELATOR_LENGTH = 1_000_000
 
 
 class ParseError(ValueError):
@@ -52,8 +65,12 @@ class CapacityExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Presentation:
+    """Generators and relators; ``relator_forms`` optionally keeps each
+    relator as written, with its powers, and must expand to ``relators``."""
+
     generator_names: tuple[str, ...]
     relators: tuple[Word, ...]
+    relator_forms: tuple[Form, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if not self.generator_names:
@@ -64,10 +81,28 @@ class Presentation:
         for w in self.relators:
             if any(not (0 <= g < ng) for g in w):
                 raise ValueError("relator references unknown generator")
+        if self.relator_forms and (
+            len(self.relator_forms) != len(self.relators)
+            or any(_expand(f) != w for f, w in zip(self.relator_forms, self.relators))
+        ):
+            raise ValueError("relator forms do not expand to the relators")
 
     @property
     def num_generators(self) -> int:
         return len(self.generator_names)
+
+
+def _expand(form: Form) -> Word:
+    word: list[int] = []
+    for factor in form:
+        if isinstance(factor, int):
+            word.append(factor)
+        else:
+            inner, k = factor
+            if k < 1:
+                raise ValueError("powers in relator forms must be >= 1")
+            word.extend(_expand(inner) * k)
+    return tuple(word)
 
 
 # ---------------------------------------------------------------------------
@@ -101,14 +136,22 @@ def _lex(line: str, lineno: int) -> list[tuple[str, str | int, int]]:
     return tokens
 
 
+def _check_length(length: int, lineno: int, col: int) -> None:
+    if length > MAX_RELATOR_LENGTH:
+        raise ParseError(
+            f"word expands to {length} letters, more than {MAX_RELATOR_LENGTH}", lineno, col
+        )
+
+
 def _parse_word(
     tokens: list[tuple[str, str | int, int]],
     pos: int,
     index: dict[str, int],
     lineno: int,
     stop_at_close: bool,
-) -> tuple[Word, int]:
+) -> tuple[Word, Form, int]:
     word: list[int] = []
+    form: list[int | tuple[Form, int]] = []
     while pos < len(tokens):
         kind, value, col = tokens[pos]
         if kind == ")":
@@ -116,7 +159,7 @@ def _parse_word(
                 break
             raise ParseError("unmatched ')'", lineno, col)
         if kind == "(":
-            inner, pos = _parse_word(tokens, pos + 1, index, lineno, True)
+            inner, inner_form, pos = _parse_word(tokens, pos + 1, index, lineno, True)
             if pos >= len(tokens) or tokens[pos][0] != ")":
                 raise ParseError("expected ')'", lineno, col)
             close_col = tokens[pos][2]
@@ -124,20 +167,27 @@ def _parse_word(
             k, pos = _parse_exponent(tokens, pos, lineno, required=True, at_col=close_col)
             if not inner:
                 raise ParseError("empty parenthesized word", lineno, col)
+            _check_length(len(word) + len(inner) * k, lineno, col)
             word.extend(inner * k)
+            if k == 1:
+                form.extend(inner_form)
+            else:
+                form.append((inner_form, k))
         elif kind == "name":
             g = index.get(value)  # type: ignore[arg-type]
             if g is None:
                 raise ParseError(f"unknown generator {value!r}", lineno, col)
             pos += 1
             k, pos = _parse_exponent(tokens, pos, lineno, required=False, at_col=col)
+            _check_length(len(word) + k, lineno, col)
             word.extend([g] * k)
+            form.append(g if k == 1 else ((g,), k))
         else:
             raise ParseError(f"unexpected token {value!r}", lineno, col)
     if not word:
         col = tokens[pos - 1][2] if tokens else 1
         raise ParseError("empty word", lineno, col)
-    return tuple(word), pos
+    return tuple(word), tuple(form), pos
 
 
 def _parse_exponent(
@@ -166,6 +216,7 @@ def parse_presentation(text: str) -> Presentation:
     names: tuple[str, ...] | None = None
     index: dict[str, int] = {}
     relators: list[Word] = []
+    forms: list[Form] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -191,15 +242,16 @@ def parse_presentation(text: str) -> Presentation:
         elif value == "rel":
             if names is None:
                 raise ParseError("rel before gens line", lineno, col)
-            word, pos = _parse_word(tokens, 1, index, lineno, False)
+            word, form, pos = _parse_word(tokens, 1, index, lineno, False)
             if pos != len(tokens):
                 raise ParseError("trailing tokens after word", lineno, tokens[pos][2])
             relators.append(word)
+            forms.append(form)
         else:
             raise ParseError(f"unknown directive {value!r}", lineno, col)
     if names is None:
         raise ParseError("missing gens line", 1, 1)
-    return Presentation(names, tuple(relators))
+    return Presentation(names, tuple(relators), tuple(forms))
 
 
 # ---------------------------------------------------------------------------
@@ -208,24 +260,26 @@ def parse_presentation(text: str) -> Presentation:
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Completed, compacted coset table: rows over live cosets 0..n-1.
+    """Completed, compacted coset table on live cosets 0..n-1, by column.
 
-    ``table[c][g]`` is the coset reached from c by the (involutory)
-    generator g; the table is symmetric in the sense table[table[c][g]][g] == c.
+    ``columns[g][c]`` is the coset reached from c by the (involutory)
+    generator g, so each column is the permutation of the cosets by g and
+    columns[g][columns[g][c]] == c.
     """
 
-    table: tuple[tuple[int, ...], ...]
+    columns: tuple[Perm, ...]
 
     @property
     def num_cosets(self) -> int:
-        return len(self.table)
+        return len(self.columns[0])
 
 
 class _Enumeration:
-    def __init__(self, ngens: int, max_cosets: int) -> None:
-        self.ngens = ngens
+    def __init__(self, pres: Presentation, subgens: tuple[Word, ...], max_cosets: int) -> None:
+        self.pres = pres
+        self.subgens = subgens
         self.max_cosets = max_cosets
-        self.table: list[list[int | None]] = [[None] * ngens]
+        self.columns: list[list[int | None]] = [[None] for _ in range(pres.num_generators)]
         self.parent = [0]
         self.queue: deque[int] = deque()
 
@@ -236,18 +290,15 @@ class _Enumeration:
             k = p[k]
         return k
 
-    def alive(self, k: int) -> bool:
-        return self.parent[k] == k
-
-    def define(self, a: int, g: int) -> int:
-        if len(self.table) >= self.max_cosets:
+    def define(self, a: int, col: list[int | None]) -> None:
+        b = len(self.parent)
+        if b >= self.max_cosets:
             raise CapacityExceeded(self.max_cosets)
-        b = len(self.table)
-        self.table.append([None] * self.ngens)
+        for column in self.columns:
+            column.append(None)
         self.parent.append(b)
-        self.table[a][g] = b
-        self.table[b][g] = a
-        return b
+        col[a] = b
+        col[b] = a
 
     def merge(self, a: int, b: int) -> None:
         a, b = self.rep(a), self.rep(b)
@@ -258,50 +309,111 @@ class _Enumeration:
 
     def coincidence(self, a: int, b: int) -> None:
         self.merge(a, b)
-        table = self.table
         while self.queue:
             y = self.queue.popleft()
-            row = table[y]
-            for g in range(self.ngens):
-                d = row[g]
+            for col in self.columns:
+                d = col[y]
                 if d is None:
                     continue
-                row[g] = None
-                if table[d][g] == y:
-                    table[d][g] = None
+                col[y] = None
+                if col[d] == y:
+                    col[d] = None
                 mu, nu = self.rep(y), self.rep(d)
-                if table[mu][g] is not None:
-                    self.merge(nu, table[mu][g])  # type: ignore[arg-type]
-                elif table[nu][g] is not None:
-                    self.merge(mu, table[nu][g])  # type: ignore[arg-type]
+                if col[mu] is not None:
+                    self.merge(nu, col[mu])  # type: ignore[arg-type]
+                elif col[nu] is not None:
+                    self.merge(mu, col[nu])  # type: ignore[arg-type]
                 else:
-                    table[mu][g] = nu
-                    table[nu][g] = mu
+                    col[mu] = nu
+                    col[nu] = mu
 
-    def scan_and_fill(self, alpha: int, word: Word) -> None:
-        table = self.table
+    def scan_and_fill(self, alpha: int, word: tuple[list[int | None], ...]) -> None:
+        """Scan the word, given as its letters' columns, from alpha."""
         f, b = alpha, alpha
         i, j = 0, len(word) - 1
         while True:
-            while i <= j and table[f][word[i]] is not None:
-                f = table[f][word[i]]  # type: ignore[assignment]
-                i += 1
-            if i > j:
+            for i in range(i, j + 1):
+                nxt = word[i][f]
+                if nxt is None:
+                    break
+                f = nxt
+            else:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and table[b][word[j]] is not None:
-                b = table[b][word[j]]  # type: ignore[assignment]
-                j -= 1
-            if j < i:
+            for j in range(j, i - 1, -1):
+                nxt = word[j][b]
+                if nxt is None:
+                    break
+                b = nxt
+            else:
                 self.coincidence(f, b)
                 return
+            col = word[i]
             if j == i:
-                g = word[i]
-                table[f][g] = b
-                table[b][g] = f
+                col[f] = b
+                col[b] = f
                 return
-            self.define(f, word[i])
+            self.define(f, col)
+
+    def compact(self) -> CosetTable | None:
+        """The live table renumbered in creation order; None if it has a gap."""
+        parent = self.parent
+        live = [c for c in range(len(parent)) if parent[c] == c]
+        renumber = {c: i for i, c in enumerate(live)}
+        columns = []
+        for col in self.columns:
+            entries = [col[c] for c in live]
+            if None in entries:
+                return None
+            columns.append(tuple(renumber[self.rep(d)] for d in entries))  # type: ignore[arg-type]
+        return CosetTable(tuple(columns))
+
+    def closing_table(self) -> CosetTable | None:
+        """The compacted table if it is complete and passes every check of
+        :func:`_check_table`, else None."""
+        table = self.compact()
+        if table is None or _table_fault(table, self.pres, self.subgens) is not None:
+            return None
+        return table
+
+    def run(self) -> CosetTable:
+        columns, parent = self.columns, self.parent
+        for w in self.subgens:
+            self.scan_and_fill(0, tuple(columns[g] for g in w))
+        relators = [tuple(columns[g] for g in w) for w in self.pres.relators]
+        # every live coset below `full` has a full row; rows never lose an
+        # entry, so the pointer only moves forward.  Once complete, the table
+        # stays complete (a definition needs a gap), so it is checked once.
+        full: int | None = 0
+        alpha = 0
+        while alpha < len(parent):
+            if parent[alpha] == alpha:
+                for word in relators:
+                    self.scan_and_fill(alpha, word)
+                    if parent[alpha] != alpha:
+                        break
+                else:
+                    for col in columns:
+                        if col[alpha] is None:
+                            self.define(alpha, col)
+            alpha += 1
+            if full is not None:
+                n = len(parent)
+                while full < n and (
+                    parent[full] != full or all(col[full] is not None for col in columns)
+                ):
+                    full += 1
+                if full == n:
+                    full = None
+                    table = self.closing_table()
+                    if table is not None:
+                        return table
+        table = self.compact()
+        if table is None:
+            raise VerificationError("table incomplete after enumeration")
+        _check_table(table, self.pres, self.subgens)
+        return table
 
 
 def coset_enumerate(
@@ -312,62 +424,70 @@ def coset_enumerate(
     """Enumerate cosets of the subgroup generated by the given words.
 
     Returns the completed live table, renumbered in creation order; its
-    number of rows is the subgroup index.  All generators are involutory by
-    construction of the table.
+    number of cosets is the subgroup index.  All generators are involutory
+    by construction of the table.  Before it is returned the table is
+    checked: every column is an involution, every subgroup generator fixes
+    coset 0 and every relator closes at every coset; a failure raises
+    VerificationError.
     """
-    state = _Enumeration(pres.num_generators, max_cosets)
-    for w in subgroup_generators:
-        state.scan_and_fill(0, tuple(w))
-    alpha = 0
-    while alpha < len(state.table):
-        if not state.alive(alpha):
-            alpha += 1
-            continue
-        for w in pres.relators:
-            state.scan_and_fill(alpha, w)
-            if not state.alive(alpha):
-                break
-        if state.alive(alpha):
-            for g in range(state.ngens):
-                if state.table[alpha][g] is None:
-                    state.define(alpha, g)
-        alpha += 1
-
-    live = [c for c in range(len(state.table)) if state.alive(c)]
-    renumber = {c: i for i, c in enumerate(live)}
-    rows = []
-    for c in live:
-        row = []
-        for g in range(state.ngens):
-            d = state.table[c][g]
-            if d is None:
-                raise VerificationError("table incomplete after enumeration")
-            row.append(renumber[state.rep(d)])
-        rows.append(tuple(row))
-    result = CosetTable(tuple(rows))
-    _check_table(result, pres, tuple(tuple(w) for w in subgroup_generators))
-    return result
+    subgens = tuple(tuple(w) for w in subgroup_generators)
+    return _Enumeration(pres, subgens, max_cosets).run()
 
 
-def _check_table(ct: CosetTable, pres: Presentation, subgens: tuple[Word, ...]) -> None:
-    table = ct.table
-    for c, row in enumerate(table):
-        for g, d in enumerate(row):
-            if table[d][g] != c:
-                raise VerificationError("generator column is not an involution")
+def _power(perm: Sequence[int], k: int) -> Sequence[int]:
+    """perm^k by repeated squaring: about 2 log2(k) passes over the points.
+
+    A walk over the cycles would take one pass, but a slow one on the
+    involutions that most relators raise to a small power.
+    """
+    result: Sequence[int] | None = None
+    while True:
+        if k & 1:
+            result = perm if result is None else [perm[c] for c in result]
+        k >>= 1
+        if not k:
+            return result  # type: ignore[return-value]
+        perm = [perm[c] for c in perm]
+
+
+def _word_permutation(form: Form, columns: tuple[Perm, ...]) -> Sequence[int]:
+    """The permutation of the cosets by a written word, read left to right:
+    one pass per factor, plus the passes of each power."""
+    perm: Sequence[int] | None = None
+    for factor in form:
+        if isinstance(factor, int):
+            step: Sequence[int] = columns[factor]
+        else:
+            inner, k = factor
+            step = _power(_word_permutation(inner, columns), k)
+        perm = step if perm is None else [step[c] for c in perm]
+    return perm  # type: ignore[return-value]
+
+
+def _table_fault(ct: CosetTable, pres: Presentation, subgens: tuple[Word, ...]) -> str | None:
+    """The first way ct fails to be a coset table of the presentation in
+    which every subgroup generator fixes coset 0, or None."""
+    columns = ct.columns
+    identity = list(range(ct.num_cosets))
+    for col in columns:
+        if [col[d] for d in col] != identity:
+            return "generator column is not an involution"
     for w in subgens:
         c = 0
         for g in w:
-            c = table[c][g]
+            c = columns[g][c]
         if c != 0:
-            raise VerificationError("subgroup generator does not fix coset 0")
-    for c in range(len(table)):
-        for w in pres.relators:
-            d = c
-            for g in w:
-                d = table[d][g]
-            if d != c:
-                raise VerificationError("relator does not close")
+            return "subgroup generator does not fix coset 0"
+    for form in pres.relator_forms or pres.relators:
+        if form and list(_word_permutation(form, columns)) != identity:
+            return "relator does not close"
+    return None
+
+
+def _check_table(ct: CosetTable, pres: Presentation, subgens: tuple[Word, ...]) -> None:
+    fault = _table_fault(ct, pres, subgens)
+    if fault is not None:
+        raise VerificationError(fault)
 
 
 def regular_action(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> tuple[Perm, ...]:
@@ -377,8 +497,7 @@ def regular_action(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     trivial subgroup, on |H| points with point 0 the identity.  Its size is
     linear in |H|; no multiplication table is built.
     """
-    table = coset_enumerate(pres, (), max_cosets).table
-    return tuple(tuple(row[g] for row in table) for g in range(pres.num_generators))
+    return coset_enumerate(pres, (), max_cosets).columns
 
 
 def group_from_action(perms: tuple[Perm, ...], name: str) -> FiniteGroup:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ebrmaps import families
+from ebrmaps import census, families
 from ebrmaps.cli import main
 from ebrmaps.maps import load_map, map_file_text
 
@@ -86,6 +86,16 @@ def test_missing_file_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "order", str(tmp_path / "nope.txt"))
     assert code == 2
     assert "error:" in err
+
+
+def test_order_rejects_overlong_relator_exit_2(tmp_path, capsys):
+    # 2 * 10^8 letters: rejected by the parser before the power is expanded
+    f = tmp_path / "huge.txt"
+    f.write_text("gens x y\nrel x^2\nrel y^2\nrel (x y)^100000000\n")
+    code, out, err = run(capsys, "order", str(f))
+    assert code == 2
+    assert out == ""
+    assert "line 4" in err and "200000000 letters" in err
 
 
 def test_capacity_exceeded_exit_3(tmp_path, capsys):
@@ -216,6 +226,19 @@ def test_classify_unsupported_prime_exit_2(capsys):
     code, _, err = run(capsys, "classify", "--p", "7")
     assert code == 2
     assert "32" in err
+
+
+def test_classify_checks_atlas_coverage_before_building_the_catalog(monkeypatch, capsys):
+    def refuse(p):
+        raise AssertionError(f"constructive catalog built for unsupported p={p}")
+
+    monkeypatch.setattr(census, "_constructive_entries", refuse)
+    for p, order in ((7, "32"), (1009, "12108")):
+        code, out, err = run(capsys, "classify", "--p", str(p))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: exhaustive classification at p={p} needs atlas orders [")
+        assert order in err
 
 
 def test_classify_non_prime_exit_2(capsys):

@@ -6,6 +6,7 @@ inverses, which is exactly right for groups generated by reflections.
 Each `rel` line carries one relator word.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -14,11 +15,21 @@ from pathlib import Path
 import pytest
 
 import ebrmaps
-from ebrmaps.groups import MarkedGroup, are_isomorphic, dihedral, subgroup_closure
+from ebrmaps.groups import (
+    MarkedGroup,
+    VerificationError,
+    are_isomorphic,
+    dihedral,
+    subgroup_closure,
+)
+from ebrmaps import families, presentations
 from ebrmaps.presentations import (
+    MAX_RELATOR_LENGTH,
     CapacityExceeded,
+    CosetTable,
     ParseError,
     Presentation,
+    _check_table,
     coset_enumerate,
     evaluate_word,
     group_from_action,
@@ -75,6 +86,36 @@ def test_parse_words_concatenate_factors():
     assert nested.relators == ((0, 1, 0, 1, 0) * 2,)
 
 
+def test_parse_keeps_written_powers():
+    pres = parse_presentation("gens a b\nrel (a b)^2 a^3 b\nrel ((a b)^2 a)^2 (b)^1\n")
+    assert pres.relator_forms == (
+        (((0, 1), 2), ((0,), 3), 1),
+        (((((0, 1), 2), 0), 2), 1),
+    )
+    # forms do not take part in equality: the flat relators define the group
+    assert pres == Presentation(pres.generator_names, pres.relators)
+    with pytest.raises(ValueError):
+        Presentation(("a", "b"), ((0, 1, 0, 1),), ((((0, 1), 3),),))
+    with pytest.raises(ValueError):
+        Presentation(("a", "b"), ((),), ((((0, 1), 0),),))
+
+
+def test_parse_bounds_expanded_length():
+    limit = MAX_RELATOR_LENGTH
+    assert len(parse_presentation(f"gens a b\nrel (a b)^{limit // 2}\n").relators[0]) == limit
+    for rel in (
+        f"(a b)^{limit // 2} a",
+        f"a^{limit + 1}",
+        "(a b)^100000000",
+        "((a b)^1000 a)^1000",
+        f"b (a b)^{limit // 2}",
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_presentation(f"gens a b\nrel {rel}\n")
+        assert exc.value.line == 2
+        assert "letters" in str(exc.value)
+
+
 def test_parse_errors_carry_line_and_column():
     with pytest.raises(ParseError) as exc:
         parse_presentation("gens a b\nrel a c\n")
@@ -112,6 +153,8 @@ def test_presentation_validates():
         Presentation((), ())
     with pytest.raises(ValueError):
         Presentation(("a",), ((1,),))  # relator references unknown generator
+    # an empty relator is allowed, and closes at every coset
+    assert coset_enumerate(Presentation(("a",), ((), (0, 0)))).num_cosets == 2
 
 
 def test_coset_enumeration_dihedral_orders():
@@ -225,11 +268,23 @@ def test_coset_table_marks_generate():
     assert len(subgroup_closure(marked.group, marked.marked)) == 12
 
 
-def test_against_sympy_coset_enumeration():
-    pytest.importorskip("sympy")
+def _sympy_group(pres: Presentation):
     from sympy.combinatorics.fp_groups import FpGroup
     from sympy.combinatorics.free_groups import free_group
 
+    free = free_group(", ".join(pres.generator_names))
+    F, gens = free[0], free[1:]
+    rels = []
+    for word in pres.relators:
+        expr = F.identity
+        for idx in word:
+            expr = expr * gens[idx]
+        rels.append(expr)
+    return FpGroup(F, rels)
+
+
+def test_against_sympy_coset_enumeration():
+    pytest.importorskip("sympy")
     cases = [
         ("gens a b\nrel a^2\nrel b^2\nrel (a b)^6\n", 12),
         (_reflection_presentation(("a", "b", 3), ("b", "c", 3), ("a", "c", 2)), 24),
@@ -238,23 +293,51 @@ def test_against_sympy_coset_enumeration():
     for text, expected in cases:
         pres = parse_presentation(text)
         assert coset_enumerate(pres).num_cosets == expected
+        assert _sympy_group(pres).order() == expected
 
-        free = free_group(", ".join(pres.generator_names))
-        F, gens = free[0], free[1:]
-        rels = []
-        for word in pres.relators:
-            expr = F.identity
-            for idx in word:
-                expr = expr * gens[idx]
-            rels.append(expr)
-        assert FpGroup(F, rels).order() == expected
+
+def test_index_agrees_with_sympy_on_random_presentations():
+    pytest.importorskip("sympy")
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    from sympy.combinatorics.coset_table import coset_enumeration_r
+
+    # finite Coxeter groups: any dihedral one, and rank 3 when the three
+    # product orders satisfy 1/m1 + 1/m2 + 1/m3 > 1; extra relators only
+    # pass to a quotient, so every group drawn is finite (order <= 48)
+    rank_three = st.sampled_from(
+        [m for m in itertools.product(range(2, 5), repeat=3) if sum(1 / k for k in m) > 1]
+    )
+
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        names = "abc"[: data.draw(st.integers(2, 3))]
+        if len(names) == 2:
+            orders = [("a", "b", data.draw(st.integers(1, 8)))]
+        else:
+            m1, m2, m3 = data.draw(rank_three)
+            orders = [("a", "b", m1), ("b", "c", m2), ("a", "c", m3)]
+        extra = data.draw(
+            st.lists(st.lists(st.sampled_from(names), min_size=1, max_size=6), max_size=2)
+        )
+        text = _reflection_presentation(*orders) + "".join(f"rel {' '.join(w)}\n" for w in extra)
+        pres = parse_presentation(text)
+        # sympy's own HLT enumeration; FpGroup.order() and .index() first
+        # simplify the presentation, which does not finish on some of these
+        # (e.g. (a b)^2, (b c)^2, (a c)^3 with the extra relator a b)
+        sympy_table = coset_enumeration_r(_sympy_group(pres), [])
+        sympy_table.compress()
+        assert coset_enumerate(pres).num_cosets == len(sympy_table.table)
+
+    check()
 
 
 def test_regular_action_is_the_coset_table():
     pres = parse_presentation(DIHEDRAL_12)
-    table = coset_enumerate(pres).table
     perms = regular_action(pres)
-    assert perms == tuple(tuple(row[g] for row in table) for g in range(2))
+    assert perms == coset_enumerate(pres).columns
     group = group_from_action(perms, "D12")
     assert group.mul == group_from_presentation(pres).group.mul
     assert group.identity == 0
@@ -281,3 +364,126 @@ def test_check_table_survives_python_O():
     assert proc.returncode == 1
     last = proc.stderr.strip().splitlines()[-1]
     assert last == "ebrmaps.groups.VerificationError: relator does not close"
+
+
+# --- the early stop and the closure check ----------------------------------
+
+_S4_CERTIFICATE = families.presentation_text(("(t y)^4", "(s x y)^2 t", "t x t y"))
+
+
+def _enumeration_cases():
+    texts = []
+    for p in (3, 5, 13, 31):
+        texts += [families.dihedral_family_1_text(p), families.dihedral_family_2_text(p)]
+    for p in (5, 13, 41):
+        texts += [families.cyclic_fitting_text(q) for q in families.cyclic_fitting_params(p)]
+    texts += [families.valency_eight_text(m) for m in (1, 3, 5)]
+    cases = [(parse_presentation(text), ()) for text in texts]
+    cases.append((parse_presentation(_S4_CERTIFICATE), ((2, 0, 2, 0, 2, 0),)))  # (s x)^3
+    cases.append((parse_presentation(DIHEDRAL_12), ((0,),)))
+    return cases
+
+
+def _force_full_sweep(monkeypatch):
+    monkeypatch.setattr(presentations._Enumeration, "closing_table", lambda self: None)
+
+
+def test_early_stop_returns_the_full_sweep_table(monkeypatch):
+    cases = _enumeration_cases()
+    stopped = []
+    closing_table = presentations._Enumeration.closing_table
+
+    def recording(self):
+        table = closing_table(self)
+        stopped.append(table is not None)
+        return table
+
+    monkeypatch.setattr(presentations._Enumeration, "closing_table", recording)
+    early = [coset_enumerate(pres, subgens).columns for pres, subgens in cases]
+    assert stopped == [True] * len(cases)
+    _force_full_sweep(monkeypatch)
+    assert [coset_enumerate(pres, subgens).columns for pres, subgens in cases] == early
+
+
+def test_early_stop_skips_scans(monkeypatch):
+    pres = parse_presentation(families.dihedral_family_1_text(31))
+    scans = []
+    scan_and_fill = presentations._Enumeration.scan_and_fill
+
+    def counting(self, alpha, word):
+        scans.append(alpha)
+        scan_and_fill(self, alpha, word)
+
+    monkeypatch.setattr(presentations._Enumeration, "scan_and_fill", counting)
+    coset_enumerate(pres)
+    early = len(scans)
+    scans.clear()
+    _force_full_sweep(monkeypatch)
+    coset_enumerate(pres)
+    assert early < len(scans)
+
+
+def _capacity_threshold(pres, subgens) -> tuple[int, tuple]:
+    """The least max_cosets the enumeration fits in, and its table."""
+    lo, hi = 1, 4096  # coset_enumerate(max_cosets=hi) succeeds for every case
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            coset_enumerate(pres, subgens, max_cosets=mid)
+        except CapacityExceeded:
+            lo = mid + 1
+        else:
+            hi = mid
+    with pytest.raises(CapacityExceeded):
+        coset_enumerate(pres, subgens, max_cosets=lo - 1)
+    return lo, coset_enumerate(pres, subgens, max_cosets=lo).columns
+
+
+def test_capacity_thresholds_unchanged_by_early_stop(monkeypatch):
+    cases = [
+        (parse_presentation(families.dihedral_family_1_text(5)), ()),
+        (parse_presentation(families.dihedral_family_2_text(13)), ()),
+        (parse_presentation(families.cyclic_fitting_text(families.cyclic_fitting_params(13)[0])), ()),
+        (parse_presentation(families.valency_eight_text(1)), ()),
+        (parse_presentation(_S4_CERTIFICATE), ((2, 0, 2, 0, 2, 0),)),
+    ]
+    infinite = parse_presentation(
+        _reflection_presentation(("a", "b", 2), ("b", "c", 3), ("a", "c", 7))
+    )
+    early = [_capacity_threshold(pres, subgens) for pres, subgens in cases]
+    _force_full_sweep(monkeypatch)
+    assert [_capacity_threshold(pres, subgens) for pres, subgens in cases] == early
+    with pytest.raises(CapacityExceeded):
+        coset_enumerate(infinite, max_cosets=300)
+
+
+def test_check_table_rejects_a_power_failing_at_some_cosets():
+    # a = (0 1)(3 4)(5 6) and b = (1 2)(4 5): a b is (0 2 1)(3 5 6 4)
+    table = CosetTable(((1, 0, 2, 4, 3, 6, 5), (0, 2, 1, 3, 5, 4, 6)))
+    for k, closes in ((3, False), (4, False), (12, True)):
+        pres = parse_presentation(f"gens a b\nrel a^2\nrel b^2\nrel (a b)^{k}\n")
+        flat = Presentation(pres.generator_names, pres.relators)  # no written form
+        for p in (pres, flat):
+            if closes:
+                _check_table(table, p, ())
+            else:
+                with pytest.raises(VerificationError, match="relator does not close"):
+                    _check_table(table, p, ())
+    # on the cosets 0..2 alone, (a b)^3 closes
+    _check_table(CosetTable(((1, 0, 2), (0, 2, 1))), parse_presentation(DIHEDRAL_12[:-2] + "3\n"), ())
+
+
+def test_check_table_takes_powers_without_expanding_them():
+    reads = [0]
+
+    class Column(tuple):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return tuple.__getitem__(self, i)
+
+    d6 = coset_enumerate(parse_presentation("gens a b\nrel a^2\nrel b^2\nrel (a b)^3\n"))
+    pres = parse_presentation("gens a b\nrel a^2\nrel b^2\nrel (a b)^300000\n")
+    assert len(pres.relators[2]) == 600_000
+    _check_table(CosetTable(tuple(Column(col) for col in d6.columns)), pres, ())
+    # a walk along the expanded word would read the columns 3.6 million times
+    assert reads[0] < 20 * d6.num_cosets
