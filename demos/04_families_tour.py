@@ -5,8 +5,8 @@ Four constructions cover the classification on these surfaces:
 * dihedral_family_1(p): single-vertex maps of type (4(p+1), 4);
 * dihedral_family_2(p): two-vertex maps of type (2(p+2), 4);
 * cyclic_fitting_map(kappa, lam, j): type (4 kappa, 2 lam) maps whose
-  largest nilpotent normal subgroup is cyclic, built both from relators
-  and as an explicit split extension;
+  largest nilpotent normal subgroup is cyclic, built as an explicit split
+  extension and certified against their relators;
 * valency_eight_map(m): type (8, 6m) maps of order 24m (chi = -(9m-4));
 * exceptional_order36_map(): the unique fully regular member, type (4, 6).
 """
@@ -46,7 +46,7 @@ def main():
     for p in (3, 19, 31):
         qs = cyclic_fitting_params(p)
         print(f"  p={p}: " + ", ".join(f"(kappa={q.kappa}, lam={q.lam}, j={q.j})" for q in qs))
-    print("  building all members for p=19 (cross-checking both routes):")
+    print("  building all members for p=19 (certified against the presentation):")
     for q in cyclic_fitting_params(19):
         show(f"hpj{q.kappa, q.lam, q.j}", cyclic_fitting_map(q, route="both"))
 

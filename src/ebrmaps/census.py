@@ -16,7 +16,6 @@ non-isomorphic and match the documented count for that order.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -78,29 +77,32 @@ class AdmissibleType:
 
 
 def admissible_types(p: int) -> list[AdmissibleType]:
-    """All (n, k, l) with n*(1/k - 1/2 + 1/l) = -p, for prime p.
+    """All (n, k, l) with n*(1/k - 1/2 + 1/l) = -p, for prime p, sorted.
 
-    One exhaustive scan of orders n = 4, 8, ..., 12p (the (4,6) type has
-    the mildest possible negative curvature -1/12, so no larger order can
-    reach chi = -p).
+    With V = n/k vertices and F = n/l faces the equation reads
+    n = 2(V + F + p), so (k - 2)V = 2(F + p), and F | kV forces F | 2kp.
+    V >= F (that is, k <= l) bounds F by 2p/(k - 4) when k > 4, so
+    k <= 2p + 4; for k = 4, l >= 6 bounds F by 2p.  Each k tries the
+    divisors of 2kp below its bound, O(p log p) steps in all.
     """
     if not families.is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     out: list[AdmissibleType] = []
-    for n in range(4, 12 * p + 1, 4):
-        small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-        divisors = sorted({e for d in small for e in (d, n // d) if e >= 4 and e % 2 == 0})
-        for i, k in enumerate(divisors):
-            for l in divisors[i:]:
-                if l < 6:
-                    continue
-                if euler_characteristic_formula(n, k, l) != -p:
-                    continue
-                nu = Fraction(2 * k * l, k * l - 2 * (k + l))
-                if nu != Fraction(n, p) or nu > 12:
-                    raise VerificationError(f"type ({k},{l}) at order {n} has nu = {nu}")
-                out.append(AdmissibleType(n, k, l, nu))
-    return out
+    for k in range(4, 2 * p + 5, 2):
+        bound = 2 * p // (k - 4) if k > 4 else 2 * p
+        faces = {d for d in range(1, min(2 * k, bound) + 1) if 2 * k % d == 0}
+        faces |= {d * p for d in range(1, bound // p + 1) if 2 * k % d == 0}
+        for f in faces:
+            v, rem = divmod(2 * (f + p), k - 2)
+            n = k * v
+            if rem or n % f or n % 4 or (n // f) % 2:
+                continue
+            l = n // f
+            nu = Fraction(2 * k * l, k * l - 2 * (k + l))
+            if euler_characteristic_formula(n, k, l) != -p or nu != Fraction(n, p) or nu > 12:
+                raise VerificationError(f"type ({k},{l}) at order {n} has nu = {nu}")
+            out.append(AdmissibleType(n, k, l, nu))
+    return sorted(out, key=lambda a: (a.n, a.k, a.l))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ up to duality and twins, to one of the families built here:
 * ``dihedral_family_2(p)``  - two-vertex map of type (2(p+2), 4) on the
   dihedral group of order 4(p+2);
 * ``cyclic_fitting_map(kappa, lam, j)`` - maps of type (4*kappa, 2*lambda)
-  of order 4*kappa*lambda whose group is C_{kappa*lambda} extended by V_4;
-  built two ways (from the presentation and as the right-regular action of
-  an explicit semidirect product) and cross-checked;
+  of order 4*kappa*lambda whose group is C_{kappa*lambda} extended by V_4,
+  the right-regular action of an explicit semidirect product;
 * ``valency_eight_map(m)``  - maps of type (8, 6m) of order 24m (chi = -(9m-4));
 * ``exceptional_order36_map()`` - the unique fully regular example, of
   type (4,6) on a group of order 36 isomorphic to D6 x D6;
@@ -23,6 +22,15 @@ map must satisfy.
 Each constructor checks the order and type of what it built and raises
 VerificationError on a mismatch.  All presentation texts are kept
 verbatim, including redundant relators.
+
+The dihedral and cyclic-Fitting members (``route="both"``, the default for
+the latter) are built directly as permutations and certified against their
+presentations: the order of the presented group comes from the cosets of a
+cyclic subgroup of index 2 or 4 (``cyclic_order_certificate``), every
+written relator is checked on the action, and the action is transitive, so
+it is the regular action of the presented group.  This costs O(|H| log p),
+where enumerating the cosets of the trivial subgroup costs O(|H| p).  The
+other members, map files and ``route="presentation"`` use that enumeration.
 """
 
 from __future__ import annotations
@@ -47,7 +55,6 @@ from .groups import (
 )
 from .maps import (
     EdgeBiregularMap,
-    _standard_table,
     all_map_quadruples,
     equivalence_key,
     euler_characteristic,
@@ -57,7 +64,16 @@ from .maps import (
     product_order,
     type_of,
 )
-from .presentations import DEFAULT_MAX_COSETS, Perm, coset_enumerate, parse_presentation
+from .presentations import (
+    DEFAULT_MAX_COSETS,
+    CapacityExceeded,
+    CosetTable,
+    Perm,
+    _table_fault,
+    coset_enumerate,
+    cyclic_order_certificate,
+    parse_presentation,
+)
 
 
 def is_prime(n: int) -> bool:
@@ -104,6 +120,36 @@ def _expect(m: EdgeBiregularMap, order: int, map_type: tuple[int, int]) -> EdgeB
     return m
 
 
+def _certified(
+    text: str,
+    name: str,
+    w: tuple[int, ...],
+    action: Callable[[], tuple[Perm, ...]],
+    order: int,
+    max_cosets: int,
+) -> EdgeBiregularMap:
+    """The map of action(), proved to be the regular action of the group
+    presented by text on its marks x, y, s, t.
+
+    The presented group has order `order`, by the certificate through
+    the cyclic subgroup <w>; every relator holds on the action;
+    and the action is transitive on `order` points (the orbit check of
+    map_from_action).  A group of at most that order acting transitively
+    on that many points acts regularly.  Nothing is built when `order`
+    exceeds max_cosets.
+    """
+    pres = parse_presentation(text)
+    if order > max_cosets:
+        raise CapacityExceeded(max_cosets)
+    got = cyclic_order_certificate(pres, w, max_cosets)
+    if got != order:
+        raise VerificationError(f"{name}: expected order {order}, got {got}")
+    perms = action()
+    if len(perms[0]) != order or _table_fault(CosetTable(perms), pres, ()) is not None:
+        raise VerificationError(f"{name}: presentation and direct constructions disagree")
+    return map_from_action(perms, name)
+
+
 # ---------------------------------------------------------------------------
 # the two dihedral families
 
@@ -113,9 +159,21 @@ def dihedral_family_1_text(p: int) -> str:
 
 
 def dihedral_family_1(p: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBiregularMap:
-    """Single-vertex map of type (4(p+1), 4) on the dihedral group of order 4(p+1)."""
+    """Single-vertex map of type (4(p+1), 4) on the dihedral group of order 4(p+1).
+
+    The marks as r^c f^e, with r = y t of order 2(p+1) and f = y:
+    x = s y = r^(p+1) f, y = f, s = r^(p+1) and t = y r = r^-1 f.
+    """
     _require_odd_prime(p)
-    m = _build(dihedral_family_1_text(p), f"dh1({p})", max_cosets)
+    n = 2 * (p + 1)
+    m = _certified(
+        dihedral_family_1_text(p),
+        f"dh1({p})",
+        (1, 3),  # y t, of index 2
+        lambda: _dihedral_action(n, ((p + 1, 1), (0, 1), (p + 1, 0), (n - 1, 1))),
+        2 * n,
+        max_cosets,
+    )
     return _expect(m, 4 * (p + 1), (4 * (p + 1), 4))
 
 
@@ -124,10 +182,39 @@ def dihedral_family_2_text(p: int) -> str:
 
 
 def dihedral_family_2(p: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBiregularMap:
-    """Two-vertex map of type (2(p+2), 4) on the dihedral group of order 4(p+2)."""
+    """Two-vertex map of type (2(p+2), 4) on the dihedral group of order 4(p+2).
+
+    The marks as r^c f^e, with r = x t of order 2(p+2) and f = x:
+    x = f, y = x s = r^(p+2) f, s = r^(p+2) and t = x r = r^-1 f.
+    """
     _require_odd_prime(p)
-    m = _build(dihedral_family_2_text(p), f"dh2({p})", max_cosets)
+    n = 2 * (p + 2)
+    m = _certified(
+        dihedral_family_2_text(p),
+        f"dh2({p})",
+        (0, 3),  # x t, of index 2
+        lambda: _dihedral_action(n, ((0, 1), (p + 2, 1), (p + 2, 0), (n - 1, 1))),
+        2 * n,
+        max_cosets,
+    )
     return _expect(m, 4 * (p + 2), (2 * (p + 2), 4))
+
+
+def _dihedral_action(n: int, marks: tuple[tuple[int, int], ...]) -> tuple[Perm, ...]:
+    """The dihedral group of order 2n acting on itself by right
+    multiplication by each mark (c, e) = r^c f^e.
+
+    r has order n, f r f = r^-1, and r^a f^b is the point 2a + b, so
+    r^a f^b * r^c f^e = r^(a + (-1)^b c) f^(b + e).
+    """
+    points = list(range(2 * n))  # entries share these int objects
+    perms = []
+    for c, e in marks:
+        perm = [0] * (2 * n)
+        perm[0::2] = [points[2 * ((a + c) % n) + e] for a in range(n)]
+        perm[1::2] = [points[2 * ((a - c) % n) + 1 - e] for a in range(n)]
+        perms.append(tuple(perm))
+    return tuple(perms)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +360,9 @@ def _check_v4_action(
                 raise ValueError("action is not a homomorphism V_4 -> Aut(A)")
 
 
-def _cyclic_fitting_direct(params: FamilyParams) -> EdgeBiregularMap:
-    """The same map as the right-regular action of (C_lam x C_kappa) x| V_4.
+def _cyclic_fitting_direct(params: FamilyParams) -> tuple[Perm, ...]:
+    """The four mark permutations of the right-regular action of
+    (C_lam x C_kappa) x| V_4.
 
     Element (f, v) of the split extension is the point f*4 + v, with
     (f1, v1)(f2, v2) = (f1 + action[v1](f2), v1 v2) and V_4 multiplying by
@@ -296,15 +384,23 @@ def _cyclic_fitting_direct(params: FamilyParams) -> EdgeBiregularMap:
     x_el = mul(s_el, u_el)
     w_part = ((params.a % lam) * kappa + (kappa - 1) // 2, 0)
     y_el = mul(w_part, mul(s_el, t_el))
+    points = list(range(4 * na))  # entries share these int objects
     perms = []
     for f2, v2 in (x_el, y_el, s_el, t_el):
         perm = [0] * (4 * na)
-        for f1 in range(na):
-            for v1 in range(4):
-                perm[f1 * 4 + v1] = add(f1, action[v1][f2]) * 4 + (v1 ^ v2)
+        for v1 in range(4):  # the points f1*4 + v1, f1 = i*kappa + m
+            gi, gm = divmod(action[v1][f2], kappa)
+            perm[v1::4] = [
+                points[(((i + gi) % lam) * kappa + (m + gm) % kappa) * 4 + (v1 ^ v2)]
+                for i in range(lam)
+                for m in range(kappa)
+            ]
         perms.append(tuple(perm))
-    name = f"cf({kappa},{lam},{params.j})"
-    return map_from_action(tuple(perms), name)
+    return tuple(perms)
+
+
+# the word (s x)(t y)^2, whose cyclic subgroup has index 4
+_CYCLIC_FITTING_WORD = (2, 0, 3, 1, 3, 1)
 
 
 def cyclic_fitting_map(
@@ -314,28 +410,30 @@ def cyclic_fitting_map(
 ) -> EdgeBiregularMap:
     """Map of type (4*kappa, 2*lam) on the group of order 4*kappa*lam.
 
-    route = "presentation" runs coset enumeration on the defining relators;
-    route = "direct" assembles the split extension explicitly; the default
-    "both" builds both and checks that they are isomorphic as maps (equal
-    standardized tables), raising VerificationError if not.
+    route = "presentation" runs coset enumeration on the defining relators
+    (the reference route); route = "direct" assembles the split extension
+    explicitly; the default "both" builds the split extension and proves it
+    is the presented group: the order certificate through <(s x)(t y)^2>
+    gives the family order and every written relator holds on the action.
+    A failure raises VerificationError.
     """
     if route not in ("both", "presentation", "direct"):
         raise ValueError(f"unknown route {route!r}")
-    built: dict[str, EdgeBiregularMap] = {}
-    if route in ("both", "presentation"):
-        name = f"cf({params.kappa},{params.lam},{params.j})"
-        built["presentation"] = _build(cyclic_fitting_text(params), name, max_cosets)
-    if route in ("both", "direct"):
-        built["direct"] = _cyclic_fitting_direct(params)
-    for m in built.values():
-        _expect(m, params.order, params.map_type)
-    if route == "both":
-        presented, direct = built["presentation"], built["direct"]
-        if _standard_table(presented.perms) != _standard_table(direct.perms):
-            raise VerificationError(
-                f"{presented.name}: presentation and direct constructions disagree"
-            )
-    return built.get("presentation") or built["direct"]
+    name = f"cf({params.kappa},{params.lam},{params.j})"
+    if route == "presentation":
+        m = _build(cyclic_fitting_text(params), name, max_cosets)
+    elif route == "direct":
+        m = map_from_action(_cyclic_fitting_direct(params), name)
+    else:
+        m = _certified(
+            cyclic_fitting_text(params),
+            name,
+            _CYCLIC_FITTING_WORD,
+            lambda: _cyclic_fitting_direct(params),
+            params.order,
+            max_cosets,
+        )
+    return _expect(m, params.order, params.map_type)
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,9 @@ _BUILT: dict = {}
 
 def _hpj_maps() -> list:
     if "hpj" not in _BUILT:
-        # route="both" cross-validates the presentation against the direct
-        # construction for every parameter set (criterion 5's content)
+        # route="both" certifies the presented order through a cyclic
+        # subgroup and checks every relator on the direct construction,
+        # for every parameter set (criterion 5's content)
         _BUILT["hpj"] = [
             cyclic_fitting_map(q, route="both") for q in _hpj_parameter_range()
         ]
@@ -149,9 +150,11 @@ def test_criterion_4_quotient_certificate():
 
 def test_criterion_5_route_cross_validation():
     with _Gate(
-        5, "presentation and direct constructions agree on all 84 parameter sets"
+        5,
+        "direct constructions satisfy their presentations, of certified order,"
+        " on all 84 parameter sets",
     ) as g:
-        maps = _hpj_maps()  # route="both" checks map isomorphism internally
+        maps = _hpj_maps()  # route="both" proves the action is the presented group
         assert len(maps) == 84
         for q, m in zip(_hpj_parameter_range(), maps):
             assert type_of(m) == (4 * q.kappa, 2 * q.lam)

@@ -3,9 +3,11 @@ groups of supported orders, exhaustive per-group search, classification and
 the verification reports."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,7 @@ from ebrmaps.families import (
     CHI2_FULLY_REGULAR_INDICES,
     CHI2_ORIENTABLE_INDICES,
     exceptional_order36_map,
+    is_prime,
 )
 from ebrmaps.groups import are_isomorphic, cyclic, dihedral, direct_product, symmetric
 from ebrmaps.maps import (
@@ -72,6 +75,26 @@ def test_admissible_types_structure():
             assert a.pair == (a.k, a.l)
     with pytest.raises(ValueError):
         admissible_types(6)
+
+
+def _admissible_types_by_scan(p):
+    """Reference: scan n = 4, 8, ..., 12p and every pair of even divisors."""
+    out = []
+    for n in range(4, 12 * p + 1, 4):
+        small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        divisors = sorted({e for d in small for e in (d, n // d) if e >= 4 and e % 2 == 0})
+        for i, k in enumerate(divisors):
+            for l in divisors[i:]:
+                if l >= 6 and euler_characteristic_formula(n, k, l) == -p:
+                    out.append((n, k, l, Fraction(2 * k * l, k * l - 2 * (k + l))))
+    return out
+
+
+def test_admissible_types_match_the_scan():
+    primes = [p for p in range(2, 300) if is_prime(p)] + [1009, 2003, 10007]
+    for p in primes:
+        got = [(a.n, a.k, a.l, a.nu) for a in admissible_types(p)]
+        assert got == _admissible_types_by_scan(p), p
 
 
 def test_admissible_orders_larger_primes():

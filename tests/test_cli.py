@@ -7,6 +7,7 @@ import json
 import re
 import shutil
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
@@ -189,6 +190,25 @@ def test_construct_rejects_invalid_parameters(capsys):
     assert code == 2
 
 
+def test_construct_checks_text_and_capacity_before_building(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a permutation was built")
+
+    monkeypatch.setattr(families, "_dihedral_action", refuse)
+    monkeypatch.setattr(families, "cyclic_order_certificate", refuse)
+    # the text is parsed first: s (y t)^1000004 is too long to expand
+    code, out, err = run(capsys, "construct", "--family", "dh1", "--p", "1000003")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: line 9, column 7: word expands to 2000009 letters, more than 1000000\n"
+    )
+    # then the family order 4(p + 1) = 100056 is held against --max-cosets
+    start = time.perf_counter()
+    code, out, err = run(capsys, "construct", "--family", "dh1", "--p", "25013")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (3, "", "error: coset capacity 100000 exceeded\n")
+
+
 def test_construct_deterministic(capsys):
     code, first, _ = run(capsys, "construct", "--family", "dh2", "--p", "5")
     assert code == 0
@@ -233,7 +253,7 @@ def test_classify_checks_atlas_coverage_before_building_the_catalog(monkeypatch,
         raise AssertionError(f"constructive catalog built for unsupported p={p}")
 
     monkeypatch.setattr(census, "_constructive_entries", refuse)
-    for p, order in ((7, "32"), (1009, "12108")):
+    for p, order in ((7, "32"), (1009, "12108"), (10007, "20020")):
         code, out, err = run(capsys, "classify", "--p", str(p))
         assert code == 2
         assert out == ""

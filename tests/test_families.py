@@ -27,7 +27,9 @@ from ebrmaps.families import (
     cyclic_fitting_params,
     cyclic_fitting_text,
     dihedral_family_1,
+    dihedral_family_1_text,
     dihedral_family_2,
+    dihedral_family_2_text,
     exceptional_order36_map,
     is_prime,
     presentation_text,
@@ -36,6 +38,7 @@ from ebrmaps.families import (
 )
 from ebrmaps.groups import FiniteGroup, are_isomorphic, dihedral
 from ebrmaps.maps import (
+    _standard_table,
     counts,
     equivalent_up_to_duality,
     euler_characteristic,
@@ -44,6 +47,14 @@ from ebrmaps.maps import (
     is_orientable,
     is_self_dual,
     type_of,
+)
+from ebrmaps.presentations import (
+    DEFAULT_MAX_COSETS,
+    CosetTable,
+    Presentation,
+    _table_fault,
+    cyclic_order_certificate,
+    parse_presentation,
 )
 
 
@@ -356,3 +367,108 @@ def test_family_order_check_survives_python_O():
     assert proc.returncode == 1
     last = proc.stderr.strip().splitlines()[-1]
     assert last == "ebrmaps.groups.VerificationError: dh1(5): expected order 24, got 28"
+
+
+# --- certified orders through a cyclic subgroup ----------------------------
+
+
+def test_certificate_equals_hlt_index_and_map_for_small_p():
+    # the certificate is |G| from the cosets of a cyclic subgroup; the
+    # trivial-subgroup enumeration is the independent reference
+    built = {}
+    for p in filter(is_prime, range(3, 102)):
+        texts = [
+            ("dh1", dihedral_family_1_text(p), (1, 3), dihedral_family_1(p)),
+            ("dh2", dihedral_family_2_text(p), (0, 3), dihedral_family_2(p)),
+        ]
+        texts += [
+            ("hpj", cyclic_fitting_text(q), families._CYCLIC_FITTING_WORD, cyclic_fitting_map(q))
+            for q in cyclic_fitting_params(p)
+        ]
+        for label, text, w, m in texts:
+            pres = parse_presentation(text)
+            reference = families._build(text, label, DEFAULT_MAX_COSETS)
+            assert cyclic_order_certificate(pres, w) == reference.order == m.order
+            assert _standard_table(m.perms) == _standard_table(reference.perms)
+            built[label] = built.get(label, 0) + 1
+    assert built == {"dh1": 25, "dh2": 25, "hpj": 106}
+
+
+def test_certificate_on_small_presentations():
+    # D12 through <a b> (index 2) and through <a> (index 6, a fixes cosets)
+    d12 = parse_presentation("gens a b\nrel a^2\nrel b^2\nrel (a b)^6\n")
+    assert cyclic_order_certificate(d12, (0, 1)) == 12
+    assert cyclic_order_certificate(d12, (0,)) == 12
+    # the infinite dihedral group: <a b> has index 2 and is infinite
+    infinite = parse_presentation("gens a b\nrel a^2\nrel b^2\n")
+    assert cyclic_order_certificate(infinite, (0, 1)) is None
+    # dh1 without s (y t)^(p+1): y t has infinite order
+    pres = parse_presentation(presentation_text(("x y s",)))
+    assert cyclic_order_certificate(pres, (1, 3)) is None
+
+
+def test_certified_families_never_enumerate_the_trivial_subgroup(monkeypatch):
+    import ebrmaps.maps as maps_module
+    import ebrmaps.presentations as presentations_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("trivial-subgroup enumeration")
+
+    monkeypatch.setattr(maps_module, "regular_action", refuse)
+    monkeypatch.setattr(presentations_module, "regular_action", refuse)
+    assert dihedral_family_1(997).order == 3992
+    # p = 1009 has no valency-eight member, whose proof still enumerates
+    entries = census.classify(1009, "constructive")
+    assert {e.family[:3] for e in entries} == {"dh1", "dh2", "hpj"}
+
+
+_CERTIFICATE_REJECTS = """
+import ebrmaps.families as families
+from ebrmaps.groups import VerificationError
+
+assert False, "assert statements must be stripped"
+
+def attempt(build):
+    try:
+        build()
+    except VerificationError as exc:
+        print(exc)
+
+good_action = families._dihedral_action
+good_text = families.dihedral_family_1_text
+# t = y r^2 instead of y r: every relator holds except s (y t)^(p+1)
+families._dihedral_action = lambda n, marks: good_action(n, (*marks[:3], (n - 2, 1)))
+attempt(lambda: families.dihedral_family_1(5))
+families._dihedral_action = good_action
+# without s (y t)^(p+1) the presented group is infinite
+families.dihedral_family_1_text = lambda p: families.presentation_text(("x y s",))
+attempt(lambda: families.dihedral_family_1(5))
+families.dihedral_family_1_text = good_text
+print(families.dihedral_family_1(5).order)
+"""
+
+
+def test_certificate_rejections_survive_python_O():
+    proc = _run_optimized(_CERTIFICATE_REJECTS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "dh1(5): presentation and direct constructions disagree",
+        "dh1(5): expected order 24, got None",
+        "24",
+    ]
+
+
+def test_broken_action_fails_exactly_one_relator():
+    p = 5
+    n = 2 * (p + 1)
+    pres = parse_presentation(dihedral_family_1_text(p))
+    good = families._dihedral_action(n, ((p + 1, 1), (0, 1), (p + 1, 0), (n - 1, 1)))
+    bad = families._dihedral_action(n, ((p + 1, 1), (0, 1), (p + 1, 0), (n - 2, 1)))
+    assert _table_fault(CosetTable(good), pres, ()) is None
+    assert _table_fault(CosetTable(bad), pres, ()) == "relator does not close"
+    one_relator = [
+        Presentation(pres.generator_names, (w,), (f,))
+        for w, f in zip(pres.relators, pres.relator_forms)
+    ]
+    failing = [q.relators for q in one_relator if _table_fault(CosetTable(bad), q, ())]
+    assert failing == [parse_presentation(f"gens x y s t\nrel s (y t)^{p + 1}\n").relators]
