@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .groups import (
     FiniteGroup,
@@ -387,9 +388,22 @@ def _standard_table(perms: tuple[Perm, ...], base: int = 0) -> tuple[int, ...]:
     """
     number = [-1] * len(perms[0])
     number[base] = 0
-    elements = [base]
-    table = []
-    for h in elements:  # grows while it is walked
+    table: list[int] = []
+    _standard_rows(perms, number, [base], table, 0)
+    return tuple(table)
+
+
+def _standard_rows(
+    perms: tuple[Perm, ...],
+    number: list[int],
+    elements: list[int],
+    table: list[int],
+    start: int,
+) -> None:
+    """Append the rows of the standardized table from row ``start`` on to
+    ``table``.  ``elements`` lists H in its numbering so far and ``number``
+    inverts it; both grow as new elements are reached."""
+    for h in islice(elements, start, None):  # grows while it is walked
         for perm in perms:
             g = perm[h]
             i = number[g]
@@ -397,7 +411,6 @@ def _standard_table(perms: tuple[Perm, ...], base: int = 0) -> tuple[int, ...]:
                 i = number[g] = len(elements)
                 elements.append(g)
             table.append(i)
-    return tuple(table)
 
 
 def is_fully_regular(m: EdgeBiregularMap) -> bool:
@@ -415,12 +428,40 @@ def equivalence_key(m: EdgeBiregularMap) -> tuple[int, ...]:
 
     The least standardized table over the orderings of m, dual(m), twin(m)
     and dual(twin(m)); two maps are equivalent iff their keys are equal.
+
+    The four tables have the same length and are built in lockstep, one
+    row (one element of H) at a time.  A variant is dropped at its first
+    row that is larger than the least row, and the last one left is
+    finished alone, so a variant that loses early costs only its first rows.
     """
     x, y, s, t = m.perms
-    return min(
-        _standard_table(perms, m.base)
-        for perms in ((x, y, s, t), (y, x, t, s), (s, t, x, y), (t, s, y, x))
-    )
+    variants = []
+    for perms in ((x, y, s, t), (y, x, t, s), (s, t, x, y), (t, s, y, x)):
+        number = [-1] * m.order
+        number[m.base] = 0
+        variants.append((perms, number, [m.base]))
+    key: list[int] = []
+    row = 0
+    while len(variants) > 1 and row < len(variants[0][2]):
+        rows = []
+        for perms, number, elements in variants:
+            h = elements[row]
+            entries = []
+            for perm in perms:
+                g = perm[h]
+                i = number[g]
+                if i < 0:
+                    i = number[g] = len(elements)
+                    elements.append(g)
+                entries.append(i)
+            rows.append(entries)
+        least = min(rows)
+        variants = [v for v, entries in zip(variants, rows) if entries == least]
+        key += least
+        row += 1
+    perms, number, elements = variants[0]
+    _standard_rows(perms, number, elements, key, row)
+    return tuple(key)
 
 
 def equivalent_up_to_duality(a: EdgeBiregularMap, b: EdgeBiregularMap) -> bool:
@@ -572,27 +613,74 @@ def commuting_involution_pairs(group: FiniteGroup) -> list[tuple[int, int]]:
     ]
 
 
+def _vertex_valency_for(group: FiniteGroup, want_chi: int) -> dict[int, int]:
+    """The vertex valency k that gives chi = want_chi, keyed by face valency l.
+
+    k and l range over the doubled element orders.  At a fixed order, chi =
+    |H| (1/k - 1/2 + 1/l) strictly decreases in k, so each l has at most one
+    such k; a second one raises VerificationError.
+    """
+    valencies = sorted({2 * o for o in group.element_orders})
+    k_for_l: dict[int, int] = {}
+    for l in valencies:
+        for k in valencies:
+            if euler_characteristic_formula(group.order, k, l) != want_chi:
+                continue
+            if l in k_for_l:
+                raise VerificationError(
+                    f"face valency {l} gives chi = {want_chi} with vertex valencies"
+                    f" {k_for_l[l]} and {k} on a group of order {group.order}"
+                )
+            k_for_l[l] = k
+    return k_for_l
+
+
 def all_map_quadruples(group: FiniteGroup, want_chi: int | None = None):
     """Yield every valid map on the group, in lexicographic mark order.
 
-    ``want_chi`` filters by Euler characteristic before the (relatively
-    expensive) generation check.
+    (x, y) runs over the commuting involution pairs and s over the other
+    involutions; the face valency l = 2 ord(sx) is then fixed.  With
+    ``want_chi`` given, l fixes the one vertex valency k that gives that
+    chi, so t runs only over the involutions with 2 ord(ty) = k (listed
+    once per (y, k)), and an s whose l admits no k is skipped.  Without it,
+    t runs over the involutions that commute with s.  Each candidate that is
+    distinct from x, y, s and commutes with s has its chi computed again
+    before the generation check, the one test that builds a subgroup.
     """
     mul = group.mul
     orders = group.element_orders
     invs = [g for g in range(group.order) if orders[g] == 2]
-    for x, y in commuting_involution_pairs(group):
+    pairs = commuting_involution_pairs(group)
+    if want_chi is None:
+        partners: dict[int, list[int]] = {}
+        for a, b in pairs:
+            partners.setdefault(a, []).append(b)
+    else:
+        k_for_l = _vertex_valency_for(group, want_chi)
+        with_valency: dict[tuple[int, int], list[int]] = {}
+    for x, y in pairs:
         for s in invs:
             if s in (x, y):
                 continue
-            l = 2 * orders[mul[s][x]]
-            for t in invs:
+            if want_chi is None:
+                ts = partners.get(s, ())
+            else:
+                l = 2 * orders[mul[s][x]]
+                k = k_for_l.get(l)
+                if k is None:
+                    continue
+                ts = with_valency.get((y, k))
+                if ts is None:
+                    ts = with_valency[y, k] = [t for t in invs if 2 * orders[mul[t][y]] == k]
+            for t in ts:
                 if t in (x, y, s) or mul[s][t] != mul[t][s]:
                     continue
                 if want_chi is not None:
-                    k = 2 * orders[mul[t][y]]
-                    if euler_characteristic_formula(group.order, k, l) != want_chi:
-                        continue
+                    chi = euler_characteristic_formula(group.order, k, l)
+                    if chi != want_chi:
+                        raise VerificationError(
+                            f"type ({k},{l}) was solved for chi = {want_chi} but gives {chi}"
+                        )
                 if len(subgroup_closure(group, (x, y, s, t))) != group.order:
                     continue
                 yield _unchecked(group, (x, y, s, t))

@@ -1,12 +1,18 @@
 """Tests for the map layer: marked quadruples, invariants, flags,
 duality/twin operators, semi-edge maps and the map file format."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ebrmaps.census import atlas
+import ebrmaps
+import ebrmaps.maps as maps_module
+from ebrmaps.census import ATLAS_ORDERS, _constructive_entries, admissible_types, atlas
 from ebrmaps.families import chi_minus_2_catalog
 from ebrmaps.groups import FiniteGroup, MarkedGroup, cyclic, dihedral, direct_product, symmetric
 from ebrmaps.maps import (
@@ -454,6 +460,136 @@ def test_all_map_quadruples():
     want = [m for m in found if euler_characteristic(m) == -2]
     got = list(all_map_quadruples(d8, want_chi=-2))
     assert [m.marks for m in got] == [m.marks for m in want]
+
+
+def _all_map_quadruples_by_scan(group, want_chi=None):
+    """Reference: every t tried, and chi tested on each before generation."""
+    mul = group.mul
+    orders = group.element_orders
+    invs = [g for g in range(group.order) if orders[g] == 2]
+    for x, y in commuting_involution_pairs(group):
+        for s in invs:
+            if s in (x, y):
+                continue
+            l = 2 * orders[mul[s][x]]
+            for t in invs:
+                if t in (x, y, s) or mul[s][t] != mul[t][s]:
+                    continue
+                if want_chi is not None:
+                    k = 2 * orders[mul[t][y]]
+                    if maps_module.euler_characteristic_formula(group.order, k, l) != want_chi:
+                        continue
+                if len(maps_module.subgroup_closure(group, (x, y, s, t))) != group.order:
+                    continue
+                yield maps_module._unchecked(group, (x, y, s, t))
+
+
+def _searched_orders():
+    """(chi, order) for every atlas order that classify --p 2/3 and verify
+    exclusions --p 5/7/11 search, and for chi = -1 on orders 8 and 12."""
+    out = [(-p, n) for p in (2, 3) for n in sorted({a.n for a in admissible_types(p)})]
+    for p in (5, 7, 11):
+        orders = {a.n for a in admissible_types(p) if a.n % p == 0}
+        out += [(-p, n) for n in sorted(orders) if n in ATLAS_ORDERS]
+    return out + [(-1, 8), (-1, 12)]
+
+
+def test_search_equals_the_scan(monkeypatch):
+    closures = [0]
+    counted = maps_module.subgroup_closure
+
+    def closure(*args):
+        closures[0] += 1
+        return counted(*args)
+
+    monkeypatch.setattr(maps_module, "subgroup_closure", closure)
+    cases = _searched_orders() + [(None, n) for n in ATLAS_ORDERS if n <= 16]
+    for chi, n in cases:
+        for g in atlas(n):
+            closures[0] = 0
+            got = [m.marks for m in all_map_quadruples(g, chi)]
+            checks = closures[0]
+            closures[0] = 0
+            want = [m.marks for m in _all_map_quadruples_by_scan(g, chi)]
+            assert got == want, (chi, g.name)
+            assert checks == closures[0], (chi, g.name)
+
+
+_TWO_VALENCIES = """
+from ebrmaps import maps
+from ebrmaps.groups import dihedral
+
+assert False, "assert statements must be stripped"
+maps.euler_characteristic_formula = lambda order, k, l: -2
+list(maps.all_map_quadruples(dihedral(8).group, -2))
+"""
+
+
+def test_two_vertex_valencies_for_one_face_valency_raise_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(ebrmaps.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _TWO_VALENCIES],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("ebrmaps.groups.VerificationError: face valency 2 gives chi = -2")
+
+
+def test_chi_search_equals_post_filtering_on_random_groups():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    groups = [g for n in ATLAS_ORDERS if n <= 24 for g in atlas(n)]
+    unfiltered = {}
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(st.sampled_from(groups), st.integers(-5, -1))
+    def check(group, chi):
+        if group.name not in unfiltered:
+            unfiltered[group.name] = list(all_map_quadruples(group))
+        want = [m.marks for m in unfiltered[group.name] if euler_characteristic(m) == chi]
+        assert [m.marks for m in all_map_quadruples(group, chi)] == want
+
+    check()
+
+
+def test_equivalence_key_ignores_random_relabelling():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    maps_drawn = _small_quadruples() + [load_map(TORUS_LIKE)]
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(st.sampled_from(maps_drawn), st.randoms(use_true_random=False))
+    def check(m, rng):
+        assert equivalence_key(_relabelled(m, rng)) == equivalence_key(m)
+
+    check()
+
+
+def test_equivalence_key_is_the_least_full_table():
+    def least_full_table(m):
+        x, y, s, t = m.perms
+        orderings = ((x, y, s, t), (y, x, t, s), (s, t, x, y), (t, s, y, x))
+        return min(_standard_table(perms, m.base) for perms in orderings)
+
+    # every quadruple that classify --p 2 and --p 3 search
+    found = [
+        m
+        for chi, n in _searched_orders()
+        if chi in (-2, -3)
+        for g in atlas(n)
+        for m in all_map_quadruples(g, chi)
+    ]
+    assert len(found) == 2820
+    for m in found + [entry.map for entry in _constructive_entries(401)]:
+        assert equivalence_key(m) == least_full_table(m)
 
 
 def test_map_invariants_keys_and_values():
