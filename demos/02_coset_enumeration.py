@@ -10,9 +10,9 @@ from ebrmaps.groups import are_isomorphic, dihedral
 from ebrmaps.presentations import (
     CapacityExceeded,
     coset_enumerate,
-    group_from_presentation,
-    index_of_even_subgroup,
+    group_from_action,
     parse_presentation,
+    regular_action,
 )
 
 DIHEDRAL_20 = """\
@@ -47,10 +47,10 @@ def main():
     print("dihedral presentation, trivial subgroup = regular action")
     pres = parse_presentation(DIHEDRAL_20)
     print("  cosets:", coset_enumerate(pres).num_cosets)
-    marked = group_from_presentation(pres)
-    print("  realized group:", marked.group.name, "order", marked.group.order)
+    group = group_from_action(regular_action(pres), "D20")
+    print("  realized group:", group.name, "order", group.order)
     print("  matches the table-built dihedral group:",
-          are_isomorphic(marked.group, dihedral(20).group))
+          are_isomorphic(group, dihedral(20).group))
 
     print("\nsubgroup indexes inside the same presentation")
     print("  index of <ab> :", coset_enumerate(pres, [(0, 1)]).num_cosets)
@@ -59,8 +59,8 @@ def main():
     print("\nthe reflection group of the octahedron")
     octa = parse_presentation(OCTAHEDRON)
     print("  order:", coset_enumerate(octa).num_cosets)
-    octa_marked = group_from_presentation(octa)
-    print("  rotation subgroup index:", index_of_even_subgroup(octa_marked))
+    # the rotations are generated by r0 r1 and r1 r2
+    print("  rotation subgroup index:", coset_enumerate(octa, [(0, 1), (1, 2)]).num_cosets)
 
     print("\nhyperbolic reflection groups are infinite: capacity guard")
     try:

@@ -48,7 +48,7 @@ def main():
         print(f"  p={p}: " + ", ".join(f"(kappa={q.kappa}, lam={q.lam}, j={q.j})" for q in qs))
     print("  building all members for p=19 (certified against the presentation):")
     for q in cyclic_fitting_params(19):
-        show(f"hpj{q.kappa, q.lam, q.j}", cyclic_fitting_map(q, route="both"))
+        show(f"hpj{q.kappa, q.lam, q.j}", cyclic_fitting_map(q))
 
     print("\nan off-prime parameter set works too: chi = -49 here")
     q = FamilyParams(3, 11, 10)

@@ -22,7 +22,6 @@ from .groups import (
     dihedral,
     direct_product,
     extend_generator_map,
-    extends_to_isomorphism,
     multiplicative_units,
     quotient,
     semidirect,
@@ -37,10 +36,7 @@ from .presentations import (
     Presentation,
     Word,
     coset_enumerate,
-    evaluate_word,
     group_from_action,
-    group_from_presentation,
-    index_of_even_subgroup,
     parse_presentation,
     regular_action,
 )
@@ -58,13 +54,11 @@ from .maps import (
     delete_semi_edges,
     dual,
     equivalence_key,
-    equivalent_up_to_duality,
     euler_characteristic,
     euler_characteristic_formula,
     flag_structure,
     insert_semi_edges,
     is_fully_regular,
-    is_map_isomorphic,
     is_orientable,
     is_self_dual,
     load_map,

@@ -295,8 +295,9 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
+    def common(p: argparse.ArgumentParser, max_cosets: bool = True) -> None:
+        if max_cosets:
+            p.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
         p.add_argument("--out", default="-", help="output path (default stdout)")
 
     p_order = sub.add_parser("order", help="order of a finitely presented group")
@@ -328,7 +329,7 @@ def _parser() -> argparse.ArgumentParser:
         "--profile", choices=("exhaustive", "constructive"), default="exhaustive"
     )
     p_cls.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
-    common(p_cls)
+    common(p_cls, max_cosets=False)
     p_cls.set_defaults(func=cmd_classify)
 
     p_ver = sub.add_parser("verify", help="run a named verification")
@@ -338,7 +339,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--p", type=int)
     p_ver.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
-    common(p_ver)
+    common(p_ver, max_cosets=False)
     p_ver.set_defaults(func=cmd_verify)
 
     p_exp = sub.add_parser("export", help="graph view of a map")

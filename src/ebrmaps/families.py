@@ -23,14 +23,14 @@ Each constructor checks the order and type of what it built and raises
 VerificationError on a mismatch.  All presentation texts are kept
 verbatim, including redundant relators.
 
-The dihedral and cyclic-Fitting members (``route="both"``, the default for
-the latter) are built directly as permutations and certified against their
-presentations: the order of the presented group comes from the cosets of a
-cyclic subgroup of index 2 or 4 (``cyclic_order_certificate``), every
-written relator is checked on the action, and the action is transitive, so
-it is the regular action of the presented group.  This costs O(|H| log p),
-where enumerating the cosets of the trivial subgroup costs O(|H| p).  The
-other members, map files and ``route="presentation"`` use that enumeration.
+The dihedral and cyclic-Fitting members are built directly as permutations
+and certified against their presentations: the order of the presented group
+comes from the cosets of a cyclic subgroup of index 2 or 4
+(``cyclic_order_certificate``), every written relator is checked on the
+action, and the action is transitive, so it is the regular action of the
+presented group.  This costs O(|H| log p), where enumerating the cosets of
+the trivial subgroup costs O(|H| p).  The other members and map files use
+that enumeration.
 """
 
 from __future__ import annotations
@@ -404,35 +404,23 @@ _CYCLIC_FITTING_WORD = (2, 0, 3, 1, 3, 1)
 
 
 def cyclic_fitting_map(
-    params: FamilyParams,
-    route: str = "both",
-    max_cosets: int = DEFAULT_MAX_COSETS,
+    params: FamilyParams, max_cosets: int = DEFAULT_MAX_COSETS
 ) -> EdgeBiregularMap:
     """Map of type (4*kappa, 2*lam) on the group of order 4*kappa*lam.
 
-    route = "presentation" runs coset enumeration on the defining relators
-    (the reference route); route = "direct" assembles the split extension
-    explicitly; the default "both" builds the split extension and proves it
-    is the presented group: the order certificate through <(s x)(t y)^2>
-    gives the family order and every written relator holds on the action.
-    A failure raises VerificationError.
+    The split extension is built explicitly and proved to be the presented
+    group: the order certificate through <(s x)(t y)^2> gives the family
+    order and every written relator holds on the action.  A failure raises
+    VerificationError.
     """
-    if route not in ("both", "presentation", "direct"):
-        raise ValueError(f"unknown route {route!r}")
-    name = f"cf({params.kappa},{params.lam},{params.j})"
-    if route == "presentation":
-        m = _build(cyclic_fitting_text(params), name, max_cosets)
-    elif route == "direct":
-        m = map_from_action(_cyclic_fitting_direct(params), name)
-    else:
-        m = _certified(
-            cyclic_fitting_text(params),
-            name,
-            _CYCLIC_FITTING_WORD,
-            lambda: _cyclic_fitting_direct(params),
-            params.order,
-            max_cosets,
-        )
+    m = _certified(
+        cyclic_fitting_text(params),
+        f"cf({params.kappa},{params.lam},{params.j})",
+        _CYCLIC_FITTING_WORD,
+        lambda: _cyclic_fitting_direct(params),
+        params.order,
+        max_cosets,
+    )
     return _expect(m, params.order, params.map_type)
 
 

@@ -401,14 +401,10 @@ def extend_generator_map(
     return tuple(img)  # type: ignore[arg-type]
 
 
-def extends_to_isomorphism(src: MarkedGroup, dst: MarkedGroup) -> tuple[int, ...] | None:
-    """Full isomorphism mapping src.marked[i] -> dst.marked[i], or None."""
-    return _extend_iso(src.group, src.marked, dst.group, dst.marked)
-
-
 def _extend_iso(
     sg: FiniteGroup, smarks: tuple[int, ...], dg: FiniteGroup, dmarks: tuple[int, ...]
 ) -> tuple[int, ...] | None:
+    """Isomorphism of sg onto dg carrying smarks[i] to dmarks[i], or None."""
     if sg.order != dg.order or len(smarks) != len(dmarks):
         return None
     for a, b in zip(smarks, dmarks):

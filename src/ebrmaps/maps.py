@@ -32,10 +32,10 @@ from .groups import (
     FiniteGroup,
     MarkedGroup,
     VerificationError,
-    _extend_iso,
     subgroup_closure,
 )
 from .presentations import (
+    DEFAULT_MAX_COSETS,
     Perm,
     group_from_action,
     parse_presentation,
@@ -111,9 +111,6 @@ class EdgeBiregularMap:
         if self.dense is None:
             object.__setattr__(self, "dense", group_from_action(self.perms, self.name))
         return self.dense  # type: ignore[return-value]
-
-    def marked_group(self) -> MarkedGroup:
-        return MarkedGroup(self.group, self.marks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         k, l = type_of(self)
@@ -365,17 +362,6 @@ def twin(m: EdgeBiregularMap) -> EdgeBiregularMap:
     return _reordered(m, (2, 3, 0, 1))
 
 
-def is_map_isomorphic(a: EdgeBiregularMap, b: EdgeBiregularMap) -> bool:
-    """Group isomorphism carrying a's quadruple to b's, in order.
-
-    Works on the dense groups; it is the independent reference for the
-    standardized tables that every other equivalence test uses.
-    """
-    if a.order != b.order or type_of(a) != type_of(b):
-        return False
-    return _extend_iso(a.group, a.marks, b.group, b.marks) is not None
-
-
 def _standard_table(perms: tuple[Perm, ...], base: int = 0) -> tuple[int, ...]:
     """Right multiplication by the marks, with H renumbered canonically.
 
@@ -464,11 +450,6 @@ def equivalence_key(m: EdgeBiregularMap) -> tuple[int, ...]:
     return tuple(key)
 
 
-def equivalent_up_to_duality(a: EdgeBiregularMap, b: EdgeBiregularMap) -> bool:
-    """True when a is isomorphic to b, dual(b), twin(b) or dual(twin(b))."""
-    return equivalence_key(a) == equivalence_key(b)
-
-
 # ---------------------------------------------------------------------------
 # semi-edge maps (the s = t degeneracy)
 
@@ -555,7 +536,7 @@ def delete_semi_edges(sm: SemiEdgeMap) -> MarkedGroup:
 
 def load_map(
     text: str,
-    max_cosets: int = 100_000,
+    max_cosets: int = DEFAULT_MAX_COSETS,
     name: str | None = None,
 ) -> EdgeBiregularMap:
     """Build the map defined by a map file (presentation + mark line)."""

@@ -35,7 +35,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .groups import FiniteGroup, MarkedGroup, VerificationError, subgroup_closure
+from .groups import FiniteGroup, VerificationError
 
 Word = tuple[int, ...]
 Perm = tuple[int, ...]
@@ -598,49 +598,3 @@ def group_from_action(perms: tuple[Perm, ...], name: str) -> FiniteGroup:
     if len(found) != n:
         raise ValueError("the action is not transitive")
     return FiniteGroup(tuple(zip(*columns)), name=name)  # type: ignore[arg-type]
-
-
-def group_from_presentation(
-    pres: Presentation,
-    max_cosets: int = DEFAULT_MAX_COSETS,
-    name: str | None = None,
-) -> MarkedGroup:
-    """Concrete group defined by the presentation, via its regular action.
-
-    Enumerates cosets of the trivial subgroup, then builds the dense
-    multiplication table of that action (:func:`group_from_action`): coset
-    c corresponds to the element carrying coset 0 to c.  The returned group
-    is marked with the generator images.
-    """
-    perms = regular_action(pres, max_cosets)
-    group = group_from_action(perms, name or f"fp[{len(perms[0])}]")
-    return MarkedGroup(group, tuple(perm[0] for perm in perms))
-
-
-# ---------------------------------------------------------------------------
-# helpers on marked groups
-
-
-def evaluate_word(group: FiniteGroup, images: tuple[int, ...], word: Word) -> int:
-    acc = group.identity
-    for g in word:
-        acc = group.mul[acc][images[g]]
-    return acc
-
-
-def index_of_even_subgroup(marked: MarkedGroup) -> int:
-    """Index (1 or 2) of the subgroup generated by all pairwise products of
-    the marked elements.  Requires every marked element to be an involution;
-    index 2 is the orientable case."""
-    g = marked.group
-    for m in marked.marked:
-        if g.element_orders[m] != 2:
-            raise ValueError("marked element is not an involution")
-    products = tuple(
-        g.mul[u][v] for u in marked.marked for v in marked.marked
-    )
-    size = len(subgroup_closure(g, products))
-    index, remainder = divmod(g.order, size)
-    if remainder or index not in (1, 2):
-        raise VerificationError(f"even subgroup has unexpected index {index}")
-    return index

@@ -13,16 +13,17 @@ from fractions import Fraction
 from ebrmaps import census, families
 from ebrmaps.census import atlas, catalog_json, catalog_rows, classify, enumerate_maps
 from ebrmaps.families import FamilyParams, cyclic_fitting_map, cyclic_fitting_params
-from ebrmaps.groups import dihedral
+from ebrmaps.groups import MarkedGroup, dihedral
 from ebrmaps.maps import (
     _flag_graph_bipartite,
-    equivalent_up_to_duality,
+    equivalence_key,
     euler_characteristic_formula,
     flag_structure,
     is_fully_regular,
     type_of,
 )
-from ebrmaps.presentations import group_from_presentation, index_of_even_subgroup, parse_presentation
+from ebrmaps.presentations import parse_presentation
+from references import group_from_presentation, index_of_even_subgroup
 
 
 def _report(n: int, summary: str) -> None:
@@ -75,12 +76,10 @@ _BUILT: dict = {}
 
 def _hpj_maps() -> list:
     if "hpj" not in _BUILT:
-        # route="both" certifies the presented order through a cyclic
+        # cyclic_fitting_map certifies the presented order through a cyclic
         # subgroup and checks every relator on the direct construction,
         # for every parameter set (criterion 5's content)
-        _BUILT["hpj"] = [
-            cyclic_fitting_map(q, route="both") for q in _hpj_parameter_range()
-        ]
+        _BUILT["hpj"] = [cyclic_fitting_map(q) for q in _hpj_parameter_range()]
     return _BUILT["hpj"]
 
 
@@ -115,10 +114,11 @@ def test_criterion_2_chi_minus_3_classification():
             families.dihedral_family_2(3),
             families.exceptional_order36_map(),
         ] + [cyclic_fitting_map(q) for q in cyclic_fitting_params(3)]
+        catalog_keys = {equivalence_key(e.map) for e in exhaustive}
         for m in all_constructed:
-            assert any(
-                equivalent_up_to_duality(m, e.map) for e in exhaustive
-            ), f"unmatched constructed map of type {type_of(m)}"
+            assert equivalence_key(m) in catalog_keys, (
+                f"unmatched constructed map of type {type_of(m)}"
+            )
     assert g.elapsed < 120.0
 
 
@@ -154,7 +154,7 @@ def test_criterion_5_route_cross_validation():
         "direct constructions satisfy their presentations, of certified order,"
         " on all 84 parameter sets",
     ) as g:
-        maps = _hpj_maps()  # route="both" proves the action is the presented group
+        maps = _hpj_maps()  # each one proved to be the presented group
         assert len(maps) == 84
         for q, m in zip(_hpj_parameter_range(), maps):
             assert type_of(m) == (4 * q.kappa, 2 * q.lam)
@@ -191,7 +191,7 @@ def test_criterion_6_euler_identity_property_suite():
             assert chi_orbits == chi_formula, (
                 f"chi mismatch on order {m.group.order} type {(k, l)}"
             )
-            by_index = index_of_even_subgroup(m.marked_group()) == 2
+            by_index = index_of_even_subgroup(MarkedGroup(m.group, m.marks)) == 2
             by_flags = _flag_graph_bipartite(fs)
             assert by_index == by_flags, (
                 f"orientability routes disagree on order {m.group.order}"

@@ -34,7 +34,7 @@ from ebrmaps.families import (
 )
 from ebrmaps.groups import are_isomorphic, cyclic, dihedral, direct_product, symmetric
 from ebrmaps.maps import (
-    equivalent_up_to_duality,
+    equivalence_key,
     euler_characteristic,
     euler_characteristic_formula,
     type_of,
@@ -166,7 +166,7 @@ def test_enumerate_maps_dedups_within_group():
         found = enumerate_maps(g, want_chi=-2)
         for i in range(len(found)):
             for j in range(i + 1, len(found)):
-                assert not equivalent_up_to_duality(found[i], found[j])
+                assert equivalence_key(found[i]) != equivalence_key(found[j])
 
 
 def test_enumerate_maps_dedup_is_complete():
@@ -175,21 +175,16 @@ def test_enumerate_maps_dedup_is_complete():
     from ebrmaps.maps import all_map_quadruples
 
     d8 = dihedral(8).group
-    kept = enumerate_maps(d8, want_chi=-2)
+    kept = {equivalence_key(r) for r in enumerate_maps(d8, want_chi=-2)}
     for m in all_map_quadruples(d8, want_chi=-2):
-        assert any(equivalent_up_to_duality(m, r) for r in kept)
+        assert equivalence_key(m) in kept
 
 
 def test_exceptional_map_is_unique_at_order36():
     # among all fourteen groups of order 36 there is exactly one map class
     # with chi = -3, and it is the exceptional type-(4,6) map
-    classes = []
-    for g in atlas(36):
-        for m in enumerate_maps(g, want_chi=-3):
-            if not any(equivalent_up_to_duality(m, c) for c in classes):
-                classes.append(m)
-    assert len(classes) == 1
-    assert equivalent_up_to_duality(classes[0], exceptional_order36_map())
+    classes = {equivalence_key(m) for g in atlas(36) for m in enumerate_maps(g, want_chi=-3)}
+    assert classes == {equivalence_key(exceptional_order36_map())}
 
 
 _DROP_ONE_CONSTRUCTOR = """

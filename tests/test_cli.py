@@ -107,6 +107,17 @@ def test_capacity_exceeded_exit_3(tmp_path, capsys):
     assert "capacity" in err
 
 
+def test_max_cosets_is_accepted_only_where_it_is_honoured(capsys):
+    # classify and verify take no capacity bound, so they reject the flag
+    for argv in (["classify", "--p", "3"], ["verify", "exclusions", "--p", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-cosets", "10"])
+        assert exc.value.code == 2
+        assert "--max-cosets" in capsys.readouterr().err
+    code, out, err = run(capsys, "construct", "--family", "dh1", "--p", "101", "--max-cosets", "10")
+    assert (code, out, err) == (3, "", "error: coset capacity 10 exceeded\n")
+
+
 # --- invariants -----------------------------------------------------------
 
 

@@ -40,12 +40,13 @@ from ebrmaps.groups import FiniteGroup, are_isomorphic, dihedral
 from ebrmaps.maps import (
     _standard_table,
     counts,
-    equivalent_up_to_duality,
+    equivalence_key,
     euler_characteristic,
     is_fully_regular,
-    is_map_isomorphic,
     is_orientable,
     is_self_dual,
+    load_map,
+    map_file_text,
     type_of,
 )
 from ebrmaps.presentations import (
@@ -56,6 +57,7 @@ from ebrmaps.presentations import (
     cyclic_order_certificate,
     parse_presentation,
 )
+from references import is_map_isomorphic
 
 
 def test_is_prime():
@@ -160,22 +162,19 @@ def test_cyclic_fitting_params_small_primes():
 
 
 def test_cyclic_fitting_map_both_routes():
-    # route="both" builds from the presentation and as an explicit
-    # extension of a cyclic group by the Klein four group, then checks
-    # the two are map-isomorphic
+    # the map is built as an explicit extension of a cyclic group by the
+    # Klein four group and certified against its presentation
     for q in [FamilyParams(1, 5, 1), FamilyParams(1, 5, 4), FamilyParams(3, 5, 4)]:
-        m = cyclic_fitting_map(q, route="both")
+        m = cyclic_fitting_map(q)
         assert m.group.order == q.order
         assert type_of(m) == q.map_type
         assert euler_characteristic(m) == -q.p
         assert not is_fully_regular(m)
-    # the two routes can also be requested separately and agree
+    # coset enumeration of the same presentation gives an isomorphic map
     q = FamilyParams(1, 7, 6)
-    mp = cyclic_fitting_map(q, route="presentation")
-    md = cyclic_fitting_map(q, route="direct")
+    mp = load_map(map_file_text(cyclic_fitting_text(q), families.MARK_NAMES))
+    md = cyclic_fitting_map(q)
     assert is_map_isomorphic(mp, md)
-    with pytest.raises(ValueError):
-        cyclic_fitting_map(q, route="sideways")
 
 
 def test_cyclic_fitting_text_mentions_parameters():
@@ -235,9 +234,7 @@ def test_chi_minus_2_catalog():
     # exactly two members are self-dual
     assert [i for i, m in enumerate(cat, start=1) if is_self_dual(m)] == [1, 3]
     # pairwise inequivalent even under duality and twin
-    for i in range(12):
-        for j in range(i + 1, 12):
-            assert not equivalent_up_to_duality(cat[i], cat[j])
+    assert len({equivalence_key(m) for m in cat}) == 12
 
 
 def test_chi_minus_2_text_validation():
@@ -325,7 +322,7 @@ def corrupted(params):
     action[2] = tuple(s)
     return tuple(action)
 families._cyclic_fitting_action = corrupted
-families.cyclic_fitting_map(families.FamilyParams(1, 5, 4), route="direct")
+families.cyclic_fitting_map(families.FamilyParams(1, 5, 4))
 """
 
 _WRONG_RELATOR = """

@@ -10,6 +10,7 @@ import pytest
 from ebrmaps.groups import (
     FiniteGroup,
     MarkedGroup,
+    _extend_iso,
     alternating,
     are_isomorphic,
     cyclic,
@@ -17,7 +18,6 @@ from ebrmaps.groups import (
     dihedral,
     direct_product,
     extend_generator_map,
-    extends_to_isomorphism,
     greedy_generators,
     multiplicative_units,
     quotient,
@@ -174,12 +174,12 @@ def test_extends_to_isomorphism():
     d8 = dihedral(8)
     # reflection marks can be rotated by an (inner) automorphism
     other = MarkedGroup(d8.group, (6, 7))
-    img = extends_to_isomorphism(d8, other)
+    img = _extend_iso(d8.group, d8.marked, other.group, other.marked)
     assert img is not None
     assert sorted(img) == list(range(8))
     # marks of mismatched orders cannot correspond
     bad = MarkedGroup(d8.group, (4, 1))
-    assert extends_to_isomorphism(d8, bad) is None
+    assert _extend_iso(d8.group, d8.marked, bad.group, bad.marked) is None
 
 
 def test_are_isomorphic_positive():
