@@ -211,6 +211,10 @@ def _verify_exclusions(p: int, lines: list[str]) -> bool:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     lines: list[str] = []
+    if args.target == "thm-even" and args.p not in (None, 2):
+        raise ValueError(f"verify thm-even covers p = 2 only, got --p {args.p}")
+    if args.target in ("lemma-4-2", "lemma-4-3") and args.p is not None:
+        raise ValueError(f"verify {args.target} takes no --p")
     if args.target == "thm-even":
         passed = _verify_thm_even(lines)
     elif args.target == "thm-odd":

@@ -414,6 +414,20 @@ def equivalence_key(m: EdgeBiregularMap) -> tuple[int, ...]:
 
     The least standardized table over the orderings of m, dual(m), twin(m)
     and dual(twin(m)); two maps are equivalent iff their keys are equal.
+    """
+    return _canonical_form(m)[0]
+
+
+def _canonical_form(
+    m: EdgeBiregularMap,
+) -> tuple[tuple[int, ...], tuple[Perm, ...], list[int]]:
+    """The equivalence key of m, the mark permutations of the variant that
+    gives it, and that variant's breadth-first list of H (element i of the
+    list is number i of the key).
+
+    If two maps on H have equal keys, sending the one's list to the other's
+    entry by entry is an automorphism of H carrying the one's winning marks
+    to the other's.
 
     The four tables have the same length and are built in lockstep, one
     row (one element of H) at a time.  A variant is dropped at its first
@@ -447,7 +461,7 @@ def equivalence_key(m: EdgeBiregularMap) -> tuple[int, ...]:
         row += 1
     perms, number, elements = variants[0]
     _standard_rows(perms, number, elements, key, row)
-    return tuple(key)
+    return tuple(key), perms, elements
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +630,7 @@ def _vertex_valency_for(group: FiniteGroup, want_chi: int) -> dict[int, int]:
     return k_for_l
 
 
-def all_map_quadruples(group: FiniteGroup, want_chi: int | None = None):
+def all_map_quadruples(group: FiniteGroup, want_chi: int | None = None, skip=()):
     """Yield every valid map on the group, in lexicographic mark order.
 
     (x, y) runs over the commuting involution pairs and s over the other
@@ -627,6 +641,11 @@ def all_map_quadruples(group: FiniteGroup, want_chi: int | None = None):
     t runs over the involutions that commute with s.  Each candidate that is
     distinct from x, y, s and commutes with s has its chi computed again
     before the generation check, the one test that builds a subgroup.
+
+    A candidate whose mark tuple is in ``skip`` is passed over after the chi
+    check and before the generation check.  The caller may grow ``skip``
+    while it iterates: :func:`ebrmaps.census.enumerate_maps` puts there the
+    quadruples it has proven to lie in a class it already holds.
     """
     mul = group.mul
     orders = group.element_orders
@@ -662,6 +681,8 @@ def all_map_quadruples(group: FiniteGroup, want_chi: int | None = None):
                         raise VerificationError(
                             f"type ({k},{l}) was solved for chi = {want_chi} but gives {chi}"
                         )
+                if (x, y, s, t) in skip:
+                    continue
                 if len(subgroup_closure(group, (x, y, s, t))) != group.order:
                     continue
                 yield _unchecked(group, (x, y, s, t))

@@ -6,7 +6,7 @@ permutation code against an independent computation on the same inputs.
 """
 
 from ebrmaps.groups import MarkedGroup, VerificationError, _extend_iso, subgroup_closure
-from ebrmaps.maps import EdgeBiregularMap, type_of
+from ebrmaps.maps import EdgeBiregularMap, all_map_quadruples, equivalence_key, type_of
 from ebrmaps.presentations import Presentation, group_from_action, regular_action
 
 
@@ -40,3 +40,13 @@ def index_of_even_subgroup(marked: MarkedGroup) -> int:
     if remainder or index not in (1, 2):
         raise VerificationError(f"even subgroup has unexpected index {index}")
     return index
+
+
+def enumerate_maps_by_key(group, want_chi=None) -> list[EdgeBiregularMap]:
+    """One equivalence key per searched quadruple: the first quadruple of
+    each key is kept, so the representatives and their order are those
+    that ``census.enumerate_maps`` must give."""
+    kept: dict[tuple[int, ...], EdgeBiregularMap] = {}
+    for m in all_map_quadruples(group, want_chi):
+        kept.setdefault(equivalence_key(m), m)
+    return list(kept.values())

@@ -39,6 +39,7 @@ from ebrmaps.maps import (
     euler_characteristic_formula,
     type_of,
 )
+from references import enumerate_maps_by_key
 
 
 def test_admissible_types_p2():
@@ -178,6 +179,101 @@ def test_enumerate_maps_dedup_is_complete():
     kept = {equivalence_key(r) for r in enumerate_maps(d8, want_chi=-2)}
     for m in all_map_quadruples(d8, want_chi=-2):
         assert equivalence_key(m) in kept
+
+
+def _searched_groups():
+    """(group, want_chi) for every atlas group that classify --p 2,
+    classify --p 3 and verify lemma-4-2 search, and every atlas group of
+    order at most 16 without a chi filter."""
+    for p in (2, 3):
+        for n in sorted({a.n for a in admissible_types(p)}):
+            yield from ((g, -p) for g in atlas(n))
+    for n in (8, 12):
+        yield from ((g, -1) for g in atlas(n))
+    for n in ATLAS_ORDERS:
+        if n <= 16:
+            yield from ((g, None) for g in atlas(n))
+
+
+def test_orbit_dedup_keeps_the_one_key_per_quadruple_representatives(monkeypatch):
+    from ebrmaps import census
+
+    found = []
+    checked = census._automorphism
+
+    def collect(perms, elements, images, image_elements, base):
+        phi = checked(perms, elements, images, image_elements, base)
+        found.append((phi, [perm[base] for perm in perms], [perm[base] for perm in images]))
+        return phi
+
+    monkeypatch.setattr(census, "_automorphism", collect)
+    phis = 0
+    for group, chi in _searched_groups():
+        found.clear()
+        got = [m.marks for m in enumerate_maps(group, want_chi=chi)]
+        assert got == [m.marks for m in enumerate_maps_by_key(group, chi)], (
+            group.name,
+            chi,
+        )
+        mul = group.mul
+        for phi, marks, image_marks in found:
+            assert sorted(phi) == list(range(group.order))
+            assert [phi[a] for a in marks] == image_marks
+            for a in range(group.order):
+                row = mul[phi[a]]
+                assert all(phi[mul[a][b]] == row[phi[b]] for b in range(group.order))
+        phis += len(found)
+    assert phis > 0
+
+
+def test_orbit_dedup_keys_few_quadruples_at_p2(monkeypatch):
+    from ebrmaps import census
+
+    calls = []
+    canonical_form = census._canonical_form
+    monkeypatch.setattr(census, "_canonical_form", lambda m: calls.append(m) or canonical_form(m))
+    for n in sorted({a.n for a in admissible_types(2)}):
+        for g in atlas(n):
+            enumerate_maps(g, want_chi=-2)
+    # one key per searched quadruple would be 2,388
+    assert 12 <= len(calls) < 100
+
+
+_CORRUPT_NUMBERING = """
+from ebrmaps import census
+from ebrmaps.groups import dihedral
+
+assert False, "assert statements must be stripped"
+canonical_form = census._canonical_form
+keys = set()
+
+def corrupted(m):
+    key, perms, elements = canonical_form(m)
+    if key in keys:
+        elements[1], elements[2] = elements[2], elements[1]
+    keys.add(key)
+    return key, perms, elements
+
+census._canonical_form = corrupted
+census.enumerate_maps(dihedral(8).group, want_chi=-2)
+"""
+
+
+def test_corrupt_numbering_of_a_repeat_class_raises_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(Path(ebrmaps.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_NUMBERING],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last == (
+        "ebrmaps.groups.VerificationError:"
+        " equal equivalence keys give no automorphism of the group"
+    )
 
 
 def test_exceptional_map_is_unique_at_order36():

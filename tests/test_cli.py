@@ -315,6 +315,27 @@ def test_verify_thm_odd_rejects_non_odd_prime(capsys, p):
     assert f"odd primes only, got --p {p}" in err
 
 
+def test_verify_thm_even_accepts_p_2(capsys):
+    assert run(capsys, "verify", "thm-even", "--p", "2") == run(capsys, "verify", "thm-even")
+
+
+@pytest.mark.parametrize("p", ["3", "5", "4"])
+def test_verify_thm_even_rejects_other_p(capsys, p):
+    code, out, err = run(capsys, "verify", "thm-even", "--p", p)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: verify thm-even covers p = 2 only, got --p {p}\n"
+
+
+@pytest.mark.parametrize("target", ["lemma-4-2", "lemma-4-3"])
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_verify_lemma_rejects_p(capsys, target, p):
+    code, out, err = run(capsys, "verify", target, "--p", p)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: verify {target} takes no --p\n"
+
+
 def test_verify_lemma_4_2(capsys):
     code, out, _ = run(capsys, "verify", "lemma-4-2")
     assert code == 0
