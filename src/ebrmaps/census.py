@@ -36,16 +36,14 @@ from .groups import (
     symmetric,
 )
 from .maps import (
+    MARK_NAMES,
     EdgeBiregularMap,
     _canonical_form,
     all_map_quadruples,
-    counts,
     equivalence_key,
     euler_characteristic,
     euler_characteristic_formula,
-    is_fully_regular,
-    is_orientable,
-    is_self_dual,
+    map_invariants,
     type_of,
 )
 
@@ -436,12 +434,16 @@ def atlas(order: int) -> tuple[FiniteGroup, ...]:
 # exhaustive enumeration, deduplicated
 
 
-def enumerate_maps(group: FiniteGroup, want_chi: int | None = None) -> list[EdgeBiregularMap]:
-    """All maps on the group (optionally at fixed chi), up to equivalence.
+def enumerate_maps(
+    group: FiniteGroup, want_chi: int | None = None
+) -> dict[tuple[int, ...], EdgeBiregularMap]:
+    """All maps on the group (optionally at fixed chi), up to equivalence,
+    each under its equivalence key.
 
     Equivalence is isomorphism composed with any of {identity, dual, twin,
     dual of twin}, decided by ``equivalence_key``; the retained
-    representative of each class is its lexicographically least quadruple.
+    representative of each class is its lexicographically least quadruple,
+    and the classes come in the order of their representatives.
 
     On one group a class is the orbit of a quadruple under Aut(H) and the
     three reorderings, so the search skips by orbits instead of keying every
@@ -464,7 +466,7 @@ def enumerate_maps(group: FiniteGroup, want_chi: int | None = None) -> list[Edge
         phi = _automorphism(rep_perms, rep_elements, perms, elements, m.base)
         generators.append(phi)
         _close(seen, [tuple(phi[g] for g in q) for q in seen] + [m.marks], generators)
-    return [m for m, _, _ in kept.values()]
+    return {key: m for key, (m, _, _) in kept.items()}
 
 
 def _automorphism(
@@ -515,8 +517,9 @@ class CatalogEntry:
     presentation: str
 
 
-def _constructive_entries(p: int) -> list[CatalogEntry]:
-    """Every family constructor applicable at chi = -p, deduplicated."""
+def _constructive_entries(p: int) -> dict[tuple[int, ...], CatalogEntry]:
+    """Every family constructor applicable at chi = -p, deduplicated, each
+    under the equivalence key of its map."""
     built: list[CatalogEntry] = []
     if p == 2:
         for i, m in enumerate(families.chi_minus_2_catalog(), start=1):
@@ -552,7 +555,7 @@ def _constructive_entries(p: int) -> list[CatalogEntry]:
     deduped: dict[tuple[int, ...], CatalogEntry] = {}
     for entry in built:
         deduped.setdefault(equivalence_key(entry.map), entry)
-    return list(deduped.values())
+    return deduped
 
 
 def _order_and_type(m: EdgeBiregularMap) -> tuple[int, int, int]:
@@ -580,7 +583,7 @@ def classify(p: int, profile: str = "exhaustive") -> list[CatalogEntry]:
     if not families.is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if profile == "constructive":
-        return _sort_entries(_constructive_entries(p))
+        return _sort_entries(list(_constructive_entries(p).values()))
 
     orders = sorted({a.n for a in admissible_types(p)})
     missing = [n for n in orders if n not in _RECIPES]
@@ -588,14 +591,13 @@ def classify(p: int, profile: str = "exhaustive") -> list[CatalogEntry]:
         raise UnsupportedOrder(
             f"exhaustive classification at p={p} needs atlas orders {missing}"
         )
-    constructive = _sort_entries(_constructive_entries(p))
+    built = _constructive_entries(p)
     found: dict[tuple[int, ...], EdgeBiregularMap] = {}
     for n in orders:
         for group in atlas(n):
-            for m in enumerate_maps(group, want_chi=-p):
-                found.setdefault(equivalence_key(m), m)
+            for key, m in enumerate_maps(group, want_chi=-p).items():
+                found.setdefault(key, m)
 
-    built = {equivalence_key(entry.map): entry for entry in constructive}
     if found.keys() != built.keys():
         only_found = sorted(_order_and_type(found[key]) for key in found.keys() - built.keys())
         only_built = sorted(_order_and_type(built[key].map) for key in built.keys() - found.keys())
@@ -611,28 +613,21 @@ def classify(p: int, profile: str = "exhaustive") -> list[CatalogEntry]:
 
 
 def catalog_rows(entries: list[CatalogEntry]) -> list[dict]:
-    """JSON-ready rows, types normalized to k <= l (counts made consistent)."""
+    """JSON-ready rows: the map's invariants with the type normalized to
+    k <= l (vertices and faces swapped with it), plus provenance."""
     rows = []
     for entry in entries:
-        m = entry.map
-        k, l = type_of(m)
-        v, e, f = counts(m)
+        inv = map_invariants(entry.map)
+        k, l = inv["type"]
         if k > l:
-            k, l, v, f = l, k, f, v
+            inv.update(type=[l, k], vertices=inv["faces"], faces=inv["vertices"])
         rows.append(
             {
-                "group_order": m.order,
-                "type": [k, l],
-                "vertices": v,
-                "edges": e,
-                "faces": f,
-                "chi": v - e + f,
-                "orientable": is_orientable(m),
-                "fully_regular": is_fully_regular(m),
-                "self_dual": is_self_dual(m),
+                "group_order": entry.map.order,
+                **inv,
                 "family": entry.family,
                 "presentation": entry.presentation,
-                "marks": ["x", "y", "s", "t"],
+                "marks": list(MARK_NAMES),
             }
         )
     return rows

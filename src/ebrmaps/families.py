@@ -23,9 +23,12 @@ Each constructor checks the order and type of what it built and raises
 VerificationError on a mismatch.  All presentation texts are kept
 verbatim, including redundant relators.
 
-The dihedral and cyclic-Fitting members are built directly as permutations
-and certified against their presentations: the order of the presented group
-comes from the cosets of a cyclic subgroup of index 2 or 4
+The dihedral and cyclic-Fitting groups are both an abelian group
+A = C_lam x C_kappa extended by B = C_2 or V_4, and one builder
+(``_split_extension``) gives the permutations of either acting on itself,
+after checking that B acts on A by automorphisms.  Each member is then
+certified against its presentation: the order of the presented group comes
+from the cosets of a cyclic subgroup of index 2 or 4
 (``cyclic_order_certificate``), every written relator is checked on the
 action, and the action is transitive, so it is the regular action of the
 presented group.  This costs O(|H| log p), where enumerating the cosets of
@@ -41,9 +44,11 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import xor
 
 from .groups import (
     VerificationError,
+    _check_action,
     _group_from_perms,
     are_isomorphic,
     cyclic,
@@ -54,6 +59,7 @@ from .groups import (
     symmetric,
 )
 from .maps import (
+    MARK_NAMES,
     EdgeBiregularMap,
     all_map_quadruples,
     equivalence_key,
@@ -95,8 +101,6 @@ def _require_odd_prime(p: int) -> None:
 
 
 _COMMON_RELATORS = ("x^2", "y^2", "s^2", "t^2", "(x y)^2", "(s t)^2")
-
-MARK_NAMES = ("x", "y", "s", "t")
 
 
 def presentation_text(extra_relators: tuple[str, ...] | list[str]) -> str:
@@ -151,6 +155,63 @@ def _certified(
 
 
 # ---------------------------------------------------------------------------
+# split extensions (C_lam x C_kappa) x| B with B = C_2 or V_4
+
+
+def _unit_action(lam: int, kappa: int, units: tuple[tuple[int, int], ...]) -> tuple[Perm, ...]:
+    """For each (eu, ew) in units, the map u -> u^eu, w -> w^ew on
+    A = C_lam x C_kappa = <u> x <w>, as a permutation of the elements
+    u^i w^m = i*kappa + m."""
+    perms = []
+    for eu, ew in units:
+        u_parts = [(i * eu) % lam * kappa for i in range(lam)]
+        w_parts = [(m * ew) % kappa for m in range(kappa)]
+        perms.append(tuple(a + b for a in u_parts for b in w_parts))
+    return tuple(perms)
+
+
+def _split_extension(
+    lam: int, kappa: int, action: tuple[Perm, ...], marks: tuple[tuple[int, int], ...]
+) -> tuple[Perm, ...]:
+    """The right-regular action of (C_lam x C_kappa) x| B, one permutation
+    per mark (f, v).
+
+    B has len(action) elements (C_2 or V_4) multiplying by xor, and
+    action[v] is the automorphism of A = C_lam x C_kappa attached to v,
+    numbered as by _unit_action; ValueError unless it is an action.  Element
+    (f, v) is the point f*|B| + v, and (f1, v1)(f2, v2) = (f1 +
+    action[v1](f2), v1 xor v2): right multiplication by the mark sends the
+    points of each v1 to those of v1 xor v2, adding action[v1](f2) in A.
+    """
+    nb, na = len(action), lam * kappa
+    elements = list(range(na))
+    gens = (kappa, 1) if kappa > 1 else (1,)  # u, and w unless kappa = 1
+    _check_action(action, lambda g: _added(elements, g, kappa), gens, xor)
+    points = list(range(nb * na))  # entries share these int objects
+    perms = []
+    for f2, v2 in marks:
+        perm = [0] * (nb * na)
+        for v1 in range(nb):
+            perm[v1::nb] = _added(points[v1 ^ v2 :: nb], action[v1][f2], kappa)
+        perms.append(tuple(perm))
+    return tuple(perms)
+
+
+def _added(seq: list[int], g: int, kappa: int) -> list[int]:
+    """seq indexed by the elements f of A = C_lam x C_kappa, re-indexed so
+    that entry f is seq[f + g]: with f = i*kappa + m, a rotation by g mod
+    kappa within each block of kappa entries and by g // kappa blocks."""
+    gi, gm = divmod(g, kappa)
+    if gm:
+        blocks, seq = seq, []
+        for i in range(0, len(blocks), kappa):
+            seq += blocks[i + gm : i + kappa]
+            seq += blocks[i : i + gm]
+    shift = gi * kappa
+    return seq[shift:] + seq[:shift]
+
+
+# ---------------------------------------------------------------------------
 # the two dihedral families
 
 
@@ -170,7 +231,9 @@ def dihedral_family_1(p: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBireg
         dihedral_family_1_text(p),
         f"dh1({p})",
         (1, 3),  # y t, of index 2
-        lambda: _dihedral_action(n, ((p + 1, 1), (0, 1), (p + 1, 0), (n - 1, 1))),
+        lambda: _split_extension(
+            n, 1, _inversion(n), ((p + 1, 1), (0, 1), (p + 1, 0), (n - 1, 1))
+        ),
         2 * n,
         max_cosets,
     )
@@ -193,28 +256,19 @@ def dihedral_family_2(p: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBireg
         dihedral_family_2_text(p),
         f"dh2({p})",
         (0, 3),  # x t, of index 2
-        lambda: _dihedral_action(n, ((0, 1), (p + 2, 1), (p + 2, 0), (n - 1, 1))),
+        lambda: _split_extension(
+            n, 1, _inversion(n), ((0, 1), (p + 2, 1), (p + 2, 0), (n - 1, 1))
+        ),
         2 * n,
         max_cosets,
     )
     return _expect(m, 4 * (p + 2), (2 * (p + 2), 4))
 
 
-def _dihedral_action(n: int, marks: tuple[tuple[int, int], ...]) -> tuple[Perm, ...]:
-    """The dihedral group of order 2n acting on itself by right
-    multiplication by each mark (c, e) = r^c f^e.
-
-    r has order n, f r f = r^-1, and r^a f^b is the point 2a + b, so
-    r^a f^b * r^c f^e = r^(a + (-1)^b c) f^(b + e).
-    """
-    points = list(range(2 * n))  # entries share these int objects
-    perms = []
-    for c, e in marks:
-        perm = [0] * (2 * n)
-        perm[0::2] = [points[2 * ((a + c) % n) + e] for a in range(n)]
-        perm[1::2] = [points[2 * ((a - c) % n) + 1 - e] for a in range(n)]
-        perms.append(tuple(perm))
-    return tuple(perms)
+def _inversion(n: int) -> tuple[Perm, Perm]:
+    """C_2 acting on C_n = <r> by r -> r^-1: the dihedral group of order 2n
+    is C_n x| C_2, its element r^a f^b being (a, b), the point 2a + b."""
+    return _unit_action(n, 1, ((1, 1), (-1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,88 +369,18 @@ def cyclic_fitting_text(params: FamilyParams) -> str:
     )
 
 
-def _cyclic_fitting_action(params: FamilyParams) -> tuple[Perm, Perm, Perm, Perm]:
-    """How V_4 = <s, t> acts on A = C_lam x C_kappa = <u> x <w>.
+def _cyclic_fitting_direct(params: FamilyParams) -> tuple[Perm, ...]:
+    """The four mark permutations of (C_lam x C_kappa) x| V_4, where
+    V_4 = <s, t> acts on <u> x <w> by s: u -> u^-1, w -> w and
+    t: u -> u^-j, w -> w^-1.
 
-    s: u -> u^-1, w -> w; t: u -> u^-j, w -> w^-1.  Element u^i w^m of A is
-    i*kappa + m, and element b1*2 + b2 of V_4 is s^b1 t^b2, so the entries
-    are the identity, t, s and s*t.
+    Element b1*2 + b2 of V_4 is s^b1 t^b2.  The marks are s, t,
+    x = s*u = u^-1 s and y = u^a * w^((kappa-1)/2) * s*t.
     """
     kappa, lam, j = params.kappa, params.lam, params.j
-
-    def pow_perm(eu: int, ew: int) -> Perm:
-        return tuple(
-            ((i * eu) % lam) * kappa + (m * ew) % kappa
-            for i in range(lam)
-            for m in range(kappa)
-        )
-
-    return (
-        pow_perm(1, 1),
-        pow_perm(-j % lam, -1 % kappa),
-        pow_perm(-1 % lam, 1),
-        pow_perm(j % lam, -1 % kappa),
-    )
-
-
-def _check_v4_action(
-    action: tuple[Perm, ...], add: Callable[[int, int], int], gens: tuple[int, ...]
-) -> None:
-    """Each action[v] is an automorphism of A and v -> action[v] is a
-    homomorphism from V_4, in O(|A|): a bijection of A that respects right
-    multiplication by A's generators respects every product."""
-    na = len(action[0])
-    for v, perm in enumerate(action):
-        if sorted(perm) != list(range(na)):
-            raise ValueError(f"action[{v}] is not a permutation of A")
-        for g in gens:
-            pg = perm[g]
-            if any(perm[add(a, g)] != add(perm[a], pg) for a in range(na)):
-                raise ValueError(f"action[{v}] is not an automorphism of A")
-    for v1 in range(4):
-        for v2 in range(4):
-            composed = tuple(action[v1][a] for a in action[v2])
-            if action[v1 ^ v2] != composed:
-                raise ValueError("action is not a homomorphism V_4 -> Aut(A)")
-
-
-def _cyclic_fitting_direct(params: FamilyParams) -> tuple[Perm, ...]:
-    """The four mark permutations of the right-regular action of
-    (C_lam x C_kappa) x| V_4.
-
-    Element (f, v) of the split extension is the point f*4 + v, with
-    (f1, v1)(f2, v2) = (f1 + action[v1](f2), v1 v2) and V_4 multiplying by
-    xor.  The marks are s, t, x = s*u and y = u^a * w^((kappa-1)/2) * s*t.
-    """
-    kappa, lam = params.kappa, params.lam
-    na = kappa * lam
-
-    def add(a: int, b: int) -> int:
-        return ((a // kappa + b // kappa) % lam) * kappa + (a + b) % kappa
-
-    action = _cyclic_fitting_action(params)
-    _check_v4_action(action, add, (kappa, 1 % kappa))  # u and w
-
-    def mul(e1: tuple[int, int], e2: tuple[int, int]) -> tuple[int, int]:
-        return add(e1[0], action[e1[1]][e2[0]]), e1[1] ^ e2[1]
-
-    s_el, t_el, u_el = (0, 2), (0, 1), (kappa, 0)
-    x_el = mul(s_el, u_el)
-    w_part = ((params.a % lam) * kappa + (kappa - 1) // 2, 0)
-    y_el = mul(w_part, mul(s_el, t_el))
-    points = list(range(4 * na))  # entries share these int objects
-    perms = []
-    for f2, v2 in (x_el, y_el, s_el, t_el):
-        perm = [0] * (4 * na)
-        for v1 in range(4):  # the points f1*4 + v1, f1 = i*kappa + m
-            gi, gm = divmod(action[v1][f2], kappa)
-            perm[v1::4] = [
-                points[(((i + gi) % lam) * kappa + (m + gm) % kappa) * 4 + (v1 ^ v2)]
-                for i in range(lam)
-                for m in range(kappa)
-            ]
-        perms.append(tuple(perm))
-    return tuple(perms)
+    action = _unit_action(lam, kappa, ((1, 1), (-j, -1), (-1, 1), (j, -1)))  # 1, t, s, s t
+    x_part, y_part = (lam - 1) * kappa, params.a * kappa + (kappa - 1) // 2
+    return _split_extension(lam, kappa, action, ((x_part, 2), (y_part, 3), (0, 2), (0, 1)))
 
 
 # the word (s x)(t y)^2, whose cyclic subgroup has index 4

@@ -13,6 +13,7 @@ formulas in this package follow that convention.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
@@ -74,17 +75,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.mul)
-
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inv[a], -k
-        acc = self.identity
-        for _ in range(k):
-            acc = self.mul[acc][a]
-        return acc
 
     def is_abelian(self) -> bool:
         m = self.mul
@@ -263,31 +253,22 @@ def semidirect(
     """Semidirect product A x| B for a homomorphism B -> Aut(A).
 
     ``action[y]`` is the permutation of A's elements implementing the
-    automorphism attached to the element y of B.  Both requirements are
-    verified exhaustively: every action[y] must be an automorphism of A,
-    and action[y1*y2] must equal action[y1] o action[y2].
-    Element (x, y) is encoded as x*|B| + y.
+    automorphism attached to the element y of B, checked by
+    :func:`_check_action`.  Element (x, y) is encoded as x*|B| + y.
     """
     na, nb = a.order, b.order
-    if len(action) != nb:
-        raise ValueError("action must assign a permutation to every element of B")
-    amul = a.mul
-    for y in range(nb):
-        perm = action[y]
-        if sorted(perm) != list(range(na)):
-            raise ValueError(f"action[{y}] is not a permutation of A")
-        for x1 in range(na):
-            for x2 in range(na):
-                if perm[amul[x1][x2]] != amul[perm[x1]][perm[x2]]:
-                    raise ValueError(f"action[{y}] is not an automorphism of A")
-    for y1 in range(nb):
-        for y2 in range(nb):
-            composed = _perm_compose(action[y1], action[y2])
-            if tuple(action[b.mul[y1][y2]]) != composed:
-                raise ValueError("action is not a homomorphism B -> Aut(A)")
+    if len(action) != nb or len(action[0]) != na:
+        raise ValueError("action must assign a permutation of A to every element of B")
+    amul, bmul = a.mul, b.mul
+    _check_action(
+        action,
+        lambda g: [row[g] for row in amul],  # right multiplication by g
+        greedy_generators(a),
+        lambda y1, y2: bmul[y1][y2],
+    )
     table = tuple(
         tuple(
-            amul[x1][action[y1][x2]] * nb + b.mul[y1][y2]
+            amul[x1][action[y1][x2]] * nb + bmul[y1][y2]
             for x2 in range(na)
             for y2 in range(nb)
         )
@@ -295,6 +276,34 @@ def semidirect(
         for y1 in range(nb)
     )
     return FiniteGroup(table, name=name or f"{a.name}:{b.name}")
+
+
+def _check_action(
+    action: Sequence[Sequence[int]],
+    right: Callable[[int], Sequence[int]],
+    gens: Sequence[int],
+    bmul: Callable[[int, int], int],
+) -> None:
+    """Raise ValueError unless each action[v] is an automorphism of A and
+    v -> action[v] is a homomorphism B -> Aut(A).
+
+    A's elements are 0..len(action[0])-1, generated by ``gens``, and entry x
+    of ``right(g)`` is x*g; B's elements are 0..len(action)-1 with product
+    ``bmul``.  O(|A| (|gens| + |B|^2)): a bijection of A that respects right
+    multiplication by A's generators respects every product.
+    """
+    na = len(action[0])
+    for v, perm in enumerate(action):
+        if sorted(perm) != list(range(na)):
+            raise ValueError(f"action[{v}] is not a permutation of A")
+        for g in gens:  # perm(x*g) = perm(x)*perm(g) for every x
+            by_g, by_image = right(g), right(perm[g])
+            if [perm[y] for y in by_g] != [by_image[y] for y in perm]:
+                raise ValueError(f"action[{v}] is not an automorphism of A")
+    for v1 in range(len(action)):
+        for v2 in range(len(action)):
+            if tuple(action[bmul(v1, v2)]) != _perm_compose(action[v1], action[v2]):
+                raise ValueError("action is not a homomorphism B -> Aut(A)")
 
 
 def quotient(g: FiniteGroup, normal: set[int] | frozenset[int], name: str | None = None) -> FiniteGroup:

@@ -63,7 +63,7 @@ class NotGenerating(MapStructureError):
     pass
 
 
-_MARK_NAMES = ("x", "y", "s", "t")
+MARK_NAMES = ("x", "y", "s", "t")
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def _check_marks(perms: tuple[Perm, ...], base: int) -> None:
     iff the base point's orbit under them is all of H.
     """
     points = range(len(perms[0]))
-    for name, perm in zip(_MARK_NAMES, perms):
+    for name, perm in zip(MARK_NAMES, perms):
         if perm[base] == base or any(perm[perm[h]] != h for h in points):
             raise NotInvolution(f"mark {name} is not an involution")
     if len({perm[base] for perm in perms}) != 4:
@@ -162,22 +162,15 @@ def map_from_action(perms: tuple[Perm, ...], name: str = "H") -> EdgeBiregularMa
     return EdgeBiregularMap(tuple(perms), 0, name)  # type: ignore[arg-type]
 
 
-def new_map(
-    source: MarkedGroup | FiniteGroup,
-    marks: tuple[int, int, int, int] | None = None,
-) -> EdgeBiregularMap:
+def new_map(group: FiniteGroup, marks: tuple[int, int, int, int]) -> EdgeBiregularMap:
     """Validate a marked quadruple of a dense group and build the map.
 
     Raises NotInvolution / NotDistinct / PairNotCommuting / NotGenerating,
     each naming the offending marks.
     """
-    if isinstance(source, MarkedGroup):
-        group, marks = source.group, source.marked  # type: ignore[assignment]
-    else:
-        group = source
-    if marks is None or len(marks) != 4:
+    if len(marks) != 4:
         raise MapStructureError("a map needs exactly four marked elements")
-    for name, m in zip(_MARK_NAMES, marks):
+    for name, m in zip(MARK_NAMES, marks):
         if not (0 <= m < group.order):
             raise MapStructureError(f"mark {name} out of range")
     m = _unchecked(group, tuple(marks))  # type: ignore[arg-type]

@@ -5,7 +5,13 @@ work on dense multiplication tables instead, so the tests can hold the
 permutation code against an independent computation on the same inputs.
 """
 
-from ebrmaps.groups import MarkedGroup, VerificationError, _extend_iso, subgroup_closure
+from ebrmaps.groups import (
+    FiniteGroup,
+    MarkedGroup,
+    VerificationError,
+    _extend_iso,
+    subgroup_closure,
+)
 from ebrmaps.maps import EdgeBiregularMap, all_map_quadruples, equivalence_key, type_of
 from ebrmaps.presentations import Presentation, group_from_action, regular_action
 
@@ -50,3 +56,32 @@ def enumerate_maps_by_key(group, want_chi=None) -> list[EdgeBiregularMap]:
     for m in all_map_quadruples(group, want_chi):
         kept.setdefault(equivalence_key(m), m)
     return list(kept.values())
+
+
+def check_action_exhaustive(a: FiniteGroup, b: FiniteGroup, action) -> None:
+    """B acts on A through ``action``, checked on every pair of elements in
+    O(|A|^2 |B|): each action[y] is a permutation of A preserving every
+    product, and action[y1 y2] = action[y1] o action[y2].  Raises
+    ValueError with the messages of ``groups._check_action``."""
+    amul = a.mul
+    for y, perm in enumerate(action):
+        if sorted(perm) != list(range(a.order)):
+            raise ValueError(f"action[{y}] is not a permutation of A")
+        for x1 in range(a.order):
+            for x2 in range(a.order):
+                if perm[amul[x1][x2]] != amul[perm[x1]][perm[x2]]:
+                    raise ValueError(f"action[{y}] is not an automorphism of A")
+    for y1 in range(b.order):
+        for y2 in range(b.order):
+            composed = tuple(action[y1][action[y2][x]] for x in range(a.order))
+            if tuple(action[b.mul[y1][y2]]) != composed:
+                raise ValueError("action is not a homomorphism B -> Aut(A)")
+
+
+def rejection(check, *args) -> str | None:
+    """The ValueError message of check(*args), or None if it accepts."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None

@@ -172,7 +172,7 @@ def _corpus():
     maps += families.cyclic_by_dihedral_probe(5, 4)
     maps += families.cyclic_by_dihedral_probe(5, 6)
     for grp in atlas(16):
-        maps += enumerate_maps(grp, want_chi=-2)
+        maps += enumerate_maps(grp, want_chi=-2).values()
     return maps
 
 

@@ -145,10 +145,10 @@ def test_atlas_unsupported_order():
 
 def test_enumerate_maps_small_groups():
     # groups with fewer than four involutions cannot carry a quadruple
-    assert enumerate_maps(cyclic(8)) == []
-    assert enumerate_maps(direct_product(cyclic(2), cyclic(2))) == []
+    assert enumerate_maps(cyclic(8)) == {}
+    assert enumerate_maps(direct_product(cyclic(2), cyclic(2))) == {}
     # D8 carries exactly one class with chi = -2
-    found = enumerate_maps(dihedral(8).group, want_chi=-2)
+    found = list(enumerate_maps(dihedral(8).group, want_chi=-2).values())
     assert len(found) == 1
     k, l = type_of(found[0])
     assert tuple(sorted((k, l))) == (8, 8)
@@ -157,14 +157,14 @@ def test_enumerate_maps_small_groups():
 def test_enumerate_maps_order16():
     total = []
     for g in atlas(16):
-        total += enumerate_maps(g, want_chi=-2)
+        total += enumerate_maps(g, want_chi=-2).values()
     assert len(total) == 6
     assert all(tuple(sorted(type_of(m))) == (4, 8) for m in total)
 
 
 def test_enumerate_maps_dedups_within_group():
     for g in atlas(12):
-        found = enumerate_maps(g, want_chi=-2)
+        found = list(enumerate_maps(g, want_chi=-2).values())
         for i in range(len(found)):
             for j in range(i + 1, len(found)):
                 assert equivalence_key(found[i]) != equivalence_key(found[j])
@@ -176,7 +176,7 @@ def test_enumerate_maps_dedup_is_complete():
     from ebrmaps.maps import all_map_quadruples
 
     d8 = dihedral(8).group
-    kept = {equivalence_key(r) for r in enumerate_maps(d8, want_chi=-2)}
+    kept = {equivalence_key(r) for r in enumerate_maps(d8, want_chi=-2).values()}
     for m in all_map_quadruples(d8, want_chi=-2):
         assert equivalence_key(m) in kept
 
@@ -210,7 +210,7 @@ def test_orbit_dedup_keeps_the_one_key_per_quadruple_representatives(monkeypatch
     phis = 0
     for group, chi in _searched_groups():
         found.clear()
-        got = [m.marks for m in enumerate_maps(group, want_chi=chi)]
+        got = [m.marks for m in enumerate_maps(group, want_chi=chi).values()]
         assert got == [m.marks for m in enumerate_maps_by_key(group, chi)], (
             group.name,
             chi,
@@ -276,10 +276,37 @@ def test_corrupt_numbering_of_a_repeat_class_raises_under_python_O():
     )
 
 
+def test_classify_computes_each_key_once(monkeypatch):
+    # enumerate_maps and _constructive_entries return their keys, and
+    # classify matches on them: 28 search keys and 12 constructor keys at
+    # p = 2, 17 in all at p = 3
+    from ebrmaps import census
+    from ebrmaps import maps as maps_module
+
+    calls = []
+    canonical_form = maps_module._canonical_form
+
+    def counting(m):
+        calls.append(m)
+        return canonical_form(m)
+
+    monkeypatch.setattr(census, "_canonical_form", counting)
+    monkeypatch.setattr(maps_module, "_canonical_form", counting)
+    for p, expected in ((2, 40), (3, 17)):
+        calls.clear()
+        classify(p)
+        assert len(calls) == expected, p
+    for group in atlas(12):
+        for key, m in enumerate_maps(group, want_chi=-2).items():
+            assert key == canonical_form(m)[0]
+
+
 def test_exceptional_map_is_unique_at_order36():
     # among all fourteen groups of order 36 there is exactly one map class
     # with chi = -3, and it is the exceptional type-(4,6) map
-    classes = {equivalence_key(m) for g in atlas(36) for m in enumerate_maps(g, want_chi=-3)}
+    classes = {
+        equivalence_key(m) for g in atlas(36) for m in enumerate_maps(g, want_chi=-3).values()
+    }
     assert classes == {equivalence_key(exceptional_order36_map())}
 
 
@@ -288,7 +315,7 @@ import ebrmaps.census as census
 
 assert False, "assert statements must be stripped"
 full = census._constructive_entries
-census._constructive_entries = lambda p: full(p)[:-1]
+census._constructive_entries = lambda p: dict(list(full(p).items())[:-1])
 census.classify(3)
 """
 

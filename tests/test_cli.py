@@ -205,7 +205,7 @@ def test_construct_checks_text_and_capacity_before_building(monkeypatch, capsys)
     def refuse(*args, **kwargs):
         raise AssertionError("a permutation was built")
 
-    monkeypatch.setattr(families, "_dihedral_action", refuse)
+    monkeypatch.setattr(families, "_split_extension", refuse)
     monkeypatch.setattr(families, "cyclic_order_certificate", refuse)
     # the text is parsed first: s (y t)^1000004 is too long to expand
     code, out, err = run(capsys, "construct", "--family", "dh1", "--p", "1000003")

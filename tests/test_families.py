@@ -5,6 +5,7 @@ tests here pin the expected values independently and exercise invariants,
 cross-route agreement and parameter validation.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -36,7 +37,7 @@ from ebrmaps.families import (
     valency_eight_map,
     valency_eight_quotient_certificate,
 )
-from ebrmaps.groups import FiniteGroup, are_isomorphic, dihedral
+from ebrmaps.groups import FiniteGroup, are_isomorphic, cyclic, dihedral, direct_product
 from ebrmaps.maps import (
     _standard_table,
     counts,
@@ -57,7 +58,7 @@ from ebrmaps.presentations import (
     cyclic_order_certificate,
     parse_presentation,
 )
-from references import is_map_isomorphic
+from references import check_action_exhaustive, is_map_isomorphic, rejection
 
 
 def test_is_prime():
@@ -314,15 +315,15 @@ _CORRUPT_ACTION = """
 import ebrmaps.families as families
 
 assert False, "assert statements must be stripped"
-good = families._cyclic_fitting_action
-def corrupted(params):
-    action = list(good(params))
-    s = list(action[2])
-    s[1], s[2] = s[2], s[1]
-    action[2] = tuple(s)
-    return tuple(action)
-families._cyclic_fitting_action = corrupted
-families.cyclic_fitting_map(families.FamilyParams(1, 5, 4))
+good = families._split_extension
+def corrupted(lam, kappa, action, marks):
+    action = list(action)
+    perm = list(action[{v}])
+    perm[1], perm[2] = perm[2], perm[1]
+    action[{v}] = tuple(perm)
+    return good(lam, kappa, tuple(action), marks)
+families._split_extension = corrupted
+{build}
 """
 
 _WRONG_RELATOR = """
@@ -344,10 +345,21 @@ families.dihedral_family_1(5)
 
 
 def test_corrupted_direct_action_fails_under_python_O():
-    proc = _run_optimized(_CORRUPT_ACTION)
+    # s acts on C_5 by inversion; two of its entries swapped
+    build = "families.cyclic_fitting_map(families.FamilyParams(1, 5, 4))"
+    proc = _run_optimized(_CORRUPT_ACTION.format(v=2, build=build))
     assert proc.returncode == 1
     last = proc.stderr.strip().splitlines()[-1]
     assert last == "ValueError: action[2] is not an automorphism of A"
+
+
+def test_corrupted_dihedral_inversion_fails_under_python_O():
+    # f acts on C_12 by inversion; two of its entries swapped
+    build = "families.dihedral_family_1(5)"
+    proc = _run_optimized(_CORRUPT_ACTION.format(v=1, build=build))
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last == "ValueError: action[1] is not an automorphism of A"
 
 
 def test_wrong_relator_fails_under_python_O():
@@ -431,12 +443,14 @@ def attempt(build):
     except VerificationError as exc:
         print(exc)
 
-good_action = families._dihedral_action
+good_build = families._split_extension
 good_text = families.dihedral_family_1_text
 # t = y r^2 instead of y r: every relator holds except s (y t)^(p+1)
-families._dihedral_action = lambda n, marks: good_action(n, (*marks[:3], (n - 2, 1)))
+families._split_extension = lambda n, kappa, action, marks: good_build(
+    n, kappa, action, (*marks[:3], (n - 2, 1))
+)
 attempt(lambda: families.dihedral_family_1(5))
-families._dihedral_action = good_action
+families._split_extension = good_build
 # without s (y t)^(p+1) the presented group is infinite
 families.dihedral_family_1_text = lambda p: families.presentation_text(("x y s",))
 attempt(lambda: families.dihedral_family_1(5))
@@ -455,12 +469,33 @@ def test_certificate_rejections_survive_python_O():
     ]
 
 
+def test_split_extension_adds_in_a_and_checks_like_the_reference():
+    # _added re-indexes by f -> f + g: column g of the dense C_lam x C_kappa
+    for lam, kappa in ((6, 1), (3, 2), (5, 3), (3, 5)):
+        a = direct_product(cyclic(lam), cyclic(kappa))
+        for g in range(a.order):
+            assert families._added(list(range(a.order)), g, kappa) == [row[g] for row in a.mul]
+    # C_2 on C_6, numbered as C_6 and as C_3 x C_2: every permutation as
+    # the action of the involution, against the exhaustive check
+    c2 = cyclic(2)
+    for lam, kappa in ((6, 1), (3, 2)):
+        a = direct_product(cyclic(lam), cyclic(kappa))
+        accepted = 0
+        for perm in itertools.permutations(range(6)):
+            action = (tuple(range(6)), perm)
+            got = rejection(families._split_extension, lam, kappa, action, ())
+            assert got == rejection(check_action_exhaustive, a, c2, action), (lam, perm)
+            accepted += got is None
+        assert accepted == 2
+
+
 def test_broken_action_fails_exactly_one_relator():
     p = 5
     n = 2 * (p + 1)
     pres = parse_presentation(dihedral_family_1_text(p))
-    good = families._dihedral_action(n, ((p + 1, 1), (0, 1), (p + 1, 0), (n - 1, 1)))
-    bad = families._dihedral_action(n, ((p + 1, 1), (0, 1), (p + 1, 0), (n - 2, 1)))
+    inversion = families._inversion(n)
+    good = families._split_extension(n, 1, inversion, ((p + 1, 1), (0, 1), (p + 1, 0), (n - 1, 1)))
+    bad = families._split_extension(n, 1, inversion, ((p + 1, 1), (0, 1), (p + 1, 0), (n - 2, 1)))
     assert _table_fault(CosetTable(good), pres, ()) is None
     assert _table_fault(CosetTable(bad), pres, ()) == "relator does not close"
     one_relator = [

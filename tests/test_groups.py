@@ -2,6 +2,7 @@
 homomorphism extension and isomorphism testing."""
 
 import gc
+import itertools
 import math
 import weakref
 
@@ -25,6 +26,7 @@ from ebrmaps.groups import (
     subgroup_closure,
     symmetric,
 )
+from references import check_action_exhaustive, rejection
 from table_checks import validate_group_table
 
 
@@ -123,6 +125,32 @@ def test_semidirect_rejects_non_action():
     bad = (tuple(range(4)), (0, 2, 1, 3))  # not an automorphism of C4
     with pytest.raises(ValueError):
         semidirect(c4, cyclic(2), bad)
+
+
+def test_action_check_agrees_with_the_exhaustive_reference():
+    # semidirect checks through generators of A in O(|A|); the reference
+    # checks every pair of elements.  Same verdict, same message.
+    c2, v4 = cyclic(2), direct_product(cyclic(2), cyclic(2))
+    accepted = {}
+    for a in (cyclic(4), v4, cyclic(6), symmetric(3)):
+        identity = tuple(range(a.order))
+        accepted[a.name] = 0
+        for perm in itertools.permutations(range(a.order)):
+            action = (identity, perm)
+            got = rejection(semidirect, a, c2, action)
+            assert got == rejection(check_action_exhaustive, a, c2, action), (a.name, perm)
+            accepted[a.name] += got is None
+    # the automorphisms of order at most 2
+    assert accepted == {"C4": 2, "C2xC2": 4, "C6": 2, "S3": 4}
+    # V_4 on V_4: every assignment of permutations to the three
+    # non-identity elements; the 10 homomorphisms V_4 -> Aut(V_4) = S_3 pass
+    count = 0
+    for images in itertools.product(itertools.permutations(range(4)), repeat=3):
+        action = ((0, 1, 2, 3), *images)
+        got = rejection(semidirect, v4, v4, action)
+        assert got == rejection(check_action_exhaustive, v4, v4, action), images
+        count += got is None
+    assert count == 10
 
 
 def test_quotient_of_dihedral_by_center():
