@@ -551,7 +551,7 @@ def _constructive_entries(p: int) -> dict[tuple[int, ...], CatalogEntry]:
             )
     wrong = [entry.family for entry in built if euler_characteristic(entry.map) != -p]
     if wrong:
-        raise AssertionError(f"constructors {wrong} do not give chi = {-p}")
+        raise VerificationError(f"constructors {wrong} do not give chi = {-p}")
     deduped: dict[tuple[int, ...], CatalogEntry] = {}
     for entry in built:
         deduped.setdefault(equivalence_key(entry.map), entry)
@@ -576,7 +576,7 @@ def classify(p: int, profile: str = "exhaustive") -> list[CatalogEntry]:
     admissible order and proves the constructive catalog complete by
     bijective matching of equivalence keys; it needs full atlas coverage,
     which holds for p in {2, 3} and raises UnsupportedOrder otherwise.
-    A failed matching raises AssertionError naming the unmatched classes.
+    A failed matching raises VerificationError naming the unmatched classes.
     """
     if profile not in ("exhaustive", "constructive"):
         raise ValueError(f"unknown profile {profile!r}")
@@ -601,7 +601,7 @@ def classify(p: int, profile: str = "exhaustive") -> list[CatalogEntry]:
     if found.keys() != built.keys():
         only_found = sorted(_order_and_type(found[key]) for key in found.keys() - built.keys())
         only_built = sorted(_order_and_type(built[key].map) for key in built.keys() - found.keys())
-        raise AssertionError(
+        raise VerificationError(
             f"exhaustive search and constructors disagree at p={p}:"
             f" (order, k, l) found only by search {only_found},"
             f" only by constructors {only_built}"

@@ -1,9 +1,18 @@
 """Finite groups as dense multiplication tables.
 
-Every group in this library is a table over element indices 0..n-1; the
-identity is located by scanning, inverses and element orders are derived
-once at construction.  Groups are immutable value objects and are compared
-by identity (use :func:`are_isomorphic` for abstract comparison).
+Every group in this library is a table over element indices 0..n-1.  The
+builders make whole rows at a time from tuple slices, rotations and
+``map`` over them, not entry by entry: a cyclic or dihedral row is a
+rotated or reversed ``range``, and a row of a direct or semidirect product
+adds A's row, scaled by |B| and each entry repeated |B| times, to B's row
+tiled |A| times.  At construction the identity is the element whose row is
+``range(n)`` and whose column is too, and element orders come from walking
+each cyclic subgroup once, with ord(a^j) = ord(a) / gcd(j, ord(a)).  The
+isomorphism fingerprint reads each column of the table once, one at a time
+so the whole transpose is never held: x is central when its row equals its
+column, and only non-central elements have their conjugacy class computed.
+Groups are immutable value objects and are compared by identity (use
+:func:`are_isomorphic` for abstract comparison).
 
 Convention used throughout: ``dihedral(n)`` is the dihedral group OF ORDER
 ``n`` (so ``dihedral(12)`` has 6 rotations and 6 reflections).  All order
@@ -12,11 +21,12 @@ formulas in this package follow that convention.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, permutations, repeat
 from math import gcd
+from operator import add, getitem, itemgetter
 
 
 class VerificationError(AssertionError):
@@ -42,32 +52,36 @@ class FiniteGroup:
     element_orders: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        n = len(self.mul)
-        if n == 0 or any(len(row) != n for row in self.mul):
+        mul = self.mul
+        n = len(mul)
+        if n == 0 or set(map(len, mul)) != {n}:
             raise ValueError("multiplication table must be square and nonempty")
+        identity_row = tuple(range(n))
         ident = None
         for e in range(n):
-            if all(self.mul[e][x] == x and self.mul[x][e] == x for x in range(n)):
+            if mul[e] == identity_row and all(row[e] == x for x, row in enumerate(mul)):
                 ident = e
                 break
         if ident is None:
             raise ValueError("table has no identity element")
         inv = []
-        for a in range(n):
-            row = self.mul[a]
+        for a, row in enumerate(mul):
             try:
                 inv.append(row.index(ident))
             except ValueError:
                 raise ValueError(f"element {a} has no inverse") from None
-        orders = []
+        orders = [0] * n
         for a in range(n):
-            k, acc = 1, a
-            while acc != ident:
-                acc = self.mul[acc][a]
-                k += 1
-                if k > n:
+            if orders[a]:
+                continue
+            powers = [a]  # a^1, a^2, ... up to the identity, so ord(a^j) = k / gcd(j, k)
+            while powers[-1] != ident:
+                if len(powers) == n:
                     raise ValueError(f"element {a} has no finite order <= {n}")
-            orders.append(k)
+                powers.append(mul[powers[-1]][a])
+            k = len(powers)
+            for j, power in enumerate(powers, 1):
+                orders[power] = k // gcd(j, k)
         object.__setattr__(self, "identity", ident)
         object.__setattr__(self, "inv", tuple(inv))
         object.__setattr__(self, "element_orders", tuple(orders))
@@ -77,9 +91,7 @@ class FiniteGroup:
         return len(self.mul)
 
     def is_abelian(self) -> bool:
-        m = self.mul
-        n = len(m)
-        return all(m[a][b] == m[b][a] for a in range(n) for b in range(a + 1, n))
+        return self.fingerprint[2]
 
     def involutions(self) -> list[int]:
         return [a for a in range(self.order) if self.element_orders[a] == 2]
@@ -90,17 +102,23 @@ class FiniteGroup:
         element orders, abelian flag, center size, conjugacy class sizes."""
         n = self.order
         mul = self.mul
-        orders = tuple(sorted(self.element_orders))
-        center = sum(1 for x in range(n) if all(mul[x][y] == mul[y][x] for y in range(n)))
         seen = [False] * n
-        sizes = []
-        for x in range(n):
-            if not seen[x]:
-                cls = {mul[mul[y][x]][self.inv[y]] for y in range(n)}
-                for c in cls:
-                    seen[c] = True
-                sizes.append(len(cls))
-        return (n, orders, self.is_abelian(), center, tuple(sorted(sizes)))
+        center, sizes = 0, []
+        for x, row in enumerate(mul):
+            if seen[x]:
+                continue
+            col = tuple(map(itemgetter(x), mul))
+            if row == col:  # x is central: its class is {x}
+                center += 1
+                sizes.append(1)
+                continue
+            # y x y^-1 for every y: column x gives y x, then multiply by y^-1
+            cls = set(map(getitem, map(mul.__getitem__, col), self.inv))
+            for c in cls:
+                seen[c] = True
+            sizes.append(len(cls))
+        orders = tuple(sorted(self.element_orders))
+        return (n, orders, center == n, center, tuple(sorted(sizes)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -136,7 +154,8 @@ def cyclic(n: int) -> FiniteGroup:
     """Cyclic group C_n; element 1 is a generator of order n (when n > 1)."""
     if n < 1:
         raise ValueError("n must be positive")
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    r = tuple(range(n))
+    table = tuple(r[i:] + r[:i] for i in range(n))
     return FiniteGroup(table, name=f"C{n}")
 
 
@@ -150,15 +169,10 @@ def dihedral(n: int) -> MarkedGroup:
     if n < 2 or n % 2:
         raise ValueError("dihedral order must be even and >= 2")
     m = n // 2
-    table = []
-    for a in range(n):
-        i, fa = a % m, a >= m
-        row = []
-        for b in range(n):
-            j, fb = b % m, b >= m
-            k = (i - j) % m if fa else (i + j) % m
-            row.append(k + m if fa != fb else k)
-        table.append(tuple(row))
+    rot, ref = tuple(range(m)), tuple(range(m, n))
+    # r^i times r^j is r^(i+j); r^i f times r^j is r^(i-j) f
+    table = [rot[i:] + rot[:i] + ref[i:] + ref[:i] for i in range(m)]
+    table += [ref[i::-1] + ref[:i:-1] + rot[i::-1] + rot[:i:-1] for i in range(m)]
     marks = (m, m) if m == 1 else (m, m + 1)
     return MarkedGroup(FiniteGroup(tuple(table), name=f"D{n}"), marks)
 
@@ -172,17 +186,16 @@ def dicyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("n must be positive")
     size = 4 * n
+    r = tuple(range(size))
+    with_b, plain = r[1::2], r[0::2]  # a^i b and a^i, indexed by i
     table = []
-    for e1 in range(size):
-        i1, j1 = divmod(e1, 2)
-        row = []
-        for e2 in range(size):
-            i2, j2 = divmod(e2, 2)
-            if j1:
-                i = (i1 - i2 + (n if j2 else 0)) % (2 * n)
-            else:
-                i = (i1 + i2) % (2 * n)
-            row.append(i * 2 + (j1 ^ j2))
+    for i in range(2 * n):
+        table.append(r[2 * i :] + r[: 2 * i])  # a^i times a^k b^j is a^(i+k) b^j
+        # a^i b times a^k is a^(i-k) b; a^i b times a^k b is a^(i-k+n)
+        row = [0] * size
+        row[0::2] = with_b[i::-1] + with_b[:i:-1]
+        h = (i + n) % (2 * n)
+        row[1::2] = plain[h::-1] + plain[:h:-1]
         table.append(tuple(row))
     name = f"Q{size}" if n % 2 == 0 else f"Dic{n}"
     return FiniteGroup(tuple(table), name=name)
@@ -190,7 +203,7 @@ def dicyclic(n: int) -> FiniteGroup:
 
 def _perm_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     # (a * b)(i) = a(b(i)): apply b first.
-    return tuple(a[b[i]] for i in range(len(a)))
+    return tuple(map(a.__getitem__, b))
 
 
 def _perm_parity(p: tuple[int, ...]) -> int:
@@ -221,27 +234,32 @@ def symmetric(n: int) -> FiniteGroup:
     """Symmetric group S_n for 1 <= n <= 5."""
     if not 1 <= n <= 5:
         raise ValueError("symmetric(n) supports 1 <= n <= 5")
-    return _group_from_perms(list(itertools.permutations(range(n))), f"S{n}")
+    return _group_from_perms(list(permutations(range(n))), f"S{n}")
 
 
 def alternating(n: int) -> FiniteGroup:
     """Alternating group A_n for 1 <= n <= 5."""
     if not 1 <= n <= 5:
         raise ValueError("alternating(n) supports 1 <= n <= 5")
-    perms = [p for p in itertools.permutations(range(n)) if _perm_parity(p) == 0]
+    perms = [p for p in permutations(range(n)) if _perm_parity(p) == 0]
     return _group_from_perms(perms, f"A{n}")
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> FiniteGroup:
     """Direct product; element (x, y) is encoded as x*|B| + y."""
-    nb = b.order
-    amul, bmul = a.mul, b.mul
-    table = tuple(
-        tuple(amul[x1][x2] * nb + bmul[y1][y2] for x2 in range(a.order) for y2 in range(nb))
-        for x1 in range(a.order)
-        for y1 in range(nb)
-    )
-    return FiniteGroup(table, name=name or f"{a.name}x{b.name}")
+    na, nb = a.order, b.order
+    tiled = [brow * na for brow in b.mul]
+    table = []
+    for arow in a.mul:
+        left = _spread([x * nb for x in arow], nb)
+        table += [tuple(map(add, left, right)) for right in tiled]
+    return FiniteGroup(tuple(table), name=name or f"{a.name}x{b.name}")
+
+
+def _spread(scaled: Iterable[int], nb: int) -> tuple[int, ...]:
+    """Each entry repeated nb times: given x*nb for A's row, the A part of a
+    row of a product numbered x*|B| + y."""
+    return tuple(chain.from_iterable(map(repeat, scaled, repeat(nb))))
 
 
 def semidirect(
@@ -266,14 +284,12 @@ def semidirect(
         greedy_generators(a),
         lambda y1, y2: bmul[y1][y2],
     )
+    scaled = [[x * nb for x in arow] for arow in amul]
+    tiled = [brow * na for brow in bmul]
     table = tuple(
-        tuple(
-            amul[x1][action[y1][x2]] * nb + bmul[y1][y2]
-            for x2 in range(na)
-            for y2 in range(nb)
-        )
-        for x1 in range(na)
-        for y1 in range(nb)
+        tuple(map(add, _spread(map(srow.__getitem__, action[y]), nb), tiled[y]))
+        for srow in scaled
+        for y in range(nb)
     )
     return FiniteGroup(table, name=name or f"{a.name}:{b.name}")
 

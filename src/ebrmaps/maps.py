@@ -629,56 +629,64 @@ def all_map_quadruples(group: FiniteGroup, want_chi: int | None = None, skip=())
     (x, y) runs over the commuting involution pairs and s over the other
     involutions; the face valency l = 2 ord(sx) is then fixed.  With
     ``want_chi`` given, l fixes the one vertex valency k that gives that
-    chi, so t runs only over the involutions with 2 ord(ty) = k (listed
-    once per (y, k)), and an s whose l admits no k is skipped.  Without it,
-    t runs over the involutions that commute with s.  Each candidate that is
-    distinct from x, y, s and commutes with s has its chi computed again
-    before the generation check, the one test that builds a subgroup.
+    chi, so the s whose l admits no k are dropped from the s list, made
+    once per x, and t runs only over the involutions with 2 ord(ty) = k
+    (listed once per (y, k)); a group where no l admits a k yields nothing
+    at once.  Without it, t runs over the involutions that commute with s.
+    Each candidate that is distinct from x, y, s and commutes with s has its
+    chi computed again before the generation check, the one test that
+    builds a subgroup.
 
     A candidate whose mark tuple is in ``skip`` is passed over after the chi
     check and before the generation check.  The caller may grow ``skip``
     while it iterates: :func:`ebrmaps.census.enumerate_maps` puts there the
     quadruples it has proven to lie in a class it already holds.
     """
-    mul = group.mul
-    orders = group.element_orders
-    invs = [g for g in range(group.order) if orders[g] == 2]
-    pairs = commuting_involution_pairs(group)
-    if want_chi is None:
-        partners: dict[int, list[int]] = {}
-        for a, b in pairs:
-            partners.setdefault(a, []).append(b)
-    else:
+    n, mul, orders = group.order, group.mul, group.element_orders
+    invs = [g for g in range(n) if orders[g] == 2]
+    partners: dict[int, list[int]] = {}
+    for a, b in commuting_involution_pairs(group):
+        partners.setdefault(a, []).append(b)
+    if want_chi is not None:
         k_for_l = _vertex_valency_for(group, want_chi)
+        if not k_for_l:
+            return
         with_valency: dict[tuple[int, int], list[int]] = {}
-    for x, y in pairs:
-        for s in invs:
-            if s in (x, y):
-                continue
-            if want_chi is None:
-                ts = partners.get(s, ())
-            else:
-                l = 2 * orders[mul[s][x]]
-                k = k_for_l.get(l)
+    for x, ys in partners.items():
+        if want_chi is None:
+            s_list = [(s, None, None) for s in invs if s != x]
+        else:
+            s_list = [
+                (s, k_for_l[l], l)
+                for s in invs
+                if s != x and (l := 2 * orders[mul[s][x]]) in k_for_l
+            ]
+        for y in ys:
+            for s, k, l in s_list:
+                if s == y:
+                    continue
                 if k is None:
-                    continue
-                ts = with_valency.get((y, k))
-                if ts is None:
-                    ts = with_valency[y, k] = [t for t in invs if 2 * orders[mul[t][y]] == k]
-            for t in ts:
-                if t in (x, y, s) or mul[s][t] != mul[t][s]:
-                    continue
-                if want_chi is not None:
-                    chi = euler_characteristic_formula(group.order, k, l)
-                    if chi != want_chi:
-                        raise VerificationError(
-                            f"type ({k},{l}) was solved for chi = {want_chi} but gives {chi}"
-                        )
-                if (x, y, s, t) in skip:
-                    continue
-                if len(subgroup_closure(group, (x, y, s, t))) != group.order:
-                    continue
-                yield _unchecked(group, (x, y, s, t))
+                    ts = partners.get(s, ())
+                else:
+                    ts = with_valency.get((y, k))
+                    if ts is None:
+                        ts = with_valency[y, k] = [
+                            t for t in invs if 2 * orders[mul[t][y]] == k
+                        ]
+                for t in ts:
+                    if t in (x, y, s) or mul[s][t] != mul[t][s]:
+                        continue
+                    if k is not None:
+                        chi = euler_characteristic_formula(n, k, l)
+                        if chi != want_chi:
+                            raise VerificationError(
+                                f"type ({k},{l}) was solved for chi = {want_chi} but gives {chi}"
+                            )
+                    if (x, y, s, t) in skip:
+                        continue
+                    if len(subgroup_closure(group, (x, y, s, t))) != n:
+                        continue
+                    yield _unchecked(group, (x, y, s, t))
 
 
 def map_invariants(m: EdgeBiregularMap) -> dict:

@@ -78,6 +78,42 @@ def check_action_exhaustive(a: FiniteGroup, b: FiniteGroup, action) -> None:
                 raise ValueError("action is not a homomorphism B -> Aut(A)")
 
 
+def element_orders(g: FiniteGroup) -> tuple[int, ...]:
+    """ord(a) for every element, by multiplying a into an accumulator until
+    it reaches the identity."""
+    orders = []
+    for a in range(g.order):
+        k, acc = 1, a
+        while acc != g.identity:
+            acc = g.mul[acc][a]
+            k += 1
+        orders.append(k)
+    return tuple(orders)
+
+
+def is_abelian(g: FiniteGroup) -> bool:
+    """Every pair of elements commutes, checked entry by entry."""
+    m = g.mul
+    return all(m[a][b] == m[b][a] for a in range(g.order) for b in range(a + 1, g.order))
+
+
+def fingerprint(g: FiniteGroup) -> tuple:
+    """``FiniteGroup.fingerprint`` computed entry by entry: the center from
+    every pair and the class of every element, central or not."""
+    n, mul = g.order, g.mul
+    center = sum(1 for x in range(n) if all(mul[x][y] == mul[y][x] for y in range(n)))
+    seen = [False] * n
+    sizes = []
+    for x in range(n):
+        if not seen[x]:
+            cls = {mul[mul[y][x]][g.inv[y]] for y in range(n)}
+            for c in cls:
+                seen[c] = True
+            sizes.append(len(cls))
+    orders = tuple(sorted(element_orders(g)))
+    return (n, orders, is_abelian(g), center, tuple(sorted(sizes)))
+
+
 def rejection(check, *args) -> str | None:
     """The ValueError message of check(*args), or None if it accepts."""
     try:

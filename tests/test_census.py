@@ -2,6 +2,7 @@
 groups of supported orders, exhaustive per-group search, classification and
 the verification reports."""
 
+import hashlib
 import json
 import math
 import os
@@ -32,7 +33,15 @@ from ebrmaps.families import (
     exceptional_order36_map,
     is_prime,
 )
-from ebrmaps.groups import are_isomorphic, cyclic, dihedral, direct_product, symmetric
+from ebrmaps import families
+from ebrmaps.groups import (
+    VerificationError,
+    are_isomorphic,
+    cyclic,
+    dihedral,
+    direct_product,
+    symmetric,
+)
 from ebrmaps.maps import (
     equivalence_key,
     euler_characteristic,
@@ -310,6 +319,29 @@ def test_exceptional_map_is_unique_at_order36():
     assert classes == {equivalence_key(exceptional_order36_map())}
 
 
+def test_atlas_tables_and_derived_data_are_pinned():
+    # digests of the atlas as built entry by entry at commit 21841ad
+    groups = [g for n in ATLAS_ORDERS for g in atlas(n)]
+    assert len(groups) == 137
+    tables = repr([(g.name, g.mul) for g in groups]).encode()
+    derived = repr(
+        [(g.name, g.identity, g.inv, g.element_orders, g.fingerprint) for g in groups]
+    ).encode()
+    assert hashlib.sha256(tables).hexdigest() == (
+        "3ce48d2be272544fe977dad0f20892b7c4ebfdd34d1ed0d212f6bdad65c0a003"
+    )
+    assert hashlib.sha256(derived).hexdigest() == (
+        "2866a32d32fd600f273f9592eed9eed5f5f75d859d39f8d88a4c9135d3850d09"
+    )
+
+
+def test_constructor_with_the_wrong_chi_raises_verification_error(monkeypatch):
+    dh1 = families.dihedral_family_1
+    monkeypatch.setattr(families, "dihedral_family_1", lambda p: dh1(5))
+    with pytest.raises(VerificationError, match=r"constructors \['dh1'\] do not give chi = -3"):
+        classify(3, profile="constructive")
+
+
 _DROP_ONE_CONSTRUCTOR = """
 import ebrmaps.census as census
 
@@ -333,7 +365,9 @@ def test_classify_mismatch_raises_under_python_O():
     )
     assert proc.returncode == 1
     last = proc.stderr.strip().splitlines()[-1]
-    assert last.startswith("AssertionError: exhaustive search and constructors disagree at p=3")
+    assert last.startswith(
+        "ebrmaps.groups.VerificationError: exhaustive search and constructors disagree at p=3"
+    )
     assert "found only by search [(36, 4, 6)]" in last
 
 

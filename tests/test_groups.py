@@ -26,7 +26,14 @@ from ebrmaps.groups import (
     subgroup_closure,
     symmetric,
 )
-from references import check_action_exhaustive, rejection
+from ebrmaps import families
+from references import (
+    check_action_exhaustive,
+    element_orders,
+    fingerprint,
+    is_abelian,
+    rejection,
+)
 from table_checks import validate_group_table
 
 
@@ -263,3 +270,47 @@ def test_finite_group_rejects_bad_tables():
         FiniteGroup(((1, 0), (0, 0)))  # no two-sided identity... or broken
     with pytest.raises(ValueError):
         FiniteGroup(())
+
+
+def test_derived_data_agrees_with_the_dense_references(monkeypatch):
+    # groups from outside the atlas, whose bytes another test pins
+    probed = []
+
+    def recording_semidirect(*args, **kwargs):
+        probed.append(semidirect(*args, **kwargs))
+        return probed[-1]
+
+    monkeypatch.setattr(families, "semidirect", recording_semidirect)
+    families.cyclic_by_dihedral_probe(5, 3)
+    assert [g.name for g in probed] == ["C5:D6", "C5:D6"]
+    groups = [
+        symmetric(5),
+        alternating(5),
+        multiplicative_units(15),
+        quotient(dihedral(24).group, {0, 6}),
+        *probed,
+        families.dihedral_family_1(5).group,
+    ]
+    for g in groups:
+        assert g.element_orders == element_orders(g), g.name
+        assert g.is_abelian() == is_abelian(g), g.name
+        assert g.fingerprint == fingerprint(g), g.name
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (((0, 1), (1,)), "multiplication table must be square and nonempty"),
+        (((1, 0), (0, 0)), "table has no identity element"),
+        # rows 0 and 1 both read like the identity's, but no column does
+        (((0, 1), (0, 1)), "table has no identity element"),
+        (((0, 1), (1, 1)), "element 1 has no inverse"),
+        # 1 * 1 = 2 and 2 * 1 = 2: the powers of 1 never reach 0
+        (((0, 1, 2), (1, 2, 0), (2, 2, 0)), "element 1 has no finite order <= 3"),
+    ],
+    ids=["not-square", "no-identity-row", "no-identity-column", "no-inverse", "no-finite-order"],
+)
+def test_finite_group_error_messages(table, message):
+    with pytest.raises(ValueError) as info:
+        FiniteGroup(table)
+    assert str(info.value) == message
