@@ -4,10 +4,11 @@ Four constructions cover the classification on these surfaces:
 
 * dihedral_family_1(p): single-vertex maps of type (4(p+1), 4);
 * dihedral_family_2(p): two-vertex maps of type (2(p+2), 4);
-* cyclic_fitting_map(kappa, lam, j): type (4 kappa, 2 lam) maps whose
+* cyclic_fitting_map(params): type (4 kappa, 2 lam) maps whose
   largest nilpotent normal subgroup is cyclic, built as an explicit split
   extension and certified against their relators;
-* valency_eight_map(m): type (8, 6m) maps of order 24m (chi = -(9m-4));
+* valency_eight_map(m): type (8, 6m) maps of order 24m (chi = -(9m-4)),
+  built and certified the same way;
 * exceptional_order36_map(): the unique fully regular member, type (4, 6).
 """
 

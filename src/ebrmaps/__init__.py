@@ -93,7 +93,6 @@ from .families import (
     is_prime,
     presentation_text,
     valency_eight_map,
-    valency_eight_quotient_certificate,
     valency_eight_text,
 )
 from .census import (

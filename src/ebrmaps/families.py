@@ -7,8 +7,8 @@ up to duality and twins, to one of the families built here:
   dihedral group of order 4(p+1);
 * ``dihedral_family_2(p)``  - two-vertex map of type (2(p+2), 4) on the
   dihedral group of order 4(p+2);
-* ``cyclic_fitting_map(kappa, lam, j)`` - maps of type (4*kappa, 2*lambda)
-  of order 4*kappa*lambda whose group is C_{kappa*lambda} extended by V_4,
+* ``cyclic_fitting_map(params)`` - maps of type (4*kappa, 2*lambda) of
+  order 4*kappa*lambda whose group is C_{kappa*lambda} extended by V_4,
   the right-regular action of an explicit semidirect product;
 * ``valency_eight_map(m)``  - maps of type (8, 6m) of order 24m (chi = -(9m-4));
 * ``exceptional_order36_map()`` - the unique fully regular example, of
@@ -23,12 +23,12 @@ Each constructor checks the order and type of what it built and raises
 VerificationError on a mismatch.  All presentation texts are kept
 verbatim, including redundant relators.
 
-The dihedral and cyclic-Fitting groups are both an abelian group
-A = C_lam x C_kappa extended by B = C_2 or V_4, and one builder
-(``_split_extension``) gives the permutations of either acting on itself,
-after checking that B acts on A by automorphisms.  Each member is then
-certified against its presentation: the order of the presented group comes
-from the cosets of a cyclic subgroup of index 2 or 4
+The dihedral, cyclic-Fitting and valency-eight groups are all an abelian
+group A = C_lam x C_kappa extended by B = C_2, V_4 or ve(3^e), and one
+builder (``_split_extension``) gives the permutations of any of them acting
+on itself, after checking that B acts on A by automorphisms.  Each member
+is then certified against its presentation: the order of the presented
+group comes from the cosets of a cyclic subgroup of index 2, 4 or 8
 (``cyclic_order_certificate``), every written relator is checked on the
 action, and the action is transitive, so it is the regular action of the
 presented group.  This costs O(|H| log p), where enumerating the cosets of
@@ -43,20 +43,15 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import xor
 
 from .groups import (
     VerificationError,
     _check_action,
-    _group_from_perms,
-    are_isomorphic,
     cyclic,
     dihedral,
     extend_generator_map,
     multiplicative_units,
     semidirect,
-    symmetric,
 )
 from .maps import (
     MARK_NAMES,
@@ -67,7 +62,6 @@ from .maps import (
     load_map,
     map_file_text,
     map_from_action,
-    product_order,
     type_of,
 )
 from .presentations import (
@@ -76,9 +70,9 @@ from .presentations import (
     CosetTable,
     Perm,
     _table_fault,
-    coset_enumerate,
     cyclic_order_certificate,
     parse_presentation,
+    regular_action,
 )
 
 
@@ -155,7 +149,7 @@ def _certified(
 
 
 # ---------------------------------------------------------------------------
-# split extensions (C_lam x C_kappa) x| B with B = C_2 or V_4
+# split extensions (C_lam x C_kappa) x| B
 
 
 def _unit_action(lam: int, kappa: int, units: tuple[tuple[int, int], ...]) -> tuple[Perm, ...]:
@@ -171,28 +165,29 @@ def _unit_action(lam: int, kappa: int, units: tuple[tuple[int, int], ...]) -> tu
 
 
 def _split_extension(
-    lam: int, kappa: int, action: tuple[Perm, ...], marks: tuple[tuple[int, int], ...]
+    lam: int, kappa: int, action: tuple[Perm, ...], marks: tuple[tuple[int, Perm], ...]
 ) -> tuple[Perm, ...]:
     """The right-regular action of (C_lam x C_kappa) x| B, one permutation
-    per mark (f, v).
+    per mark (f, b).
 
-    B has len(action) elements (C_2 or V_4) multiplying by xor, and
+    B's elements are its len(action) points, 0 the identity, and b permutes
+    them by right multiplication by the mark's B part; these generate B.
     action[v] is the automorphism of A = C_lam x C_kappa attached to v,
     numbered as by _unit_action; ValueError unless it is an action.  Element
     (f, v) is the point f*|B| + v, and (f1, v1)(f2, v2) = (f1 +
-    action[v1](f2), v1 xor v2): right multiplication by the mark sends the
-    points of each v1 to those of v1 xor v2, adding action[v1](f2) in A.
+    action[v1](f2), v1 v2): right multiplication by the mark sends the points
+    of each v1 to those of b[v1], adding action[v1](f2) in A.
     """
     nb, na = len(action), lam * kappa
     elements = list(range(na))
-    gens = (kappa, 1) if kappa > 1 else (1,)  # u, and w unless kappa = 1
-    _check_action(action, lambda g: _added(elements, g, kappa), gens, xor)
+    gens = (kappa, 1) if kappa > 1 else (1 % lam,)  # u, and w unless kappa = 1
+    _check_action(action, lambda g: _added(elements, g, kappa), gens, [b for _, b in marks], 0)
     points = list(range(nb * na))  # entries share these int objects
     perms = []
-    for f2, v2 in marks:
+    for f2, b in marks:
         perm = [0] * (nb * na)
         for v1 in range(nb):
-            perm[v1::nb] = _added(points[v1 ^ v2 :: nb], action[v1][f2], kappa)
+            perm[v1::nb] = _added(points[b[v1] :: nb], action[v1][f2], kappa)
         perms.append(tuple(perm))
     return tuple(perms)
 
@@ -232,7 +227,7 @@ def dihedral_family_1(p: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBireg
         f"dh1({p})",
         (1, 3),  # y t, of index 2
         lambda: _split_extension(
-            n, 1, _inversion(n), ((p + 1, 1), (0, 1), (p + 1, 0), (n - 1, 1))
+            n, 1, _inversion(n), ((p + 1, _FLIP), (0, _FLIP), (p + 1, _KEEP), (n - 1, _FLIP))
         ),
         2 * n,
         max_cosets,
@@ -257,7 +252,7 @@ def dihedral_family_2(p: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBireg
         f"dh2({p})",
         (0, 3),  # x t, of index 2
         lambda: _split_extension(
-            n, 1, _inversion(n), ((0, 1), (p + 2, 1), (p + 2, 0), (n - 1, 1))
+            n, 1, _inversion(n), ((0, _FLIP), (p + 2, _FLIP), (p + 2, _KEEP), (n - 1, _FLIP))
         ),
         2 * n,
         max_cosets,
@@ -269,6 +264,10 @@ def _inversion(n: int) -> tuple[Perm, Perm]:
     """C_2 acting on C_n = <r> by r -> r^-1: the dihedral group of order 2n
     is C_n x| C_2, its element r^a f^b being (a, b), the point 2a + b."""
     return _unit_action(n, 1, ((1, 1), (-1, 1)))
+
+
+# right multiplication of C_2 = {0, 1} by its identity and by its involution
+_KEEP, _FLIP = (0, 1), (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +373,14 @@ def _cyclic_fitting_direct(params: FamilyParams) -> tuple[Perm, ...]:
     V_4 = <s, t> acts on <u> x <w> by s: u -> u^-1, w -> w and
     t: u -> u^-j, w -> w^-1.
 
-    Element b1*2 + b2 of V_4 is s^b1 t^b2.  The marks are s, t,
-    x = s*u = u^-1 s and y = u^a * w^((kappa-1)/2) * s*t.
+    Element b1*2 + b2 of V_4 is s^b1 t^b2, and V_4 multiplies by xor.  The
+    marks are s, t, x = s*u = u^-1 s and y = u^a * w^((kappa-1)/2) * s*t.
     """
     kappa, lam, j = params.kappa, params.lam, params.j
     action = _unit_action(lam, kappa, ((1, 1), (-j, -1), (-1, 1), (j, -1)))  # 1, t, s, s t
     x_part, y_part = (lam - 1) * kappa, params.a * kappa + (kappa - 1) // 2
-    return _split_extension(lam, kappa, action, ((x_part, 2), (y_part, 3), (0, 2), (0, 1)))
+    s, st, t = (tuple(v ^ b for v in range(4)) for b in (2, 3, 1))  # right multiplications
+    return _split_extension(lam, kappa, action, ((x_part, s), (y_part, st), (0, s), (0, t)))
 
 
 # the word (s x)(t y)^2, whose cyclic subgroup has index 4
@@ -418,39 +418,28 @@ def valency_eight_text(m: int) -> str:
     )
 
 
-@lru_cache(maxsize=1)
-def valency_eight_quotient_certificate() -> bool:
-    """Check the structural certificate behind the valency-eight family.
-
-    In the group presented WITHOUT the order relator on s*x, the subgroup
-    generated by (s*x)^3 has index 24, and the action on its cosets
-    generates a group isomorphic to S_4.  This holds independently of m
-    and pins the order of the family members to 24m.
+def _valency_eight_direct(m: int, max_cosets: int) -> tuple[Perm, ...]:
+    """The four mark permutations of C_m' x| B for m = 3^e m', 3 not dividing
+    m', with B = ve(3^e) the regular action of its presentation.  x, y and s
+    invert C_m' = <u> and t centralizes it.  The marks are x_B, y_B, u s_B
+    and t_B, so s x = u (s x)_B has order lcm(m', 3^(e+1)) = 3m.
     """
-    text = presentation_text(("(t y)^4", "(s x y)^2 t", "t x t y"))
-    pres = parse_presentation(text)
-    cube = (2, 0, 2, 0, 2, 0)  # the word (s x)^3
-    table = coset_enumerate(pres, subgroup_generators=(cube,))
-    n = table.num_cosets
-    if n != 24:
-        raise VerificationError(f"expected index 24, got {n}")
-    gens = table.columns
-    identity = tuple(range(n))
-    closure = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for perm in frontier:
-            for g in gens:
-                prod = tuple(g[perm[i]] for i in range(n))
-                if prod not in closure:
-                    closure.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    image = _group_from_perms(sorted(closure), name="coset-action")
-    if not are_isomorphic(image, symmetric(4)):
-        raise VerificationError("coset action is not S4")
-    return True
+    power = 1  # 3^e, the largest power of 3 dividing m
+    while m % (3 * power) == 0:
+        power *= 3
+    lam = m // power
+    marks_b = regular_action(parse_presentation(valency_eight_text(power)), max_cosets)
+    signs = [None] * len(marks_b[0])  # 1 where B's point inverts C_m'
+    signs[0] = 0
+    found = [0]
+    for v in found:  # grows while it is walked
+        for b, sign in zip(marks_b, (1, 1, 1, 0)):
+            if signs[b[v]] is None:
+                signs[b[v]] = signs[v] ^ sign
+                found.append(b[v])
+    keep, invert = _inversion(lam)
+    action = tuple(invert if sign else keep for sign in signs)
+    return _split_extension(lam, 1, action, tuple(zip((0, 0, 1 % lam, 0), marks_b)))
 
 
 def valency_eight_map(m: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBiregularMap:
@@ -468,11 +457,15 @@ def valency_eight_map(m: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBireg
             " Euler characteristic is not minus a prime",
             stacklevel=2,
         )
-    valency_eight_quotient_certificate()
-    built = _expect(_build(valency_eight_text(m), f"ve({m})", max_cosets), 24 * m, (8, 6 * m))
-    if product_order(built, 2, 0) != 3 * m:
-        raise VerificationError(f"ve({m}): s*x does not have order {3 * m}")
-    return built
+    built = _certified(
+        valency_eight_text(m),
+        f"ve({m})",
+        (2, 0),  # s x, of index 8
+        lambda: _valency_eight_direct(m, max_cosets),
+        24 * m,
+        max_cosets,
+    )
+    return _expect(built, 24 * m, (8, 6 * m))
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,8 @@ def semidirect(
         action,
         lambda g: [row[g] for row in amul],  # right multiplication by g
         greedy_generators(a),
-        lambda y1, y2: bmul[y1][y2],
+        [[row[g] for row in bmul] for g in greedy_generators(b)],
+        b.identity,
     )
     scaled = [[x * nb for x in arow] for arow in amul]
     tiled = [brow * na for brow in bmul]
@@ -298,15 +299,17 @@ def _check_action(
     action: Sequence[Sequence[int]],
     right: Callable[[int], Sequence[int]],
     gens: Sequence[int],
-    bmul: Callable[[int, int], int],
+    b_gens: Sequence[Sequence[int]],
+    b_identity: int,
 ) -> None:
     """Raise ValueError unless each action[v] is an automorphism of A and
     v -> action[v] is a homomorphism B -> Aut(A).
 
     A's elements are 0..len(action[0])-1, generated by ``gens``, and entry x
-    of ``right(g)`` is x*g; B's elements are 0..len(action)-1 with product
-    ``bmul``.  O(|A| (|gens| + |B|^2)): a bijection of A that respects right
-    multiplication by A's generators respects every product.
+    of ``right(g)`` is x*g; each entry of ``b_gens`` is v -> v*b on B's
+    elements 0..len(action)-1, for generators b of B.  O(|A| (|gens| +
+    |B| |b_gens|)): a map respecting right multiplication by generators
+    respects every product, in A and in B (given the identity's image).
     """
     na = len(action[0])
     for v, perm in enumerate(action):
@@ -316,9 +319,12 @@ def _check_action(
             by_g, by_image = right(g), right(perm[g])
             if [perm[y] for y in by_g] != [by_image[y] for y in perm]:
                 raise ValueError(f"action[{v}] is not an automorphism of A")
-    for v1 in range(len(action)):
-        for v2 in range(len(action)):
-            if tuple(action[bmul(v1, v2)]) != _perm_compose(action[v1], action[v2]):
+    if list(action[b_identity]) != list(range(na)):
+        raise ValueError("action is not a homomorphism B -> Aut(A)")
+    for by_b in b_gens:  # action[v*b] = action[v] o action[b] for every v
+        image = action[by_b[b_identity]]
+        for v, vb in enumerate(by_b):
+            if tuple(action[vb]) != _perm_compose(action[v], image):
                 raise ValueError("action is not a homomorphism B -> Aut(A)")
 
 

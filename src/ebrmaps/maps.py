@@ -550,11 +550,11 @@ def load_map(
     mark_names: list[str] | None = None
     pres_lines: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped.startswith("mark ") or stripped == "mark":
+        names = _mark_names(raw)
+        if names is not None:
             if mark_names is not None:
                 raise MapStructureError(f"line {lineno}: duplicate mark line")
-            mark_names = stripped.split()[1:]
+            mark_names = names
             pres_lines.append("")  # keep line numbering for parse errors
         else:
             pres_lines.append(raw)
@@ -574,11 +574,13 @@ def load_map(
 
 def strip_mark_lines(text: str) -> str:
     """Presentation text with any mark lines blanked (for the order command)."""
-    out = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        out.append("" if stripped.split()[:1] == ["mark"] else raw)
-    return "\n".join(out)
+    return "\n".join("" if _mark_names(raw) is not None else raw for raw in text.splitlines())
+
+
+def _mark_names(raw: str) -> list[str] | None:
+    """The names on a mark line (its first word is ``mark``), or None."""
+    words = raw.split("#", 1)[0].split()
+    return words[1:] if words[:1] == ["mark"] else None
 
 
 def map_file_text(presentation_text: str, mark_names: tuple[str, str, str, str]) -> str:

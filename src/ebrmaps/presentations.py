@@ -119,9 +119,9 @@ def _lex(line: str, lineno: int) -> list[tuple[str, str | int, int]]:
         elif c in "()^":
             tokens.append((c, c, i + 1))
             i += 1
-        elif c.isdigit():
+        elif "0" <= c <= "9":  # not str.isdigit, which takes other scripts
             j = i
-            while j < n and line[j].isdigit():
+            while j < n and "0" <= line[j] <= "9":
                 j += 1
             tokens.append(("int", int(line[i:j]), i + 1))
             i = j

@@ -13,7 +13,7 @@ from fractions import Fraction
 from ebrmaps import census, families
 from ebrmaps.census import atlas, catalog_json, catalog_rows, classify, enumerate_maps
 from ebrmaps.families import FamilyParams, cyclic_fitting_map, cyclic_fitting_params
-from ebrmaps.groups import MarkedGroup, dihedral
+from ebrmaps.groups import MarkedGroup, are_isomorphic, dihedral, symmetric
 from ebrmaps.maps import (
     _flag_graph_bipartite,
     equivalence_key,
@@ -22,7 +22,7 @@ from ebrmaps.maps import (
     is_fully_regular,
     type_of,
 )
-from ebrmaps.presentations import parse_presentation
+from ebrmaps.presentations import group_from_action, parse_presentation, regular_action
 from references import group_from_presentation, index_of_even_subgroup
 
 
@@ -145,7 +145,9 @@ def test_criterion_3_order_formulas():
 
 def test_criterion_4_quotient_certificate():
     with _Gate(4, "valency-8 family: index-24 coset action is S4") as g:
-        assert families.valency_eight_quotient_certificate() is True
+        # ve(1) is the quotient of every ve(m) by <(s x)^3>
+        perms = regular_action(parse_presentation(families.valency_eight_text(1)))
+        assert are_isomorphic(group_from_action(perms, "ve(1)"), symmetric(4))
 
 
 def test_criterion_5_route_cross_validation():

@@ -75,6 +75,22 @@ def test_order_ignores_mark_line(tmp_path, capsys):
     assert out.strip() == "36"
 
 
+def test_mark_line_after_a_tab(tmp_path, capsys):
+    # "mark\tx y s t" is a mark line for every command that reads map files
+    f = tmp_path / "h3.map"
+    text = map_file_text(families.exceptional_order36_text(), families.MARK_NAMES)
+    f.write_text(text.replace("mark ", "mark\t"))
+    assert "mark\tx y s t" in f.read_text()
+    code, out, _ = run(capsys, "order", str(f))
+    assert (code, out) == (0, "36\n")
+    code, out, err = run(capsys, "invariants", str(f))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["type"] == [4, 6]
+    code, out, err = run(capsys, "export", "cayley", str(f))
+    assert (code, err) == (0, "")
+    assert parse_dot(out)[0] == list(range(36))
+
+
 def test_order_parse_error_exit_2(tmp_path, capsys):
     f = tmp_path / "bad.txt"
     f.write_text("gens a b\nrel a q\n")
@@ -218,6 +234,26 @@ def test_construct_checks_text_and_capacity_before_building(monkeypatch, capsys)
     code, out, err = run(capsys, "construct", "--family", "dh1", "--p", "25013")
     assert time.perf_counter() - start < 1.0
     assert (code, out, err) == (3, "", "error: coset capacity 100000 exceeded\n")
+
+
+def test_construct_hp_checks_capacity_before_building(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a permutation was built")
+
+    # |H| = 24m = 100008 is more than the default --max-cosets; 9m - 4 is
+    # composite for both m, which warns
+    start = time.perf_counter()
+    with monkeypatch.context() as patched, pytest.warns(UserWarning):
+        patched.setattr(families, "_split_extension", refuse)
+        patched.setattr(families, "cyclic_order_certificate", refuse)
+        code, out, err = run(capsys, "construct", "--family", "hp", "--m", "4167")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (3, "", "error: coset capacity 100000 exceeded\n")
+    # |H| = 99960 is within it
+    with pytest.warns(UserWarning):
+        code, out, _ = run(capsys, "construct", "--family", "hp", "--m", "4165")
+    assert code == 0
+    assert out == map_file_text(families.valency_eight_text(4165), families.MARK_NAMES)
 
 
 def test_construct_deterministic(capsys):

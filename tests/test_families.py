@@ -9,6 +9,7 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,7 @@ from ebrmaps.families import (
     is_prime,
     presentation_text,
     valency_eight_map,
-    valency_eight_quotient_certificate,
+    valency_eight_text,
 )
 from ebrmaps.groups import FiniteGroup, are_isomorphic, cyclic, dihedral, direct_product
 from ebrmaps.maps import (
@@ -186,10 +187,6 @@ def test_cyclic_fitting_text_mentions_parameters():
     assert "(s x)^4" in text  # j
 
 
-def test_valency_eight_certificate():
-    assert valency_eight_quotient_certificate() is True
-
-
 def test_valency_eight_map():
     for m_param in (1, 3):
         m = valency_eight_map(m_param)
@@ -208,6 +205,37 @@ def test_valency_eight_map_warns_on_composite_characteristic():
     with pytest.warns(UserWarning):
         m = valency_eight_map(9)
     assert m.group.order == 216
+
+
+def test_valency_eight_map_equals_the_enumerated_map():
+    # C_m' x| ve(3^e) against the regular action of the presentation found
+    # by coset enumeration; m = 3, 9 and 27 have a quotient B other than S_4
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # 9m - 4 is often composite
+        for m in range(1, 42, 2):
+            reference = load_map(map_file_text(valency_eight_text(m), families.MARK_NAMES))
+            assert equivalence_key(valency_eight_map(m)) == equivalence_key(reference), m
+
+
+def test_valency_eight_map_enumerates_at_most_its_quotient(monkeypatch):
+    # the enumerations are the cosets of <s x> (index 8) and B's regular
+    # action (|B| = 24*3^e cosets), never the 24m cosets of the trivial
+    # subgroup of H
+    import ebrmaps.presentations as presentations_module
+
+    enumerate_cosets = presentations_module.coset_enumerate
+    cosets = []
+
+    def counting(*args, **kwargs):
+        table = enumerate_cosets(*args, **kwargs)
+        cosets.append(table.num_cosets)
+        return table
+
+    monkeypatch.setattr(presentations_module, "coset_enumerate", counting)
+    for m, b_order in ((5, 24), (35, 24), (1103, 24), (45, 216)):
+        cosets.clear()
+        assert valency_eight_map(m).order == 24 * m
+        assert sorted(cosets) == [8, b_order], m
 
 
 def test_exceptional_order36():
@@ -283,8 +311,8 @@ def test_probe_parameter_validation():
 
 
 def test_families_build_no_large_dense_group(monkeypatch):
-    # maps come from the coset table's permutations; a dense table is only
-    # built for small auxiliary groups (the S4 certificate has 24 elements)
+    # maps come from permutations; a dense table is only built for small
+    # auxiliary groups
     orders = []
     original = FiniteGroup.__post_init__
 
@@ -426,7 +454,8 @@ def test_certified_families_never_enumerate_the_trivial_subgroup(monkeypatch):
     monkeypatch.setattr(maps_module, "regular_action", refuse)
     monkeypatch.setattr(presentations_module, "regular_action", refuse)
     assert dihedral_family_1(997).order == 3992
-    # p = 1009 has no valency-eight member, whose proof still enumerates
+    # p = 1009 has no valency-eight member, which enumerates its quotient B
+    # (test_valency_eight_map_enumerates_at_most_its_quotient)
     entries = census.classify(1009, "constructive")
     assert {e.family[:3] for e in entries} == {"dh1", "dh2", "hpj"}
 
@@ -447,7 +476,7 @@ good_build = families._split_extension
 good_text = families.dihedral_family_1_text
 # t = y r^2 instead of y r: every relator holds except s (y t)^(p+1)
 families._split_extension = lambda n, kappa, action, marks: good_build(
-    n, kappa, action, (*marks[:3], (n - 2, 1))
+    n, kappa, action, (*marks[:3], (n - 2, marks[3][1]))
 )
 attempt(lambda: families.dihedral_family_1(5))
 families._split_extension = good_build
@@ -476,14 +505,16 @@ def test_split_extension_adds_in_a_and_checks_like_the_reference():
         for g in range(a.order):
             assert families._added(list(range(a.order)), g, kappa) == [row[g] for row in a.mul]
     # C_2 on C_6, numbered as C_6 and as C_3 x C_2: every permutation as
-    # the action of the involution, against the exhaustive check
+    # the action of the involution, against the exhaustive check; the one
+    # mark is B's generator
     c2 = cyclic(2)
     for lam, kappa in ((6, 1), (3, 2)):
         a = direct_product(cyclic(lam), cyclic(kappa))
         accepted = 0
         for perm in itertools.permutations(range(6)):
             action = (tuple(range(6)), perm)
-            got = rejection(families._split_extension, lam, kappa, action, ())
+            marks = ((0, families._FLIP),)
+            got = rejection(families._split_extension, lam, kappa, action, marks)
             assert got == rejection(check_action_exhaustive, a, c2, action), (lam, perm)
             accepted += got is None
         assert accepted == 2
@@ -493,9 +524,9 @@ def test_broken_action_fails_exactly_one_relator():
     p = 5
     n = 2 * (p + 1)
     pres = parse_presentation(dihedral_family_1_text(p))
-    inversion = families._inversion(n)
-    good = families._split_extension(n, 1, inversion, ((p + 1, 1), (0, 1), (p + 1, 0), (n - 1, 1)))
-    bad = families._split_extension(n, 1, inversion, ((p + 1, 1), (0, 1), (p + 1, 0), (n - 2, 1)))
+    inversion, keep, flip = families._inversion(n), families._KEEP, families._FLIP
+    good = families._split_extension(n, 1, inversion, ((p + 1, flip), (0, flip), (p + 1, keep), (n - 1, flip)))
+    bad = families._split_extension(n, 1, inversion, ((p + 1, flip), (0, flip), (p + 1, keep), (n - 2, flip)))
     assert _table_fault(CosetTable(good), pres, ()) is None
     assert _table_fault(CosetTable(bad), pres, ()) == "relator does not close"
     one_relator = [

@@ -160,6 +160,27 @@ def test_action_check_agrees_with_the_exhaustive_reference():
     assert count == 10
 
 
+def test_action_check_with_a_non_abelian_b():
+    # every map from the 6 elements of D_6 (non-abelian) to {identity,
+    # inversion} on C_5: the trivial map and the sign are the only
+    # homomorphisms, checked on B's generators against every pair
+    c5, d6 = cyclic(5), dihedral(6).group
+    choices = (tuple(range(5)), c5.inv)
+    accepted = []
+    for signs in itertools.product((0, 1), repeat=6):
+        action = tuple(choices[sign] for sign in signs)
+        got = rejection(semidirect, c5, d6, action)
+        assert got == rejection(check_action_exhaustive, c5, d6, action), signs
+        if got is None:
+            accepted.append(signs)
+    assert accepted == [(0,) * 6, (0, 0, 0, 1, 1, 1)]
+    # a trivial B has no generators: only the identity's image is checked
+    for action in ((choices[0],), (choices[1],)):
+        got = rejection(semidirect, c5, cyclic(1), action)
+        assert got == rejection(check_action_exhaustive, c5, cyclic(1), action)
+    assert got == "action is not a homomorphism B -> Aut(A)"
+
+
 def test_quotient_of_dihedral_by_center():
     d8 = dihedral(8).group
     center = {0, 2}  # identity and the half-turn rotation

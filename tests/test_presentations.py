@@ -141,6 +141,15 @@ def test_parse_errors_carry_line_and_column():
         parse_presentation("gens a b\nrel\n")  # empty word
 
 
+def test_parse_rejects_non_ascii_digits():
+    # str.isdigit accepts both; only 0-9 make an exponent
+    for exponent in ("\u00b3", "\u0663"):  # superscript three, Arabic-Indic three
+        with pytest.raises(ParseError) as exc:
+            parse_presentation(f"gens x y\nrel (x y)^{exponent}\n")
+        assert (exc.value.line, exc.value.column) == (2, 11)
+        assert "unexpected character" in str(exc.value)
+
+
 def test_error_hierarchy():
     assert issubclass(ParseError, ValueError)
     assert issubclass(CapacityExceeded, RuntimeError)
