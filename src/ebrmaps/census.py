@@ -16,14 +16,13 @@ non-isomorphic and match the documented count for that order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import families
 from .groups import (
     FiniteGroup,
     VerificationError,
+    _Record,
     alternating,
     are_isomorphic,
     cyclic,
@@ -31,6 +30,7 @@ from .groups import (
     dihedral,
     direct_product,
     extend_generator_map,
+    is_prime,
     quotient,
     semidirect,
     symmetric,
@@ -56,8 +56,7 @@ class UnsupportedOrder(ValueError):
 # admissible types
 
 
-@dataclass(frozen=True)
-class AdmissibleType:
+class AdmissibleType(_Record):
     """An (order, type) combination compatible with chi = -p.
 
     Satisfies n*(1/k - 1/2 + 1/l) = -p with k <= l both even, k >= 4,
@@ -65,10 +64,13 @@ class AdmissibleType:
     most 12.
     """
 
-    n: int
-    k: int
-    l: int
-    nu: Fraction
+    _fields = ("n", "k", "l", "nu")
+
+    def __init__(self, n: int, k: int, l: int, nu: Fraction) -> None:
+        self.n = n
+        self.k = k
+        self.l = l
+        self.nu = nu
 
     @property
     def pair(self) -> tuple[int, int]:
@@ -84,7 +86,7 @@ def admissible_types(p: int) -> list[AdmissibleType]:
     k <= 2p + 4; for k = 4, l >= 6 bounds F by 2p.  Each k tries the
     divisors of 2kp below its bound, O(p log p) steps in all.
     """
-    if not families.is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     out: list[AdmissibleType] = []
     for k in range(4, 2 * p + 5, 2):
@@ -508,18 +510,22 @@ def _close(seen: set, frontier: list, generators: list[list[int]]) -> None:
 # classification
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
     """One classified map with its provenance label and defining relators."""
 
-    map: EdgeBiregularMap
-    family: str | None
-    presentation: str
+    _fields = ("map", "family", "presentation")
+
+    def __init__(self, map: EdgeBiregularMap, family: str | None, presentation: str) -> None:
+        self.map = map
+        self.family = family
+        self.presentation = presentation
 
 
 def _constructive_entries(p: int) -> dict[tuple[int, ...], CatalogEntry]:
     """Every family constructor applicable at chi = -p, deduplicated, each
     under the equivalence key of its map."""
+    from . import families
+
     built: list[CatalogEntry] = []
     if p == 2:
         for i, m in enumerate(families.chi_minus_2_catalog(), start=1):
@@ -580,7 +586,7 @@ def classify(p: int, profile: str = "exhaustive") -> list[CatalogEntry]:
     """
     if profile not in ("exhaustive", "constructive"):
         raise ValueError(f"unknown profile {profile!r}")
-    if not families.is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if profile == "constructive":
         return _sort_entries(list(_constructive_entries(p).values()))

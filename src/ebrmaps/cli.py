@@ -25,23 +25,13 @@ import json
 import sys
 from pathlib import Path
 
-from . import census, families
-from .maps import (
-    EdgeBiregularMap,
-    MapStructureError,
-    flag_structure,
-    load_map,
-    map_file_text,
-    map_invariants,
-    strip_mark_lines,
-)
-from .presentations import (
-    DEFAULT_MAX_COSETS,
-    CapacityExceeded,
-    ParseError,
-    coset_enumerate,
-    parse_presentation,
-)
+from .groups import DEFAULT_MAX_COSETS
+
+# Each subcommand imports the modules it runs, so that a process loads no
+# module its command does not use.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .maps import EdgeBiregularMap
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -58,6 +48,18 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _positive_int(text: str) -> int:
+    """The value of --max-cosets: a bound below 1 could never be met, so it
+    is an input error, not a resource limit."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _write_out(args: argparse.Namespace, text: str) -> None:
     if args.out == "-":
         sys.stdout.write(text)
@@ -70,6 +72,9 @@ def _write_out(args: argparse.Namespace, text: str) -> None:
 
 
 def cmd_order(args: argparse.Namespace) -> int:
+    from .maps import strip_mark_lines
+    from .presentations import coset_enumerate, parse_presentation
+
     text = strip_mark_lines(_read_text(args.file))
     pres = parse_presentation(text)
     table = coset_enumerate(pres, (), max_cosets=args.max_cosets)
@@ -78,12 +83,17 @@ def cmd_order(args: argparse.Namespace) -> int:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
+    from .maps import load_map, map_invariants
+
     m = load_map(_read_text(args.file), max_cosets=args.max_cosets)
     _write_out(args, json.dumps(map_invariants(m), indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
+    from . import families
+    from .maps import load_map, map_file_text
+
     def need(flag: str, value) -> None:
         if value is None:
             raise ValueError(f"--family {args.family} requires {flag}")
@@ -120,6 +130,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from . import census
+
     entries = census.classify(args.p, args.profile)
     _write_out(args, census.catalog_json(entries))
     return EXIT_OK
@@ -130,6 +142,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _verify_thm_even(lines: list[str]) -> bool:
+    from . import census, families
+
     rows = census.catalog_rows(census.classify(2, "exhaustive"))
     expected = []
     for i in range(1, 13):
@@ -155,7 +169,10 @@ def _verify_thm_even(lines: list[str]) -> bool:
 
 
 def _verify_thm_odd(p: int, lines: list[str]) -> bool:
-    if p == 2 or not families.is_prime(p):
+    from . import census
+    from .groups import is_prime
+
+    if p == 2 or not is_prime(p):
         raise ValueError(f"verify thm-odd covers odd primes only, got --p {p}")
     exhaustive = census.classify(p, "exhaustive")
     constructive = census.classify(p, "constructive")
@@ -175,6 +192,8 @@ _PROBE_GRID = ((3, 5), (5, 3), (7, 3), (7, 5), (5, 4), (5, 6))
 
 
 def _verify_lemma_4_3(lines: list[str]) -> bool:
+    from . import families
+
     ok = True
     for p, lam in _PROBE_GRID:
         try:
@@ -188,6 +207,8 @@ def _verify_lemma_4_3(lines: list[str]) -> bool:
 
 
 def _verify_lemma_4_2(lines: list[str]) -> bool:
+    from . import census
+
     report = census.verify_chi_minus_1_dihedral()
     for row in report["groups"]:
         lines.append(
@@ -198,6 +219,8 @@ def _verify_lemma_4_2(lines: list[str]) -> bool:
 
 
 def _verify_exclusions(p: int, lines: list[str]) -> bool:
+    from . import census
+
     report = census.verify_p_divides_exclusions(p)
     for row in report["orders"]:
         if row["status"] == "UNSUPPORTED":
@@ -249,6 +272,8 @@ def _cayley_edges(m: EdgeBiregularMap) -> list[tuple[int, int, str]]:
 
 
 def _flag_edges(m: EdgeBiregularMap) -> list[tuple[int, int, str]]:
+    from .maps import flag_structure
+
     fs = flag_structure(m)
     edges = []
     for label, rho in (("rho0", fs.rho0), ("rho1", fs.rho1), ("rho2", fs.rho2)):
@@ -276,6 +301,8 @@ def _json_graph(num_nodes: int, edges: list[tuple[int, int, str]]) -> str:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    from .maps import load_map
+
     m = load_map(_read_text(args.file), max_cosets=args.max_cosets)
     if args.what == "cayley":
         num_nodes, edges = m.order, _cayley_edges(m)
@@ -301,7 +328,7 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, max_cosets: bool = True) -> None:
         if max_cosets:
-            p.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
+            p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
         p.add_argument("--out", default="-", help="output path (default stdout)")
 
     p_order = sub.add_parser("order", help="order of a finitely presented group")
@@ -356,17 +383,21 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+def _capacity_exceeded() -> tuple[type[Exception], ...]:
+    """The coset enumerator's CapacityExceeded, if the enumerator has been
+    imported (else nothing can have raised it), without importing it."""
+    presentations = sys.modules.get(f"{__package__}.presentations")
+    return (presentations.CapacityExceeded,) if presentations else ()
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except CapacityExceeded as exc:
+    except _capacity_exceeded() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ParseError, MapStructureError, census.UnsupportedOrder) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError and the like are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as exc:

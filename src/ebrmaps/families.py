@@ -41,15 +41,16 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import (
     VerificationError,
+    _Record,
     _check_action,
     cyclic,
     dihedral,
     extend_generator_map,
+    is_prime,
     multiplicative_units,
     semidirect,
 )
@@ -74,19 +75,6 @@ from .presentations import (
     parse_presentation,
     regular_action,
 )
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _require_odd_prime(p: int) -> None:
@@ -274,8 +262,7 @@ _KEEP, _FLIP = (0, 1), (1, 0)
 # the cyclic-Fitting family: F = C_{kappa*lambda} extended by V_4
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(_Record):
     """Parameters (kappa, lam, j) of the cyclic-Fitting family.
 
     kappa and lam are odd, coprime, with lam >= 3; j satisfies
@@ -287,21 +274,22 @@ class FamilyParams:
       and gcd(b+1, d+1) = 1.
     """
 
-    kappa: int
-    lam: int
-    j: int
+    _fields = ("kappa", "lam", "j")
 
-    def __post_init__(self) -> None:
-        if self.kappa < 1 or self.kappa % 2 == 0:
+    def __init__(self, kappa: int, lam: int, j: int) -> None:
+        if kappa < 1 or kappa % 2 == 0:
             raise ValueError("kappa must be a positive odd integer")
-        if self.lam < 3 or self.lam % 2 == 0:
+        if lam < 3 or lam % 2 == 0:
             raise ValueError("lam must be an odd integer >= 3")
-        if math.gcd(self.kappa, self.lam) != 1:
+        if math.gcd(kappa, lam) != 1:
             raise ValueError("kappa and lam must be coprime")
-        if not 0 < self.j < self.lam:
+        if not 0 < j < lam:
             raise ValueError("j must satisfy 0 < j < lam")
-        if (self.j * self.j) % self.lam != 1:
+        if (j * j) % lam != 1:
             raise ValueError("j^2 must be 1 modulo lam")
+        self.kappa = kappa
+        self.lam = lam
+        self.j = j
 
     @property
     def a(self) -> int:

@@ -22,7 +22,6 @@ formulas in this package follow that convention.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, permutations, repeat
 from math import gcd
@@ -37,19 +36,52 @@ class VerificationError(AssertionError):
     """
 
 
-@dataclass(frozen=True, eq=False)
+Perm = tuple[int, ...]
+
+# The most cosets, and so the largest group, that a coset enumeration may
+# define unless told otherwise.  It is kept here, not beside the enumerator
+# in ``presentations``, so the CLI and ``maps`` can name it without
+# loading the enumerator.
+DEFAULT_MAX_COSETS = 100_000
+
+
+class _Record:
+    """Base of the library's value records.
+
+    Two records are equal when they are of the same class and agree on the
+    attributes named in ``_fields``; a record hashes and prints by them.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 class FiniteGroup:
     """Immutable finite group given by its multiplication table.
 
     ``mul[a][b]`` is the product a*b.  Derived data (identity, inverses,
-    element orders) is computed eagerly; the table is never mutated.
+    element orders) is computed eagerly by ``__post_init__``; the table is
+    never mutated.  Groups are equal only to themselves.
     """
 
-    mul: tuple[tuple[int, ...], ...]
-    name: str = "G"
-    identity: int = field(init=False)
-    inv: tuple[int, ...] = field(init=False)
-    element_orders: tuple[int, ...] = field(init=False)
+    def __init__(self, mul: tuple[tuple[int, ...], ...], name: str = "G") -> None:
+        self.mul = mul
+        self.name = name
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         mul = self.mul
@@ -82,9 +114,9 @@ class FiniteGroup:
             k = len(powers)
             for j, power in enumerate(powers, 1):
                 orders[power] = k // gcd(j, k)
-        object.__setattr__(self, "identity", ident)
-        object.__setattr__(self, "inv", tuple(inv))
-        object.__setattr__(self, "element_orders", tuple(orders))
+        self.identity = ident
+        self.inv = tuple(inv)
+        self.element_orders = tuple(orders)
 
     @property
     def order(self) -> int:
@@ -124,23 +156,21 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-@dataclass(frozen=True, eq=False)
 class MarkedGroup:
     """A finite group together with an ordered tuple of marked elements.
 
     The marked elements must generate the group; this is checked at
-    construction time.
+    construction time.  Marked groups are equal only to themselves.
     """
 
-    group: FiniteGroup
-    marked: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = self.group.order
-        if not self.marked or any(not (0 <= g < n) for g in self.marked):
+    def __init__(self, group: FiniteGroup, marked: tuple[int, ...]) -> None:
+        n = group.order
+        if not marked or any(not (0 <= g < n) for g in marked):
             raise ValueError("marked elements out of range")
-        if len(subgroup_closure(self.group, self.marked)) != n:
+        if len(subgroup_closure(group, marked)) != n:
             raise ValueError("marked elements do not generate the group")
+        self.group = group
+        self.marked = marked
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MarkedGroup({self.group.name}, marked={self.marked})"
@@ -226,7 +256,7 @@ def _group_from_perms(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
         tuple(index[_perm_compose(p, q)] for q in perms) for p in perms
     )
     grp = FiniteGroup(table, name=name)
-    object.__setattr__(grp, "perms", tuple(perms))  # carried for callers
+    grp.perms = tuple(perms)  # carried for callers
     return grp
 
 
@@ -367,8 +397,46 @@ def multiplicative_units(n: int) -> FiniteGroup:
     index = {u: i for i, u in enumerate(units)}
     table = tuple(tuple(index[(u * v) % n] for v in units) for u in units)
     grp = FiniteGroup(table, name=f"U({n})")
-    object.__setattr__(grp, "units", tuple(units))  # carried for callers
+    grp.units = tuple(units)  # carried for callers
     return grp
+
+
+def group_from_action(perms: tuple[Perm, ...], name: str) -> FiniteGroup:
+    """Dense group of a regular right action whose point 0 is the identity.
+
+    ``perms[g][h]`` is h times the g-th generator, and point h stands for
+    the element carrying 0 to h.  Column b of the table (h -> h*b) is
+    reached from the identity column along a breadth-first spanning tree,
+    since column b*g is column b followed by perms[g].  Builds |H|^2
+    entries, so it is meant for small groups and for tests.
+    """
+    n = len(perms[0])
+    columns: list[list[int] | None] = [None] * n
+    columns[0] = list(range(n))
+    found = [0]
+    for b in found:
+        col = columns[b]
+        for perm in perms:
+            d = perm[b]
+            if columns[d] is None:
+                columns[d] = [perm[c] for c in col]  # type: ignore[union-attr]
+                found.append(d)
+    if len(found) != n:
+        raise ValueError("the action is not transitive")
+    return FiniteGroup(tuple(zip(*columns)), name=name)  # type: ignore[arg-type]
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
 
 
 # ---------------------------------------------------------------------------

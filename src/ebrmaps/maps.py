@@ -24,22 +24,18 @@ even words, and 2-colorability of the flag graph) which must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
 from .groups import (
+    DEFAULT_MAX_COSETS,
     FiniteGroup,
     MarkedGroup,
-    VerificationError,
-    subgroup_closure,
-)
-from .presentations import (
-    DEFAULT_MAX_COSETS,
     Perm,
+    VerificationError,
+    _Record,
     group_from_action,
-    parse_presentation,
-    regular_action,
+    subgroup_closure,
 )
 
 
@@ -66,20 +62,29 @@ class NotGenerating(MapStructureError):
 MARK_NAMES = ("x", "y", "s", "t")
 
 
-@dataclass(frozen=True)
-class EdgeBiregularMap:
+class EdgeBiregularMap(_Record):
     """Value object: H acting on itself by right multiplication by the marks.
 
     ``perms[i][h]`` is the point h times the i-th mark of (x, y, s, t), and
     the point ``base`` is the identity, so the mark itself is
     ``perms[i][base]``.  Maps built from a presentation number H by coset
     and have base 0; maps built on a dense group use its element numbers.
+    Equality compares ``perms`` and ``base`` only.
     """
 
-    perms: tuple[Perm, Perm, Perm, Perm]
-    base: int = 0
-    name: str = field(default="H", compare=False)
-    dense: FiniteGroup | None = field(default=None, compare=False, repr=False)
+    _fields = ("perms", "base")
+
+    def __init__(
+        self,
+        perms: tuple[Perm, Perm, Perm, Perm],
+        base: int = 0,
+        name: str = "H",
+        dense: FiniteGroup | None = None,
+    ) -> None:
+        self.perms = perms
+        self.base = base
+        self.name = name
+        self.dense = dense
 
     @property
     def order(self) -> int:
@@ -109,7 +114,7 @@ class EdgeBiregularMap:
     def group(self) -> FiniteGroup:
         """The dense group, built from the action on first use (|H|^2 entries)."""
         if self.dense is None:
-            object.__setattr__(self, "dense", group_from_action(self.perms, self.name))
+            self.dense = group_from_action(self.perms, self.name)
         return self.dense  # type: ignore[return-value]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -235,8 +240,7 @@ def euler_characteristic_formula(order: int, k: int, l: int) -> int | Fraction:
 # flags
 
 
-@dataclass(frozen=True)
-class FlagStructure:
+class FlagStructure(_Record):
     """The 2|H| flags with the three adjacency involutions.
 
     Flag 2*h + 0 is the bold-side flag at group element h, flag 2*h + 1 the
@@ -244,9 +248,14 @@ class FlagStructure:
     dashed side, rho2 by y and t, and rho1 swaps sides.
     """
 
-    rho0: tuple[int, ...]
-    rho1: tuple[int, ...]
-    rho2: tuple[int, ...]
+    _fields = ("rho0", "rho1", "rho2")
+
+    def __init__(
+        self, rho0: tuple[int, ...], rho1: tuple[int, ...], rho2: tuple[int, ...]
+    ) -> None:
+        self.rho0 = rho0
+        self.rho1 = rho1
+        self.rho2 = rho2
 
     @property
     def num_flags(self) -> int:
@@ -294,14 +303,12 @@ def flag_structure(m: EdgeBiregularMap) -> FlagStructure:
 
 
 def _even_subgroup_index(m: EdgeBiregularMap) -> int:
-    """Index (1 or 2) of the subgroup generated by the pairwise products of
-    the marks: |H| over the size of the base point's orbit under them."""
-    products = [
-        tuple(v[u[h]] for h in range(m.order))
-        for i, u in enumerate(m.perms)
-        for j, v in enumerate(m.perms)
-        if i != j
-    ]
+    """Index (1 or 2) of the subgroup of even words in the marks: |H| over
+    the size of the base point's orbit under x*y, x*s and x*t.  These three
+    generate every product a*b of two marks, since a*b = (x*a)^-1 (x*b)
+    when x and a are involutions."""
+    px, *others = m.perms
+    products = [tuple(map(a.__getitem__, px)) for a in others]
     size = len(_orbit(products, m.base))
     index, remainder = divmod(m.order, size)
     if remainder or index not in (1, 2):
@@ -355,23 +362,6 @@ def twin(m: EdgeBiregularMap) -> EdgeBiregularMap:
     return _reordered(m, (2, 3, 0, 1))
 
 
-def _standard_table(perms: tuple[Perm, ...], base: int = 0) -> tuple[int, ...]:
-    """Right multiplication by the marks, with H renumbered canonically.
-
-    H is numbered in breadth-first order from the identity ``base``,
-    applying the mark permutations in the given order (the standardized
-    coset table of Holt, Eick and O'Brien, Handbook of Computational Group
-    Theory, ch. 5).  Entry i * len(perms) + j is the number of h_i * mark_j.
-    Two regular actions have equal tables exactly when an isomorphism
-    carries one's marks to the other's.
-    """
-    number = [-1] * len(perms[0])
-    number[base] = 0
-    table: list[int] = []
-    _standard_rows(perms, number, [base], table, 0)
-    return tuple(table)
-
-
 def _standard_rows(
     perms: tuple[Perm, ...],
     number: list[int],
@@ -381,7 +371,16 @@ def _standard_rows(
 ) -> None:
     """Append the rows of the standardized table from row ``start`` on to
     ``table``.  ``elements`` lists H in its numbering so far and ``number``
-    inverts it; both grow as new elements are reached."""
+    inverts it; both grow as new elements are reached.
+
+    The standardized table is right multiplication by the marks, with H
+    numbered in breadth-first order from the identity, applying the mark
+    permutations in the given order (the standardized coset table of Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, ch. 5).  Entry
+    i * len(perms) + j is the number of h_i * mark_j.  Two regular actions
+    have equal tables exactly when an isomorphism carries one's marks to
+    the other's.
+    """
     for h in islice(elements, start, None):  # grows while it is walked
         for perm in perms:
             g = perm[h]
@@ -392,14 +391,44 @@ def _standard_rows(
             table.append(i)
 
 
+def _same_standard_table(a: tuple[Perm, ...], b: tuple[Perm, ...], base: int) -> bool:
+    """Whether the mark orderings a and b of one regular action, with
+    identity ``base``, have equal standardized tables (see
+    :func:`_standard_rows`), that is, whether an automorphism carries a's
+    marks to b's.
+
+    The two tables are built in lockstep, one row at a time, as in
+    :func:`_canonical_form`, and the comparison stops at the first entry
+    that differs.  While the rows agree, both numberings add the same new
+    elements, so the two lists of H stay the same length.
+    """
+    n = len(a[0])
+    number_a, number_b = [-1] * n, [-1] * n
+    number_a[base] = number_b[base] = 0
+    elements_a, elements_b = [base], [base]
+    for g, h in zip(elements_a, elements_b):  # both grow while they are walked
+        for perm_a, perm_b in zip(a, b):
+            ga, hb = perm_a[g], perm_b[h]
+            i, j = number_a[ga], number_b[hb]
+            if i < 0:
+                i = number_a[ga] = len(elements_a)
+                elements_a.append(ga)
+            if j < 0:
+                j = number_b[hb] = len(elements_b)
+                elements_b.append(hb)
+            if i != j:
+                return False
+    return True
+
+
 def is_fully_regular(m: EdgeBiregularMap) -> bool:
     """m is isomorphic to its twin."""
-    return _standard_table(m.perms, m.base) == _standard_table(twin(m).perms, m.base)
+    return _same_standard_table(m.perms, twin(m).perms, m.base)
 
 
 def is_self_dual(m: EdgeBiregularMap) -> bool:
     """m is isomorphic to its dual."""
-    return _standard_table(m.perms, m.base) == _standard_table(dual(m).perms, m.base)
+    return _same_standard_table(m.perms, dual(m).perms, m.base)
 
 
 def equivalence_key(m: EdgeBiregularMap) -> tuple[int, ...]:
@@ -461,12 +490,14 @@ def _canonical_form(
 # semi-edge maps (the s = t degeneracy)
 
 
-@dataclass(frozen=True)
-class SemiEdgeMap:
+class SemiEdgeMap(_Record):
     """Map with a semi-edge at every corner: marks (x, y, r) with s = t = r."""
 
-    group: FiniteGroup
-    marks: tuple[int, int, int]
+    _fields = ("group", "marks")
+
+    def __init__(self, group: FiniteGroup, marks: tuple[int, int, int]) -> None:
+        self.group = group
+        self.marks = marks
 
     @property
     def x(self) -> int:
@@ -547,6 +578,8 @@ def load_map(
     name: str | None = None,
 ) -> EdgeBiregularMap:
     """Build the map defined by a map file (presentation + mark line)."""
+    from .presentations import parse_presentation, regular_action
+
     mark_names: list[str] | None = None
     pres_lines: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

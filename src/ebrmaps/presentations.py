@@ -33,16 +33,19 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
-from .groups import FiniteGroup, VerificationError
+from .groups import (  # noqa: F401 - group_from_action is re-exported
+    DEFAULT_MAX_COSETS,
+    Perm,
+    VerificationError,
+    _Record,
+    group_from_action,
+)
 
 Word = tuple[int, ...]
-Perm = tuple[int, ...]
 # A written word: each factor is a generator or a pair (form, k) for form^k.
 Form = tuple["int | tuple[Form, int]", ...]
 
-DEFAULT_MAX_COSETS = 100_000
 MAX_RELATOR_LENGTH = 1_000_000
 
 
@@ -63,29 +66,35 @@ class CapacityExceeded(RuntimeError):
         self.max_cosets = max_cosets
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Record):
     """Generators and relators; ``relator_forms`` optionally keeps each
-    relator as written, with its powers, and must expand to ``relators``."""
+    relator as written, with its powers, and must expand to ``relators``.
+    Equality ignores ``relator_forms``."""
 
-    generator_names: tuple[str, ...]
-    relators: tuple[Word, ...]
-    relator_forms: tuple[Form, ...] = field(default=(), compare=False)
+    _fields = ("generator_names", "relators")
 
-    def __post_init__(self) -> None:
-        if not self.generator_names:
+    def __init__(
+        self,
+        generator_names: tuple[str, ...],
+        relators: tuple[Word, ...],
+        relator_forms: tuple[Form, ...] = (),
+    ) -> None:
+        if not generator_names:
             raise ValueError("a presentation needs at least one generator")
-        if len(set(self.generator_names)) != len(self.generator_names):
+        if len(set(generator_names)) != len(generator_names):
             raise ValueError("generator names must be distinct")
-        ng = len(self.generator_names)
-        for w in self.relators:
+        ng = len(generator_names)
+        for w in relators:
             if any(not (0 <= g < ng) for g in w):
                 raise ValueError("relator references unknown generator")
-        if self.relator_forms and (
-            len(self.relator_forms) != len(self.relators)
-            or any(_expand(f) != w for f, w in zip(self.relator_forms, self.relators))
+        if relator_forms and (
+            len(relator_forms) != len(relators)
+            or any(_expand(f) != w for f, w in zip(relator_forms, relators))
         ):
             raise ValueError("relator forms do not expand to the relators")
+        self.generator_names = generator_names
+        self.relators = relators
+        self.relator_forms = relator_forms
 
     @property
     def num_generators(self) -> int:
@@ -258,8 +267,7 @@ def parse_presentation(text: str) -> Presentation:
 # Todd-Coxeter (HLT with row filling), specialized to involutory generators
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(_Record):
     """Completed, compacted coset table on live cosets 0..n-1, by column.
 
     ``columns[g][c]`` is the coset reached from c by the (involutory)
@@ -267,7 +275,10 @@ class CosetTable:
     columns[g][columns[g][c]] == c.
     """
 
-    columns: tuple[Perm, ...]
+    _fields = ("columns",)
+
+    def __init__(self, columns: tuple[Perm, ...]) -> None:
+        self.columns = columns
 
     @property
     def num_cosets(self) -> int:
@@ -573,28 +584,3 @@ def _lattice_index(rows: list[list[int]], m: int) -> int | None:
         index *= abs(pivot[j])
         rows = rest
     return index
-
-
-def group_from_action(perms: tuple[Perm, ...], name: str) -> FiniteGroup:
-    """Dense group of a regular right action whose point 0 is the identity.
-
-    ``perms[g][h]`` is h times the g-th generator, and point h stands for
-    the element carrying 0 to h.  Column b of the table (h -> h*b) is
-    reached from the identity column along a breadth-first spanning tree,
-    since column b*g is column b followed by perms[g].  Builds |H|^2
-    entries, so it is meant for small groups and for tests.
-    """
-    n = len(perms[0])
-    columns: list[list[int] | None] = [None] * n
-    columns[0] = list(range(n))
-    found = [0]
-    for b in found:
-        col = columns[b]
-        for perm in perms:
-            d = perm[b]
-            if columns[d] is None:
-                columns[d] = [perm[c] for c in col]  # type: ignore[union-attr]
-                found.append(d)
-    if len(found) != n:
-        raise ValueError("the action is not transitive")
-    return FiniteGroup(tuple(zip(*columns)), name=name)  # type: ignore[arg-type]

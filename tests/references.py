@@ -12,7 +12,16 @@ from ebrmaps.groups import (
     _extend_iso,
     subgroup_closure,
 )
-from ebrmaps.maps import EdgeBiregularMap, all_map_quadruples, equivalence_key, type_of
+from ebrmaps.maps import (
+    EdgeBiregularMap,
+    _orbit,
+    _standard_rows,
+    all_map_quadruples,
+    dual,
+    equivalence_key,
+    twin,
+    type_of,
+)
 from ebrmaps.presentations import Presentation, group_from_action, regular_action
 
 
@@ -46,6 +55,38 @@ def index_of_even_subgroup(marked: MarkedGroup) -> int:
     if remainder or index not in (1, 2):
         raise VerificationError(f"even subgroup has unexpected index {index}")
     return index
+
+
+def even_subgroup_index_of_products(m: EdgeBiregularMap) -> int:
+    """Index of the subgroup generated by all twelve ordered products u*v of
+    two distinct marks: |H| over the base point's orbit under them."""
+    products = [
+        tuple(v[u[h]] for h in range(m.order))
+        for i, u in enumerate(m.perms)
+        for j, v in enumerate(m.perms)
+        if i != j
+    ]
+    return m.order // len(_orbit(products, m.base))
+
+
+def standard_table(perms, base: int = 0) -> tuple[int, ...]:
+    """The whole standardized table of the regular action by the marks
+    ``perms`` with identity ``base`` (``maps._standard_rows``)."""
+    number = [-1] * len(perms[0])
+    number[base] = 0
+    table: list[int] = []
+    _standard_rows(perms, number, [base], table, 0)
+    return tuple(table)
+
+
+def is_fully_regular_by_tables(m: EdgeBiregularMap) -> bool:
+    """m and its twin have equal standardized tables, each built in full."""
+    return standard_table(m.perms, m.base) == standard_table(twin(m).perms, m.base)
+
+
+def is_self_dual_by_tables(m: EdgeBiregularMap) -> bool:
+    """m and its dual have equal standardized tables, each built in full."""
+    return standard_table(m.perms, m.base) == standard_table(dual(m).perms, m.base)
 
 
 def enumerate_maps_by_key(group, want_chi=None) -> list[EdgeBiregularMap]:

@@ -134,6 +134,33 @@ def test_max_cosets_is_accepted_only_where_it_is_honoured(capsys):
     assert (code, out, err) == (3, "", "error: coset capacity 10 exceeded\n")
 
 
+@pytest.mark.parametrize("bound", ["-5", "0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["order", "{file}"],
+        ["invariants", "{file}"],
+        ["construct", "--family", "dh1", "--p", "3"],
+        ["export", "cayley", "{file}"],
+    ],
+)
+def test_max_cosets_below_one_is_an_input_error(tmp_path, capsys, argv, bound):
+    # no enumeration can meet such a bound, so it is rejected at parse time
+    f = tmp_path / "h3.map"
+    f.write_text(map_file_text(families.exceptional_order36_text(), families.MARK_NAMES))
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(file=f) for arg in argv] + ["--max-cosets", bound])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --max-cosets: must be a positive integer, got {bound}" in err
+
+
+def test_max_cosets_of_one_is_a_resource_limit(capsys):
+    # the least bound that parses still fails as a resource limit
+    code, out, err = run(capsys, "construct", "--family", "dh1", "--p", "3", "--max-cosets", "1")
+    assert (code, out, err) == (3, "", "error: coset capacity 1 exceeded\n")
+
+
 # --- invariants -----------------------------------------------------------
 
 

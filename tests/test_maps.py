@@ -12,7 +12,7 @@ import pytest
 
 import ebrmaps
 import ebrmaps.maps as maps_module
-from ebrmaps.census import ATLAS_ORDERS, _constructive_entries, admissible_types, atlas
+from ebrmaps.census import ATLAS_ORDERS, _constructive_entries, admissible_types, atlas, classify
 from ebrmaps.families import chi_minus_2_catalog
 from ebrmaps.groups import FiniteGroup, MarkedGroup, cyclic, dihedral, direct_product, symmetric
 from ebrmaps.maps import (
@@ -22,7 +22,6 @@ from ebrmaps.maps import (
     NotGenerating,
     NotInvolution,
     PairNotCommuting,
-    _standard_table,
     all_map_quadruples,
     commuting_involution_pairs,
     counts,
@@ -48,7 +47,15 @@ from ebrmaps.maps import (
     type_of,
 )
 from ebrmaps.presentations import parse_presentation
-from references import group_from_presentation, index_of_even_subgroup, is_map_isomorphic
+from references import (
+    even_subgroup_index_of_products,
+    group_from_presentation,
+    index_of_even_subgroup,
+    is_fully_regular_by_tables,
+    is_map_isomorphic,
+    is_self_dual_by_tables,
+    standard_table,
+)
 
 TORUS_LIKE = """\
 # single map file used across several tests
@@ -239,7 +246,7 @@ def _assert_key_decides(maps, key, related):
 
 def test_standard_table_decides_map_isomorphism():
     _assert_key_decides(
-        _small_quadruples(), lambda m: _standard_table(m.perms, m.base), is_map_isomorphic
+        _small_quadruples(), lambda m: standard_table(m.perms, m.base), is_map_isomorphic
     )
 
 
@@ -268,7 +275,7 @@ def test_equivalence_key_ignores_relabelling(seed):
     rng = random.Random(seed)
     for m in _small_quadruples() + [load_map(TORUS_LIKE)]:
         other = _relabelled(m, rng)
-        assert _standard_table(other.perms, other.base) == _standard_table(m.perms, m.base)
+        assert standard_table(other.perms, other.base) == standard_table(m.perms, m.base)
         assert equivalence_key(other) == equivalence_key(m)
 
 
@@ -308,6 +315,32 @@ def test_permutation_invariants_match_dense_references():
         assert is_fully_regular(m) == is_map_isomorphic(m, twin(m))
         assert is_self_dual(m) == is_map_isomorphic(m, dual(m))
         assert equivalence_key(m) == _dense_key(m)
+
+
+def test_short_cut_invariants_match_their_full_references():
+    # the lockstep table comparison stops at the first row that differs and
+    # the even subgroup is generated by x*y, x*s, x*t only; both must give
+    # the answers of the full tables and of all twelve products, on maps
+    # built by search (dense groups) and by the family constructors
+    catalogs = [
+        (2, "exhaustive"),
+        (2, "constructive"),
+        (3, "exhaustive"),
+        (3, "constructive"),
+        (401, "constructive"),
+    ]
+    maps = [entry.map for p, profile in catalogs for entry in classify(p, profile)]
+    seen = set()
+    for m in maps:
+        answers = (is_fully_regular(m), is_self_dual(m), maps_module._even_subgroup_index(m))
+        assert answers == (
+            is_fully_regular_by_tables(m),
+            is_self_dual_by_tables(m),
+            even_subgroup_index_of_products(m),
+        )
+        seen.update(enumerate(answers))
+    # each answer is met both ways
+    assert seen == {(0, True), (0, False), (1, True), (1, False), (2, 1), (2, 2)}
 
 
 def test_map_from_presentation_holds_only_the_action():
@@ -576,7 +609,7 @@ def test_equivalence_key_is_the_least_full_table():
     def least_full_table(m):
         x, y, s, t = m.perms
         orderings = ((x, y, s, t), (y, x, t, s), (s, t, x, y), (t, s, y, x))
-        return min(_standard_table(perms, m.base) for perms in orderings)
+        return min(standard_table(perms, m.base) for perms in orderings)
 
     # every quadruple that classify --p 2 and --p 3 search
     found = [

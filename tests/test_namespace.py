@@ -1,0 +1,131 @@
+"""The package namespace is lazy: importing ``ebrmaps`` loads none of its
+modules, and a CLI process loads only the modules its command runs.
+
+Each check runs in a fresh interpreter, because this test process has long
+since imported every module.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_module_of_the_package():
+    out = run_fresh(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import ebrmaps\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    loaded = eval(out)
+    assert "ebrmaps" in loaded
+    assert [m for m in loaded if m.startswith("ebrmaps.") or m == "dataclasses"] == []
+
+
+def test_every_exported_name_is_its_module_attribute():
+    run_fresh(
+        "import importlib\n"
+        "import ebrmaps\n"
+        "names = [name for names in ebrmaps._EXPORTS.values() for name in names]\n"
+        "assert sorted(names) == sorted(set(names)) == ebrmaps.__all__\n"
+        "for module, names in ebrmaps._EXPORTS.items():\n"
+        "    owner = importlib.import_module('ebrmaps.' + module)\n"
+        "    for name in names:\n"
+        "        assert getattr(ebrmaps, name) is getattr(owner, name), name\n"
+    )
+
+
+@pytest.mark.parametrize("module", ["groups", "presentations", "maps", "families", "census"])
+def test_module_is_an_attribute_of_the_package(module):
+    run_fresh(
+        "import ebrmaps\n"
+        f"assert ebrmaps.{module} is __import__('ebrmaps.{module}').{module}\n"
+    )
+
+
+def test_dir_and_star_import_list_every_exported_name():
+    run_fresh(
+        "import ebrmaps\n"
+        "assert set(ebrmaps.__all__) <= set(dir(ebrmaps))\n"
+        "namespace = {}\n"
+        "exec('from ebrmaps import *', namespace)\n"
+        "assert set(ebrmaps.__all__) <= set(namespace)\n"
+        "assert namespace['classify'] is ebrmaps.census.classify\n"
+    )
+
+
+def test_unknown_attribute_raises_attribute_error():
+    out = run_fresh(
+        "import ebrmaps\n"
+        "try:\n"
+        "    ebrmaps.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert out == "module 'ebrmaps' has no attribute 'no_such_name'\n"
+
+
+def test_exclusions_command_loads_only_what_it_runs():
+    # as `python -m ebrmaps.cli verify exclusions --p 11`
+    out = run_fresh(
+        "import runpy, sys\n"
+        "before = set(sys.modules)\n"
+        "sys.argv = ['ebrmaps', 'verify', 'exclusions', '--p', '11']\n"
+        "try:\n"
+        "    runpy.run_module('ebrmaps.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    verdict, *_, loaded = out.splitlines()
+    assert verdict == "verify exclusions: PASS"
+    loaded = eval(loaded)
+    assert {"ebrmaps.census", "ebrmaps.groups", "ebrmaps.maps"} <= set(loaded)
+    for module in ("ebrmaps.families", "ebrmaps.presentations", "dataclasses"):
+        assert module not in loaded
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted((SRC / "ebrmaps").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "dataclasses" for name in names), path.name
+
+
+def test_capacity_is_a_resource_limit_in_a_fresh_process():
+    # the CLI maps CapacityExceeded to exit 3 without importing the
+    # enumerator itself; here the family builder imports it
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = ["construct", "--family", "dh1", "--p", "3", "--max-cosets", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ebrmaps.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3,
+        "",
+        "error: coset capacity 1 exceeded\n",
+    )
