@@ -9,20 +9,23 @@ the constructive family builders.
 
 The atlas is a table of constructor recipes (cyclic, dihedral, dicyclic,
 symmetric, direct and semidirect products, quotients), not a generator of
-groups by order.  Each atlas call re-verifies that its groups are pairwise
-non-isomorphic and match the documented count for that order.
+groups by order.  A split extension A x| B is given as A, B and the images
+of generators of B on A's elements, and ``semidirect`` checks the action
+composed from them.  Each atlas call re-verifies that its groups are
+pairwise non-isomorphic and match the documented count for that order.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 
 from .groups import (
     FiniteGroup,
+    Perm,
     VerificationError,
     _Record,
+    _perm_compose,
     alternating,
     are_isomorphic,
     cyclic,
@@ -121,14 +124,28 @@ def _prod(*gs: FiniteGroup) -> FiniteGroup:
     return acc
 
 
+def _extension(a: FiniteGroup, b: FiniteGroup, images: dict[int, Perm], name: str) -> FiniteGroup:
+    """A x| B, each generator g of B acting on A's elements by images[g].
+
+    The keys of ``images`` must generate B.  The action of every element of B
+    is composed along a breadth-first walk of B's table from the identity, as
+    action[v*g] = action[v] o images[g]; ``semidirect`` checks that it is one.
+    """
+    action: list[Perm | None] = [None] * b.order
+    action[b.identity] = tuple(range(a.order))
+    walk = [b.identity]
+    for v in walk:
+        for g, image in images.items():
+            vg = b.mul[v][g]
+            if action[vg] is None:
+                action[vg] = _perm_compose(action[v], image)  # type: ignore[arg-type]
+                walk.append(vg)
+    return semidirect(a, b, action, name=name)  # type: ignore[arg-type]
+
+
 def _unit_semidirect(n: int, m: int, unit: int, name: str) -> FiniteGroup:
     """C_n x| C_m, the generator of C_m acting as multiplication by ``unit``."""
-    if pow(unit, m, n) != 1 % n:
-        raise ValueError("unit order must divide m")
-    action = tuple(
-        tuple((c * pow(unit, y, n)) % n for c in range(n)) for y in range(m)
-    )
-    return semidirect(cyclic(n), cyclic(m), action, name=name)
+    return _extension(cyclic(n), cyclic(m), {1: tuple(c * unit % n for c in range(n))}, name)
 
 
 def _odd_by_d8(n: int) -> FiniteGroup:
@@ -137,78 +154,19 @@ def _odd_by_d8(n: int) -> FiniteGroup:
     The action kernel is a Klein four-group, which distinguishes this
     extension from C_n x| D8 with cyclic kernel (the latter is dihedral).
     """
-    inv = tuple((-c) % n for c in range(n))
-    ident = tuple(range(n))
-    action = tuple(inv if d % 2 else ident for d in range(8))
-    return semidirect(cyclic(n), _d(8), action, name=f"C{n}:D8")
-
-
-def _v4_by_c9() -> FiniteGroup:
-    """V4 x| C9, the generator cycling the three involutions."""
-    rot = (0, 2, 3, 1)
-    rot2 = tuple(rot[rot[i]] for i in range(4))
-    powers = ((0, 1, 2, 3), rot, rot2)
-    action = tuple(powers[y % 3] for y in range(9))
-    return semidirect(_prod(cyclic(2), cyclic(2)), cyclic(9), action, name="V4:C9")
-
-
-def _c3sq_by_c4(faithful: bool) -> FiniteGroup:
-    """(C3 x C3) x| C4: (i, m) -> (m, -i) if faithful, else (-i, -m)."""
-    if faithful:
-        gen = tuple(m * 3 + (-i) % 3 for i in range(3) for m in range(3))
-    else:
-        gen = tuple(((-i) % 3) * 3 + (-m) % 3 for i in range(3) for m in range(3))
-    action = [tuple(range(9))]
-    for _ in range(3):
-        prev = action[-1]
-        action.append(tuple(gen[prev[e]] for e in range(9)))
-    tag = "rot" if faithful else "inv"
-    return semidirect(_prod(cyclic(3), cyclic(3)), cyclic(4), tuple(action), name=f"C3^2:C4({tag})")
-
-
-def _dih_c3sq() -> FiniteGroup:
-    """(C3 x C3) x| C2 by inversion."""
-    inv = tuple(((-i) % 3) * 3 + (-m) % 3 for i in range(3) for m in range(3))
-    return semidirect(
-        _prod(cyclic(3), cyclic(3)), cyclic(2), (tuple(range(9)), inv), name="Dih(C3^2)"
-    )
-
-
-def _c2cubed_by_c7() -> FiniteGroup:
-    """C2^3 x| C7 via an order-7 linear map over GF(2)."""
-    gen = tuple(
-        b3 * 4 + ((b1 + b3) % 2) * 2 + b2
-        for b1 in range(2)
-        for b2 in range(2)
-        for b3 in range(2)
-    )
-    action = [tuple(range(8))]
-    for _ in range(6):
-        prev = action[-1]
-        action.append(tuple(gen[prev[e]] for e in range(8)))
-    return semidirect(
-        _prod(cyclic(2), cyclic(2), cyclic(2)), cyclic(7), tuple(action), name="C2^3:C7"
-    )
+    inversion = tuple(-c % n for c in range(n))
+    # D8's rotation r is element 1 and its reflection f is element 4
+    return _extension(cyclic(n), _d(8), {1: inversion, 4: tuple(range(n))}, f"C{n}:D8")
 
 
 def _sl23() -> FiniteGroup:
     """Q8 x| C3 with the generator cycling i -> j -> ij."""
     q8 = dicyclic(2)
-    a_idx, b_idx, ab_idx = 2, 1, 3  # a^1, b^1, a^1*b^1 in the i*2+j encoding
-    theta = extend_generator_map(q8, (a_idx, b_idx), q8, (b_idx, ab_idx))
-    if theta is None or sorted(theta) != list(range(8)):
-        raise VerificationError("i -> j -> ij does not extend to an automorphism of Q8")
-    theta2 = tuple(theta[theta[i]] for i in range(8))
-    return semidirect(q8, cyclic(3), (tuple(range(8)), theta, theta2), name="SL(2,3)")
-
-
-def _v4_by_c4_swap() -> FiniteGroup:
-    """V4 x| C4, the generator swapping the two coordinates."""
-    swap = (0, 2, 1, 3)
-    ident = (0, 1, 2, 3)
-    return semidirect(
-        _prod(cyclic(2), cyclic(2)), cyclic(4), (ident, swap, ident, swap), name="V4:C4"
-    )
+    # i, j and ij are elements 2, 1 and 3 in the i*2+j encoding
+    theta = extend_generator_map(q8, (2, 1), q8, (1, 3))
+    if theta is None:
+        raise VerificationError("i -> j -> ij does not extend to an endomorphism of Q8")
+    return _extension(q8, cyclic(3), {1: theta}, "SL(2,3)")
 
 
 def _d8_circ_c4() -> FiniteGroup:
@@ -219,20 +177,15 @@ def _d8_circ_c4() -> FiniteGroup:
 
 
 def _c7_by_a4() -> FiniteGroup:
-    """C7 x| A4 through A4's quotient of order 3 acting as an order-3 unit."""
+    """C7 x| A4 through A4's quotient of order 3: an element of order 3 acts
+    as multiplication by 2, and an involution, in the kernel V4, trivially."""
     a4 = alternating(4)
-    v4 = sorted(g for g in range(12) if a4.element_orders[g] <= 2)
-    three = next(g for g in range(12) if a4.element_orders[g] == 3)
-    coset_exp = {}
-    for g in v4:
-        coset_exp[g] = 0
-        coset_exp[a4.mul[g][three]] = 1
-        coset_exp[a4.mul[g][a4.mul[three][three]]] = 2
-    action = tuple(
-        tuple((c * pow(2, coset_exp[g], 7)) % 7 for c in range(7)) for g in range(12)
-    )
-    return semidirect(cyclic(7), a4, action, name="C7:A4")
+    three, two = a4.element_orders.index(3), a4.element_orders.index(2)
+    return _extension(cyclic(7), a4, {three: (0, 2, 4, 6, 1, 3, 5), two: tuple(range(7))}, "C7:A4")
 
+
+# (i, m) -> (-i, -m) on C3 x C3, whose element (i, m) is i*3 + m
+_C3SQ_INV = (0, 2, 1, 6, 8, 7, 3, 5, 4)
 
 ATLAS_EXPECTED_COUNTS = {
     4: 2, 8: 5, 12: 5, 16: 14, 20: 5, 24: 15, 36: 14,
@@ -271,7 +224,8 @@ _RECIPES = {
         lambda: _prod(_d(8), cyclic(2)),
         lambda: _prod(dicyclic(2), cyclic(2)),
         lambda: _unit_semidirect(4, 4, 3, "C4:C4"),
-        lambda: _v4_by_c4_swap(),
+        # V4 x| C4, the generator swapping the two coordinates of C2 x C2
+        lambda: _extension(_prod(cyclic(2), cyclic(2)), cyclic(4), {1: (0, 2, 1, 3)}, "V4:C4"),
         lambda: _d8_circ_c4(),
     ),
     20: (
@@ -305,14 +259,21 @@ _RECIPES = {
         lambda: _prod(cyclic(6), cyclic(6)),
         lambda: dicyclic(9),
         lambda: _d(36),
-        lambda: _v4_by_c9(),
+        # V4 x| C9, the generator cycling the three involutions of C2 x C2
+        lambda: _extension(_prod(cyclic(2), cyclic(2)), cyclic(9), {1: (0, 2, 3, 1)}, "V4:C9"),
         lambda: _prod(dicyclic(3), cyclic(3)),
-        lambda: _c3sq_by_c4(True),
-        lambda: _c3sq_by_c4(False),
+        # (C3 x C3) x| C4, the generator acting as (i, m) -> (m, -i), then by inversion
+        lambda: _extension(
+            _prod(cyclic(3), cyclic(3)), cyclic(4), {1: (0, 3, 6, 2, 5, 8, 1, 4, 7)}, "C3^2:C4(rot)"
+        ),
+        lambda: _extension(_prod(cyclic(3), cyclic(3)), cyclic(4), {1: _C3SQ_INV}, "C3^2:C4(inv)"),
         lambda: _prod(_d(6), _d(6)),
         lambda: _prod(cyclic(3), alternating(4)),
         lambda: _prod(cyclic(3), _d(12)),
-        lambda: _prod(cyclic(2), _dih_c3sq()),
+        lambda: _prod(
+            cyclic(2),
+            _extension(_prod(cyclic(3), cyclic(3)), cyclic(2), {1: _C3SQ_INV}, "Dih(C3^2)"),
+        ),
     ),
     40: (
         lambda: cyclic(40),
@@ -343,7 +304,13 @@ _RECIPES = {
         lambda: _odd_by_d8(7),
         lambda: _prod(cyclic(7), dicyclic(2)),
         lambda: dicyclic(14),
-        lambda: _c2cubed_by_c7(),
+        # C2^3 x| C7, the generator mapping (b1, b2, b3) = b1*4 + b2*2 + b3 to (b3, b1 + b3, b2)
+        lambda: _extension(
+            _prod(cyclic(2), cyclic(2), cyclic(2)),
+            cyclic(7),
+            {1: (0, 6, 1, 7, 2, 4, 3, 5)},
+            "C2^3:C7",
+        ),
     ),
     60: (
         lambda: cyclic(60),
@@ -640,6 +607,7 @@ def catalog_rows(entries: list[CatalogEntry]) -> list[dict]:
 
 
 def catalog_json(entries: list[CatalogEntry]) -> str:
+    import json
     return json.dumps(catalog_rows(entries), indent=2) + "\n"
 
 

@@ -21,7 +21,6 @@ DOT edge styling encodes the mark that labels each edge: x bold, y solid
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -83,6 +82,8 @@ def cmd_order(args: argparse.Namespace) -> int:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
+    import json
+
     from .maps import load_map, map_invariants
 
     m = load_map(_read_text(args.file), max_cosets=args.max_cosets)
@@ -293,6 +294,8 @@ def _dot_graph(name: str, num_nodes: int, edges: list[tuple[int, int, str]]) -> 
 
 
 def _json_graph(num_nodes: int, edges: list[tuple[int, int, str]]) -> str:
+    import json
+
     payload = {
         "nodes": list(range(num_nodes)),
         "edges": [{"source": a, "target": b, "label": lbl} for a, b, lbl in edges],

@@ -269,9 +269,7 @@ class FamilyParams(_Record):
     0 < j < lam and j^2 = 1 (mod lam).  Derived values:
 
     * p = 2*kappa*lam - 2*kappa - lam (minus the Euler characteristic);
-    * a = (j-1)(lam+1)/2 reduced into [0, lam);
-    * b = 2*kappa - 1 and d = lam - 1 multiply to p + 1, with b = 1 (mod 4)
-      and gcd(b+1, d+1) = 1.
+    * a = (j-1)(lam+1)/2 reduced into [0, lam).
     """
 
     _fields = ("kappa", "lam", "j")
@@ -298,18 +296,6 @@ class FamilyParams(_Record):
     @property
     def p(self) -> int:
         return 2 * self.kappa * self.lam - 2 * self.kappa - self.lam
-
-    @property
-    def b(self) -> int:
-        return 2 * self.kappa - 1
-
-    @property
-    def d(self) -> int:
-        return self.lam - 1
-
-    @property
-    def c(self) -> int:
-        return math.gcd(2 * self.kappa, self.lam)
 
     @property
     def order(self) -> int:

@@ -389,11 +389,12 @@ def quotient(g: FiniteGroup, normal: set[int] | frozenset[int], name: str | None
 def multiplicative_units(n: int) -> FiniteGroup:
     """Group of units mod n; element i of the table is the i-th unit in order.
 
-    For prime p this is Aut(C_p) acting on C_p by multiplication.
+    For prime p this is Aut(C_p) acting on C_p by multiplication.  U(1) is
+    trivial, its one unit listed as 0.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     units = [k for k in range(1, n) if gcd(k, n) == 1] or [0]
-    if n == 1:
-        return FiniteGroup(((0,),), name="U(1)")
     index = {u: i for i, u in enumerate(units)}
     table = tuple(tuple(index[(u * v) % n] for v in units) for u in units)
     grp = FiniteGroup(table, name=f"U({n})")

@@ -18,6 +18,7 @@ from ebrmaps.census import (
     ATLAS_EXPECTED_COUNTS,
     ATLAS_ORDERS,
     UnsupportedOrder,
+    _extension,
     admissible_types,
     atlas,
     catalog_json,
@@ -150,6 +151,22 @@ def test_atlas_unsupported_order():
         with pytest.raises(UnsupportedOrder):
             atlas(bad)
     assert issubclass(UnsupportedOrder, ValueError)
+
+
+def test_extension_composes_the_action_from_generator_images():
+    # C3's generator inverting C3 is no action: its cube would invert too
+    inversion = (0, 2, 1)
+    with pytest.raises(ValueError, match=r"^action is not a homomorphism B -> Aut\(A\)$"):
+        _extension(cyclic(3), cyclic(3), {1: inversion}, "bad")
+    # swapping a generator of C4 with its involution is no automorphism
+    with pytest.raises(ValueError, match=r"^action\[1\] is not an automorphism of A$"):
+        _extension(cyclic(4), cyclic(2), {1: (0, 2, 1, 3)}, "bad")
+    # C5 x| D8, the rotation (element 1) inverting and the reflection
+    # (element 4) centralizing; (0, d)(c, 0) = (c^d, d) is element c^d*8 + d
+    g = _extension(cyclic(5), dihedral(8).group, {1: (0, 4, 3, 2, 1), 4: tuple(range(5))}, "C5:D8")
+    for d in range(8):
+        act = tuple(g.mul[d][c * 8] // 8 for c in range(5))
+        assert act == ((0, 4, 3, 2, 1) if d % 2 else (0, 1, 2, 3, 4)), d
 
 
 def test_enumerate_maps_small_groups():

@@ -204,6 +204,12 @@ def test_multiplicative_units():
     u5 = multiplicative_units(5)
     assert u5.order == 4
     assert 4 in u5.element_orders  # 2 and 3 generate
+    u1 = multiplicative_units(1)
+    assert (u1.mul, u1.units, u1.name) == (((0,),), (0,), "U(1)")
+    assert multiplicative_units(2).units == (1,)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="n must be positive"):
+            multiplicative_units(n)
 
 
 def test_subgroup_closure():

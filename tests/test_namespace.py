@@ -96,7 +96,7 @@ def test_exclusions_command_loads_only_what_it_runs():
     assert verdict == "verify exclusions: PASS"
     loaded = eval(loaded)
     assert {"ebrmaps.census", "ebrmaps.groups", "ebrmaps.maps"} <= set(loaded)
-    for module in ("ebrmaps.families", "ebrmaps.presentations", "dataclasses"):
+    for module in ("ebrmaps.families", "ebrmaps.presentations", "dataclasses", "json"):
         assert module not in loaded
 
 
