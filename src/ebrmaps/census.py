@@ -10,9 +10,11 @@ the constructive family builders.
 The atlas is a table of constructor recipes (cyclic, dihedral, dicyclic,
 symmetric, direct and semidirect products, quotients), not a generator of
 groups by order.  A split extension A x| B is given as A, B and the images
-of generators of B on A's elements, and ``semidirect`` checks the action
-composed from them.  Each atlas call re-verifies that its groups are
-pairwise non-isomorphic and match the documented count for that order.
+of generators of B on A's elements; the action of all of B is composed
+from them by the one helper that ``groups`` keeps for every split
+extension, and ``semidirect`` checks it with ``_check_action``.  Each atlas
+call re-verifies that its groups are pairwise non-isomorphic and match the
+documented count for that order.
 """
 
 from __future__ import annotations
@@ -25,14 +27,13 @@ from .groups import (
     Perm,
     VerificationError,
     _Record,
-    _perm_compose,
+    _generated_action,
     alternating,
     are_isomorphic,
     cyclic,
     dicyclic,
     dihedral,
     direct_product,
-    extend_generator_map,
     is_prime,
     quotient,
     semidirect,
@@ -125,22 +126,9 @@ def _prod(*gs: FiniteGroup) -> FiniteGroup:
 
 
 def _extension(a: FiniteGroup, b: FiniteGroup, images: dict[int, Perm], name: str) -> FiniteGroup:
-    """A x| B, each generator g of B acting on A's elements by images[g].
-
-    The keys of ``images`` must generate B.  The action of every element of B
-    is composed along a breadth-first walk of B's table from the identity, as
-    action[v*g] = action[v] o images[g]; ``semidirect`` checks that it is one.
-    """
-    action: list[Perm | None] = [None] * b.order
-    action[b.identity] = tuple(range(a.order))
-    walk = [b.identity]
-    for v in walk:
-        for g, image in images.items():
-            vg = b.mul[v][g]
-            if action[vg] is None:
-                action[vg] = _perm_compose(action[v], image)  # type: ignore[arg-type]
-                walk.append(vg)
-    return semidirect(a, b, action, name=name)  # type: ignore[arg-type]
+    """A x| B, each generator g of B (the keys) acting on A's elements by images[g]."""
+    columns = [[row[g] for row in b.mul] for g in images]
+    return semidirect(a, b, _generated_action(columns, list(images.values()), b.identity), name)
 
 
 def _unit_semidirect(n: int, m: int, unit: int, name: str) -> FiniteGroup:
@@ -161,12 +149,8 @@ def _odd_by_d8(n: int) -> FiniteGroup:
 
 def _sl23() -> FiniteGroup:
     """Q8 x| C3 with the generator cycling i -> j -> ij."""
-    q8 = dicyclic(2)
-    # i, j and ij are elements 2, 1 and 3 in the i*2+j encoding
-    theta = extend_generator_map(q8, (2, 1), q8, (1, 3))
-    if theta is None:
-        raise VerificationError("i -> j -> ij does not extend to an endomorphism of Q8")
-    return _extension(q8, cyclic(3), {1: theta}, "SL(2,3)")
+    # i, j and ij are elements 2, 1 and 3 of Q8 in its i*2+j encoding
+    return _extension(dicyclic(2), cyclic(3), {1: (0, 3, 1, 2, 4, 7, 5, 6)}, "SL(2,3)")
 
 
 def _d8_circ_c4() -> FiniteGroup:

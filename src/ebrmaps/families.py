@@ -24,11 +24,13 @@ VerificationError on a mismatch.  All presentation texts are kept
 verbatim, including redundant relators.
 
 The dihedral, cyclic-Fitting and valency-eight groups are all an abelian
-group A = C_lam x C_kappa extended by B = C_2, V_4 or ve(3^e), and one
-builder (``_split_extension``) gives the permutations of any of them acting
-on itself, after checking that B acts on A by automorphisms.  Each member
-is then certified against its presentation: the order of the presented
-group comes from the cosets of a cyclic subgroup of index 2, 4 or 8
+group A = C_lam x C_kappa extended by B = C_2, V_4 or ve(3^e).  The action
+of B is composed from its generators' images by the helper in ``groups``
+that every split extension uses, and ``_split_extension`` gives the
+permutations of any of them acting on itself once ``_check_action`` has
+checked that B acts on A by automorphisms.  Each member is then certified
+against its presentation: the order of the presented group comes from the
+cosets of a cyclic subgroup of index 2, 4 or 8
 (``cyclic_order_certificate``), every written relator is checked on the
 action, and the action is transitive, so it is the regular action of the
 presented group.  This costs O(|H| log p), where enumerating the cosets of
@@ -47,11 +49,10 @@ from .groups import (
     VerificationError,
     _Record,
     _check_action,
+    _generated_action,
     cyclic,
     dihedral,
-    extend_generator_map,
     is_prime,
-    multiplicative_units,
     semidirect,
 )
 from .maps import (
@@ -351,9 +352,9 @@ def _cyclic_fitting_direct(params: FamilyParams) -> tuple[Perm, ...]:
     marks are s, t, x = s*u = u^-1 s and y = u^a * w^((kappa-1)/2) * s*t.
     """
     kappa, lam, j = params.kappa, params.lam, params.j
-    action = _unit_action(lam, kappa, ((1, 1), (-j, -1), (-1, 1), (j, -1)))  # 1, t, s, s t
-    x_part, y_part = (lam - 1) * kappa, params.a * kappa + (kappa - 1) // 2
     s, st, t = (tuple(v ^ b for v in range(4)) for b in (2, 3, 1))  # right multiplications
+    action = _generated_action((s, t), _unit_action(lam, kappa, ((-1, 1), (-j, -1))))
+    x_part, y_part = (lam - 1) * kappa, params.a * kappa + (kappa - 1) // 2
     return _split_extension(lam, kappa, action, ((x_part, s), (y_part, st), (0, s), (0, t)))
 
 
@@ -403,16 +404,8 @@ def _valency_eight_direct(m: int, max_cosets: int) -> tuple[Perm, ...]:
         power *= 3
     lam = m // power
     marks_b = regular_action(parse_presentation(valency_eight_text(power)), max_cosets)
-    signs = [None] * len(marks_b[0])  # 1 where B's point inverts C_m'
-    signs[0] = 0
-    found = [0]
-    for v in found:  # grows while it is walked
-        for b, sign in zip(marks_b, (1, 1, 1, 0)):
-            if signs[b[v]] is None:
-                signs[b[v]] = signs[v] ^ sign
-                found.append(b[v])
     keep, invert = _inversion(lam)
-    action = tuple(invert if sign else keep for sign in signs)
+    action = _generated_action(marks_b, (invert, invert, invert, keep))
     return _split_extension(lam, 1, action, tuple(zip((0, 0, 1 % lam, 0), marks_b)))
 
 
@@ -513,9 +506,11 @@ def chi_minus_2_catalog(max_cosets: int = DEFAULT_MAX_COSETS) -> list[EdgeBiregu
 def cyclic_by_dihedral_probe(p: int, lam: int) -> list[EdgeBiregularMap]:
     """Search every group C_p x| D_{2*lam} for edge-biregular maps.
 
-    Enumerates all homomorphisms from the dihedral group of order nu = 2*lam
-    into Aut(C_p), builds each semidirect product, and lists all maps found,
-    deduplicated up to duality, twins and isomorphism.
+    The reflection marks of the dihedral group of order nu = 2*lam can act
+    on C_p only as multiplication by 1 or -1.  Each pair of these images
+    gives the action of D_nu by the helper in ``groups``, ``semidirect``
+    rejects the pairs that are no homomorphism (product -1, lam odd), and
+    all maps found are listed up to duality, twins and isomorphism.
 
     Every found map of type (k, l) with l/2 >= 3 and p dividing neither k/2
     nor l/2 is checked against the structural restrictions: l = nu with
@@ -530,22 +525,16 @@ def cyclic_by_dihedral_probe(p: int, lam: int) -> list[EdgeBiregularMap]:
     nu = 2 * lam
     dih = dihedral(nu)
     cp = cyclic(p)
-    units = multiplicative_units(p)
-    unit_index = {u: i for i, u in enumerate(units.units)}
-    square_roots_of_one = [u for u in units.units if (u * u) % p == 1]
-
-    def unit_perm(u: int) -> tuple[int, ...]:
-        return tuple((c * u) % p for c in range(p))
-
+    reflections = [[row[g] for row in dih.group.mul] for g in dih.marked]
+    signs = _inversion(p)  # multiplication by 1 and by -1
     found: dict[tuple[int, ...], EdgeBiregularMap] = {}
-    for e1 in square_roots_of_one:
-        for e2 in square_roots_of_one:
-            images = (unit_index[e1], unit_index[e2])
-            hom = extend_generator_map(dih.group, dih.marked, units, images)
-            if hom is None:
+    for e1 in signs:
+        for e2 in signs:
+            action = _generated_action(reflections, (e1, e2), dih.group.identity)
+            try:
+                grp = semidirect(cp, dih.group, action, name=f"C{p}:D{nu}")
+            except ValueError:  # (e1 e2)^lam = -1: not a homomorphism
                 continue
-            action = tuple(unit_perm(units.units[hom[dd]]) for dd in range(nu))
-            grp = semidirect(cp, dih.group, action, name=f"C{p}:D{nu}")
             for m in all_map_quadruples(grp):
                 _assert_probe_conformance(p, nu, m)
                 found.setdefault(equivalence_key(m), m)

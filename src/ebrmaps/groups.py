@@ -325,6 +325,31 @@ def semidirect(
     return FiniteGroup(table, name=name or f"{a.name}:{b.name}")
 
 
+def _generated_action(
+    b_gens: Sequence[Sequence[int]], images: Sequence[Perm], b_identity: int = 0
+) -> tuple[Perm, ...]:
+    """The permutations of A attached to all of B, from those of generators.
+
+    Entry i of ``b_gens`` is v -> v*g_i on B's points (a column of B's table
+    or a regular action's permutation), and ``images[i]`` is the permutation
+    of A's elements attached to g_i.  B is walked breadth-first from the
+    identity with action[v*g] = action[v] o images[g].  :func:`_check_action`
+    checks the result; ValueError when the walk misses a point of B.
+    """
+    action: list[Perm | None] = [None] * len(b_gens[0])
+    action[b_identity] = tuple(range(len(images[0])))
+    walk = [b_identity]
+    for v in walk:  # grows while it is walked
+        for by_g, image in zip(b_gens, images):
+            vg = by_g[v]
+            if action[vg] is None:
+                action[vg] = _perm_compose(action[v], image)  # type: ignore[arg-type]
+                walk.append(vg)
+    if len(walk) != len(action):
+        raise ValueError("the given generators do not generate B")
+    return tuple(action)  # type: ignore[arg-type]
+
+
 def _check_action(
     action: Sequence[Sequence[int]],
     right: Callable[[int], Sequence[int]],

@@ -38,7 +38,14 @@ from ebrmaps.families import (
     valency_eight_map,
     valency_eight_text,
 )
-from ebrmaps.groups import FiniteGroup, are_isomorphic, cyclic, dihedral, direct_product
+from ebrmaps.groups import (
+    FiniteGroup,
+    are_isomorphic,
+    cyclic,
+    dihedral,
+    direct_product,
+    semidirect,
+)
 from ebrmaps.maps import (
     counts,
     equivalence_key,
@@ -293,6 +300,27 @@ def test_probe_even_lambda_cells():
     assert (4, 12) in norm_types  # its dual-form companion at chi = -10
     for m in maps:
         assert m.group.order == 60
+
+
+@pytest.mark.parametrize("p, lam", [(5, 3), (7, 5), (5, 4), (5, 6)])
+def test_probe_builds_one_group_per_homomorphism(monkeypatch, p, lam):
+    # a homomorphism D_2lam -> {1, -1} in U(p) sends the two reflection marks
+    # to e1, e2 with (e1 e2)^lam = 1: both signs equal when lam is odd, and
+    # any pair when it is even; semidirect rejects the other pairs
+    built = []
+
+    def record(a, b, action, name=None):
+        group = semidirect(a, b, action, name=name)
+        built.append((action, group))
+        return group
+
+    monkeypatch.setattr(families, "semidirect", record)
+    cyclic_by_dihedral_probe(p, lam)
+    signs = (tuple(range(p)), tuple(-c % p for c in range(p)))
+    pairs = [(e, e) for e in signs] if lam % 2 else [(e1, e2) for e1 in signs for e2 in signs]
+    marks = dihedral(2 * lam).marked
+    assert [(action[marks[0]], action[marks[1]]) for action, _ in built] == pairs
+    assert [group.name for _, group in built] == [f"C{p}:D{2 * lam}"] * len(pairs)
 
 
 def test_probe_parameter_validation():

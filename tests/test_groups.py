@@ -12,6 +12,7 @@ from ebrmaps.groups import (
     FiniteGroup,
     MarkedGroup,
     _extend_iso,
+    _generated_action,
     alternating,
     are_isomorphic,
     cyclic,
@@ -26,7 +27,7 @@ from ebrmaps.groups import (
     subgroup_closure,
     symmetric,
 )
-from ebrmaps import families
+from ebrmaps import census, families
 from references import (
     check_action_exhaustive,
     element_orders,
@@ -230,6 +231,27 @@ def test_extend_generator_map_homomorphism():
     # generators that do not generate raise
     with pytest.raises(ValueError):
         extend_generator_map(cyclic(4), (2,), cyclic(2), (1,))
+
+
+def test_generated_action_composes_b_from_generator_images():
+    identity, inversion = tuple(range(5)), (0, 4, 3, 2, 1)
+    # B = C4 given by a regular action's permutation v -> v + 1 of its generator
+    assert _generated_action([(1, 2, 3, 0)], [inversion]) == (identity, inversion) * 2
+    # B = D8 given by its table's columns for the two reflection marks (the
+    # reflections are elements 4..7), each inverting C5
+    d8 = dihedral(8)
+    columns = [[row[g] for row in d8.group.mul] for g in d8.marked]
+    action = _generated_action(columns, [inversion, inversion], d8.group.identity)
+    assert action == (identity,) * 4 + (inversion,) * 4
+    # v -> v + 2 generates only a subgroup of order 2 of C4, in either form
+    c4 = cyclic(4)
+    message = r"^the given generators do not generate B$"
+    with pytest.raises(ValueError, match=message):
+        _generated_action([(2, 3, 0, 1)], [inversion])
+    with pytest.raises(ValueError, match=message):
+        _generated_action([[row[2] for row in c4.mul]], [inversion], c4.identity)
+    with pytest.raises(ValueError, match=message):
+        census._extension(cyclic(5), c4, {2: inversion}, "x")
 
 
 def test_extends_to_isomorphism():
