@@ -400,7 +400,9 @@ def enumerate_maps(
 
     On one group a class is the orbit of a quadruple under Aut(H) and the
     three reorderings, so the search skips by orbits instead of keying every
-    quadruple.  When a yielded map's key is already held, the two winning
+    quadruple.  It visits only the quadruples that pass the three tests of
+    ``all_map_quadruples(..., least=True)``, which every class's least
+    quadruple passes.  When a yielded map's key is already held, the two winning
     numberings of H give an automorphism phi (checked, VerificationError
     otherwise).  Every phi found so far is applied to the held classes, and
     all that is reached goes into the set ``seen`` that the search gets as
@@ -409,7 +411,7 @@ def enumerate_maps(
     kept: dict[tuple[int, ...], tuple[EdgeBiregularMap, tuple, list[int]]] = {}
     seen: set[tuple[int, ...]] = set()
     generators: list[list[int]] = []
-    for m in all_map_quadruples(group, want_chi, skip=seen):
+    for m in all_map_quadruples(group, want_chi, skip=seen, least=True):
         key, perms, elements = _canonical_form(m)
         if key not in kept:
             kept[key] = (m, perms, elements)

@@ -58,8 +58,7 @@ from .groups import (
 from .maps import (
     MARK_NAMES,
     EdgeBiregularMap,
-    all_map_quadruples,
-    equivalence_key,
+    dual,
     euler_characteristic,
     load_map,
     map_file_text,
@@ -510,13 +509,19 @@ def cyclic_by_dihedral_probe(p: int, lam: int) -> list[EdgeBiregularMap]:
     on C_p only as multiplication by 1 or -1.  Each pair of these images
     gives the action of D_nu by the helper in ``groups``, ``semidirect``
     rejects the pairs that are no homomorphism (product -1, lam odd), and
-    all maps found are listed up to duality, twins and isomorphism.
+    all maps found are listed up to duality, twins and isomorphism, one per
+    class of ``census.enumerate_maps``.
 
     Every found map of type (k, l) with l/2 >= 3 and p dividing neither k/2
     nor l/2 is checked against the structural restrictions: l = nu with
     nu = 4 (mod 8), k/2 in {2, l/2}, and chi = p(1 - l/4) for k = 4 or
-    chi = p(2 - l/2) for k = l.  Violations raise VerificationError.
+    chi = p(2 - l/2) for k = l.  Violations raise VerificationError.  Type
+    and chi are invariant under Aut(H) and the twin keeps (k, l), so checking
+    each class's representative and its dual, of type (l, k), checks every
+    map of the class.
     """
+    from .census import enumerate_maps
+
     _require_odd_prime(p)
     if lam < 3:
         raise ValueError("lam must be at least 3")
@@ -535,9 +540,10 @@ def cyclic_by_dihedral_probe(p: int, lam: int) -> list[EdgeBiregularMap]:
                 grp = semidirect(cp, dih.group, action, name=f"C{p}:D{nu}")
             except ValueError:  # (e1 e2)^lam = -1: not a homomorphism
                 continue
-            for m in all_map_quadruples(grp):
+            for key, m in enumerate_maps(grp).items():
                 _assert_probe_conformance(p, nu, m)
-                found.setdefault(equivalence_key(m), m)
+                _assert_probe_conformance(p, nu, dual(m))
+                found.setdefault(key, m)
     return list(found.values())
 
 

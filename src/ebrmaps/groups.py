@@ -8,10 +8,10 @@ adds A's row, scaled by |B| and each entry repeated |B| times, to B's row
 tiled |A| times.  At construction the identity is the element whose row is
 ``range(n)`` and whose column is too, and element orders come from walking
 each cyclic subgroup once, with ord(a^j) = ord(a) / gcd(j, ord(a)).  The
-isomorphism fingerprint reads each column of the table once, one at a time
-so the whole transpose is never held: x is central when its row equals its
-column, and only non-central elements have their conjugacy class computed.
-Groups are immutable value objects and are compared by identity (use
+conjugates of x come from column x of the table, read one column at a time
+so the whole transpose is never held; the isomorphism fingerprint computes
+them once per conjugacy class, and :func:`are_isomorphic` asks for it only
+when the sorted element orders tie.  Groups are immutable value objects and are compared by identity (use
 :func:`are_isomorphic` for abstract comparison).
 
 Convention used throughout: ``dihedral(n)`` is the dihedral group OF ORDER
@@ -21,9 +21,9 @@ formulas in this package follow that convention.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from functools import cached_property
-from itertools import chain, permutations, repeat
+from itertools import permutations
 from math import gcd
 from operator import add, getitem, itemgetter
 
@@ -133,24 +133,23 @@ class FiniteGroup:
         """Isomorphism invariants, computed once per group: order, sorted
         element orders, abelian flag, center size, conjugacy class sizes."""
         n = self.order
-        mul = self.mul
         seen = [False] * n
-        center, sizes = 0, []
-        for x, row in enumerate(mul):
-            if seen[x]:
-                continue
-            col = tuple(map(itemgetter(x), mul))
-            if row == col:  # x is central: its class is {x}
-                center += 1
-                sizes.append(1)
-                continue
-            # y x y^-1 for every y: column x gives y x, then multiply by y^-1
-            cls = set(map(getitem, map(mul.__getitem__, col), self.inv))
-            for c in cls:
-                seen[c] = True
-            sizes.append(len(cls))
+        sizes = []
+        for x in range(n):
+            if not seen[x]:
+                cls = set(self.conjugates(x))
+                for c in cls:
+                    seen[c] = True
+                sizes.append(len(cls))
+        center = sizes.count(1)
         orders = tuple(sorted(self.element_orders))
         return (n, orders, center == n, center, tuple(sorted(sizes)))
+
+    def conjugates(self, x: int) -> tuple[int, ...]:
+        """g x g^-1 for every element g, in the order of g: column x of the
+        table gives g x, then multiply by g^-1."""
+        mul = self.mul
+        return tuple(map(getitem, map(mul.__getitem__, map(itemgetter(x), mul)), self.inv))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -286,10 +285,13 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> F
     return FiniteGroup(tuple(table), name=name or f"{a.name}x{b.name}")
 
 
-def _spread(scaled: Iterable[int], nb: int) -> tuple[int, ...]:
+def _spread(scaled: list[int], nb: int) -> list[int]:
     """Each entry repeated nb times: given x*nb for A's row, the A part of a
     row of a product numbered x*|B| + y."""
-    return tuple(chain.from_iterable(map(repeat, scaled, repeat(nb))))
+    out = [0] * (len(scaled) * nb)
+    for j in range(nb):
+        out[j::nb] = scaled
+    return out
 
 
 def semidirect(
@@ -318,7 +320,7 @@ def semidirect(
     scaled = [[x * nb for x in arow] for arow in amul]
     tiled = [brow * na for brow in bmul]
     table = tuple(
-        tuple(map(add, _spread(map(srow.__getitem__, action[y]), nb), tiled[y]))
+        tuple(map(add, _spread(list(map(srow.__getitem__, action[y])), nb), tiled[y]))
         for srow in scaled
         for y in range(nb)
     )
@@ -558,13 +560,17 @@ def greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
 def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
     """Abstract group isomorphism test.
 
-    Uses a greedy generating set of ``a`` and searches all order-compatible
-    image tuples in ``b``, pruning by pairwise product orders before trying
-    to extend each candidate to a full isomorphism.
+    Compares the sorted element orders first and the fingerprint, with its
+    conjugacy class sizes, only when they tie.  Then uses a greedy
+    generating set of ``a`` and searches all order-compatible image tuples
+    in ``b``, pruning by pairwise product orders before trying to extend
+    each candidate to a full isomorphism.
     """
     if a is b:
         return True
-    if a.order != b.order or a.fingerprint != b.fingerprint:
+    if sorted(a.element_orders) != sorted(b.element_orders):
+        return False
+    if a.fingerprint != b.fingerprint:
         return False
     gens = greedy_generators(a)
     by_order: dict[int, list[int]] = {}

@@ -658,7 +658,7 @@ def _vertex_valency_for(group: FiniteGroup, want_chi: int) -> dict[int, int]:
     return k_for_l
 
 
-def all_map_quadruples(group: FiniteGroup, want_chi: int | None = None, skip=()):
+def all_map_quadruples(group: FiniteGroup, want_chi: int | None = None, skip=(), *, least=False):
     """Yield every valid map on the group, in lexicographic mark order.
 
     (x, y) runs over the commuting involution pairs and s over the other
@@ -671,6 +671,14 @@ def all_map_quadruples(group: FiniteGroup, want_chi: int | None = None, skip=())
     Each candidate that is distinct from x, y, s and commutes with s has its
     chi computed again before the generation check, the one test that
     builds a subgroup.
+
+    With ``least`` set, only the quadruples that can be the least of their
+    class under Aut(H) and the reorderings (y,x,t,s), (s,t,x,y), (t,s,y,x)
+    are yielded.  With c(g) the least conjugate of g, such a quadruple has
+    x = c(x), since conjugation is an automorphism; c(y), c(s), c(t) >= x,
+    since a reordering followed by a conjugation puts that mark first; and
+    y least among its conjugates by the centralizer of x, since those
+    conjugations fix x.  Conjugacy classes are computed for involutions only.
 
     A candidate whose mark tuple is in ``skip`` is passed over after the chi
     check and before the generation check.  The caller may grow ``skip``
@@ -687,14 +695,29 @@ def all_map_quadruples(group: FiniteGroup, want_chi: int | None = None, skip=())
         if not k_for_l:
             return
         with_valency: dict[tuple[int, int], list[int]] = {}
+    # low[g] = c(g) for each involution g when ``least``, where only x = c(x)
+    # is kept; all 0 otherwise, so that low[s] >= low[x] bounds nothing
+    low = [0] * n
+    if least:
+        conj = {g: group.conjugates(g) for g in invs}
+        for g in invs:
+            low[g] = min(conj[g])
     for x, ys in partners.items():
+        if least:
+            if low[x] != x:
+                continue
+            centralizer = [g for g, h in enumerate(conj[x]) if h == x]
+            ys = [
+                y for y in ys
+                if low[y] >= x and min(map(conj[y].__getitem__, centralizer)) == y
+            ]
         if want_chi is None:
-            s_list = [(s, None, None) for s in invs if s != x]
+            s_list = [(s, None, None) for s in invs if s != x and low[s] >= low[x]]
         else:
             s_list = [
                 (s, k_for_l[l], l)
                 for s in invs
-                if s != x and (l := 2 * orders[mul[s][x]]) in k_for_l
+                if s != x and low[s] >= low[x] and (l := 2 * orders[mul[s][x]]) in k_for_l
             ]
         for y in ys:
             for s, k, l in s_list:
@@ -709,7 +732,7 @@ def all_map_quadruples(group: FiniteGroup, want_chi: int | None = None, skip=())
                             t for t in invs if 2 * orders[mul[t][y]] == k
                         ]
                 for t in ts:
-                    if t in (x, y, s) or mul[s][t] != mul[t][s]:
+                    if t in (x, y, s) or low[t] < low[x] or mul[s][t] != mul[t][s]:
                         continue
                     if k is not None:
                         chi = euler_characteristic_formula(n, k, l)

@@ -5,6 +5,7 @@ work on dense multiplication tables instead, so the tests can hold the
 permutation code against an independent computation on the same inputs.
 """
 
+from ebrmaps.families import _assert_probe_conformance
 from ebrmaps.groups import (
     FiniteGroup,
     MarkedGroup,
@@ -97,6 +98,18 @@ def enumerate_maps_by_key(group, want_chi=None) -> list[EdgeBiregularMap]:
     for m in all_map_quadruples(group, want_chi):
         kept.setdefault(equivalence_key(m), m)
     return list(kept.values())
+
+
+def probe_by_scan(p: int, nu: int, groups) -> list[EdgeBiregularMap]:
+    """``families.cyclic_by_dihedral_probe`` on the given groups by its
+    former loop: every quadruple of each group is checked for conformance
+    and keyed, and the first quadruple of each key is kept."""
+    found: dict[tuple[int, ...], EdgeBiregularMap] = {}
+    for group in groups:
+        for m in all_map_quadruples(group):
+            _assert_probe_conformance(p, nu, m)
+            found.setdefault(equivalence_key(m), m)
+    return list(found.values())
 
 
 def check_action_exhaustive(a: FiniteGroup, b: FiniteGroup, action) -> None:

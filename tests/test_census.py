@@ -209,16 +209,19 @@ def test_enumerate_maps_dedup_is_complete():
 
 def _searched_groups():
     """(group, want_chi) for every atlas group that classify --p 2,
-    classify --p 3 and verify lemma-4-2 search, and every atlas group of
-    order at most 16 without a chi filter."""
+    classify --p 3 and verify lemma-4-2 search, every atlas group of order
+    at most 24 without a chi filter, and every atlas group of order 40 to
+    132 at chi = -5, -7 and -11."""
     for p in (2, 3):
         for n in sorted({a.n for a in admissible_types(p)}):
             yield from ((g, -p) for g in atlas(n))
     for n in (8, 12):
         yield from ((g, -1) for g in atlas(n))
     for n in ATLAS_ORDERS:
-        if n <= 16:
+        if n <= 24:
             yield from ((g, None) for g in atlas(n))
+        elif n >= 40:
+            yield from ((g, chi) for g in atlas(n) for chi in (-5, -7, -11))
 
 
 def test_orbit_dedup_keeps_the_one_key_per_quadruple_representatives(monkeypatch):
@@ -265,6 +268,51 @@ def test_orbit_dedup_keys_few_quadruples_at_p2(monkeypatch):
     assert 12 <= len(calls) < 100
 
 
+def _may_be_least(group, marks):
+    """The three tests of ``all_map_quadruples(..., least=True)``, from
+    their definitions: x is least in its conjugacy class, no conjugate of
+    y, s or t is below x, and no conjugate of y by an element commuting
+    with x is below y."""
+    n, mul, inv = group.order, group.mul, group.inv
+
+    def conjugates(a, by):
+        return [mul[mul[g][a]][inv[g]] for g in by]
+
+    x, y, s, t = marks
+    centralizer = [g for g in range(n) if mul[g][x] == mul[x][g]]
+    return (
+        min(conjugates(x, range(n))) == x
+        and all(min(conjugates(a, range(n))) >= x for a in (y, s, t))
+        and min(conjugates(y, centralizer)) == y
+    )
+
+
+@pytest.mark.parametrize("order", [8, 12, 24])
+def test_least_search_yields_the_full_scan_quadruples_that_pass_the_tests(order):
+    from ebrmaps.maps import all_map_quadruples
+
+    groups = [dihedral(order).group] if order < 24 else atlas(24)
+    for group in groups:
+        for chi in (None, -2):
+            full = [m.marks for m in all_map_quadruples(group, chi)]
+            least = [m.marks for m in all_map_quadruples(group, chi, least=True)]
+            assert least == [q for q in full if _may_be_least(group, q)], (group.name, chi)
+            assert len(least) < len(full) or not full
+
+
+def test_exclusions_at_p11_generate_few_subgroups(monkeypatch):
+    from ebrmaps import maps as maps_module
+
+    calls = []
+    closure = maps_module.subgroup_closure
+    monkeypatch.setattr(
+        maps_module, "subgroup_closure", lambda g, gens: calls.append(gens) or closure(g, gens)
+    )
+    assert verify_p_divides_exclusions(11)["passed"] is True
+    # the search over every quadruple makes 1,840 generation checks here
+    assert len(calls) < 100
+
+
 _CORRUPT_NUMBERING = """
 from ebrmaps import census
 from ebrmaps.groups import dihedral
@@ -304,8 +352,8 @@ def test_corrupt_numbering_of_a_repeat_class_raises_under_python_O():
 
 def test_classify_computes_each_key_once(monkeypatch):
     # enumerate_maps and _constructive_entries return their keys, and
-    # classify matches on them: 28 search keys and 12 constructor keys at
-    # p = 2, 17 in all at p = 3
+    # classify matches on them: 27 search keys and 12 constructor keys at
+    # p = 2, 15 in all at p = 3
     from ebrmaps import census
     from ebrmaps import maps as maps_module
 
@@ -318,7 +366,7 @@ def test_classify_computes_each_key_once(monkeypatch):
 
     monkeypatch.setattr(census, "_canonical_form", counting)
     monkeypatch.setattr(maps_module, "_canonical_form", counting)
-    for p, expected in ((2, 40), (3, 17)):
+    for p, expected in ((2, 39), (3, 15)):
         calls.clear()
         classify(p)
         assert len(calls) == expected, p

@@ -16,6 +16,7 @@ import pytest
 
 import ebrmaps
 from ebrmaps import census, families
+from ebrmaps.cli import _PROBE_GRID
 from ebrmaps.families import (
     CHI2_EXPECTED_ORDERS,
     CHI2_EXPECTED_TYPES,
@@ -65,7 +66,14 @@ from ebrmaps.presentations import (
     cyclic_order_certificate,
     parse_presentation,
 )
-from references import check_action_exhaustive, is_map_isomorphic, rejection, standard_table
+import references
+from references import (
+    check_action_exhaustive,
+    is_map_isomorphic,
+    probe_by_scan,
+    rejection,
+    standard_table,
+)
 
 
 def test_is_prime():
@@ -321,6 +329,29 @@ def test_probe_builds_one_group_per_homomorphism(monkeypatch, p, lam):
     marks = dihedral(2 * lam).marked
     assert [(action[marks[0]], action[marks[1]]) for action, _ in built] == pairs
     assert [group.name for _, group in built] == [f"C{p}:D{2 * lam}"] * len(pairs)
+
+
+@pytest.mark.parametrize("p, lam", _PROBE_GRID)
+def test_probe_finds_and_checks_what_the_scan_of_every_quadruple_does(monkeypatch, p, lam):
+    # the probe checks one map and its dual per class; together they must
+    # cover every (type, chi) that checking every quadruple covers
+    built, probed, scanned = [], set(), set()
+
+    def record(*args, **kwargs):
+        built.append(semidirect(*args, **kwargs))
+        return built[-1]
+
+    def recording(into, check):
+        return lambda p, nu, m: into.add((type_of(m), euler_characteristic(m))) or check(p, nu, m)
+
+    monkeypatch.setattr(families, "semidirect", record)
+    conformance = families._assert_probe_conformance
+    monkeypatch.setattr(families, "_assert_probe_conformance", recording(probed, conformance))
+    monkeypatch.setattr(references, "_assert_probe_conformance", recording(scanned, conformance))
+    found = cyclic_by_dihedral_probe(p, lam)
+    expected = probe_by_scan(p, 2 * lam, built)
+    assert [(m.name, m.marks) for m in found] == [(m.name, m.marks) for m in expected]
+    assert probed == scanned
 
 
 def test_probe_parameter_validation():
