@@ -2,10 +2,11 @@
 
 The classification workflow is: compute the finitely many (order, type)
 combinations compatible with Euler characteristic -p; list all groups of
-each admissible order from a hard-coded, self-verifying atlas; enumerate
-every valid quadruple of marked involutions in each group; deduplicate up
-to duality, twins and isomorphism; and cross-match the survivors against
-the constructive family builders.
+each admissible order from a hard-coded, self-verifying atlas; search each
+group for the quadruples of marked involutions that can be the least of
+their class; keep the first map of each equivalence key, which identifies
+maps up to duality, twins and isomorphism; and cross-match the survivors
+against the constructive family builders.
 
 The atlas is a table of constructor recipes (cyclic, dihedral, dicyclic,
 symmetric, direct and semidirect products, quotients), not a generator of
@@ -42,7 +43,6 @@ from .groups import (
 from .maps import (
     MARK_NAMES,
     EdgeBiregularMap,
-    _canonical_form,
     all_map_quadruples,
     equivalence_key,
     euler_characteristic,
@@ -398,65 +398,15 @@ def enumerate_maps(
     representative of each class is its lexicographically least quadruple,
     and the classes come in the order of their representatives.
 
-    On one group a class is the orbit of a quadruple under Aut(H) and the
-    three reorderings, so the search skips by orbits instead of keying every
-    quadruple.  It visits only the quadruples that pass the three tests of
-    ``all_map_quadruples(..., least=True)``, which every class's least
-    quadruple passes.  When a yielded map's key is already held, the two winning
-    numberings of H give an automorphism phi (checked, VerificationError
-    otherwise).  Every phi found so far is applied to the held classes, and
-    all that is reached goes into the set ``seen`` that the search gets as
-    ``skip``, so each class is met again only until phi closes it.
+    ``all_map_quadruples`` yields, in lexicographic order, only the
+    quadruples that can be the least of their class, and every class's
+    least quadruple is among them.  Each is keyed, and the first map of
+    each key is kept, which is that least quadruple.
     """
-    kept: dict[tuple[int, ...], tuple[EdgeBiregularMap, tuple, list[int]]] = {}
-    seen: set[tuple[int, ...]] = set()
-    generators: list[list[int]] = []
-    for m in all_map_quadruples(group, want_chi, skip=seen, least=True):
-        key, perms, elements = _canonical_form(m)
-        if key not in kept:
-            kept[key] = (m, perms, elements)
-            _close(seen, [m.marks], generators)
-            continue
-        _, rep_perms, rep_elements = kept[key]
-        phi = _automorphism(rep_perms, rep_elements, perms, elements, m.base)
-        generators.append(phi)
-        _close(seen, [tuple(phi[g] for g in q) for q in seen] + [m.marks], generators)
-    return {key: m for key, (m, _, _) in kept.items()}
-
-
-def _automorphism(
-    perms: tuple, elements: list[int], images: tuple, image_elements: list[int], base: int
-) -> list[int]:
-    """phi(elements[i]) = image_elements[i], checked in O(|H|) to be an
-    automorphism of H that carries the marks of ``perms`` to those of
-    ``images``: a bijection fixing the identity ``base`` with
-    phi(h * a_j) = phi(h) * b_j for every h and every mark j."""
-    phi = [-1] * len(elements)
-    for h, g in zip(elements, image_elements):
-        phi[h] = g
-    if (
-        len(image_elements) != len(phi)
-        or set(phi) != set(range(len(phi)))
-        or phi[base] != base
-        or any(phi[a[h]] != b[phi[h]] for a, b in zip(perms, images) for h in elements)
-    ):
-        raise VerificationError("equal equivalence keys give no automorphism of the group")
-    return phi
-
-
-def _close(seen: set, frontier: list, generators: list[list[int]]) -> None:
-    """Add to ``seen`` the quadruples in ``frontier`` and all that the
-    generators and the reorderings (y,x,t,s), (s,t,x,y), (t,s,y,x) reach."""
-    frontier = [q for q in frontier if q not in seen]
-    seen.update(frontier)
-    while frontier:
-        x, y, s, t = frontier.pop()
-        images = [(y, x, t, s), (s, t, x, y), (t, s, y, x)]
-        images += [(phi[x], phi[y], phi[s], phi[t]) for phi in generators]
-        for q in images:
-            if q not in seen:
-                seen.add(q)
-                frontier.append(q)
+    kept: dict[tuple[int, ...], EdgeBiregularMap] = {}
+    for m in all_map_quadruples(group, want_chi):
+        kept.setdefault(equivalence_key(m), m)
+    return kept
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,9 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 
-# Existing command lines pass --jobs, so classify and verify still accept it.
-_JOBS_HELP = "accepted for compatibility and ignored"
+# Existing command lines pass --jobs, so classify and verify still accept it,
+# with a warning on stderr, until it is removed.
+_JOBS_HELP = "ignored, and will be removed"
 
 _MARK_STYLES = {"x": "bold", "y": "solid", "s": "dashed", "t": "dotted"}
 
@@ -362,7 +363,7 @@ def _parser() -> argparse.ArgumentParser:
     p_cls.add_argument(
         "--profile", choices=("exhaustive", "constructive"), default="exhaustive"
     )
-    p_cls.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
+    p_cls.add_argument("--jobs", type=int, help=_JOBS_HELP)
     common(p_cls, max_cosets=False)
     p_cls.set_defaults(func=cmd_classify)
 
@@ -372,7 +373,7 @@ def _parser() -> argparse.ArgumentParser:
         choices=("thm-odd", "thm-even", "lemma-4-2", "lemma-4-3", "exclusions"),
     )
     p_ver.add_argument("--p", type=int)
-    p_ver.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
+    p_ver.add_argument("--jobs", type=int, help=_JOBS_HELP)
     common(p_ver, max_cosets=False)
     p_ver.set_defaults(func=cmd_verify)
 
@@ -395,6 +396,8 @@ def _capacity_exceeded() -> tuple[type[Exception], ...]:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    if getattr(args, "jobs", None) is not None:
+        print("warning: --jobs is ignored and will be removed", file=sys.stderr)
     try:
         return args.func(args)
     except _capacity_exceeded() as exc:

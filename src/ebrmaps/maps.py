@@ -398,7 +398,7 @@ def _same_standard_table(a: tuple[Perm, ...], b: tuple[Perm, ...], base: int) ->
     marks to b's.
 
     The two tables are built in lockstep, one row at a time, as in
-    :func:`_canonical_form`, and the comparison stops at the first entry
+    :func:`equivalence_key`, and the comparison stops at the first entry
     that differs.  While the rows agree, both numberings add the same new
     elements, so the two lists of H stay the same length.
     """
@@ -436,20 +436,6 @@ def equivalence_key(m: EdgeBiregularMap) -> tuple[int, ...]:
 
     The least standardized table over the orderings of m, dual(m), twin(m)
     and dual(twin(m)); two maps are equivalent iff their keys are equal.
-    """
-    return _canonical_form(m)[0]
-
-
-def _canonical_form(
-    m: EdgeBiregularMap,
-) -> tuple[tuple[int, ...], tuple[Perm, ...], list[int]]:
-    """The equivalence key of m, the mark permutations of the variant that
-    gives it, and that variant's breadth-first list of H (element i of the
-    list is number i of the key).
-
-    If two maps on H have equal keys, sending the one's list to the other's
-    entry by entry is an automorphism of H carrying the one's winning marks
-    to the other's.
 
     The four tables have the same length and are built in lockstep, one
     row (one element of H) at a time.  A variant is dropped at its first
@@ -483,7 +469,7 @@ def _canonical_form(
         row += 1
     perms, number, elements = variants[0]
     _standard_rows(perms, number, elements, key, row)
-    return tuple(key), perms, elements
+    return tuple(key)
 
 
 # ---------------------------------------------------------------------------
@@ -625,17 +611,6 @@ def map_file_text(presentation_text: str, mark_names: tuple[str, str, str, str])
 # exhaustive search over one group
 
 
-def commuting_involution_pairs(group: FiniteGroup) -> list[tuple[int, int]]:
-    """All ordered pairs of distinct commuting involutions, lexicographically."""
-    invs = [g for g in range(group.order) if group.element_orders[g] == 2]
-    return [
-        (a, b)
-        for a in invs
-        for b in invs
-        if a != b and group.mul[a][b] == group.mul[b][a]
-    ]
-
-
 def _vertex_valency_for(group: FiniteGroup, want_chi: int) -> dict[int, int]:
     """The vertex valency k that gives chi = want_chi, keyed by face valency l.
 
@@ -658,73 +633,60 @@ def _vertex_valency_for(group: FiniteGroup, want_chi: int) -> dict[int, int]:
     return k_for_l
 
 
-def all_map_quadruples(group: FiniteGroup, want_chi: int | None = None, skip=(), *, least=False):
-    """Yield every valid map on the group, in lexicographic mark order.
+def all_map_quadruples(group: FiniteGroup, want_chi: int | None = None):
+    """Yield the valid maps on the group that can be the least quadruple of
+    their class, in lexicographic mark order.
 
-    (x, y) runs over the commuting involution pairs and s over the other
-    involutions; the face valency l = 2 ord(sx) is then fixed.  With
-    ``want_chi`` given, l fixes the one vertex valency k that gives that
-    chi, so the s whose l admits no k are dropped from the s list, made
-    once per x, and t runs only over the involutions with 2 ord(ty) = k
-    (listed once per (y, k)); a group where no l admits a k yields nothing
-    at once.  Without it, t runs over the involutions that commute with s.
-    Each candidate that is distinct from x, y, s and commutes with s has its
-    chi computed again before the generation check, the one test that
-    builds a subgroup.
+    A class is an orbit under Aut(H) and the reorderings (y,x,t,s),
+    (s,t,x,y), (t,s,y,x).  With c(g) the least conjugate of g, its least
+    quadruple has x = c(x), since conjugation is an automorphism; c(y),
+    c(s), c(t) >= x, since a reordering followed by a conjugation puts that
+    mark first; and y least among its conjugates by the centralizer of x,
+    since those conjugations fix x.  Only quadruples that pass these three
+    tests are yielded, so each class's least quadruple is the first of its
+    class to come.  Conjugacy classes are computed for involutions only.
 
-    With ``least`` set, only the quadruples that can be the least of their
-    class under Aut(H) and the reorderings (y,x,t,s), (s,t,x,y), (t,s,y,x)
-    are yielded.  With c(g) the least conjugate of g, such a quadruple has
-    x = c(x), since conjugation is an automorphism; c(y), c(s), c(t) >= x,
-    since a reordering followed by a conjugation puts that mark first; and
-    y least among its conjugates by the centralizer of x, since those
-    conjugations fix x.  Conjugacy classes are computed for involutions only.
-
-    A candidate whose mark tuple is in ``skip`` is passed over after the chi
-    check and before the generation check.  The caller may grow ``skip``
-    while it iterates: :func:`ebrmaps.census.enumerate_maps` puts there the
-    quadruples it has proven to lie in a class it already holds.
+    x runs over the involutions with x = c(x), y over the involutions that
+    commute with x and pass their tests, and s over the other involutions;
+    the face valency l = 2 ord(sx) is then fixed.  With ``want_chi`` given,
+    l fixes the one vertex valency k that gives that chi, so the s whose l
+    admits no k are dropped from the s list, made once per x, and t runs
+    only over the involutions with 2 ord(ty) = k (listed once per (y, k));
+    a group where no l admits a k yields nothing at once.  Without it, t
+    runs over the involutions that s runs over.  Each candidate that is
+    distinct from x, y, s and commutes with s has its chi computed again
+    before the generation check, the one test that builds a subgroup.
     """
     n, mul, orders = group.order, group.mul, group.element_orders
     invs = [g for g in range(n) if orders[g] == 2]
-    partners: dict[int, list[int]] = {}
-    for a, b in commuting_involution_pairs(group):
-        partners.setdefault(a, []).append(b)
     if want_chi is not None:
         k_for_l = _vertex_valency_for(group, want_chi)
         if not k_for_l:
             return
         with_valency: dict[tuple[int, int], list[int]] = {}
-    # low[g] = c(g) for each involution g when ``least``, where only x = c(x)
-    # is kept; all 0 otherwise, so that low[s] >= low[x] bounds nothing
-    low = [0] * n
-    if least:
-        conj = {g: group.conjugates(g) for g in invs}
-        for g in invs:
-            low[g] = min(conj[g])
-    for x, ys in partners.items():
-        if least:
-            if low[x] != x:
-                continue
-            centralizer = [g for g, h in enumerate(conj[x]) if h == x]
-            ys = [
-                y for y in ys
-                if low[y] >= x and min(map(conj[y].__getitem__, centralizer)) == y
-            ]
+    conj = {g: group.conjugates(g) for g in invs}
+    low = {g: min(conj[g]) for g in invs}
+    for x in invs:
+        if low[x] != x:
+            continue
+        centralizer = [g for g, h in enumerate(conj[x]) if h == x]
+        others = [g for g in invs if g != x and low[g] >= x]
+        ys = [
+            y for y in others
+            if mul[x][y] == mul[y][x] and min(map(conj[y].__getitem__, centralizer)) == y
+        ]
         if want_chi is None:
-            s_list = [(s, None, None) for s in invs if s != x and low[s] >= low[x]]
+            s_list = [(s, None, None) for s in others]
         else:
             s_list = [
-                (s, k_for_l[l], l)
-                for s in invs
-                if s != x and low[s] >= low[x] and (l := 2 * orders[mul[s][x]]) in k_for_l
+                (s, k_for_l[l], l) for s in others if (l := 2 * orders[mul[s][x]]) in k_for_l
             ]
         for y in ys:
             for s, k, l in s_list:
                 if s == y:
                     continue
                 if k is None:
-                    ts = partners.get(s, ())
+                    ts = others
                 else:
                     ts = with_valency.get((y, k))
                     if ts is None:
@@ -732,7 +694,7 @@ def all_map_quadruples(group: FiniteGroup, want_chi: int | None = None, skip=(),
                             t for t in invs if 2 * orders[mul[t][y]] == k
                         ]
                 for t in ts:
-                    if t in (x, y, s) or low[t] < low[x] or mul[s][t] != mul[t][s]:
+                    if t in (x, y, s) or low[t] < x or mul[s][t] != mul[t][s]:
                         continue
                     if k is not None:
                         chi = euler_characteristic_formula(n, k, l)
@@ -740,8 +702,6 @@ def all_map_quadruples(group: FiniteGroup, want_chi: int | None = None, skip=(),
                             raise VerificationError(
                                 f"type ({k},{l}) was solved for chi = {want_chi} but gives {chi}"
                             )
-                    if (x, y, s, t) in skip:
-                        continue
                     if len(subgroup_closure(group, (x, y, s, t))) != n:
                         continue
                     yield _unchecked(group, (x, y, s, t))

