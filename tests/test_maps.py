@@ -46,6 +46,7 @@ from ebrmaps.maps import (
     type_of,
 )
 from ebrmaps.presentations import parse_presentation
+import references
 from references import (
     all_map_quadruples_by_scan,
     even_subgroup_index_of_products,
@@ -490,6 +491,36 @@ def _searched_orders():
         orders = {a.n for a in admissible_types(p) if a.n % p == 0}
         out += [(-p, n) for n in sorted(orders) if n in ATLAS_ORDERS]
     return out + [(-1, 8), (-1, 12)]
+
+
+def test_search_equals_the_scan(monkeypatch):
+    # up to equivalence: the search yields, in scan order, a part of the
+    # scan that holds the first quadruple of every class, and it generates
+    # no more subgroups than the scan does
+    closures = [0]
+    counted = maps_module.subgroup_closure
+
+    def closure(*args):
+        closures[0] += 1
+        return counted(*args)
+
+    monkeypatch.setattr(maps_module, "subgroup_closure", closure)
+    monkeypatch.setattr(references, "subgroup_closure", closure)
+    cases = _searched_orders() + [(None, n) for n in ATLAS_ORDERS if n <= 16]
+    for chi, n in cases:
+        for g in atlas(n):
+            closures[0] = 0
+            got = [m.marks for m in all_map_quadruples(g, chi)]
+            checks = closures[0]
+            closures[0] = 0
+            scan = list(all_map_quadruples_by_scan(g, chi))
+            assert 0 < checks <= closures[0] or not scan, (chi, g.name)
+            firsts = {}
+            for m in scan:
+                firsts.setdefault(equivalence_key(m), m.marks)
+            kept = set(got)
+            assert got == [m.marks for m in scan if m.marks in kept], (chi, g.name)
+            assert set(firsts.values()) <= kept, (chi, g.name)
 
 
 _TWO_VALENCIES = """
