@@ -32,7 +32,6 @@ _EXPORTS = {
         "dicyclic",
         "dihedral",
         "direct_product",
-        "extend_generator_map",
         "group_from_action",
         "is_prime",
         "multiplicative_units",

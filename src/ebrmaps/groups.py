@@ -10,9 +10,9 @@ tiled |A| times.  At construction the identity is the element whose row is
 each cyclic subgroup once, with ord(a^j) = ord(a) / gcd(j, ord(a)).  The
 conjugates of x come from column x of the table, read one column at a time
 so the whole transpose is never held; the isomorphism fingerprint computes
-them once per conjugacy class, and :func:`are_isomorphic` asks for it only
-when the sorted element orders tie.  Groups are immutable value objects and are compared by identity (use
-:func:`are_isomorphic` for abstract comparison).
+them once per conjugacy class; :func:`are_isomorphic` asks for it only when
+the sorted element orders tie, then compares standardized tables, as ``maps``
+does.  Groups are immutable value objects, equal only to themselves.
 
 Convention used throughout: ``dihedral(n)`` is the dihedral group OF ORDER
 ``n`` (so ``dihedral(12)`` has 6 rotations and 6 reflections).  All order
@@ -468,7 +468,7 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# closure, homomorphisms, isomorphism
+# closure and isomorphism
 
 
 def subgroup_closure(g: FiniteGroup, gens: tuple[int, ...] | list[int]) -> tuple[int, ...]:
@@ -490,57 +490,34 @@ def subgroup_closure(g: FiniteGroup, gens: tuple[int, ...] | list[int]) -> tuple
     return tuple(sorted(seen))
 
 
-def extend_generator_map(
-    src: FiniteGroup,
-    src_gens: tuple[int, ...],
-    dst: FiniteGroup,
-    dst_images: tuple[int, ...],
-) -> tuple[int, ...] | None:
-    """Extend src_gens -> dst_images to a homomorphism, or return None.
-
-    Requires src_gens to generate src.  The extension is built by closing
-    the assignment under right multiplication; any inconsistency means no
-    homomorphism exists with these generator images.
+def _same_standard_table(
+    a: Sequence[Sequence[int]], a_base: int, b: Sequence[Sequence[int]], b_base: int
+) -> bool:
+    """Whether two regular actions, by permutations of their points with
+    identity points a_base and b_base, have equal standardized tables (see
+    ``maps._standard_rows``), that is, whether an isomorphism carries a's
+    generators to b's in order.  Actions on different numbers of points
+    differ.  The tables are built in lockstep, one row at a time, and the
+    comparison stops at the first entry that differs; while the rows agree,
+    both numberings add the same new points in the same row.
     """
-    if len(src_gens) != len(dst_images):
-        raise ValueError("generator/image length mismatch")
-    n = src.order
-    img: list[int | None] = [None] * n
-    img[src.identity] = dst.identity
-    frontier = [src.identity]
-    smul, dmul = src.mul, dst.mul
-    while frontier:
-        nxt = []
-        for a in frontier:
-            ia = img[a]
-            for z, w in zip(src_gens, dst_images):
-                az = smul[a][z]
-                bw = dmul[ia][w]
-                known = img[az]
-                if known is None:
-                    img[az] = bw
-                    nxt.append(az)
-                elif known != bw:
-                    return None
-        frontier = nxt
-    if any(v is None for v in img):
-        raise ValueError("src_gens do not generate src")
-    return tuple(img)  # type: ignore[arg-type]
-
-
-def _extend_iso(
-    sg: FiniteGroup, smarks: tuple[int, ...], dg: FiniteGroup, dmarks: tuple[int, ...]
-) -> tuple[int, ...] | None:
-    """Isomorphism of sg onto dg carrying smarks[i] to dmarks[i], or None."""
-    if sg.order != dg.order or len(smarks) != len(dmarks):
-        return None
-    for a, b in zip(smarks, dmarks):
-        if sg.element_orders[a] != dg.element_orders[b]:
-            return None
-    img = extend_generator_map(sg, smarks, dg, dmarks)
-    if img is None or len(set(img)) != sg.order:
-        return None
-    return img
+    n = len(a[0])
+    if len(b[0]) != n:
+        return False
+    number_a, number_b = [-1] * n, [-1] * n
+    number_a[a_base] = number_b[b_base] = 0
+    elements_a, elements_b = [a_base], [b_base]
+    for g, h in zip(elements_a, elements_b):  # both grow while they are walked
+        for perm_a, perm_b in zip(a, b):
+            ga, hb = perm_a[g], perm_b[h]
+            i = number_a[ga]
+            if i != number_b[hb]:
+                return False
+            if i < 0:  # new on both sides, so numbered alike
+                number_a[ga] = number_b[hb] = len(elements_a)
+                elements_a.append(ga)
+                elements_b.append(hb)
+    return True
 
 
 def greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
@@ -561,10 +538,11 @@ def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
     """Abstract group isomorphism test.
 
     Compares the sorted element orders first and the fingerprint, with its
-    conjugacy class sizes, only when they tie.  Then uses a greedy
-    generating set of ``a`` and searches all order-compatible image tuples
-    in ``b``, pruning by pairwise product orders before trying to extend
-    each candidate to a full isomorphism.
+    conjugacy class sizes, only when they tie.  Then searches the images in
+    ``b`` of a greedy generating set of ``a`` by element order, pruned by
+    pairwise product orders, and compares each full tuple's standardized
+    table with the generators': as they generate ``a`` and |a| = |b|, the
+    tables are equal exactly when an isomorphism carries one to the other.
     """
     if a is b:
         return True
@@ -573,13 +551,15 @@ def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
     if a.fingerprint != b.fingerprint:
         return False
     gens = greedy_generators(a)
+    columns = [[row[g] for row in a.mul] for g in gens]
     by_order: dict[int, list[int]] = {}
     for o in {a.element_orders[x] for x in gens}:
         by_order[o] = [y for y in range(b.order) if b.element_orders[y] == o]
 
     def search(i: int, chosen: tuple[int, ...]) -> bool:
         if i == len(gens):
-            return _extend_iso(a, gens, b, chosen) is not None
+            images = [[row[g] for row in b.mul] for g in chosen]
+            return _same_standard_table(columns, a.identity, images, b.identity)
         for cand in by_order[a.element_orders[gens[i]]]:
             ok = True
             for j in range(i):

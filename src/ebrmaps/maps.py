@@ -34,6 +34,7 @@ from .groups import (
     Perm,
     VerificationError,
     _Record,
+    _same_standard_table,
     group_from_action,
     subgroup_closure,
 )
@@ -126,14 +127,18 @@ def _check_marks(perms: tuple[Perm, ...], base: int) -> None:
     """The marks are distinct commuting pairs of involutions generating H.
 
     Raises NotInvolution / NotDistinct / PairNotCommuting / NotGenerating,
-    each naming the offending marks.  O(|H|): in a regular action an element
-    is the identity iff it fixes the base point, and the marks generate H
-    iff the base point's orbit under them is all of H.
+    each naming the offending marks, or MapStructureError for an entry
+    outside range(|H|).  O(|H|): in a regular action an element is the
+    identity iff it fixes the base point, and the marks generate H iff the
+    base point's orbit under them, walked breadth first, is H in full.
     """
     points = range(len(perms[0]))
     for name, perm in zip(MARK_NAMES, perms):
-        if perm[base] == base or any(perm[perm[h]] != h for h in points):
-            raise NotInvolution(f"mark {name} is not an involution")
+        try:
+            if perm[base] == base or any(perm[perm[h]] != h for h in points):
+                raise NotInvolution(f"mark {name} is not an involution")
+        except IndexError:
+            raise MapStructureError(f"mark {name} has an entry outside range(|H|)") from None
     if len({perm[base] for perm in perms}) != 4:
         raise NotDistinct("marks x, y, s, t must be pairwise distinct")
     px, py, ps, pt = perms
@@ -163,6 +168,11 @@ def map_from_action(perms: tuple[Perm, ...], name: str = "H") -> EdgeBiregularMa
     0 the identity) and build the map; raises as :func:`new_map` does."""
     if len(perms) != 4:
         raise MapStructureError("a map needs exactly four marked elements")
+    n = len(perms[0])
+    if any(len(perm) != n for perm in perms):
+        raise MapStructureError("mark permutations have different lengths")
+    if n == 0:
+        raise MapStructureError("mark permutations are empty")
     _check_marks(perms, 0)
     return EdgeBiregularMap(tuple(perms), 0, name)  # type: ignore[arg-type]
 
@@ -391,44 +401,14 @@ def _standard_rows(
             table.append(i)
 
 
-def _same_standard_table(a: tuple[Perm, ...], b: tuple[Perm, ...], base: int) -> bool:
-    """Whether the mark orderings a and b of one regular action, with
-    identity ``base``, have equal standardized tables (see
-    :func:`_standard_rows`), that is, whether an automorphism carries a's
-    marks to b's.
-
-    The two tables are built in lockstep, one row at a time, as in
-    :func:`equivalence_key`, and the comparison stops at the first entry
-    that differs.  While the rows agree, both numberings add the same new
-    elements, so the two lists of H stay the same length.
-    """
-    n = len(a[0])
-    number_a, number_b = [-1] * n, [-1] * n
-    number_a[base] = number_b[base] = 0
-    elements_a, elements_b = [base], [base]
-    for g, h in zip(elements_a, elements_b):  # both grow while they are walked
-        for perm_a, perm_b in zip(a, b):
-            ga, hb = perm_a[g], perm_b[h]
-            i, j = number_a[ga], number_b[hb]
-            if i < 0:
-                i = number_a[ga] = len(elements_a)
-                elements_a.append(ga)
-            if j < 0:
-                j = number_b[hb] = len(elements_b)
-                elements_b.append(hb)
-            if i != j:
-                return False
-    return True
-
-
 def is_fully_regular(m: EdgeBiregularMap) -> bool:
     """m is isomorphic to its twin."""
-    return _same_standard_table(m.perms, twin(m).perms, m.base)
+    return _same_standard_table(m.perms, m.base, twin(m).perms, m.base)
 
 
 def is_self_dual(m: EdgeBiregularMap) -> bool:
     """m is isomorphic to its dual."""
-    return _same_standard_table(m.perms, dual(m).perms, m.base)
+    return _same_standard_table(m.perms, m.base, dual(m).perms, m.base)
 
 
 def equivalence_key(m: EdgeBiregularMap) -> tuple[int, ...]:

@@ -1,16 +1,20 @@
 """Dense reference implementations, shared by the test modules.
 
-The library works on the four mark permutations of a map; these references
-work on dense multiplication tables instead, so the tests can hold the
-permutation code against an independent computation on the same inputs.
+The library works on the four mark permutations of a map, and decides
+isomorphism by comparing standardized tables; these references work on
+dense multiplication tables instead, and decide isomorphism by extending a
+map of generators to a homomorphism, so the tests can hold the library
+against an independent computation on the same inputs.
 """
+
+from itertools import product
 
 from ebrmaps.families import _assert_probe_conformance
 from ebrmaps.groups import (
     FiniteGroup,
     MarkedGroup,
     VerificationError,
-    _extend_iso,
+    greedy_generators,
     subgroup_closure,
 )
 from ebrmaps.maps import (
@@ -25,6 +29,85 @@ from ebrmaps.maps import (
     type_of,
 )
 from ebrmaps.presentations import Presentation, group_from_action, regular_action
+
+
+def extend_generator_map(
+    src: FiniteGroup,
+    src_gens: tuple[int, ...],
+    dst: FiniteGroup,
+    dst_images: tuple[int, ...],
+) -> tuple[int, ...] | None:
+    """Extend src_gens -> dst_images to a homomorphism, or return None.
+
+    Requires src_gens to generate src.  The extension is built by closing
+    the assignment under right multiplication; any inconsistency means no
+    homomorphism exists with these generator images.
+    """
+    if len(src_gens) != len(dst_images):
+        raise ValueError("generator/image length mismatch")
+    img: list[int | None] = [None] * src.order
+    img[src.identity] = dst.identity
+    frontier = [src.identity]
+    smul, dmul = src.mul, dst.mul
+    while frontier:
+        nxt = []
+        for a in frontier:
+            ia = img[a]
+            for z, w in zip(src_gens, dst_images):
+                az = smul[a][z]
+                bw = dmul[ia][w]
+                known = img[az]
+                if known is None:
+                    img[az] = bw
+                    nxt.append(az)
+                elif known != bw:
+                    return None
+        frontier = nxt
+    if any(v is None for v in img):
+        raise ValueError("src_gens do not generate src")
+    return tuple(img)  # type: ignore[arg-type]
+
+
+def _extend_iso(
+    sg: FiniteGroup, smarks: tuple[int, ...], dg: FiniteGroup, dmarks: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """Isomorphism of sg onto dg carrying smarks[i] to dmarks[i], or None."""
+    if sg.order != dg.order or len(smarks) != len(dmarks):
+        return None
+    for a, b in zip(smarks, dmarks):
+        if sg.element_orders[a] != dg.element_orders[b]:
+            return None
+    img = extend_generator_map(sg, smarks, dg, dmarks)
+    if img is None or len(set(img)) != sg.order:
+        return None
+    return img
+
+
+def are_isomorphic_by_extension(a: FiniteGroup, b: FiniteGroup) -> bool:
+    """Some tuple of elements of b, of the same element orders as a's
+    greedy generators, is their image under an isomorphism; every such
+    tuple is tried with :func:`_extend_iso`, with no invariant or pruning."""
+    if a.order != b.order:
+        return False
+    gens = greedy_generators(a)
+    choices = [
+        [y for y in range(b.order) if b.element_orders[y] == a.element_orders[g]]
+        for g in gens
+    ]
+    return any(_extend_iso(a, gens, b, images) is not None for images in product(*choices))
+
+
+def relabelled(g: FiniteGroup, rng) -> tuple[FiniteGroup, list[int]]:
+    """The same group with its elements renumbered by a random permutation
+    ``perm`` (element a becomes perm[a]), and the permutation."""
+    n = g.order
+    perm = list(range(n))
+    rng.shuffle(perm)
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[g.mul[a][b]]
+    return FiniteGroup(tuple(map(tuple, table)), name=g.name), perm
 
 
 def is_map_isomorphic(a: EdgeBiregularMap, b: EdgeBiregularMap) -> bool:

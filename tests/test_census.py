@@ -6,9 +6,11 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -49,7 +51,12 @@ from ebrmaps.maps import (
     euler_characteristic_formula,
     type_of,
 )
-from references import all_map_quadruples_by_scan, enumerate_maps_by_key
+from references import (
+    all_map_quadruples_by_scan,
+    are_isomorphic_by_extension,
+    enumerate_maps_by_key,
+    relabelled,
+)
 
 
 def test_admissible_types_p2():
@@ -132,6 +139,34 @@ def test_atlas_members_pairwise_distinct():
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
                 assert not are_isomorphic(groups[i], groups[j])
+
+
+def test_atlas_against_the_dense_reference():
+    # each small group matches a random renumbering of its own table, both
+    # by the standardized tables and by extending a map of generators
+    rng = random.Random(24)
+    for order in ATLAS_ORDERS:
+        if order > 24:
+            break
+        for g in atlas(order):
+            other, _ = relabelled(g, rng)
+            assert are_isomorphic(g, other), g.name
+            assert are_isomorphic_by_extension(g, other), g.name
+    # 7 pairs tie on element orders; only these 2 also tie on class sizes,
+    # so only they reach the table comparison with a fingerprint match
+    tied = [
+        (a, b)
+        for order in ATLAS_ORDERS
+        for a, b in combinations(atlas(order), 2)
+        if sorted(a.element_orders) == sorted(b.element_orders)
+    ]
+    assert len(tied) == 7
+    tied = [(a, b) for a, b in tied if a.fingerprint == b.fingerprint]
+    assert [(a.name, b.name) for a, b in tied] == [("Q8xC2", "C4:C4"), ("V4:C4", "D8oC4")]
+    for a, b in tied:
+        assert not are_isomorphic(a, b)
+        assert not are_isomorphic_by_extension(a, b)
+        assert not are_isomorphic_by_extension(b, a)
 
 
 def test_atlas_contains_expected_groups():

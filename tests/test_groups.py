@@ -1,9 +1,10 @@
 """Tests for the concrete finite-group layer: constructors, encodings,
-homomorphism extension and isomorphism testing."""
+standardized-table comparison and isomorphism testing."""
 
 import gc
 import itertools
 import math
+import random
 import weakref
 
 import pytest
@@ -11,15 +12,14 @@ import pytest
 from ebrmaps.groups import (
     FiniteGroup,
     MarkedGroup,
-    _extend_iso,
     _generated_action,
+    _same_standard_table,
     alternating,
     are_isomorphic,
     cyclic,
     dicyclic,
     dihedral,
     direct_product,
-    extend_generator_map,
     greedy_generators,
     multiplicative_units,
     quotient,
@@ -34,6 +34,7 @@ from references import (
     fingerprint,
     is_abelian,
     rejection,
+    relabelled,
 )
 from table_checks import validate_group_table
 
@@ -222,17 +223,6 @@ def test_subgroup_closure():
     assert set(subgroup_closure(d8, (1,))) == {0, 1, 2, 3}
 
 
-def test_extend_generator_map_homomorphism():
-    # C4 -> C2 sending the generator to the involution: a genuine quotient map
-    img = extend_generator_map(cyclic(4), (1,), cyclic(2), (1,))
-    assert img == (0, 1, 0, 1)
-    # no homomorphism C4 -> C6 can send an order-4 element to an order-3 one
-    assert extend_generator_map(cyclic(4), (1,), cyclic(6), (2,)) is None
-    # generators that do not generate raise
-    with pytest.raises(ValueError):
-        extend_generator_map(cyclic(4), (2,), cyclic(2), (1,))
-
-
 def test_generated_action_composes_b_from_generator_images():
     identity, inversion = tuple(range(5)), (0, 4, 3, 2, 1)
     # B = C4 given by a regular action's permutation v -> v + 1 of its generator
@@ -256,14 +246,25 @@ def test_generated_action_composes_b_from_generator_images():
 
 def test_extends_to_isomorphism():
     d8 = dihedral(8)
+    g = d8.group
+
+    def columns(group, elements):
+        return [[row[z] for row in group.mul] for z in elements]
+
+    marks = columns(g, d8.marked)
     # reflection marks can be rotated by an (inner) automorphism
-    other = MarkedGroup(d8.group, (6, 7))
-    img = _extend_iso(d8.group, d8.marked, other.group, other.marked)
-    assert img is not None
-    assert sorted(img) == list(range(8))
+    assert _same_standard_table(marks, g.identity, columns(g, (6, 7)), g.identity)
     # marks of mismatched orders cannot correspond
-    bad = MarkedGroup(d8.group, (4, 1))
-    assert _extend_iso(d8.group, d8.marked, bad.group, bad.marked) is None
+    assert not _same_standard_table(marks, g.identity, columns(g, (4, 1)), g.identity)
+    # across two numberings of D8, the renumbered marks correspond and two
+    # commuting reflections (generating only a Klein four group) do not
+    other, perm = relabelled(g, random.Random(0))
+    same = columns(other, [perm[z] for z in d8.marked])
+    assert _same_standard_table(marks, g.identity, same, other.identity)
+    klein = columns(other, [perm[4], perm[6]])
+    assert not _same_standard_table(marks, g.identity, klein, other.identity)
+    # actions on different numbers of points are never equal
+    assert not _same_standard_table(marks, g.identity, [(1, 0), (1, 0)], 0)
 
 
 def test_are_isomorphic_positive():

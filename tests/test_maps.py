@@ -14,7 +14,7 @@ import ebrmaps
 import ebrmaps.maps as maps_module
 from ebrmaps.census import ATLAS_ORDERS, _constructive_entries, admissible_types, atlas, classify
 from ebrmaps.families import chi_minus_2_catalog
-from ebrmaps.groups import FiniteGroup, MarkedGroup, cyclic, dihedral, direct_product, symmetric
+from ebrmaps.groups import MarkedGroup, cyclic, dihedral, direct_product, symmetric
 from ebrmaps.maps import (
     EdgeBiregularMap,
     MapStructureError,
@@ -55,6 +55,7 @@ from references import (
     is_fully_regular_by_tables,
     is_map_isomorphic,
     is_self_dual_by_tables,
+    relabelled,
     standard_table,
 )
 
@@ -260,14 +261,7 @@ def test_equivalence_key_decides_equivalence_up_to_duality():
 
 def _relabelled(m, rng):
     """The same map with H renumbered by a random permutation."""
-    n = m.group.order
-    perm = list(range(n))
-    rng.shuffle(perm)
-    table = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            table[perm[a]][perm[b]] = perm[m.group.mul[a][b]]
-    group = FiniteGroup(tuple(map(tuple, table)), name=m.group.name)
+    group, perm = relabelled(m.group, rng)
     return new_map(group, tuple(perm[z] for z in m.marks))
 
 
@@ -366,6 +360,20 @@ def test_map_from_action_validates():
         map_from_action((px, ps, py, pt))  # x and s generate a group of order 8
     with pytest.raises(MapStructureError):
         map_from_action((px, py, ps))
+
+
+def test_map_from_action_rejects_malformed_permutations():
+    d8 = new_map(dihedral(8).group, (4, 6, 5, 7))
+    assert map_from_action(d8.perms) == d8
+    px, py, ps, pt = d8.perms
+    faults = [
+        ((px, py, ps, pt + (8, 9)), "mark permutations have different lengths"),
+        (((5, 0), (1, 0), (1, 0), (1, 0)), r"mark x has an entry outside range\(\|H\|\)"),
+        (((), (), (), ()), "mark permutations are empty"),
+    ]
+    for perms, message in faults:
+        with pytest.raises(MapStructureError, match=f"^{message}$"):
+            map_from_action(perms)
 
 
 def test_fully_regular_and_self_dual_flags():

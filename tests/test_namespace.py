@@ -116,6 +116,14 @@ def test_no_module_imports_dataclasses():
         assert name.split(".")[0] != "dataclasses", path
 
 
+def test_no_module_uses_assert():
+    # the library's checks must also run under python -O, which strips asserts
+    for path in sorted((SRC / "ebrmaps").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], (path.name, lines)
+
+
 def test_every_absolute_import_is_of_the_standard_library():
     # the runtime stays pure stdlib
     for path, name, level in _imports():
