@@ -6,11 +6,10 @@ The enumerator completes a coset table for a subgroup given by generator
 words; with the trivial subgroup it realizes the whole group concretely.
 """
 
-from ebrmaps.groups import are_isomorphic, dihedral
+from ebrmaps.groups import are_isomorphic, dihedral, group_from_action
 from ebrmaps.presentations import (
     CapacityExceeded,
     coset_enumerate,
-    group_from_action,
     parse_presentation,
     regular_action,
 )

@@ -11,8 +11,10 @@ each cyclic subgroup once, with ord(a^j) = ord(a) / gcd(j, ord(a)).  The
 conjugates of x come from column x of the table, read one column at a time
 so the whole transpose is never held; the isomorphism fingerprint computes
 them once per conjugacy class; :func:`are_isomorphic` asks for it only when
-the sorted element orders tie, then compares standardized tables, as ``maps``
-does.  Groups are immutable value objects, equal only to themselves.
+the sorted element orders tie, then compares standardized tables.  One
+walk, :func:`_standard_rows`, numbers H for every standardized table, here
+and in ``maps``.  Groups are immutable value objects, equal only to
+themselves.
 
 Convention used throughout: ``dihedral(n)`` is the dihedral group OF ORDER
 ``n`` (so ``dihedral(12)`` has 6 rotations and 6 reflections).  All order
@@ -21,11 +23,11 @@ formulas in this package follow that convention.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from functools import cached_property
 from itertools import permutations
 from math import gcd
-from operator import add, getitem, itemgetter
+from operator import add, eq, getitem, itemgetter
 
 
 class VerificationError(AssertionError):
@@ -490,34 +492,46 @@ def subgroup_closure(g: FiniteGroup, gens: tuple[int, ...] | list[int]) -> tuple
     return tuple(sorted(seen))
 
 
+def _standard_rows(perms: Sequence[Sequence[int]], base: int) -> Iterator[list[int]]:
+    """The rows of the standardized table of a regular action, one at a time.
+
+    The table is the action of the permutations ``perms`` on H, with H
+    numbered breadth first from the identity point ``base``, applying the
+    permutations in the given order (the standardized coset table of Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, ch. 5).  Row i
+    lists the numbers of h_i * g for each permutation g.  Two regular actions
+    have equal tables exactly when an isomorphism carries one's generators
+    to the other's, in order.  This is the one walk that numbers H: the map
+    key, full regularity, self-duality and :func:`are_isomorphic` all read it.
+    """
+    number = [-1] * len(perms[0])
+    number[base] = 0
+    elements = [base]
+    for h in elements:  # grows while it is walked
+        row = []
+        for perm in perms:
+            g = perm[h]
+            i = number[g]
+            if i < 0:
+                i = number[g] = len(elements)
+                elements.append(g)
+            row.append(i)
+        yield row
+
+
 def _same_standard_table(
     a: Sequence[Sequence[int]], a_base: int, b: Sequence[Sequence[int]], b_base: int
 ) -> bool:
-    """Whether two regular actions, by permutations of their points with
-    identity points a_base and b_base, have equal standardized tables (see
-    ``maps._standard_rows``), that is, whether an isomorphism carries a's
-    generators to b's in order.  Actions on different numbers of points
-    differ.  The tables are built in lockstep, one row at a time, and the
-    comparison stops at the first entry that differs; while the rows agree,
-    both numberings add the same new points in the same row.
+    """Whether two regular actions, with identity points a_base and b_base,
+    have equal standardized tables, that is, whether an isomorphism carries
+    a's generators to b's in order.  Actions on different numbers of points
+    differ.  The rows are compared as the walks make them, so the comparison
+    stops at the first row that differs; while the rows agree, both walks
+    have reached the same number of points, so they end together.
     """
-    n = len(a[0])
-    if len(b[0]) != n:
+    if len(a[0]) != len(b[0]):
         return False
-    number_a, number_b = [-1] * n, [-1] * n
-    number_a[a_base] = number_b[b_base] = 0
-    elements_a, elements_b = [a_base], [b_base]
-    for g, h in zip(elements_a, elements_b):  # both grow while they are walked
-        for perm_a, perm_b in zip(a, b):
-            ga, hb = perm_a[g], perm_b[h]
-            i = number_a[ga]
-            if i != number_b[hb]:
-                return False
-            if i < 0:  # new on both sides, so numbered alike
-                number_a[ga] = number_b[hb] = len(elements_a)
-                elements_a.append(ga)
-                elements_b.append(hb)
-    return True
+    return all(map(eq, _standard_rows(a, a_base), _standard_rows(b, b_base)))
 
 
 def greedy_generators(g: FiniteGroup) -> tuple[int, ...]:

@@ -12,6 +12,8 @@ counts are |H|/k, |H|/2 and |H|/l, so the supporting surface has
 Duality swaps the two sides' roles pairwise ((x,y,s,t) -> (y,x,t,s)), the
 twin swaps sides wholesale ((x,y,s,t) -> (s,t,x,y)); a map is fully regular
 when it is isomorphic to its twin and self-dual when isomorphic to its dual.
+Both tests and the canonical key compare standardized tables, whose rows
+come from the one walk that numbers H, ``groups._standard_rows``.
 
 A map is stored as H acting on itself by right multiplication: four
 permutations of |H| points, one per mark, so its size is linear in |H|.
@@ -25,7 +27,6 @@ even words, and 2-colorability of the flag graph) which must agree.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 
 from .groups import (
     DEFAULT_MAX_COSETS,
@@ -35,6 +36,7 @@ from .groups import (
     VerificationError,
     _Record,
     _same_standard_table,
+    _standard_rows,
     group_from_action,
     subgroup_closure,
 )
@@ -372,35 +374,6 @@ def twin(m: EdgeBiregularMap) -> EdgeBiregularMap:
     return _reordered(m, (2, 3, 0, 1))
 
 
-def _standard_rows(
-    perms: tuple[Perm, ...],
-    number: list[int],
-    elements: list[int],
-    table: list[int],
-    start: int,
-) -> None:
-    """Append the rows of the standardized table from row ``start`` on to
-    ``table``.  ``elements`` lists H in its numbering so far and ``number``
-    inverts it; both grow as new elements are reached.
-
-    The standardized table is right multiplication by the marks, with H
-    numbered in breadth-first order from the identity, applying the mark
-    permutations in the given order (the standardized coset table of Holt,
-    Eick and O'Brien, Handbook of Computational Group Theory, ch. 5).  Entry
-    i * len(perms) + j is the number of h_i * mark_j.  Two regular actions
-    have equal tables exactly when an isomorphism carries one's marks to
-    the other's.
-    """
-    for h in islice(elements, start, None):  # grows while it is walked
-        for perm in perms:
-            g = perm[h]
-            i = number[g]
-            if i < 0:
-                i = number[g] = len(elements)
-                elements.append(g)
-            table.append(i)
-
-
 def is_fully_regular(m: EdgeBiregularMap) -> bool:
     """m is isomorphic to its twin."""
     return _same_standard_table(m.perms, m.base, twin(m).perms, m.base)
@@ -414,41 +387,31 @@ def is_self_dual(m: EdgeBiregularMap) -> bool:
 def equivalence_key(m: EdgeBiregularMap) -> tuple[int, ...]:
     """Canonical key of m up to isomorphism, duality and twinning.
 
-    The least standardized table over the orderings of m, dual(m), twin(m)
-    and dual(twin(m)); two maps are equivalent iff their keys are equal.
+    The least standardized table (``groups._standard_rows``) over the
+    orderings of m, dual(m), twin(m) and dual(twin(m)); two maps are
+    equivalent iff their keys are equal.
 
-    The four tables have the same length and are built in lockstep, one
-    row (one element of H) at a time.  A variant is dropped at its first
-    row that is larger than the least row, and the last one left is
-    finished alone, so a variant that loses early costs only its first rows.
+    The four walks all number the base point's orbit, so their tables have
+    the same length; they are drawn from one row (one element of H) at a
+    time.  A variant is dropped at its first row that is larger than the
+    least row, and the last one left is drained alone, so a variant that
+    loses early costs only its first rows.
     """
     x, y, s, t = m.perms
-    variants = []
-    for perms in ((x, y, s, t), (y, x, t, s), (s, t, x, y), (t, s, y, x)):
-        number = [-1] * m.order
-        number[m.base] = 0
-        variants.append((perms, number, [m.base]))
+    walks = [
+        _standard_rows(perms, m.base)
+        for perms in ((x, y, s, t), (y, x, t, s), (s, t, x, y), (t, s, y, x))
+    ]
     key: list[int] = []
-    row = 0
-    while len(variants) > 1 and row < len(variants[0][2]):
-        rows = []
-        for perms, number, elements in variants:
-            h = elements[row]
-            entries = []
-            for perm in perms:
-                g = perm[h]
-                i = number[g]
-                if i < 0:
-                    i = number[g] = len(elements)
-                    elements.append(g)
-                entries.append(i)
-            rows.append(entries)
+    while len(walks) > 1:
+        rows = [next(walk, None) for walk in walks]
+        if rows[0] is None:  # every walk has ended
+            break
         least = min(rows)
-        variants = [v for v, entries in zip(variants, rows) if entries == least]
+        walks = [walk for walk, row in zip(walks, rows) if row == least]
         key += least
-        row += 1
-    perms, number, elements = variants[0]
-    _standard_rows(perms, number, elements, key, row)
+    for row in walks[0]:
+        key += row
     return tuple(key)
 
 

@@ -34,13 +34,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 
-from .groups import (  # noqa: F401 - group_from_action is re-exported
-    DEFAULT_MAX_COSETS,
-    Perm,
-    VerificationError,
-    _Record,
-    group_from_action,
-)
+from .groups import DEFAULT_MAX_COSETS, Perm, VerificationError, _Record
 
 Word = tuple[int, ...]
 # A written word: each factor is a generator or a pair (form, k) for form^k.

@@ -15,12 +15,12 @@ from ebrmaps.groups import (
     MarkedGroup,
     VerificationError,
     greedy_generators,
+    group_from_action,
     subgroup_closure,
 )
 from ebrmaps.maps import (
     EdgeBiregularMap,
     _orbit,
-    _standard_rows,
     _unchecked,
     dual,
     equivalence_key,
@@ -28,7 +28,7 @@ from ebrmaps.maps import (
     twin,
     type_of,
 )
-from ebrmaps.presentations import Presentation, group_from_action, regular_action
+from ebrmaps.presentations import Presentation, regular_action
 
 
 def extend_generator_map(
@@ -155,13 +155,18 @@ def even_subgroup_index_of_products(m: EdgeBiregularMap) -> int:
 
 
 def standard_table(perms, base: int = 0) -> tuple[int, ...]:
-    """The whole standardized table of the regular action by the marks
-    ``perms`` with identity ``base`` (``maps._standard_rows``)."""
-    number = [-1] * len(perms[0])
-    number[base] = 0
-    table: list[int] = []
-    _standard_rows(perms, number, [base], table, 0)
-    return tuple(table)
+    """The whole standardized table of the action by the permutations
+    ``perms`` on the orbit of ``base``, built at once: the orbit is numbered
+    breadth first from ``base``, applying ``perms`` in order, and entry
+    i * len(perms) + j is the number of point i's image under perms[j]."""
+    number = {base: 0}
+    queue = [base]
+    for h in queue:
+        for perm in perms:
+            if perm[h] not in number:
+                number[perm[h]] = len(queue)
+                queue.append(perm[h])
+    return tuple(number[perm[h]] for h in queue for perm in perms)
 
 
 def is_fully_regular_by_tables(m: EdgeBiregularMap) -> bool:

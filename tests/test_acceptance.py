@@ -13,7 +13,7 @@ from fractions import Fraction
 from ebrmaps import census, families
 from ebrmaps.census import atlas, catalog_json, catalog_rows, classify, enumerate_maps
 from ebrmaps.families import FamilyParams, cyclic_fitting_map, cyclic_fitting_params
-from ebrmaps.groups import MarkedGroup, are_isomorphic, dihedral, symmetric
+from ebrmaps.groups import MarkedGroup, are_isomorphic, dihedral, group_from_action, symmetric
 from ebrmaps.maps import (
     _flag_graph_bipartite,
     equivalence_key,
@@ -22,7 +22,7 @@ from ebrmaps.maps import (
     is_fully_regular,
     type_of,
 )
-from ebrmaps.presentations import group_from_action, parse_presentation, regular_action
+from ebrmaps.presentations import parse_presentation, regular_action
 from references import group_from_presentation, index_of_even_subgroup
 
 

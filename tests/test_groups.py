@@ -35,6 +35,7 @@ from references import (
     is_abelian,
     rejection,
     relabelled,
+    standard_table,
 )
 from table_checks import validate_group_table
 
@@ -265,6 +266,35 @@ def test_extends_to_isomorphism():
     assert not _same_standard_table(marks, g.identity, klein, other.identity)
     # actions on different numbers of points are never equal
     assert not _same_standard_table(marks, g.identity, [(1, 0), (1, 0)], 0)
+    # the lazy comparison agrees with whole tables built by the reference,
+    # for random tuples of the atlas groups of order <= 24 against their
+    # images in a relabelled copy, random tuples of that copy, and random
+    # tuples of the next group (of the same order or the next)
+    rng = random.Random(21)
+    groups = [h for n in census.ATLAS_ORDERS if n <= 24 for h in census.atlas(n)]
+    seen = set()
+    for h, after in zip(groups, groups[1:] + groups[:1]):
+        other, perm = relabelled(h, rng)
+        for _ in range(6):
+            size = rng.randint(1, 3)
+            gens = rng.choices(range(h.order), k=size)
+            a = columns(h, gens)
+            for group, images in (
+                (other, [perm[z] for z in gens]),
+                (other, rng.choices(range(other.order), k=size)),
+                (after, rng.choices(range(after.order), k=size)),
+            ):
+                b = columns(group, images)
+                equal_sizes = len(a[0]) == len(b[0])
+                same = equal_sizes and (
+                    standard_table(a, h.identity) == standard_table(b, group.identity)
+                )
+                assert _same_standard_table(a, h.identity, b, group.identity) == same
+                seen.add((same, equal_sizes, len(subgroup_closure(h, gens)) == h.order))
+    # equal and unequal tables, on equal and different numbers of points,
+    # of tuples that generate and tuples that do not
+    assert {(True, True, True), (True, True, False), (False, True, True)} <= seen
+    assert {(False, True, False), (False, False, True), (False, False, False)} <= seen
 
 
 def test_are_isomorphic_positive():

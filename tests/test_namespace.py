@@ -131,6 +131,34 @@ def test_every_absolute_import_is_of_the_standard_library():
             assert name.split(".")[0] in sys.stdlib_module_names, (path, name)
 
 
+def test_every_private_helper_is_used_by_the_library():
+    # a module-level _helper that only tests call belongs in the tests
+    paths = (SRC / "ebrmaps").glob("*.py")
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    helpers = [
+        node
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    uses: dict[str, list[ast.AST]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append(node)
+    assert len(helpers) > 60
+    unused = []
+    for helper in helpers:
+        own = set(map(id, ast.walk(helper)))
+        if all(id(node) in own for node in uses.get(helper.name, [])):
+            unused.append(helper.name)
+    assert unused == []
+
+
 def test_capacity_is_a_resource_limit_in_a_fresh_process():
     # the CLI maps CapacityExceeded to exit 3 without importing the
     # enumerator itself; here the family builder imports it

@@ -20,6 +20,7 @@ from ebrmaps.groups import (
     VerificationError,
     are_isomorphic,
     dihedral,
+    group_from_action,
     subgroup_closure,
 )
 from ebrmaps import families, presentations
@@ -31,7 +32,6 @@ from ebrmaps.presentations import (
     Presentation,
     _check_table,
     coset_enumerate,
-    group_from_action,
     parse_presentation,
     regular_action,
 )
