@@ -89,6 +89,7 @@ _EXPORTS = {
         "CHI2_ORIENTABLE_INDICES",
         "FamilyParams",
         "chi_minus_2_catalog",
+        "chi_minus_2_map",
         "chi_minus_2_text",
         "cyclic_by_dihedral_probe",
         "cyclic_fitting_map",

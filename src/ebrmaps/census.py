@@ -583,7 +583,7 @@ def verify_p_divides_exclusions(p: int) -> dict:
     admissible order divisible by p, for p in {5, 7, 11}.
 
     Orders without atlas coverage are reported UNSUPPORTED rather than
-    silently skipped.
+    silently skipped, and fail the check: nothing was shown for them.
     """
     if p not in (5, 7, 11):
         raise ValueError("exclusion checks cover p in {5, 7, 11}")
@@ -593,6 +593,7 @@ def verify_p_divides_exclusions(p: int) -> dict:
     for n in orders:
         if n not in _RECIPES:
             rows.append({"order": n, "status": "UNSUPPORTED", "maps_found": None})
+            passed = False
             continue
         total = sum(len(enumerate_maps(g, want_chi=-p)) for g in atlas(n))
         ok = total == 0

@@ -94,7 +94,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     from . import families
-    from .maps import load_map, map_file_text
+    from .maps import map_file_text
 
     def need(flag: str, value) -> None:
         if value is None:
@@ -125,9 +125,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
         text = families.exceptional_order36_text()
     else:  # chi2
         need("--index", args.index)
+        families.chi_minus_2_map(args.index, max_cosets=args.max_cosets)
         text = families.chi_minus_2_text(args.index)
-        load_map(map_file_text(text, families.MARK_NAMES), max_cosets=args.max_cosets)
-    _write_out(args, map_file_text(text, families.MARK_NAMES))
+    _write_out(args, map_file_text(text))
     return EXIT_OK
 
 

@@ -13,7 +13,8 @@ up to duality and twins, to one of the families built here:
 * ``valency_eight_map(m)``  - maps of type (8, 6m) of order 24m (chi = -(9m-4));
 * ``exceptional_order36_map()`` - the unique fully regular example, of
   type (4,6) on a group of order 36 isomorphic to D6 x D6;
-* ``chi_minus_2_catalog()`` - the twelve maps with chi = -2.
+* ``chi_minus_2_map(index)`` - catalog entry index of the twelve maps
+  with chi = -2, which ``chi_minus_2_catalog()`` lists.
 
 ``cyclic_by_dihedral_probe`` exhaustively searches groups of the shape
 C_p x| D_nu for maps and checks the structural restrictions that any such
@@ -34,8 +35,9 @@ cosets of a cyclic subgroup of index 2, 4 or 8
 (``cyclic_order_certificate``), every written relator is checked on the
 action, and the action is transitive, so it is the regular action of the
 presented group.  This costs O(|H| log p), where enumerating the cosets of
-the trivial subgroup costs O(|H| p).  The other members and map files use
-that enumeration.
+the trivial subgroup costs O(|H| p).  The other members (h3 and the chi = -2
+maps) use that enumeration: the columns of the coset table of the trivial
+subgroup are the marks' permutations, with no map file in between.
 """
 
 from __future__ import annotations
@@ -55,16 +57,7 @@ from .groups import (
     is_prime,
     semidirect,
 )
-from .maps import (
-    MARK_NAMES,
-    EdgeBiregularMap,
-    dual,
-    euler_characteristic,
-    load_map,
-    map_file_text,
-    map_from_action,
-    type_of,
-)
+from .maps import EdgeBiregularMap, dual, euler_characteristic, map_from_action, type_of
 from .presentations import (
     DEFAULT_MAX_COSETS,
     CapacityExceeded,
@@ -94,7 +87,9 @@ def presentation_text(extra_relators: tuple[str, ...] | list[str]) -> str:
 
 
 def _build(text: str, name: str, max_cosets: int) -> EdgeBiregularMap:
-    return load_map(map_file_text(text, MARK_NAMES), max_cosets=max_cosets, name=name)
+    """The group presented by text acting on itself, marked by its
+    generators x, y, s, t in that order."""
+    return map_from_action(regular_action(parse_presentation(text), max_cosets), name)
 
 
 def _expect(m: EdgeBiregularMap, order: int, map_type: tuple[int, int]) -> EdgeBiregularMap:
@@ -489,13 +484,15 @@ def chi_minus_2_text(index: int) -> str:
     return presentation_text(CHI2_EXTRA_RELATORS[index - 1])
 
 
+def chi_minus_2_map(index: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBiregularMap:
+    """Catalog entry ``index`` (1-based, 1..12) of the maps with chi = -2."""
+    m = _build(chi_minus_2_text(index), f"chi2({index})", max_cosets)
+    return _expect(m, CHI2_EXPECTED_ORDERS[index - 1], CHI2_EXPECTED_TYPES[index - 1])
+
+
 def chi_minus_2_catalog(max_cosets: int = DEFAULT_MAX_COSETS) -> list[EdgeBiregularMap]:
     """The twelve maps supported by surfaces with chi = -2, in catalog order."""
-    out = []
-    for i in range(1, 13):
-        m = _build(chi_minus_2_text(i), f"chi2({i})", max_cosets)
-        out.append(_expect(m, CHI2_EXPECTED_ORDERS[i - 1], CHI2_EXPECTED_TYPES[i - 1]))
-    return out
+    return [chi_minus_2_map(i, max_cosets) for i in range(1, 13)]
 
 
 # ---------------------------------------------------------------------------

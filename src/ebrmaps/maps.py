@@ -501,37 +501,30 @@ def delete_semi_edges(sm: SemiEdgeMap) -> MarkedGroup:
 # map files: a presentation block plus one `mark x y s t` line
 
 
-def load_map(
-    text: str,
-    max_cosets: int = DEFAULT_MAX_COSETS,
-    name: str | None = None,
-) -> EdgeBiregularMap:
+def load_map(text: str, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBiregularMap:
     """Build the map defined by a map file (presentation + mark line)."""
     from .presentations import parse_presentation, regular_action
 
-    mark_names: list[str] | None = None
-    pres_lines: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        names = _mark_names(raw)
-        if names is not None:
-            if mark_names is not None:
-                raise MapStructureError(f"line {lineno}: duplicate mark line")
-            mark_names = names
-            pres_lines.append("")  # keep line numbering for parse errors
-        else:
-            pres_lines.append(raw)
-    if mark_names is None:
+    mark_lines = [
+        (lineno, names)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (names := _mark_names(raw)) is not None
+    ]
+    if not mark_lines:
         raise MapStructureError("map file is missing a mark line")
+    if len(mark_lines) > 1:
+        raise MapStructureError(f"line {mark_lines[1][0]}: duplicate mark line")
+    mark_names = mark_lines[0][1]
     if len(mark_names) != 4:
         raise MapStructureError("mark line must name exactly four generators")
-    pres = parse_presentation("\n".join(pres_lines))
+    pres = parse_presentation(strip_mark_lines(text))  # line numbers kept for parse errors
     action = regular_action(pres, max_cosets)
     images = dict(zip(pres.generator_names, action))
     try:
         quad = tuple(images[nm] for nm in mark_names)
     except KeyError as exc:
         raise MapStructureError(f"mark line names unknown generator {exc}") from None
-    return map_from_action(quad, name or f"fp[{len(action[0])}]")
+    return map_from_action(quad, f"fp[{len(action[0])}]")
 
 
 def strip_mark_lines(text: str) -> str:
@@ -545,9 +538,11 @@ def _mark_names(raw: str) -> list[str] | None:
     return words[1:] if words[:1] == ["mark"] else None
 
 
-def map_file_text(presentation_text: str, mark_names: tuple[str, str, str, str]) -> str:
+def map_file_text(presentation_text: str) -> str:
+    """The map file of a presentation on x, y, s, t: its text plus the
+    line ``mark x y s t``."""
     body = presentation_text.rstrip("\n")
-    return f"{body}\nmark {' '.join(mark_names)}\n"
+    return f"{body}\nmark {' '.join(MARK_NAMES)}\n"
 
 
 # ---------------------------------------------------------------------------

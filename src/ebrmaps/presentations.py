@@ -11,8 +11,9 @@ Presentation text format (one directive per line, ``#`` starts a comment):
 Every generator is taken to be an involution: the enumerator stores a single
 symmetric column per generator (g is its own inverse), so words never need
 explicit inverses.  A relator may expand to at most ``MAX_RELATOR_LENGTH``
-letters; the parser checks this before it expands a power.  Next to the
-expanded word the parser keeps the written form, powers included.
+letters; the parser checks this from the lengths of the factors, before
+anything is expanded.  A :class:`Presentation` keeps each relator once, as
+written, powers included, and expands it once into ``relators``.
 
 The enumerator is the HLT strategy with row filling: cosets are scanned in
 creation order against the relators in presentation order, gaps are filled
@@ -61,34 +62,26 @@ class CapacityExceeded(RuntimeError):
 
 
 class Presentation(_Record):
-    """Generators and relators; ``relator_forms`` optionally keeps each
-    relator as written, with its powers, and must expand to ``relators``.
-    Equality ignores ``relator_forms``."""
+    """Generators and relators, each relator kept once as written, with its
+    powers (a plain word is a form with no powers).  ``relators`` holds
+    their expansions; equality compares those, so it ignores how powers
+    were written."""
 
     _fields = ("generator_names", "relators")
 
-    def __init__(
-        self,
-        generator_names: tuple[str, ...],
-        relators: tuple[Word, ...],
-        relator_forms: tuple[Form, ...] = (),
-    ) -> None:
+    def __init__(self, generator_names: tuple[str, ...], relator_forms: tuple[Form, ...]) -> None:
         if not generator_names:
             raise ValueError("a presentation needs at least one generator")
         if len(set(generator_names)) != len(generator_names):
             raise ValueError("generator names must be distinct")
+        relators = tuple(_expand(f) for f in relator_forms)
         ng = len(generator_names)
         for w in relators:
             if any(not (0 <= g < ng) for g in w):
                 raise ValueError("relator references unknown generator")
-        if relator_forms and (
-            len(relator_forms) != len(relators)
-            or any(_expand(f) != w for f, w in zip(relator_forms, relators))
-        ):
-            raise ValueError("relator forms do not expand to the relators")
         self.generator_names = generator_names
-        self.relators = relators
         self.relator_forms = relator_forms
+        self.relators = relators
 
     @property
     def num_generators(self) -> int:
@@ -152,9 +145,11 @@ def _parse_word(
     index: dict[str, int],
     lineno: int,
     stop_at_close: bool,
-) -> tuple[Word, Form, int]:
-    word: list[int] = []
+) -> tuple[Form, int, int]:
+    """The written form from tokens[pos], its expanded length and the
+    position after it."""
     form: list[int | tuple[Form, int]] = []
+    length = 0
     while pos < len(tokens):
         kind, value, col = tokens[pos]
         if kind == ")":
@@ -162,16 +157,14 @@ def _parse_word(
                 break
             raise ParseError("unmatched ')'", lineno, col)
         if kind == "(":
-            inner, inner_form, pos = _parse_word(tokens, pos + 1, index, lineno, True)
-            if pos >= len(tokens) or tokens[pos][0] != ")":
+            inner_form, inner_length, pos = _parse_word(tokens, pos + 1, index, lineno, True)
+            if pos >= len(tokens):
                 raise ParseError("expected ')'", lineno, col)
             close_col = tokens[pos][2]
             pos += 1
             k, pos = _parse_exponent(tokens, pos, lineno, required=True, at_col=close_col)
-            if not inner:
-                raise ParseError("empty parenthesized word", lineno, col)
-            _check_length(len(word) + len(inner) * k, lineno, col)
-            word.extend(inner * k)
+            length += inner_length * k
+            _check_length(length, lineno, col)
             if k == 1:
                 form.extend(inner_form)
             else:
@@ -182,15 +175,15 @@ def _parse_word(
                 raise ParseError(f"unknown generator {value!r}", lineno, col)
             pos += 1
             k, pos = _parse_exponent(tokens, pos, lineno, required=False, at_col=col)
-            _check_length(len(word) + k, lineno, col)
-            word.extend([g] * k)
+            length += k
+            _check_length(length, lineno, col)
             form.append(g if k == 1 else ((g,), k))
         else:
             raise ParseError(f"unexpected token {value!r}", lineno, col)
-    if not word:
+    if not form:
         col = tokens[pos - 1][2] if tokens else 1
         raise ParseError("empty word", lineno, col)
-    return tuple(word), tuple(form), pos
+    return tuple(form), length, pos
 
 
 def _parse_exponent(
@@ -218,7 +211,6 @@ def parse_presentation(text: str) -> Presentation:
     """Parse the presentation text format; errors carry line/column."""
     names: tuple[str, ...] | None = None
     index: dict[str, int] = {}
-    relators: list[Word] = []
     forms: list[Form] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -245,16 +237,12 @@ def parse_presentation(text: str) -> Presentation:
         elif value == "rel":
             if names is None:
                 raise ParseError("rel before gens line", lineno, col)
-            word, form, pos = _parse_word(tokens, 1, index, lineno, False)
-            if pos != len(tokens):
-                raise ParseError("trailing tokens after word", lineno, tokens[pos][2])
-            relators.append(word)
-            forms.append(form)
+            forms.append(_parse_word(tokens, 1, index, lineno, False)[0])
         else:
             raise ParseError(f"unknown directive {value!r}", lineno, col)
     if names is None:
         raise ParseError("missing gens line", 1, 1)
-    return Presentation(names, tuple(relators), tuple(forms))
+    return Presentation(names, tuple(forms))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +471,7 @@ def _table_fault(ct: CosetTable, pres: Presentation, subgens: tuple[Word, ...]) 
             c = columns[g][c]
         if c != 0:
             return "subgroup generator does not fix coset 0"
-    for form in pres.relator_forms or pres.relators:
+    for form in pres.relator_forms:
         if form and list(_word_permutation(form, columns)) != identity:
             return "relator does not close"
     return None

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from ebrmaps import census, families
-from ebrmaps.cli import main
+from ebrmaps.cli import _PROBE_GRID, main
+from ebrmaps.groups import VerificationError
 from ebrmaps.maps import load_map, map_file_text
 
 TRIANGLE_237 = """\
@@ -69,7 +70,7 @@ def test_order_of_presentation(tmp_path, capsys):
 
 def test_order_ignores_mark_line(tmp_path, capsys):
     f = tmp_path / "h3.map"
-    f.write_text(map_file_text(families.exceptional_order36_text(), families.MARK_NAMES))
+    f.write_text(map_file_text(families.exceptional_order36_text()))
     code, out, _ = run(capsys, "order", str(f))
     assert code == 0
     assert out.strip() == "36"
@@ -78,7 +79,7 @@ def test_order_ignores_mark_line(tmp_path, capsys):
 def test_mark_line_after_a_tab(tmp_path, capsys):
     # "mark\tx y s t" is a mark line for every command that reads map files
     f = tmp_path / "h3.map"
-    text = map_file_text(families.exceptional_order36_text(), families.MARK_NAMES)
+    text = map_file_text(families.exceptional_order36_text())
     f.write_text(text.replace("mark ", "mark\t"))
     assert "mark\tx y s t" in f.read_text()
     code, out, _ = run(capsys, "order", str(f))
@@ -147,7 +148,7 @@ def test_max_cosets_is_accepted_only_where_it_is_honoured(capsys):
 def test_max_cosets_below_one_is_an_input_error(tmp_path, capsys, argv, bound):
     # no enumeration can meet such a bound, so it is rejected at parse time
     f = tmp_path / "h3.map"
-    f.write_text(map_file_text(families.exceptional_order36_text(), families.MARK_NAMES))
+    f.write_text(map_file_text(families.exceptional_order36_text()))
     with pytest.raises(SystemExit) as exc:
         main([arg.format(file=f) for arg in argv] + ["--max-cosets", bound])
     assert exc.value.code == 2
@@ -166,7 +167,7 @@ def test_max_cosets_of_one_is_a_resource_limit(capsys):
 
 def test_invariants_self_dual_map(tmp_path, capsys):
     f = tmp_path / "m3.map"
-    f.write_text(map_file_text(families.chi_minus_2_text(3), families.MARK_NAMES))
+    f.write_text(map_file_text(families.chi_minus_2_text(3)))
     code, out, _ = run(capsys, "invariants", str(f))
     assert code == 0
     inv = json.loads(out)
@@ -183,7 +184,7 @@ def test_invariants_self_dual_map(tmp_path, capsys):
 
 def test_invariants_exceptional_map(tmp_path, capsys):
     f = tmp_path / "h3.map"
-    f.write_text(map_file_text(families.exceptional_order36_text(), families.MARK_NAMES))
+    f.write_text(map_file_text(families.exceptional_order36_text()))
     code, out, _ = run(capsys, "invariants", str(f))
     assert code == 0
     inv = json.loads(out)
@@ -198,7 +199,7 @@ def test_invariants_rejects_bad_quadruple(tmp_path, capsys):
     # x = s collapses the quadruple: distinctness fails at map construction
     f = tmp_path / "degenerate.map"
     text = families.presentation_text(("x s", "(t y)^4", "(s x)^2"))
-    f.write_text(map_file_text(text, families.MARK_NAMES))
+    f.write_text(map_file_text(text))
     code, _, err = run(capsys, "invariants", str(f))
     assert code == 2
     assert "error:" in err
@@ -280,7 +281,7 @@ def test_construct_hp_checks_capacity_before_building(monkeypatch, capsys):
     with pytest.warns(UserWarning):
         code, out, _ = run(capsys, "construct", "--family", "hp", "--m", "4165")
     assert code == 0
-    assert out == map_file_text(families.valency_eight_text(4165), families.MARK_NAMES)
+    assert out == map_file_text(families.valency_eight_text(4165))
 
 
 def test_construct_deterministic(capsys):
@@ -422,12 +423,66 @@ def test_verify_exclusions_p5(capsys):
     assert out.splitlines()[0] == "verify exclusions: PASS"
 
 
+def test_verify_exclusions_requires_p(capsys):
+    assert run(capsys, "verify", "exclusions") == (
+        2, "", "error: verify exclusions requires --p\n"
+    )
+
+
+def test_verify_exclusions_fails_on_an_order_the_atlas_does_not_cover(monkeypatch, capsys):
+    # 88 = 8 * 11 is an admissible order at p = 11; without its recipes
+    # nothing is shown for it, so the check cannot pass
+    recipes = {n: r for n, r in census._RECIPES.items() if n != 88}
+    monkeypatch.setattr(census, "_RECIPES", recipes)
+    code, out, _ = run(capsys, "verify", "exclusions", "--p", "11")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[0] == "verify exclusions: FAIL"
+    assert "  order 88: UNSUPPORTED (no atlas recipes)" in lines
+    assert all(line.endswith("(pass)") for line in lines[1:] if "88" not in line)
+
+
+def test_verify_lemma_4_3_reports_a_counterexample(monkeypatch, capsys):
+    conform = families._assert_probe_conformance
+
+    def planted(p, nu, m):
+        if (p, nu) == (5, 8):
+            raise VerificationError("planted")
+        conform(p, nu, m)
+
+    monkeypatch.setattr(families, "_assert_probe_conformance", planted)
+    code, out, err = run(capsys, "verify", "lemma-4-3")
+    lines = out.splitlines()
+    assert (code, err) == (1, "")
+    assert lines[0] == "verify lemma-4-3: FAIL"
+    assert [line for line in lines if "COUNTEREXAMPLE" in line] == [
+        "  p=5 lambda=4: COUNTEREXAMPLE (planted)"
+    ]
+    assert len(lines) == 1 + len(_PROBE_GRID)
+
+
+def test_classify_fails_when_a_constructor_misses_a_class(monkeypatch, capsys):
+    entries = census._constructive_entries
+
+    def without_h3(p):
+        return {key: e for key, e in entries(p).items() if e.family != "h3"}
+
+    monkeypatch.setattr(census, "_constructive_entries", without_h3)
+    message = "found only by search [(36, 4, 6)], only by constructors []"
+    with pytest.raises(VerificationError, match=re.escape(message)):
+        census.classify(3)
+    code, out, err = run(capsys, "classify", "--p", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("FAIL: verification assertion failed: exhaustive search")
+    assert message in err
+
+
 # --- export ---------------------------------------------------------------
 
 
 def _write_hp1(tmp_path):
     f = tmp_path / "hp1.map"
-    f.write_text(map_file_text(families.valency_eight_text(1), families.MARK_NAMES))
+    f.write_text(map_file_text(families.valency_eight_text(1)))
     return f
 
 
@@ -468,7 +523,7 @@ def test_export_cayley_witnesses_defining_relation(tmp_path, capsys):
 
 def test_export_flags_dot(tmp_path, capsys):
     f = tmp_path / "m1.map"
-    f.write_text(map_file_text(families.chi_minus_2_text(1), families.MARK_NAMES))
+    f.write_text(map_file_text(families.chi_minus_2_text(1)))
     code, out, _ = run(capsys, "export", "flags", str(f))
     assert code == 0
     nodes, edges = parse_dot(out)
@@ -513,7 +568,7 @@ _EXPORT_DIGESTS = {
 def test_export_output_unchanged(tmp_path, capsys, family, what, fmt):
     if family == "chi2":
         f = tmp_path / "chi2_4.map"
-        f.write_text(map_file_text(families.chi_minus_2_text(4), families.MARK_NAMES))
+        f.write_text(map_file_text(families.chi_minus_2_text(4)))
     else:
         f = _write_hp1(tmp_path)
     code, out, _ = run(capsys, "export", what, str(f), "--format", fmt)

@@ -188,7 +188,7 @@ def test_cyclic_fitting_map_both_routes():
         assert not is_fully_regular(m)
     # coset enumeration of the same presentation gives an isomorphic map
     q = FamilyParams(1, 7, 6)
-    mp = load_map(map_file_text(cyclic_fitting_text(q), families.MARK_NAMES))
+    mp = load_map(map_file_text(cyclic_fitting_text(q)))
     md = cyclic_fitting_map(q)
     assert is_map_isomorphic(mp, md)
 
@@ -227,7 +227,7 @@ def test_valency_eight_map_equals_the_enumerated_map():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # 9m - 4 is often composite
         for m in range(1, 42, 2):
-            reference = load_map(map_file_text(valency_eight_text(m), families.MARK_NAMES))
+            reference = load_map(map_file_text(valency_eight_text(m)))
             assert equivalence_key(valency_eight_map(m)) == equivalence_key(reference), m
 
 
@@ -503,13 +503,15 @@ def test_certificate_on_small_presentations():
 
 
 def test_certified_families_never_enumerate_the_trivial_subgroup(monkeypatch):
-    # load_map looks regular_action up in presentations when it is called
+    # families calls regular_action through its own import, load_map
+    # through presentations
     import ebrmaps.presentations as presentations_module
 
     def refuse(*args, **kwargs):
         raise AssertionError("trivial-subgroup enumeration")
 
     monkeypatch.setattr(presentations_module, "regular_action", refuse)
+    monkeypatch.setattr(families, "regular_action", refuse)
     assert dihedral_family_1(997).order == 3992
     # p = 1009 has no valency-eight member, which enumerates its quotient B
     # (test_valency_eight_map_enumerates_at_most_its_quotient)
@@ -586,9 +588,6 @@ def test_broken_action_fails_exactly_one_relator():
     bad = families._split_extension(n, 1, inversion, ((p + 1, flip), (0, flip), (p + 1, keep), (n - 2, flip)))
     assert _table_fault(CosetTable(good), pres, ()) is None
     assert _table_fault(CosetTable(bad), pres, ()) == "relator does not close"
-    one_relator = [
-        Presentation(pres.generator_names, (w,), (f,))
-        for w, f in zip(pres.relators, pres.relator_forms)
-    ]
+    one_relator = [Presentation(pres.generator_names, (f,)) for f in pres.relator_forms]
     failing = [q.relators for q in one_relator if _table_fault(CosetTable(bad), q, ())]
     assert failing == [parse_presentation(f"gens x y s t\nrel s (y t)^{p + 1}\n").relators]

@@ -98,6 +98,8 @@ def test_dicyclic():
     assert len(q16.involutions()) == 1
     validate_group_table(q8)
     validate_group_table(q16)
+    with pytest.raises(ValueError, match="n must be positive"):
+        dicyclic(0)
 
 
 def test_symmetric_and_alternating():
@@ -109,6 +111,10 @@ def test_symmetric_and_alternating():
     assert a5.order == 60
     assert not a5.is_abelian()
     validate_group_table(s4)
+    with pytest.raises(ValueError, match=r"symmetric\(n\) supports 1 <= n <= 5"):
+        symmetric(6)
+    with pytest.raises(ValueError, match=r"alternating\(n\) supports 1 <= n <= 5"):
+        alternating(6)
 
 
 def test_direct_product():
@@ -135,6 +141,12 @@ def test_semidirect_rejects_non_action():
     bad = (tuple(range(4)), (0, 2, 1, 3))  # not an automorphism of C4
     with pytest.raises(ValueError):
         semidirect(c4, cyclic(2), bad)
+    wrong_length = "action must assign a permutation of A to every element of B"
+    for action in ((tuple(range(4)),), (tuple(range(3)), (0, 2, 1))):
+        with pytest.raises(ValueError, match=wrong_length):
+            semidirect(c4, cyclic(2), action)
+    with pytest.raises(ValueError, match=r"action\[1\] is not a permutation of A"):
+        semidirect(c4, cyclic(2), (tuple(range(4)), (0, 0, 2, 3)))
 
 
 def test_action_check_agrees_with_the_exhaustive_reference():
@@ -197,6 +209,10 @@ def test_quotient_rejects_non_normal_subset():
     d8 = dihedral(8).group
     with pytest.raises(ValueError):
         quotient(d8, {0, 4})  # a reflection generates a non-normal C2
+    with pytest.raises(ValueError, match="normal subgroup must contain the identity"):
+        quotient(d8, {2})
+    with pytest.raises(ValueError, match="subset is not a subgroup"):
+        quotient(d8, {0, 1})  # the rotation 1 has order 4
 
 
 def test_multiplicative_units():

@@ -433,11 +433,17 @@ def test_semi_edge_validation():
     # non-involution mark
     with pytest.raises(NotInvolution):
         insert_semi_edges(MarkedGroup(s4, (r0, four_cycle, r2)))
+    # (0 1), (0 1)(2 3) and (2 3) generate a Klein four subgroup of S4; the
+    # MarkedGroup constructor refuses such a triple, so it is set by hand
+    klein = MarkedGroup.__new__(MarkedGroup)
+    klein.group, klein.marked = s4, (r0, perm_index[(1, 0, 3, 2)], r2)
+    with pytest.raises(NotGenerating, match="marks do not generate the group"):
+        insert_semi_edges(klein)
 
 
 def test_load_map_round_trip():
     m = load_map(TORUS_LIKE)
-    rebuilt = load_map(map_file_text(strip_mark_lines(TORUS_LIKE), ("x", "y", "s", "t")))
+    rebuilt = load_map(map_file_text(strip_mark_lines(TORUS_LIKE)))
     assert is_map_isomorphic(m, rebuilt)
 
 

@@ -90,12 +90,12 @@ def test_parse_keeps_written_powers():
         (((0, 1), 2), ((0,), 3), 1),
         (((((0, 1), 2), 0), 2), 1),
     )
-    # forms do not take part in equality: the flat relators define the group
-    assert pres == Presentation(pres.generator_names, pres.relators)
+    # equality compares the expanded relators, not how powers were written
+    flat = Presentation(pres.generator_names, pres.relators)
+    assert flat == pres
+    assert flat.relator_forms == flat.relators
     with pytest.raises(ValueError):
-        Presentation(("a", "b"), ((0, 1, 0, 1),), ((((0, 1), 3),),))
-    with pytest.raises(ValueError):
-        Presentation(("a", "b"), ((),), ((((0, 1), 0),),))
+        Presentation(("a", "b"), ((((0, 1), 0),),))
 
 
 def test_parse_bounds_expanded_length():
@@ -141,6 +141,27 @@ def test_parse_errors_carry_line_and_column():
         parse_presentation("gens a b\nrel\n")  # empty word
 
 
+@pytest.mark.parametrize(
+    ("text", "message", "line", "column"),
+    [
+        ("gens a b\nrel (a b\n", "expected ')'", 2, 5),
+        ("gens a b\nrel a 3\n", "unexpected token 3", 2, 7),
+        ("gens a b\nrel a^\n", "expected integer exponent after '^'", 2, 6),
+        ("gens a b\nrel a^b\n", "expected integer exponent after '^'", 2, 6),
+        ("gens a\n^2\n", "expected 'gens' or 'rel' directive", 2, 1),
+        ("gens\n", "gens line needs at least one name", 1, 1),
+        ("gens a (\n", "generator names must be identifiers", 1, 8),
+        # the inner word is empty before the exponent is read
+        ("gens a b\nrel ()^2\n", "empty word", 2, 5),
+    ],
+)
+def test_parse_error_message_and_position(text, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_presentation(text)
+    assert str(exc.value) == f"line {line}, column {column}: {message}"
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
 def test_parse_rejects_non_ascii_digits():
     # str.isdigit accepts both; only 0-9 make an exponent
     for exponent in ("\u00b3", "\u0663"):  # superscript three, Arabic-Indic three
@@ -160,6 +181,8 @@ def test_presentation_validates():
         Presentation((), ())
     with pytest.raises(ValueError):
         Presentation(("a",), ((1,),))  # relator references unknown generator
+    with pytest.raises(ValueError, match="generator names must be distinct"):
+        Presentation(("a", "a"), ())
     # an empty relator is allowed, and closes at every coset
     assert coset_enumerate(Presentation(("a",), ((), (0, 0)))).num_cosets == 2
 
@@ -336,6 +359,8 @@ def test_regular_action_is_the_coset_table():
     group = group_from_action(perms, "D12")
     assert group.mul == group_from_presentation(pres).group.mul
     assert group.identity == 0
+    with pytest.raises(ValueError, match="the action is not transitive"):
+        group_from_action(((1, 0, 2), (1, 0, 2)), "intransitive")
 
 
 _BROKEN_TABLE = """
@@ -457,7 +482,7 @@ def test_check_table_rejects_a_power_failing_at_some_cosets():
     table = CosetTable(((1, 0, 2, 4, 3, 6, 5), (0, 2, 1, 3, 5, 4, 6)))
     for k, closes in ((3, False), (4, False), (12, True)):
         pres = parse_presentation(f"gens a b\nrel a^2\nrel b^2\nrel (a b)^{k}\n")
-        flat = Presentation(pres.generator_names, pres.relators)  # no written form
+        flat = Presentation(pres.generator_names, pres.relators)  # written without powers
         for p in (pres, flat):
             if closes:
                 _check_table(table, p, ())
