@@ -128,7 +128,7 @@ def _prod(*gs: FiniteGroup) -> FiniteGroup:
 def _extension(a: FiniteGroup, b: FiniteGroup, images: dict[int, Perm], name: str) -> FiniteGroup:
     """A x| B, each generator g of B (the keys) acting on A's elements by images[g]."""
     columns = [[row[g] for row in b.mul] for g in images]
-    return semidirect(a, b, _generated_action(columns, list(images.values()), b.identity), name)
+    return semidirect(a, b, _generated_action(columns, list(images.values())), name)
 
 
 def _unit_semidirect(n: int, m: int, unit: int, name: str) -> FiniteGroup:

@@ -164,7 +164,7 @@ def _split_extension(
     nb, na = len(action), lam * kappa
     elements = list(range(na))
     gens = (kappa, 1) if kappa > 1 else (1 % lam,)  # u, and w unless kappa = 1
-    _check_action(action, lambda g: _added(elements, g, kappa), gens, [b for _, b in marks], 0)
+    _check_action(action, lambda g: _added(elements, g, kappa), gens, [b for _, b in marks])
     points = list(range(nb * na))  # entries share these int objects
     perms = []
     for f2, b in marks:
@@ -532,7 +532,7 @@ def cyclic_by_dihedral_probe(p: int, lam: int) -> list[EdgeBiregularMap]:
     found: dict[tuple[int, ...], EdgeBiregularMap] = {}
     for e1 in signs:
         for e2 in signs:
-            action = _generated_action(reflections, (e1, e2), dih.group.identity)
+            action = _generated_action(reflections, (e1, e2))
             try:
                 grp = semidirect(cp, dih.group, action, name=f"C{p}:D{nu}")
             except ValueError:  # (e1 e2)^lam = -1: not a homomorphism

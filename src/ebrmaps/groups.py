@@ -1,13 +1,15 @@
 """Finite groups as dense multiplication tables.
 
-Every group in this library is a table over element indices 0..n-1.  The
-builders make whole rows at a time from tuple slices, rotations and
-``map`` over them, not entry by entry: a cyclic or dihedral row is a
-rotated or reversed ``range``, and a row of a direct or semidirect product
-adds A's row, scaled by |B| and each entry repeated |B| times, to B's row
-tiled |A| times.  At construction the identity is the element whose row is
-``range(n)`` and whose column is too, and element orders come from walking
-each cyclic subgroup once, with ord(a^j) = ord(a) / gcd(j, ord(a)).  The
+Every group in this library is a table over element indices 0..n-1, and
+element 0 is the identity: its row and its column are ``range(n)``.  The
+same holds for every action: point 0 of a regular action, like coset 0 of
+a coset table, stands for the identity, so no identity is searched for or
+passed around.  The builders make whole rows at a time from tuple slices,
+rotations and ``map`` over them, not entry by entry: a cyclic or dihedral
+row is a rotated or reversed ``range``, and a row of a direct or
+semidirect product adds A's row, scaled by |B| and each entry repeated |B|
+times, to B's row tiled |A| times.  Element orders come from walking each
+cyclic subgroup once, with ord(a^j) = ord(a) / gcd(j, ord(a)).  The
 conjugates of x come from column x of the table, read one column at a time
 so the whole transpose is never held; the isomorphism fingerprint computes
 them once per conjugacy class; :func:`are_isomorphic` asks for it only when
@@ -75,9 +77,10 @@ class _Record:
 class FiniteGroup:
     """Immutable finite group given by its multiplication table.
 
-    ``mul[a][b]`` is the product a*b.  Derived data (identity, inverses,
-    element orders) is computed eagerly by ``__post_init__``; the table is
-    never mutated.  Groups are equal only to themselves.
+    ``mul[a][b]`` is the product a*b, and element 0 is the identity, which
+    ``__post_init__`` checks.  Derived data (inverses, element orders) is
+    computed eagerly there; the table is never mutated.  Groups are equal
+    only to themselves.
     """
 
     def __init__(self, mul: tuple[tuple[int, ...], ...], name: str = "G") -> None:
@@ -90,18 +93,13 @@ class FiniteGroup:
         n = len(mul)
         if n == 0 or set(map(len, mul)) != {n}:
             raise ValueError("multiplication table must be square and nonempty")
-        identity_row = tuple(range(n))
-        ident = None
-        for e in range(n):
-            if mul[e] == identity_row and all(row[e] == x for x, row in enumerate(mul)):
-                ident = e
-                break
-        if ident is None:
-            raise ValueError("table has no identity element")
+        identity = tuple(range(n))
+        if mul[0] != identity or tuple(map(itemgetter(0), mul)) != identity:
+            raise ValueError("element 0 of the table is not the identity")
         inv = []
         for a, row in enumerate(mul):
             try:
-                inv.append(row.index(ident))
+                inv.append(row.index(0))
             except ValueError:
                 raise ValueError(f"element {a} has no inverse") from None
         orders = [0] * n
@@ -109,14 +107,13 @@ class FiniteGroup:
             if orders[a]:
                 continue
             powers = [a]  # a^1, a^2, ... up to the identity, so ord(a^j) = k / gcd(j, k)
-            while powers[-1] != ident:
+            while powers[-1] != 0:
                 if len(powers) == n:
                     raise ValueError(f"element {a} has no finite order <= {n}")
                 powers.append(mul[powers[-1]][a])
             k = len(powers)
             for j, power in enumerate(powers, 1):
                 orders[power] = k // gcd(j, k)
-        self.identity = ident
         self.inv = tuple(inv)
         self.element_orders = tuple(orders)
 
@@ -317,7 +314,6 @@ def semidirect(
         lambda g: [row[g] for row in amul],  # right multiplication by g
         greedy_generators(a),
         [[row[g] for row in bmul] for g in greedy_generators(b)],
-        b.identity,
     )
     scaled = [[x * nb for x in arow] for arow in amul]
     tiled = [brow * na for brow in bmul]
@@ -329,20 +325,19 @@ def semidirect(
     return FiniteGroup(table, name=name or f"{a.name}:{b.name}")
 
 
-def _generated_action(
-    b_gens: Sequence[Sequence[int]], images: Sequence[Perm], b_identity: int = 0
-) -> tuple[Perm, ...]:
+def _generated_action(b_gens: Sequence[Sequence[int]], images: Sequence[Perm]) -> tuple[Perm, ...]:
     """The permutations of A attached to all of B, from those of generators.
 
     Entry i of ``b_gens`` is v -> v*g_i on B's points (a column of B's table
     or a regular action's permutation), and ``images[i]`` is the permutation
     of A's elements attached to g_i.  B is walked breadth-first from the
-    identity with action[v*g] = action[v] o images[g].  :func:`_check_action`
-    checks the result; ValueError when the walk misses a point of B.
+    identity, point 0, with action[v*g] = action[v] o images[g].
+    :func:`_check_action` checks the result; ValueError when the walk misses
+    a point of B.
     """
     action: list[Perm | None] = [None] * len(b_gens[0])
-    action[b_identity] = tuple(range(len(images[0])))
-    walk = [b_identity]
+    action[0] = tuple(range(len(images[0])))
+    walk = [0]
     for v in walk:  # grows while it is walked
         for by_g, image in zip(b_gens, images):
             vg = by_g[v]
@@ -359,16 +354,16 @@ def _check_action(
     right: Callable[[int], Sequence[int]],
     gens: Sequence[int],
     b_gens: Sequence[Sequence[int]],
-    b_identity: int,
 ) -> None:
     """Raise ValueError unless each action[v] is an automorphism of A and
     v -> action[v] is a homomorphism B -> Aut(A).
 
     A's elements are 0..len(action[0])-1, generated by ``gens``, and entry x
     of ``right(g)`` is x*g; each entry of ``b_gens`` is v -> v*b on B's
-    elements 0..len(action)-1, for generators b of B.  O(|A| (|gens| +
-    |B| |b_gens|)): a map respecting right multiplication by generators
-    respects every product, in A and in B (given the identity's image).
+    elements 0..len(action)-1, 0 the identity, for generators b of B.
+    O(|A| (|gens| + |B| |b_gens|)): a map respecting right multiplication by
+    generators respects every product, in A and in B (given the identity's
+    image).
     """
     na = len(action[0])
     for v, perm in enumerate(action):
@@ -378,10 +373,10 @@ def _check_action(
             by_g, by_image = right(g), right(perm[g])
             if [perm[y] for y in by_g] != [by_image[y] for y in perm]:
                 raise ValueError(f"action[{v}] is not an automorphism of A")
-    if list(action[b_identity]) != list(range(na)):
+    if list(action[0]) != list(range(na)):
         raise ValueError("action is not a homomorphism B -> Aut(A)")
     for by_b in b_gens:  # action[v*b] = action[v] o action[b] for every v
-        image = action[by_b[b_identity]]
+        image = action[by_b[0]]
         for v, vb in enumerate(by_b):
             if tuple(action[vb]) != _perm_compose(action[v], image):
                 raise ValueError("action is not a homomorphism B -> Aut(A)")
@@ -391,7 +386,7 @@ def quotient(g: FiniteGroup, normal: set[int] | frozenset[int], name: str | None
     """Quotient of g by a normal subgroup given as a set of element indices."""
     n = g.order
     nset = frozenset(normal)
-    if g.identity not in nset:
+    if 0 not in nset:
         raise ValueError("normal subgroup must contain the identity")
     for x in nset:
         if g.inv[x] not in nset or any(g.mul[x][y] not in nset for y in nset):
@@ -476,8 +471,8 @@ def is_prime(n: int) -> bool:
 def subgroup_closure(g: FiniteGroup, gens: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     """Sorted elements of the subgroup generated by ``gens``."""
     mul = g.mul
-    seen = {g.identity}
-    frontier = [g.identity]
+    seen = {0}
+    frontier = [0]
     gens = tuple(dict.fromkeys(gens))
     while frontier:
         nxt = []
@@ -492,11 +487,11 @@ def subgroup_closure(g: FiniteGroup, gens: tuple[int, ...] | list[int]) -> tuple
     return tuple(sorted(seen))
 
 
-def _standard_rows(perms: Sequence[Sequence[int]], base: int) -> Iterator[list[int]]:
+def _standard_rows(perms: Sequence[Sequence[int]]) -> Iterator[list[int]]:
     """The rows of the standardized table of a regular action, one at a time.
 
     The table is the action of the permutations ``perms`` on H, with H
-    numbered breadth first from the identity point ``base``, applying the
+    numbered breadth first from the identity, point 0, applying the
     permutations in the given order (the standardized coset table of Holt,
     Eick and O'Brien, Handbook of Computational Group Theory, ch. 5).  Row i
     lists the numbers of h_i * g for each permutation g.  Two regular actions
@@ -505,8 +500,8 @@ def _standard_rows(perms: Sequence[Sequence[int]], base: int) -> Iterator[list[i
     key, full regularity, self-duality and :func:`are_isomorphic` all read it.
     """
     number = [-1] * len(perms[0])
-    number[base] = 0
-    elements = [base]
+    number[0] = 0
+    elements = [0]
     for h in elements:  # grows while it is walked
         row = []
         for perm in perms:
@@ -519,26 +514,24 @@ def _standard_rows(perms: Sequence[Sequence[int]], base: int) -> Iterator[list[i
         yield row
 
 
-def _same_standard_table(
-    a: Sequence[Sequence[int]], a_base: int, b: Sequence[Sequence[int]], b_base: int
-) -> bool:
-    """Whether two regular actions, with identity points a_base and b_base,
-    have equal standardized tables, that is, whether an isomorphism carries
-    a's generators to b's in order.  Actions on different numbers of points
+def _same_standard_table(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
+    """Whether two regular actions, each with point 0 the identity, have
+    equal standardized tables, that is, whether an isomorphism carries a's
+    generators to b's in order.  Actions on different numbers of points
     differ.  The rows are compared as the walks make them, so the comparison
     stops at the first row that differs; while the rows agree, both walks
     have reached the same number of points, so they end together.
     """
     if len(a[0]) != len(b[0]):
         return False
-    return all(map(eq, _standard_rows(a, a_base), _standard_rows(b, b_base)))
+    return all(map(eq, _standard_rows(a), _standard_rows(b)))
 
 
 def greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
     """Small generating set, grown by repeatedly adding the lowest index
     element outside the running closure (deterministic)."""
     gens: list[int] = []
-    closure = {g.identity}
+    closure = {0}
     while len(closure) < g.order:
         for x in range(g.order):
             if x not in closure:
@@ -573,7 +566,7 @@ def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
     def search(i: int, chosen: tuple[int, ...]) -> bool:
         if i == len(gens):
             images = [[row[g] for row in b.mul] for g in chosen]
-            return _same_standard_table(columns, a.identity, images, b.identity)
+            return _same_standard_table(columns, images)
         for cand in by_order[a.element_orders[gens[i]]]:
             ok = True
             for j in range(i):

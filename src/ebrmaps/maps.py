@@ -17,8 +17,11 @@ come from the one walk that numbers H, ``groups._standard_rows``.
 
 A map is stored as H acting on itself by right multiplication: four
 permutations of |H| points, one per mark, so its size is linear in |H|.
-Every invariant below is computed from them.  A dense multiplication table
-is built only on request (``m.group``), for abstract isomorphism tests.
+Point 0 is the identity, as element 0 is in every group table and coset 0
+in every coset table, so each mark is its permutation's image of 0.  Every
+invariant below is computed from the permutations.  A dense multiplication
+table is built only on request (``m.group``), for abstract isomorphism
+tests.
 
 Orientability is computed two independent ways (index of the subgroup of
 even words, and 2-colorability of the flag graph) which must agree.
@@ -27,6 +30,7 @@ even words, and 2-colorability of the flag graph) which must agree.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .groups import (
     DEFAULT_MAX_COSETS,
@@ -69,25 +73,16 @@ class EdgeBiregularMap(_Record):
     """Value object: H acting on itself by right multiplication by the marks.
 
     ``perms[i][h]`` is the point h times the i-th mark of (x, y, s, t), and
-    the point ``base`` is the identity, so the mark itself is
-    ``perms[i][base]``.  Maps built from a presentation number H by coset
-    and have base 0; maps built on a dense group use its element numbers.
-    Equality compares ``perms`` and ``base`` only.
+    point 0 is the identity, so the mark itself is ``perms[i][0]``.  Maps
+    built from a presentation number H by coset; maps built on a dense group
+    use its element numbers.  Equality compares ``perms`` only.
     """
 
-    _fields = ("perms", "base")
+    _fields = ("perms",)
 
-    def __init__(
-        self,
-        perms: tuple[Perm, Perm, Perm, Perm],
-        base: int = 0,
-        name: str = "H",
-        dense: FiniteGroup | None = None,
-    ) -> None:
+    def __init__(self, perms: tuple[Perm, Perm, Perm, Perm], name: str = "H") -> None:
         self.perms = perms
-        self.base = base
         self.name = name
-        self.dense = dense
 
     @property
     def order(self) -> int:
@@ -95,67 +90,67 @@ class EdgeBiregularMap(_Record):
 
     @property
     def marks(self) -> tuple[int, int, int, int]:
-        return tuple(perm[self.base] for perm in self.perms)  # type: ignore[return-value]
+        return tuple(perm[0] for perm in self.perms)  # type: ignore[return-value]
 
     @property
     def x(self) -> int:
-        return self.perms[0][self.base]
+        return self.perms[0][0]
 
     @property
     def y(self) -> int:
-        return self.perms[1][self.base]
+        return self.perms[1][0]
 
     @property
     def s(self) -> int:
-        return self.perms[2][self.base]
+        return self.perms[2][0]
 
     @property
     def t(self) -> int:
-        return self.perms[3][self.base]
+        return self.perms[3][0]
 
-    @property
+    @cached_property
     def group(self) -> FiniteGroup:
-        """The dense group, built from the action on first use (|H|^2 entries)."""
-        if self.dense is None:
-            self.dense = group_from_action(self.perms, self.name)
-        return self.dense  # type: ignore[return-value]
+        """The dense group, built from the action on first use (|H|^2 entries).
+        For a map found on a dense group it is that group's table again."""
+        return group_from_action(self.perms, self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         k, l = type_of(self)
         return f"EdgeBiregularMap({self.name}, order={self.order}, type=({k},{l}))"
 
 
-def _check_marks(perms: tuple[Perm, ...], base: int) -> None:
+def _check_marks(perms: tuple[Perm, ...]) -> None:
     """The marks are distinct commuting pairs of involutions generating H.
 
     Raises NotInvolution / NotDistinct / PairNotCommuting / NotGenerating,
     each naming the offending marks, or MapStructureError for an entry
-    outside range(|H|).  O(|H|): in a regular action an element is the
-    identity iff it fixes the base point, and the marks generate H iff the
-    base point's orbit under them, walked breadth first, is H in full.
+    outside range(|H|).  O(|H|): point 0 is the identity, so in a regular
+    action an element is the identity iff it fixes point 0, and the marks
+    generate H iff the orbit of 0 under them, walked breadth first, is H in
+    full.
     """
     points = range(len(perms[0]))
     for name, perm in zip(MARK_NAMES, perms):
         try:
-            if perm[base] == base or any(perm[perm[h]] != h for h in points):
+            if perm[0] == 0 or any(perm[perm[h]] != h for h in points):
                 raise NotInvolution(f"mark {name} is not an involution")
         except IndexError:
             raise MapStructureError(f"mark {name} has an entry outside range(|H|)") from None
-    if len({perm[base] for perm in perms}) != 4:
+    if len({perm[0] for perm in perms}) != 4:
         raise NotDistinct("marks x, y, s, t must be pairwise distinct")
     px, py, ps, pt = perms
     if any(py[px[h]] != px[py[h]] for h in points):
         raise PairNotCommuting("x and y do not commute")
     if any(pt[ps[h]] != ps[pt[h]] for h in points):
         raise PairNotCommuting("s and t do not commute")
-    if len(_orbit(perms, base)) != len(points):
+    if len(_orbit(perms)) != len(points):
         raise NotGenerating("marks do not generate the group")
 
 
-def _orbit(perms: tuple[Perm, ...] | list[Perm], base: int) -> list[int]:
-    """The points reached from base by the permutations, breadth first."""
-    seen = {base}
-    orbit = [base]
+def _orbit(perms: tuple[Perm, ...] | list[Perm]) -> list[int]:
+    """The points reached from 0 by the permutations, breadth first."""
+    seen = {0}
+    orbit = [0]
     for h in orbit:  # grows while it is walked
         for perm in perms:
             g = perm[h]
@@ -167,7 +162,9 @@ def _orbit(perms: tuple[Perm, ...] | list[Perm], base: int) -> list[int]:
 
 def map_from_action(perms: tuple[Perm, ...], name: str = "H") -> EdgeBiregularMap:
     """Validate the four mark permutations of a regular right action (point
-    0 the identity) and build the map; raises as :func:`new_map` does."""
+    0 the identity) and build the map; raises MapStructureError unless they
+    are four permutations of one nonempty length, else as
+    :func:`_check_marks` does."""
     if len(perms) != 4:
         raise MapStructureError("a map needs exactly four marked elements")
     n = len(perms[0])
@@ -175,29 +172,26 @@ def map_from_action(perms: tuple[Perm, ...], name: str = "H") -> EdgeBiregularMa
         raise MapStructureError("mark permutations have different lengths")
     if n == 0:
         raise MapStructureError("mark permutations are empty")
-    _check_marks(perms, 0)
-    return EdgeBiregularMap(tuple(perms), 0, name)  # type: ignore[arg-type]
+    _check_marks(perms)
+    return EdgeBiregularMap(tuple(perms), name)  # type: ignore[arg-type]
 
 
 def new_map(group: FiniteGroup, marks: tuple[int, int, int, int]) -> EdgeBiregularMap:
-    """Validate a marked quadruple of a dense group and build the map.
+    """Validate a marked quadruple of a dense group and build the map from
+    the table's columns for the marks, by :func:`map_from_action`.
 
-    Raises NotInvolution / NotDistinct / PairNotCommuting / NotGenerating,
-    each naming the offending marks.
+    Raises MapStructureError for a mark outside the group, else as
+    :func:`map_from_action` does.
     """
-    if len(marks) != 4:
-        raise MapStructureError("a map needs exactly four marked elements")
-    for name, m in zip(MARK_NAMES, marks):
-        if not (0 <= m < group.order):
-            raise MapStructureError(f"mark {name} out of range")
-    m = _unchecked(group, tuple(marks))  # type: ignore[arg-type]
-    _check_marks(m.perms, m.base)
-    return m
+    for z in marks:
+        if not 0 <= z < group.order:
+            raise MapStructureError(f"mark {z} out of range")
+    return map_from_action(_unchecked(group, marks).perms, group.name)
 
 
 def _unchecked(group: FiniteGroup, marks: tuple[int, int, int, int]) -> EdgeBiregularMap:
     perms = tuple(tuple(row[z] for row in group.mul) for z in marks)
-    return EdgeBiregularMap(perms, group.identity, group.name, group)  # type: ignore[arg-type]
+    return EdgeBiregularMap(perms, group.name)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +200,10 @@ def _unchecked(group: FiniteGroup, marks: tuple[int, int, int, int]) -> EdgeBire
 
 def product_order(m: EdgeBiregularMap, first: int, second: int) -> int:
     """Order of the product of marks number ``first`` and ``second`` (0..3
-    for x, y, s, t), by walking its cycle through the base point."""
+    for x, y, s, t), by walking its cycle through the identity, point 0."""
     a, b = m.perms[first], m.perms[second]
-    h, k = b[a[m.base]], 1
-    while h != m.base:
+    h, k = b[a[0]], 1
+    while h != 0:
         h = b[a[h]]
         k += 1
     return k
@@ -316,12 +310,12 @@ def flag_structure(m: EdgeBiregularMap) -> FlagStructure:
 
 def _even_subgroup_index(m: EdgeBiregularMap) -> int:
     """Index (1 or 2) of the subgroup of even words in the marks: |H| over
-    the size of the base point's orbit under x*y, x*s and x*t.  These three
+    the size of the orbit of 0 under x*y, x*s and x*t.  These three
     generate every product a*b of two marks, since a*b = (x*a)^-1 (x*b)
     when x and a are involutions."""
     px, *others = m.perms
     products = [tuple(map(a.__getitem__, px)) for a in others]
-    size = len(_orbit(products, m.base))
+    size = len(_orbit(products))
     index, remainder = divmod(m.order, size)
     if remainder or index not in (1, 2):
         raise VerificationError(f"even subgroup of order {size} in a group of order {m.order}")
@@ -363,7 +357,7 @@ def is_orientable(m: EdgeBiregularMap) -> bool:
 
 def _reordered(m: EdgeBiregularMap, order: tuple[int, int, int, int]) -> EdgeBiregularMap:
     perms = tuple(m.perms[i] for i in order)
-    return EdgeBiregularMap(perms, m.base, m.name, m.dense)  # type: ignore[arg-type]
+    return EdgeBiregularMap(perms, m.name)  # type: ignore[arg-type]
 
 
 def dual(m: EdgeBiregularMap) -> EdgeBiregularMap:
@@ -376,12 +370,12 @@ def twin(m: EdgeBiregularMap) -> EdgeBiregularMap:
 
 def is_fully_regular(m: EdgeBiregularMap) -> bool:
     """m is isomorphic to its twin."""
-    return _same_standard_table(m.perms, m.base, twin(m).perms, m.base)
+    return _same_standard_table(m.perms, twin(m).perms)
 
 
 def is_self_dual(m: EdgeBiregularMap) -> bool:
     """m is isomorphic to its dual."""
-    return _same_standard_table(m.perms, m.base, dual(m).perms, m.base)
+    return _same_standard_table(m.perms, dual(m).perms)
 
 
 def equivalence_key(m: EdgeBiregularMap) -> tuple[int, ...]:
@@ -391,7 +385,7 @@ def equivalence_key(m: EdgeBiregularMap) -> tuple[int, ...]:
     orderings of m, dual(m), twin(m) and dual(twin(m)); two maps are
     equivalent iff their keys are equal.
 
-    The four walks all number the base point's orbit, so their tables have
+    The four walks all number the orbit of 0, so their tables have
     the same length; they are drawn from one row (one element of H) at a
     time.  A variant is dropped at its first row that is larger than the
     least row, and the last one left is drained alone, so a variant that
@@ -399,7 +393,7 @@ def equivalence_key(m: EdgeBiregularMap) -> tuple[int, ...]:
     """
     x, y, s, t = m.perms
     walks = [
-        _standard_rows(perms, m.base)
+        _standard_rows(perms)
         for perms in ((x, y, s, t), (y, x, t, s), (s, t, x, y), (t, s, y, x))
     ]
     key: list[int] = []
@@ -472,8 +466,9 @@ def insert_semi_edges(regular: MarkedGroup) -> SemiEdgeMap:
     """From a fully regular map triple (r0, r1, r2), insert a semi-edge into
     every corner: the result is the semi-edge map with marks (r0, r2, r1).
 
-    Requires three distinct involutions with (r0*r2)^2 = 1 that generate the
-    group; distinctness excludes the degenerate semi-star configurations.
+    Requires three distinct involutions with (r0*r2)^2 = 1 (they generate
+    the group, as ``MarkedGroup`` checks); distinctness excludes the
+    degenerate semi-star configurations.
     The type doubles: (ord(r1 r2), ord(r0 r1)) becomes (2k0, 2l0).
     """
     g = regular.group
@@ -487,8 +482,6 @@ def insert_semi_edges(regular: MarkedGroup) -> SemiEdgeMap:
         raise NotDistinct("semi-star configuration: marks must be distinct")
     if g.mul[r0][r2] != g.mul[r2][r0]:
         raise PairNotCommuting("r0 and r2 do not commute")
-    if len(subgroup_closure(g, regular.marked)) != g.order:
-        raise NotGenerating("marks do not generate the group")
     return SemiEdgeMap(g, (r0, r2, r1))
 
 

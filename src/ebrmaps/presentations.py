@@ -11,8 +11,8 @@ Presentation text format (one directive per line, ``#`` starts a comment):
 Every generator is taken to be an involution: the enumerator stores a single
 symmetric column per generator (g is its own inverse), so words never need
 explicit inverses.  A relator may expand to at most ``MAX_RELATOR_LENGTH``
-letters; the parser checks this from the lengths of the factors, before
-anything is expanded.  A :class:`Presentation` keeps each relator once, as
+letters; the parser and :class:`Presentation` check this from the lengths
+of the factors, before anything is expanded.  A :class:`Presentation` keeps each relator once, as
 written, powers included, and expands it once into ``relators``.
 
 The enumerator is the HLT strategy with row filling: cosets are scanned in
@@ -64,8 +64,8 @@ class CapacityExceeded(RuntimeError):
 class Presentation(_Record):
     """Generators and relators, each relator kept once as written, with its
     powers (a plain word is a form with no powers).  ``relators`` holds
-    their expansions; equality compares those, so it ignores how powers
-    were written."""
+    their expansions, each at most ``MAX_RELATOR_LENGTH`` letters; equality
+    compares those, so it ignores how powers were written."""
 
     _fields = ("generator_names", "relators")
 
@@ -74,6 +74,11 @@ class Presentation(_Record):
             raise ValueError("a presentation needs at least one generator")
         if len(set(generator_names)) != len(generator_names):
             raise ValueError("generator names must be distinct")
+        for f in relator_forms:
+            if (length := _length(f)) > MAX_RELATOR_LENGTH:
+                raise ValueError(
+                    f"relator expands to {length} letters, more than {MAX_RELATOR_LENGTH}"
+                )
         relators = tuple(_expand(f) for f in relator_forms)
         ng = len(generator_names)
         for w in relators:
@@ -86,6 +91,11 @@ class Presentation(_Record):
     @property
     def num_generators(self) -> int:
         return len(self.generator_names)
+
+
+def _length(form: Form) -> int:
+    """The number of letters that form expands to, found without expanding it."""
+    return sum(1 if isinstance(f, int) else _length(f[0]) * f[1] for f in form)
 
 
 def _expand(form: Form) -> Word:

@@ -46,8 +46,8 @@ def extend_generator_map(
     if len(src_gens) != len(dst_images):
         raise ValueError("generator/image length mismatch")
     img: list[int | None] = [None] * src.order
-    img[src.identity] = dst.identity
-    frontier = [src.identity]
+    img[0] = 0
+    frontier = [0]
     smul, dmul = src.mul, dst.mul
     while frontier:
         nxt = []
@@ -99,10 +99,12 @@ def are_isomorphic_by_extension(a: FiniteGroup, b: FiniteGroup) -> bool:
 
 def relabelled(g: FiniteGroup, rng) -> tuple[FiniteGroup, list[int]]:
     """The same group with its elements renumbered by a random permutation
-    ``perm`` (element a becomes perm[a]), and the permutation."""
+    ``perm`` (element a becomes perm[a]), and the permutation.  The identity
+    stays element 0; only elements 1..n-1 are shuffled."""
     n = g.order
-    perm = list(range(n))
-    rng.shuffle(perm)
+    rest = list(range(1, n))
+    rng.shuffle(rest)
+    perm = [0] + rest
     table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
@@ -144,23 +146,23 @@ def index_of_even_subgroup(marked: MarkedGroup) -> int:
 
 def even_subgroup_index_of_products(m: EdgeBiregularMap) -> int:
     """Index of the subgroup generated by all twelve ordered products u*v of
-    two distinct marks: |H| over the base point's orbit under them."""
+    two distinct marks: |H| over the orbit of 0 under them."""
     products = [
         tuple(v[u[h]] for h in range(m.order))
         for i, u in enumerate(m.perms)
         for j, v in enumerate(m.perms)
         if i != j
     ]
-    return m.order // len(_orbit(products, m.base))
+    return m.order // len(_orbit(products))
 
 
-def standard_table(perms, base: int = 0) -> tuple[int, ...]:
+def standard_table(perms) -> tuple[int, ...]:
     """The whole standardized table of the action by the permutations
-    ``perms`` on the orbit of ``base``, built at once: the orbit is numbered
-    breadth first from ``base``, applying ``perms`` in order, and entry
+    ``perms`` on the orbit of 0, built at once: the orbit is numbered
+    breadth first from 0, applying ``perms`` in order, and entry
     i * len(perms) + j is the number of point i's image under perms[j]."""
-    number = {base: 0}
-    queue = [base]
+    number = {0: 0}
+    queue = [0]
     for h in queue:
         for perm in perms:
             if perm[h] not in number:
@@ -171,12 +173,12 @@ def standard_table(perms, base: int = 0) -> tuple[int, ...]:
 
 def is_fully_regular_by_tables(m: EdgeBiregularMap) -> bool:
     """m and its twin have equal standardized tables, each built in full."""
-    return standard_table(m.perms, m.base) == standard_table(twin(m).perms, m.base)
+    return standard_table(m.perms) == standard_table(twin(m).perms)
 
 
 def is_self_dual_by_tables(m: EdgeBiregularMap) -> bool:
     """m and its dual have equal standardized tables, each built in full."""
-    return standard_table(m.perms, m.base) == standard_table(dual(m).perms, m.base)
+    return standard_table(m.perms) == standard_table(dual(m).perms)
 
 
 def all_map_quadruples_by_scan(group, want_chi=None):
@@ -252,7 +254,7 @@ def element_orders(g: FiniteGroup) -> tuple[int, ...]:
     orders = []
     for a in range(g.order):
         k, acc = 1, a
-        while acc != g.identity:
+        while acc != 0:
             acc = g.mul[acc][a]
             k += 1
         orders.append(k)

@@ -44,7 +44,6 @@ def test_cyclic_basics():
     for n in (1, 2, 3, 8, 12):
         g = cyclic(n)
         assert g.order == n
-        assert g.identity == 0
         assert g.is_abelian()
         if n > 1:
             assert g.element_orders[1] == n
@@ -248,7 +247,7 @@ def test_generated_action_composes_b_from_generator_images():
     # reflections are elements 4..7), each inverting C5
     d8 = dihedral(8)
     columns = [[row[g] for row in d8.group.mul] for g in d8.marked]
-    action = _generated_action(columns, [inversion, inversion], d8.group.identity)
+    action = _generated_action(columns, [inversion, inversion])
     assert action == (identity,) * 4 + (inversion,) * 4
     # v -> v + 2 generates only a subgroup of order 2 of C4, in either form
     c4 = cyclic(4)
@@ -256,7 +255,7 @@ def test_generated_action_composes_b_from_generator_images():
     with pytest.raises(ValueError, match=message):
         _generated_action([(2, 3, 0, 1)], [inversion])
     with pytest.raises(ValueError, match=message):
-        _generated_action([[row[2] for row in c4.mul]], [inversion], c4.identity)
+        _generated_action([[row[2] for row in c4.mul]], [inversion])
     with pytest.raises(ValueError, match=message):
         census._extension(cyclic(5), c4, {2: inversion}, "x")
 
@@ -270,18 +269,18 @@ def test_extends_to_isomorphism():
 
     marks = columns(g, d8.marked)
     # reflection marks can be rotated by an (inner) automorphism
-    assert _same_standard_table(marks, g.identity, columns(g, (6, 7)), g.identity)
+    assert _same_standard_table(marks, columns(g, (6, 7)))
     # marks of mismatched orders cannot correspond
-    assert not _same_standard_table(marks, g.identity, columns(g, (4, 1)), g.identity)
+    assert not _same_standard_table(marks, columns(g, (4, 1)))
     # across two numberings of D8, the renumbered marks correspond and two
     # commuting reflections (generating only a Klein four group) do not
     other, perm = relabelled(g, random.Random(0))
     same = columns(other, [perm[z] for z in d8.marked])
-    assert _same_standard_table(marks, g.identity, same, other.identity)
+    assert _same_standard_table(marks, same)
     klein = columns(other, [perm[4], perm[6]])
-    assert not _same_standard_table(marks, g.identity, klein, other.identity)
+    assert not _same_standard_table(marks, klein)
     # actions on different numbers of points are never equal
-    assert not _same_standard_table(marks, g.identity, [(1, 0), (1, 0)], 0)
+    assert not _same_standard_table(marks, [(1, 0), (1, 0)])
     # the lazy comparison agrees with whole tables built by the reference,
     # for random tuples of the atlas groups of order <= 24 against their
     # images in a relabelled copy, random tuples of that copy, and random
@@ -302,10 +301,8 @@ def test_extends_to_isomorphism():
             ):
                 b = columns(group, images)
                 equal_sizes = len(a[0]) == len(b[0])
-                same = equal_sizes and (
-                    standard_table(a, h.identity) == standard_table(b, group.identity)
-                )
-                assert _same_standard_table(a, h.identity, b, group.identity) == same
+                same = equal_sizes and standard_table(a) == standard_table(b)
+                assert _same_standard_table(a, b) == same
                 seen.add((same, equal_sizes, len(subgroup_closure(h, gens)) == h.order))
     # equal and unequal tables, on equal and different numbers of points,
     # of tuples that generate and tuples that do not
@@ -397,14 +394,23 @@ def test_derived_data_agrees_with_the_dense_references(monkeypatch):
     "table, message",
     [
         (((0, 1), (1,)), "multiplication table must be square and nonempty"),
-        (((1, 0), (0, 0)), "table has no identity element"),
+        (((1, 0), (0, 0)), "element 0 of the table is not the identity"),
         # rows 0 and 1 both read like the identity's, but no column does
-        (((0, 1), (0, 1)), "table has no identity element"),
+        (((0, 1), (0, 1)), "element 0 of the table is not the identity"),
+        # a group whose identity is element 1, not element 0
+        (((1, 0), (0, 1)), "element 0 of the table is not the identity"),
         (((0, 1), (1, 1)), "element 1 has no inverse"),
         # 1 * 1 = 2 and 2 * 1 = 2: the powers of 1 never reach 0
         (((0, 1, 2), (1, 2, 0), (2, 2, 0)), "element 1 has no finite order <= 3"),
     ],
-    ids=["not-square", "no-identity-row", "no-identity-column", "no-inverse", "no-finite-order"],
+    ids=[
+        "not-square",
+        "no-identity-row",
+        "no-identity-column",
+        "identity-is-element-1",
+        "no-inverse",
+        "no-finite-order",
+    ],
 )
 def test_finite_group_error_messages(table, message):
     with pytest.raises(ValueError) as info:

@@ -12,6 +12,7 @@ import pytest
 
 import ebrmaps
 import ebrmaps.maps as maps_module
+from ebrmaps import census, families
 from ebrmaps.census import ATLAS_ORDERS, _constructive_entries, admissible_types, atlas, classify
 from ebrmaps.families import chi_minus_2_catalog
 from ebrmaps.groups import MarkedGroup, cyclic, dihedral, direct_product, symmetric
@@ -248,7 +249,7 @@ def _assert_key_decides(maps, key, related):
 
 def test_standard_table_decides_map_isomorphism():
     _assert_key_decides(
-        _small_quadruples(), lambda m: standard_table(m.perms, m.base), is_map_isomorphic
+        _small_quadruples(), lambda m: standard_table(m.perms), is_map_isomorphic
     )
 
 
@@ -270,14 +271,14 @@ def test_equivalence_key_ignores_relabelling(seed):
     rng = random.Random(seed)
     for m in _small_quadruples() + [load_map(TORUS_LIKE)]:
         other = _relabelled(m, rng)
-        assert standard_table(other.perms, other.base) == standard_table(m.perms, m.base)
+        assert standard_table(other.perms) == standard_table(m.perms)
         assert equivalence_key(other) == equivalence_key(m)
 
 
 def _dense_standard_table(group, marks):
     """The standardized table read off the multiplication table."""
-    number = {group.identity: 0}
-    elements = [group.identity]
+    number = {0: 0}
+    elements = [0]
     table = []
     for h in elements:
         for z in marks:
@@ -338,15 +339,35 @@ def test_short_cut_invariants_match_their_full_references():
     assert seen == {(0, True), (0, False), (1, True), (1, False), (2, 1), (2, 2)}
 
 
-def test_map_from_presentation_holds_only_the_action():
+def test_map_from_presentation_holds_only_the_action(monkeypatch):
     m = load_map(TORUS_LIKE)
-    assert m.dense is None  # no table until one is asked for
+    assert "group" not in vars(m)  # no table until one is asked for
     assert m.order == 16 and len(m.perms) == 4
     assert m.marks == tuple(perm[0] for perm in m.perms)
     marked = group_from_presentation(parse_presentation(strip_mark_lines(TORUS_LIKE)))
     assert m.group.mul == marked.group.mul
     assert m.marks == marked.marked
-    assert m.dense is m.group
+    # a map found on a dense group rebuilds that group's table exactly: every
+    # class kept over the p = 2 atlas orders and in the groups searched by
+    # cyclic_by_dihedral_probe(5, 6), four semidirect products of order 60
+    enumerate_maps = census.enumerate_maps
+    searched = [
+        (g, enumerate_maps(g, want_chi=-2))
+        for n in sorted({a.n for a in admissible_types(2)})
+        for g in atlas(n)
+    ]
+
+    def recording(group, want_chi=None):
+        searched.append((group, enumerate_maps(group, want_chi)))
+        return searched[-1][1]
+
+    monkeypatch.setattr(census, "enumerate_maps", recording)
+    families.cyclic_by_dihedral_probe(5, 6)
+    assert [g.name for g, _ in searched[-4:]] == ["C5:D12"] * 4
+    kept = [(g, m) for g, found in searched for m in found.values()]
+    assert len(kept) == 12 + 28  # 12 at p = 2, 28 in the probe's groups
+    for g, m in kept:
+        assert m.group.mul == g.mul, g.name
 
 
 def test_map_from_action_validates():
@@ -433,12 +454,10 @@ def test_semi_edge_validation():
     # non-involution mark
     with pytest.raises(NotInvolution):
         insert_semi_edges(MarkedGroup(s4, (r0, four_cycle, r2)))
-    # (0 1), (0 1)(2 3) and (2 3) generate a Klein four subgroup of S4; the
-    # MarkedGroup constructor refuses such a triple, so it is set by hand
-    klein = MarkedGroup.__new__(MarkedGroup)
-    klein.group, klein.marked = s4, (r0, perm_index[(1, 0, 3, 2)], r2)
-    with pytest.raises(NotGenerating, match="marks do not generate the group"):
-        insert_semi_edges(klein)
+    # (0 1), (0 1)(2 3) and (2 3) generate a Klein four subgroup of S4,
+    # which the MarkedGroup constructor refuses before any map is built
+    with pytest.raises(ValueError, match="do not generate"):
+        MarkedGroup(s4, (r0, perm_index[(1, 0, 3, 2)], r2))
 
 
 def test_load_map_round_trip():
@@ -599,7 +618,7 @@ def test_equivalence_key_is_the_least_full_table():
     def least_full_table(m):
         x, y, s, t = m.perms
         orderings = ((x, y, s, t), (y, x, t, s), (s, t, x, y), (t, s, y, x))
-        return min(standard_table(perms, m.base) for perms in orderings)
+        return min(standard_table(perms) for perms in orderings)
 
     # every quadruple that classify --p 2 and --p 3 search
     found = [
