@@ -6,13 +6,8 @@ The enumerator completes a coset table for a subgroup given by generator
 words; with the trivial subgroup it realizes the whole group concretely.
 """
 
-from ebrmaps.groups import are_isomorphic, dihedral, group_from_action
-from ebrmaps.presentations import (
-    CapacityExceeded,
-    coset_enumerate,
-    parse_presentation,
-    regular_action,
-)
+from ebrmaps.groups import CapacityExceeded, are_isomorphic, dihedral, group_from_action
+from ebrmaps.presentations import coset_enumerate, parse_presentation, regular_action
 
 DIHEDRAL_20 = """\
 gens a b

@@ -23,6 +23,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "groups": (
         "DEFAULT_MAX_COSETS",
+        "CapacityExceeded",
         "FiniteGroup",
         "MarkedGroup",
         "VerificationError",
@@ -41,7 +42,6 @@ _EXPORTS = {
         "symmetric",
     ),
     "presentations": (
-        "CapacityExceeded",
         "CosetTable",
         "ParseError",
         "Presentation",

@@ -24,7 +24,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .groups import DEFAULT_MAX_COSETS
+from .groups import DEFAULT_MAX_COSETS, CapacityExceeded
 
 # Each subcommand imports the modules it runs, so that a process loads no
 # module its command does not use.
@@ -387,20 +387,13 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
-def _capacity_exceeded() -> tuple[type[Exception], ...]:
-    """The coset enumerator's CapacityExceeded, if the enumerator has been
-    imported (else nothing can have raised it), without importing it."""
-    presentations = sys.modules.get(f"{__package__}.presentations")
-    return (presentations.CapacityExceeded,) if presentations else ()
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     if getattr(args, "jobs", None) is not None:
         print("warning: --jobs is ignored and will be removed", file=sys.stderr)
     try:
         return args.func(args)
-    except _capacity_exceeded() as exc:
+    except CapacityExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (ValueError, OSError) as exc:  # ParseError and the like are ValueErrors

@@ -8,8 +8,7 @@ up to duality and twins, to one of the families built here:
 * ``dihedral_family_2(p)``  - two-vertex map of type (2(p+2), 4) on the
   dihedral group of order 4(p+2);
 * ``cyclic_fitting_map(params)`` - maps of type (4*kappa, 2*lambda) of
-  order 4*kappa*lambda whose group is C_{kappa*lambda} extended by V_4,
-  the right-regular action of an explicit semidirect product;
+  order 4*kappa*lambda whose group is C_{kappa*lambda} extended by V_4;
 * ``valency_eight_map(m)``  - maps of type (8, 6m) of order 24m (chi = -(9m-4));
 * ``exceptional_order36_map()`` - the unique fully regular example, of
   type (4,6) on a group of order 36 isomorphic to D6 x D6;
@@ -20,37 +19,29 @@ up to duality and twins, to one of the families built here:
 C_p x| D_nu for maps and checks the structural restrictions that any such
 map must satisfy.
 
-Each constructor checks the order and type of what it built and raises
+Each member is a presentation text and a word w: the presented group acts
+on itself by right multiplication, marked by its generators x, y, s, t.
+``regular_action_through`` builds that action from the cosets of the
+cyclic subgroup <w>, of index 2 (dh1, dh2), 4 (hpj) or 8 (hp), by
+Reidemeister-Schreier, in O(|H| log p) where enumerating the cosets of the
+trivial subgroup costs O(|H| p).  For h3 and the chi = -2 maps w is empty
+and the action is the coset table of the trivial subgroup.  Each
+constructor checks the order and type of what it built and raises
 VerificationError on a mismatch.  All presentation texts are kept
 verbatim, including redundant relators.
-
-The dihedral, cyclic-Fitting and valency-eight groups are all an abelian
-group A = C_lam x C_kappa extended by B = C_2, V_4 or ve(3^e).  The action
-of B is composed from its generators' images by the helper in ``groups``
-that every split extension uses, and ``_split_extension`` gives the
-permutations of any of them acting on itself once ``_check_action`` has
-checked that B acts on A by automorphisms.  Each member is then certified
-against its presentation: the order of the presented group comes from the
-cosets of a cyclic subgroup of index 2, 4 or 8
-(``cyclic_order_certificate``), every written relator is checked on the
-action, and the action is transitive, so it is the regular action of the
-presented group.  This costs O(|H| log p), where enumerating the cosets of
-the trivial subgroup costs O(|H| p).  The other members (h3 and the chi = -2
-maps) use that enumeration: the columns of the coset table of the trivial
-subgroup are the marks' permutations, with no map file in between.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable
 from fractions import Fraction
 
 from .groups import (
+    DEFAULT_MAX_COSETS,
+    CapacityExceeded,
     VerificationError,
     _Record,
-    _check_action,
     _generated_action,
     cyclic,
     dihedral,
@@ -59,12 +50,12 @@ from .groups import (
 )
 from .maps import EdgeBiregularMap, dual, euler_characteristic, map_from_action, type_of
 from .presentations import (
-    DEFAULT_MAX_COSETS,
-    CapacityExceeded,
     CosetTable,
     Perm,
-    _table_fault,
-    cyclic_order_certificate,
+    Presentation,
+    Word,
+    _check_table,
+    coset_enumerate,
     parse_presentation,
     regular_action,
 )
@@ -86,107 +77,170 @@ def presentation_text(extra_relators: tuple[str, ...] | list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _build(text: str, name: str, max_cosets: int) -> EdgeBiregularMap:
-    """The group presented by text acting on itself, marked by its
-    generators x, y, s, t in that order."""
-    return map_from_action(regular_action(parse_presentation(text), max_cosets), name)
+# ---------------------------------------------------------------------------
+# one builder for every member: the regular action lifted through <w>
 
 
-def _expect(m: EdgeBiregularMap, order: int, map_type: tuple[int, int]) -> EdgeBiregularMap:
-    """m itself, after checking its order and type against the family's."""
-    if m.order != order:
-        raise VerificationError(f"{m.name}: expected order {order}, got {m.order}")
-    if type_of(m) != map_type:
-        raise VerificationError(f"{m.name}: expected type {map_type}, got {type_of(m)}")
-    return m
-
-
-def _certified(
+def _member(
     text: str,
     name: str,
-    w: tuple[int, ...],
-    action: Callable[[], tuple[Perm, ...]],
+    w: Word,
     order: int,
+    map_type: tuple[int, int],
     max_cosets: int,
 ) -> EdgeBiregularMap:
-    """The map of action(), proved to be the regular action of the group
-    presented by text on its marks x, y, s, t.
+    """The group presented by text acting on itself, marked by its
+    generators x, y, s, t in that order, built through <w>.
 
-    The presented group has order `order`, by the certificate through
-    the cyclic subgroup <w>; every relator holds on the action;
-    and the action is transitive on `order` points (the orbit check of
-    map_from_action).  A group of at most that order acting transitively
-    on that many points acts regularly.  Nothing is built when `order`
-    exceeds max_cosets.
+    The text is parsed first and the family order held against max_cosets
+    before anything is enumerated; VerificationError unless the map has
+    the family's order and type.
     """
     pres = parse_presentation(text)
     if order > max_cosets:
         raise CapacityExceeded(max_cosets)
-    got = cyclic_order_certificate(pres, w, max_cosets)
-    if got != order:
-        raise VerificationError(f"{name}: expected order {order}, got {got}")
-    perms = action()
-    if len(perms[0]) != order or _table_fault(CosetTable(perms), pres, ()) is not None:
-        raise VerificationError(f"{name}: presentation and direct constructions disagree")
-    return map_from_action(perms, name)
+    m = map_from_action(regular_action_through(pres, w, max_cosets), name)
+    if m.order != order:
+        raise VerificationError(f"{name}: expected order {order}, got {m.order}")
+    if type_of(m) != map_type:
+        raise VerificationError(f"{name}: expected type {map_type}, got {type_of(m)}")
+    return m
 
 
-# ---------------------------------------------------------------------------
-# split extensions (C_lam x C_kappa) x| B
-
-
-def _unit_action(lam: int, kappa: int, units: tuple[tuple[int, int], ...]) -> tuple[Perm, ...]:
-    """For each (eu, ew) in units, the map u -> u^eu, w -> w^ew on
-    A = C_lam x C_kappa = <u> x <w>, as a permutation of the elements
-    u^i w^m = i*kappa + m."""
-    perms = []
-    for eu, ew in units:
-        u_parts = [(i * eu) % lam * kappa for i in range(lam)]
-        w_parts = [(m * ew) % kappa for m in range(kappa)]
-        perms.append(tuple(a + b for a in u_parts for b in w_parts))
-    return tuple(perms)
-
-
-def _split_extension(
-    lam: int, kappa: int, action: tuple[Perm, ...], marks: tuple[tuple[int, Perm], ...]
+def regular_action_through(
+    pres: Presentation, w: Word, max_cosets: int = DEFAULT_MAX_COSETS
 ) -> tuple[Perm, ...]:
-    """The right-regular action of (C_lam x C_kappa) x| B, one permutation
-    per mark (f, b).
+    """The presented group G acting on itself by right multiplication,
+    lifted from the cosets of the cyclic subgroup K = <w>.
 
-    B's elements are its len(action) points, 0 the identity, and b permutes
-    them by right multiplication by the mark's B part; these generate B.
-    action[v] is the automorphism of A = C_lam x C_kappa attached to v,
-    numbered as by _unit_action; ValueError unless it is an action.  Element
-    (f, v) is the point f*|B| + v, and (f1, v1)(f2, v2) = (f1 +
-    action[v1](f2), v1 v2): right multiplication by the mark sends the points
-    of each v1 to those of b[v1], adding action[v1](f2) in A.
+    Enumerates the cosets of K, then rewrites every relator, and g g for
+    every generator, from every coset into abelianized Schreier generators
+    over a breadth-first transversal t_c (Reidemeister-Schreier; Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory, section 2.5).  A
+    generator is an involution, so the edges (c, g) and (c g, g) share one
+    variable with opposite signs; tree edges are trivial.  K is cyclic, so
+    it equals its abelianization Z^m / L, L the span of the rows, and
+    N = |K| is the lattice index.  :func:`_discrete_log` writes each
+    variable as a power of w, so t_c g = w^a(c,g) t_(c g): point
+    i [G:K] + c stands for w^i t_c, and g sends it to
+    ((i + a(c, g)) mod N) [G:K] + c g.  Point 0 is the identity.  The cost
+    is the enumeration, [G:K] passes over the expanded relators and O(|G|)
+    per generator.
+
+    An empty w gives :func:`regular_action`.  VerificationError when K is
+    infinite; CapacityExceeded when |G| exceeds max_cosets, before the
+    action is built.  Like a coset table, the action is checked by
+    :func:`_check_table` before it is returned.
     """
-    nb, na = len(action), lam * kappa
-    elements = list(range(na))
-    gens = (kappa, 1) if kappa > 1 else (1 % lam,)  # u, and w unless kappa = 1
-    _check_action(action, lambda g: _added(elements, g, kappa), gens, [b for _, b in marks])
-    points = list(range(nb * na))  # entries share these int objects
+    if not w:
+        return regular_action(pres, max_cosets)
+    columns = coset_enumerate(pres, (tuple(w),), max_cosets).columns
+    n = len(columns[0])
+    seen = [False] * n
+    seen[0] = True
+    tree = set()
+    found = [0]
+    for c in found:  # grows while it is walked
+        for g, col in enumerate(columns):
+            d = col[c]
+            if not seen[d]:
+                seen[d] = True
+                found.append(d)
+                tree.add((c, g))
+    # coefficient[g][c]: the edge (c, g) is variable abs(v) - 1 to the power
+    # sign(v), or trivial when v is 0
+    coefficient = [[0] * n for _ in columns]
+    m = 0
+    for g, col in enumerate(columns):
+        for c, d in enumerate(col):
+            if c <= d and (c, g) not in tree and (d, g) not in tree:
+                m += 1
+                coefficient[g][c] = m
+                coefficient[g][d] = m if c == d else -m
+
+    def rewritten(word: Word, c: int) -> list[int]:
+        row = [0] * m
+        for g in word:
+            v = coefficient[g][c]
+            if v:
+                row[abs(v) - 1] += 1 if v > 0 else -1
+            c = columns[g][c]
+        return row
+
+    words = (*pres.relators, *((g, g) for g in range(len(columns))))
+    basis = _echelon([rewritten(word, c) for word in words for c in range(n)], m)
+    if basis is None:
+        raise VerificationError("the subgroup <w> is infinite")
+    order = math.prod(row[j] for j, row in enumerate(basis))
+    if n * order > max_cosets:
+        raise CapacityExceeded(max_cosets)
+    a = _discrete_log(basis, rewritten(w, 0), order)
+    points = list(range(n * order))  # entries share these int objects
     perms = []
-    for f2, b in marks:
-        perm = [0] * (nb * na)
-        for v1 in range(nb):
-            perm[v1::nb] = _added(points[b[v1] :: nb], action[v1][f2], kappa)
+    for g, col in enumerate(columns):
+        perm = [0] * (n * order)
+        for c, d in enumerate(col):
+            v = coefficient[g][c]
+            shift = (a[v - 1] if v > 0 else -a[-v - 1]) % order if v else 0
+            block = points[d::n]
+            perm[c::n] = block[shift:] + block[:shift]
         perms.append(tuple(perm))
-    return tuple(perms)
+    action = tuple(perms)
+    _check_table(CosetTable(action), pres, ())
+    return action
 
 
-def _added(seq: list[int], g: int, kappa: int) -> list[int]:
-    """seq indexed by the elements f of A = C_lam x C_kappa, re-indexed so
-    that entry f is seq[f + g]: with f = i*kappa + m, a rotation by g mod
-    kappa within each block of kappa entries and by g // kappa blocks."""
-    gi, gm = divmod(g, kappa)
-    if gm:
-        blocks, seq = seq, []
-        for i in range(0, len(blocks), kappa):
-            seq += blocks[i + gm : i + kappa]
-            seq += blocks[i : i + gm]
-    shift = gi * kappa
-    return seq[shift:] + seq[:shift]
+def _echelon(rows: list[list[int]], m: int) -> list[list[int]] | None:
+    """An upper-triangular basis of the span of rows in Z^m, pivots
+    positive, by gcd row reduction; None when the rows have rank below m."""
+    basis = []
+    for j in range(m):
+        pivot = None
+        rest = []
+        for row in rows:
+            if row[j] and pivot is None:
+                pivot = row
+                continue
+            while row[j]:  # Euclid on column j
+                q = pivot[j] // row[j]  # type: ignore[index]
+                pivot, row = row, [a - q * b for a, b in zip(pivot, row)]  # type: ignore[arg-type]
+            rest.append(row)
+        if pivot is None:
+            return None
+        basis.append(pivot if pivot[j] > 0 else [-a for a in pivot])
+        rows = rest
+    return basis
+
+
+def _discrete_log(basis: list[list[int]], v: list[int], n: int) -> list[int]:
+    """A functional a on Z^m, as its values mod n on the unit vectors, with
+    a . b = 0 (mod n) for every row b of basis and a . v = 1 (mod n).
+
+    basis is upper triangular with positive pivots whose product is n, so
+    adj = n basis^-1 is integral, and the functionals that vanish on the
+    rows mod n are adj lam for lam in Z^m.  With u = v adj, lam is built one
+    coordinate at a time so that u . lam = gcd(n, u_0, ..., u_k) (mod n);
+    VerificationError unless that gcd ends at 1, that is unless v generates
+    Z^m / span(basis).
+    """
+    m = len(basis)
+    u: list[int] = []  # u basis = n v, solved column by column
+    for j in range(m):
+        u.append((n * v[j] - sum(u[i] * basis[i][j] for i in range(j))) // basis[j][j])
+    lam, g = [0] * m, n
+    for k, uk in enumerate(u):
+        d = math.gcd(g, uk)
+        beta = pow(uk // d, -1, g // d)
+        alpha = (d - beta * uk) // g  # alpha g + beta uk = d
+        lam = [alpha * x % n for x in lam]
+        lam[k] = beta
+        g = d
+    if g != 1:
+        raise VerificationError("the rewritten w does not generate the subgroup <w>")
+    a = [0] * m  # basis a = n lam, solved from the last row up
+    for j in reversed(range(m)):
+        a[j] = (n * lam[j] - sum(basis[j][i] * a[i] for i in range(j + 1, m))) // basis[j][j]
+    return [x % n for x in a]
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +258,9 @@ def dihedral_family_1(p: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBireg
     x = s y = r^(p+1) f, y = f, s = r^(p+1) and t = y r = r^-1 f.
     """
     _require_odd_prime(p)
-    n = 2 * (p + 1)
-    m = _certified(
-        dihedral_family_1_text(p),
-        f"dh1({p})",
-        (1, 3),  # y t, of index 2
-        lambda: _split_extension(
-            n, 1, _inversion(n), ((p + 1, _FLIP), (0, _FLIP), (p + 1, _KEEP), (n - 1, _FLIP))
-        ),
-        2 * n,
-        max_cosets,
-    )
-    return _expect(m, 4 * (p + 1), (4 * (p + 1), 4))
+    order = 4 * (p + 1)
+    y_t = (1, 3)  # of index 2
+    return _member(dihedral_family_1_text(p), f"dh1({p})", y_t, order, (order, 4), max_cosets)
 
 
 def dihedral_family_2_text(p: int) -> str:
@@ -229,28 +274,10 @@ def dihedral_family_2(p: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBireg
     x = f, y = x s = r^(p+2) f, s = r^(p+2) and t = x r = r^-1 f.
     """
     _require_odd_prime(p)
-    n = 2 * (p + 2)
-    m = _certified(
-        dihedral_family_2_text(p),
-        f"dh2({p})",
-        (0, 3),  # x t, of index 2
-        lambda: _split_extension(
-            n, 1, _inversion(n), ((0, _FLIP), (p + 2, _FLIP), (p + 2, _KEEP), (n - 1, _FLIP))
-        ),
-        2 * n,
-        max_cosets,
+    x_t = (0, 3)  # of index 2
+    return _member(
+        dihedral_family_2_text(p), f"dh2({p})", x_t, 4 * (p + 2), (2 * (p + 2), 4), max_cosets
     )
-    return _expect(m, 4 * (p + 2), (2 * (p + 2), 4))
-
-
-def _inversion(n: int) -> tuple[Perm, Perm]:
-    """C_2 acting on C_n = <r> by r -> r^-1: the dihedral group of order 2n
-    is C_n x| C_2, its element r^a f^b being (a, b), the point 2a + b."""
-    return _unit_action(n, 1, ((1, 1), (-1, 1)))
-
-
-# right multiplication of C_2 = {0, 1} by its identity and by its involution
-_KEEP, _FLIP = (0, 1), (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -337,21 +364,6 @@ def cyclic_fitting_text(params: FamilyParams) -> str:
     )
 
 
-def _cyclic_fitting_direct(params: FamilyParams) -> tuple[Perm, ...]:
-    """The four mark permutations of (C_lam x C_kappa) x| V_4, where
-    V_4 = <s, t> acts on <u> x <w> by s: u -> u^-1, w -> w and
-    t: u -> u^-j, w -> w^-1.
-
-    Element b1*2 + b2 of V_4 is s^b1 t^b2, and V_4 multiplies by xor.  The
-    marks are s, t, x = s*u = u^-1 s and y = u^a * w^((kappa-1)/2) * s*t.
-    """
-    kappa, lam, j = params.kappa, params.lam, params.j
-    s, st, t = (tuple(v ^ b for v in range(4)) for b in (2, 3, 1))  # right multiplications
-    action = _generated_action((s, t), _unit_action(lam, kappa, ((-1, 1), (-j, -1))))
-    x_part, y_part = (lam - 1) * kappa, params.a * kappa + (kappa - 1) // 2
-    return _split_extension(lam, kappa, action, ((x_part, s), (y_part, st), (0, s), (0, t)))
-
-
 # the word (s x)(t y)^2, whose cyclic subgroup has index 4
 _CYCLIC_FITTING_WORD = (2, 0, 3, 1, 3, 1)
 
@@ -359,22 +371,11 @@ _CYCLIC_FITTING_WORD = (2, 0, 3, 1, 3, 1)
 def cyclic_fitting_map(
     params: FamilyParams, max_cosets: int = DEFAULT_MAX_COSETS
 ) -> EdgeBiregularMap:
-    """Map of type (4*kappa, 2*lam) on the group of order 4*kappa*lam.
-
-    The split extension is built explicitly and proved to be the presented
-    group: the order certificate through <(s x)(t y)^2> gives the family
-    order and every written relator holds on the action.  A failure raises
-    VerificationError.
-    """
-    m = _certified(
-        cyclic_fitting_text(params),
-        f"cf({params.kappa},{params.lam},{params.j})",
-        _CYCLIC_FITTING_WORD,
-        lambda: _cyclic_fitting_direct(params),
-        params.order,
-        max_cosets,
-    )
-    return _expect(m, params.order, params.map_type)
+    """Map of type (4*kappa, 2*lam) on the group of order 4*kappa*lam,
+    C_(kappa*lam) extended by V_4, built through <(s x)(t y)^2>."""
+    name = f"cf({params.kappa},{params.lam},{params.j})"
+    text = cyclic_fitting_text(params)
+    return _member(text, name, _CYCLIC_FITTING_WORD, params.order, params.map_type, max_cosets)
 
 
 # ---------------------------------------------------------------------------
@@ -385,22 +386,6 @@ def valency_eight_text(m: int) -> str:
     return presentation_text(
         (f"(s x)^{3 * m}", "(t y)^4", "(s x y)^2 t", "t x t y")
     )
-
-
-def _valency_eight_direct(m: int, max_cosets: int) -> tuple[Perm, ...]:
-    """The four mark permutations of C_m' x| B for m = 3^e m', 3 not dividing
-    m', with B = ve(3^e) the regular action of its presentation.  x, y and s
-    invert C_m' = <u> and t centralizes it.  The marks are x_B, y_B, u s_B
-    and t_B, so s x = u (s x)_B has order lcm(m', 3^(e+1)) = 3m.
-    """
-    power = 1  # 3^e, the largest power of 3 dividing m
-    while m % (3 * power) == 0:
-        power *= 3
-    lam = m // power
-    marks_b = regular_action(parse_presentation(valency_eight_text(power)), max_cosets)
-    keep, invert = _inversion(lam)
-    action = _generated_action(marks_b, (invert, invert, invert, keep))
-    return _split_extension(lam, 1, action, tuple(zip((0, 0, 1 % lam, 0), marks_b)))
 
 
 def valency_eight_map(m: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBiregularMap:
@@ -418,15 +403,8 @@ def valency_eight_map(m: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBireg
             " Euler characteristic is not minus a prime",
             stacklevel=2,
         )
-    built = _certified(
-        valency_eight_text(m),
-        f"ve({m})",
-        (2, 0),  # s x, of index 8
-        lambda: _valency_eight_direct(m, max_cosets),
-        24 * m,
-        max_cosets,
-    )
-    return _expect(built, 24 * m, (8, 6 * m))
+    s_x = (2, 0)  # of index 8
+    return _member(valency_eight_text(m), f"ve({m})", s_x, 24 * m, (8, 6 * m), max_cosets)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +423,7 @@ def exceptional_order36_map(max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBiregul
     Type (4,6), group of order 36 isomorphic to D6 x D6, chi = -3,
     non-orientable.
     """
-    return _expect(_build(exceptional_order36_text(), "x36", max_cosets), 36, (4, 6))
+    return _member(exceptional_order36_text(), "x36", (), 36, (4, 6), max_cosets)
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +464,9 @@ def chi_minus_2_text(index: int) -> str:
 
 def chi_minus_2_map(index: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBiregularMap:
     """Catalog entry ``index`` (1-based, 1..12) of the maps with chi = -2."""
-    m = _build(chi_minus_2_text(index), f"chi2({index})", max_cosets)
-    return _expect(m, CHI2_EXPECTED_ORDERS[index - 1], CHI2_EXPECTED_TYPES[index - 1])
+    text = chi_minus_2_text(index)
+    order, map_type = CHI2_EXPECTED_ORDERS[index - 1], CHI2_EXPECTED_TYPES[index - 1]
+    return _member(text, f"chi2({index})", (), order, map_type, max_cosets)
 
 
 def chi_minus_2_catalog(max_cosets: int = DEFAULT_MAX_COSETS) -> list[EdgeBiregularMap]:
@@ -528,7 +507,7 @@ def cyclic_by_dihedral_probe(p: int, lam: int) -> list[EdgeBiregularMap]:
     dih = dihedral(nu)
     cp = cyclic(p)
     reflections = [[row[g] for row in dih.group.mul] for g in dih.marked]
-    signs = _inversion(p)  # multiplication by 1 and by -1
+    signs = (tuple(range(p)), tuple(-c % p for c in range(p)))  # multiplication by 1 and by -1
     found: dict[tuple[int, ...], EdgeBiregularMap] = {}
     for e1 in signs:
         for e2 in signs:

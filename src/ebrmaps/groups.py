@@ -43,10 +43,19 @@ class VerificationError(AssertionError):
 Perm = tuple[int, ...]
 
 # The most cosets, and so the largest group, that a coset enumeration may
-# define unless told otherwise.  It is kept here, not beside the enumerator
-# in ``presentations``, so the CLI and ``maps`` can name it without
-# loading the enumerator.
+# define unless told otherwise.  It and CapacityExceeded are kept here, not
+# beside the enumerator in ``presentations``, so the CLI and ``maps`` can
+# name them without loading the enumerator.
 DEFAULT_MAX_COSETS = 100_000
+
+
+class CapacityExceeded(RuntimeError):
+    """Raised when an enumeration would define more than max_cosets cosets,
+    or a group to be built has more than max_cosets elements."""
+
+    def __init__(self, max_cosets: int) -> None:
+        super().__init__(f"coset capacity {max_cosets} exceeded")
+        self.max_cosets = max_cosets
 
 
 class _Record:

@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 
-from .groups import DEFAULT_MAX_COSETS, Perm, VerificationError, _Record
+from .groups import DEFAULT_MAX_COSETS, CapacityExceeded, Perm, VerificationError, _Record
 
 Word = tuple[int, ...]
 # A written word: each factor is a generator or a pair (form, k) for form^k.
@@ -51,14 +51,6 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
-
-
-class CapacityExceeded(RuntimeError):
-    """Raised when an enumeration would define more than max_cosets cosets."""
-
-    def __init__(self, max_cosets: int) -> None:
-        super().__init__(f"coset capacity {max_cosets} exceeded")
-        self.max_cosets = max_cosets
 
 
 class Presentation(_Record):
@@ -501,78 +493,3 @@ def regular_action(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     linear in |H|; no multiplication table is built.
     """
     return coset_enumerate(pres, (), max_cosets).columns
-
-
-def cyclic_order_certificate(
-    pres: Presentation, w: Word, max_cosets: int = DEFAULT_MAX_COSETS
-) -> int | None:
-    """|G| = [G:K] * |K| for K = <w>, or None when K is infinite.
-
-    Enumerates the cosets of K, then rewrites every relator, and g g for
-    every generator, from every coset into abelianized Schreier generators
-    over a breadth-first transversal (Reidemeister-Schreier; Holt, Eick
-    and O'Brien, Handbook of Computational Group Theory, section 2.5).  A
-    generator is an involution, so the edges (c, g) and (c g, g) share one
-    variable with opposite signs; tree edges are trivial.  K is cyclic, so
-    it equals its abelianization Z^m / (row lattice), whose order is the
-    lattice index.  The cost is the enumeration plus [G:K] passes over the
-    expanded relators.
-    """
-    columns = coset_enumerate(pres, (tuple(w),), max_cosets).columns
-    n = len(columns[0])
-    seen = [False] * n
-    seen[0] = True
-    tree = set()
-    found = [0]
-    for c in found:  # grows while it is walked
-        for g, col in enumerate(columns):
-            d = col[c]
-            if not seen[d]:
-                seen[d] = True
-                found.append(d)
-                tree.add((c, g))
-    # coefficient[g][c]: the edge (c, g) is variable abs(v) - 1 to the power
-    # sign(v), or trivial when v is 0
-    coefficient = [[0] * n for _ in columns]
-    m = 0
-    for g, col in enumerate(columns):
-        for c, d in enumerate(col):
-            if c <= d and (c, g) not in tree and (d, g) not in tree:
-                m += 1
-                coefficient[g][c] = m
-                coefficient[g][d] = m if c == d else -m
-    rows = []
-    for word in (*pres.relators, *((g, g) for g in range(len(columns)))):
-        for start in range(n):
-            row = [0] * m
-            c = start
-            for g in word:
-                v = coefficient[g][c]
-                if v:
-                    row[abs(v) - 1] += 1 if v > 0 else -1
-                c = columns[g][c]
-            rows.append(row)
-    order = _lattice_index(rows, m)
-    return None if order is None else n * order
-
-
-def _lattice_index(rows: list[list[int]], m: int) -> int | None:
-    """|Z^m / span(rows)| by gcd row reduction to echelon form, or None
-    when the rows have rank below m."""
-    index = 1
-    for j in range(m):
-        pivot = None
-        rest = []
-        for row in rows:
-            if row[j] and pivot is None:
-                pivot = row
-                continue
-            while row[j]:  # Euclid on column j
-                q = pivot[j] // row[j]  # type: ignore[index]
-                pivot, row = row, [a - q * b for a, b in zip(pivot, row)]  # type: ignore[arg-type]
-            rest.append(row)
-        if pivot is None:
-            return None
-        index *= abs(pivot[j])
-        rows = rest
-    return index

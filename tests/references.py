@@ -9,13 +9,17 @@ against an independent computation on the same inputs.
 
 from itertools import product
 
-from ebrmaps.families import _assert_probe_conformance
+from ebrmaps.families import FamilyParams, _assert_probe_conformance, valency_eight_text
 from ebrmaps.groups import (
     FiniteGroup,
     MarkedGroup,
     VerificationError,
+    _generated_action,
+    cyclic,
+    direct_product,
     greedy_generators,
     group_from_action,
+    semidirect,
     subgroup_closure,
 )
 from ebrmaps.maps import (
@@ -25,10 +29,11 @@ from ebrmaps.maps import (
     dual,
     equivalence_key,
     euler_characteristic_formula,
+    new_map,
     twin,
     type_of,
 )
-from ebrmaps.presentations import Presentation, regular_action
+from ebrmaps.presentations import Presentation, parse_presentation, regular_action
 
 
 def extend_generator_map(
@@ -126,6 +131,48 @@ def group_from_presentation(pres: Presentation) -> MarkedGroup:
     perms = regular_action(pres)
     group = group_from_action(perms, f"fp[{len(perms[0])}]")
     return MarkedGroup(group, tuple(perm[0] for perm in perms))
+
+
+def cyclic_fitting_reference(q: FamilyParams) -> EdgeBiregularMap:
+    """The cyclic-Fitting member of parameters q on the dense semidirect
+    product (C_lam x C_kappa) x| V_4, with V_4 = <s, t> acting on
+    <u> x <w> by s: u -> u^-1, w -> w and t: u -> u^-j, w -> w^-1.  The
+    marks are x = u^-1 s, y = u^a w^((kappa-1)/2) s t, s and t."""
+    kappa, lam = q.kappa, q.lam
+    a = direct_product(cyclic(lam), cyclic(kappa))  # u^i w^m is i*kappa + m
+    v4 = direct_product(cyclic(2), cyclic(2))  # s^b1 t^b2 is 2*b1 + b2
+    action = [
+        tuple(
+            (i * (-1) ** b1 * (-q.j) ** b2) % lam * kappa + (m * (-1) ** b2) % kappa
+            for i in range(lam)
+            for m in range(kappa)
+        )
+        for b1 in (0, 1)
+        for b2 in (0, 1)
+    ]
+    group = semidirect(a, v4, action, name=f"cf({kappa},{lam},{q.j})")
+    s, t, st = 2, 1, 3  # (f, v) is f*4 + v
+    x = (lam - 1) * kappa * 4 + s
+    y = (q.a * kappa + (kappa - 1) // 2) * 4 + st
+    return new_map(group, (x, y, s, t))
+
+
+def valency_eight_reference(m: int) -> EdgeBiregularMap:
+    """The valency-eight member ve(m) on the dense semidirect product
+    C_m' x| B, for m = 3^e m' with 3 not dividing m' and B = ve(3^e) the
+    group of its presentation.  x, y and s invert C_m' = <u> and t
+    centralizes it; the marks are x_B, y_B, u s_B and t_B."""
+    power = 1  # 3^e, the largest power of 3 dividing m
+    while m % (3 * power) == 0:
+        power *= 3
+    lam = m // power
+    b = group_from_presentation(parse_presentation(valency_eight_text(power)))
+    keep, invert = tuple(range(lam)), tuple(-c % lam for c in range(lam))
+    columns = [[row[g] for row in b.group.mul] for g in b.marked]
+    action = _generated_action(columns, (invert, invert, invert, keep))
+    group = semidirect(cyclic(lam), b.group, action, name=f"ve({m})")
+    xb, yb, sb, tb = b.marked
+    return new_map(group, (xb, yb, 1 % lam * b.group.order + sb, tb))
 
 
 def index_of_even_subgroup(marked: MarkedGroup) -> int:

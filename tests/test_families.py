@@ -5,7 +5,6 @@ tests here pin the expected values independently and exercise invariants,
 cross-route agreement and parameter validation.
 """
 
-import itertools
 import os
 import subprocess
 import sys
@@ -36,15 +35,15 @@ from ebrmaps.families import (
     exceptional_order36_map,
     is_prime,
     presentation_text,
+    regular_action_through,
     valency_eight_map,
     valency_eight_text,
 )
 from ebrmaps.groups import (
     FiniteGroup,
+    VerificationError,
     are_isomorphic,
-    cyclic,
     dihedral,
-    direct_product,
     semidirect,
 )
 from ebrmaps.maps import (
@@ -56,24 +55,18 @@ from ebrmaps.maps import (
     is_self_dual,
     load_map,
     map_file_text,
+    map_from_action,
     type_of,
 )
 from ebrmaps.presentations import (
-    DEFAULT_MAX_COSETS,
     CosetTable,
     Presentation,
     _table_fault,
-    cyclic_order_certificate,
     parse_presentation,
+    regular_action,
 )
 import references
-from references import (
-    check_action_exhaustive,
-    is_map_isomorphic,
-    probe_by_scan,
-    rejection,
-    standard_table,
-)
+from references import is_map_isomorphic, probe_by_scan, standard_table
 
 
 def test_is_prime():
@@ -232,9 +225,9 @@ def test_valency_eight_map_equals_the_enumerated_map():
 
 
 def test_valency_eight_map_enumerates_at_most_its_quotient(monkeypatch):
-    # the enumerations are the cosets of <s x> (index 8) and B's regular
-    # action (|B| = 24*3^e cosets), never the 24m cosets of the trivial
-    # subgroup of H
+    # the one enumeration is of the cosets of <s x> (index 8), never the
+    # 24m cosets of the trivial subgroup of H nor the 24*3^e of its
+    # quotient B
     import ebrmaps.presentations as presentations_module
 
     enumerate_cosets = presentations_module.coset_enumerate
@@ -246,10 +239,11 @@ def test_valency_eight_map_enumerates_at_most_its_quotient(monkeypatch):
         return table
 
     monkeypatch.setattr(presentations_module, "coset_enumerate", counting)
-    for m, b_order in ((5, 24), (35, 24), (1103, 24), (45, 216)):
+    monkeypatch.setattr(families, "coset_enumerate", counting)
+    for m in (5, 35, 1103, 45):
         cosets.clear()
         assert valency_eight_map(m).order == 24 * m
-        assert sorted(cosets) == [8, b_order], m
+        assert cosets == [8], m
 
 
 def test_exceptional_order36():
@@ -399,26 +393,32 @@ def _run_optimized(script):
 
 _CORRUPT_ACTION = """
 import ebrmaps.families as families
+from ebrmaps.presentations import CosetTable
 
 assert False, "assert statements must be stripped"
-good = families._split_extension
-def corrupted(lam, kappa, action, marks):
-    action = list(action)
-    perm = list(action[{v}])
-    perm[1], perm[2] = perm[2], perm[1]
-    action[{v}] = tuple(perm)
-    return good(lam, kappa, tuple(action), marks)
-families._split_extension = corrupted
+good = families.coset_enumerate
+def corrupted(*args, **kwargs):
+    columns = list(good(*args, **kwargs).columns)
+    columns[{g}] = tuple(range(len(columns[{g}])))
+    return CosetTable(tuple(columns))
+families.coset_enumerate = corrupted
 {build}
 """
 
 _WRONG_RELATOR = """
+import sys
+sys.path.insert(0, {tests!r})
 import ebrmaps.families as families
+from ebrmaps.maps import equivalence_key
+from references import cyclic_fitting_reference
 
 assert False, "assert statements must be stripped"
+q, other = families.FamilyParams(1, 21, 1), families.FamilyParams(1, 21, 8)
 text = families.cyclic_fitting_text
-families.cyclic_fitting_text = lambda q: text(families.FamilyParams(q.kappa, q.lam, q.lam - q.j))
-families.cyclic_fitting_map(families.FamilyParams(1, 5, 4))
+families.cyclic_fitting_text = lambda params: text(other)
+key = equivalence_key(families.cyclic_fitting_map(q))
+print(key == equivalence_key(cyclic_fitting_reference(q)))
+print(key == equivalence_key(cyclic_fitting_reference(other)))
 """
 
 _WRONG_ORDER = """
@@ -431,30 +431,34 @@ families.dihedral_family_1(5)
 
 
 def test_corrupted_direct_action_fails_under_python_O():
-    # s acts on C_5 by inversion; two of its entries swapped
+    # the coset table of <(s x)(t y)^2> as if s fixed every coset: the
+    # lifted action breaks a relator
     build = "families.cyclic_fitting_map(families.FamilyParams(1, 5, 4))"
-    proc = _run_optimized(_CORRUPT_ACTION.format(v=2, build=build))
+    proc = _run_optimized(_CORRUPT_ACTION.format(g=2, build=build))
     assert proc.returncode == 1
     last = proc.stderr.strip().splitlines()[-1]
-    assert last == "ValueError: action[2] is not an automorphism of A"
+    assert last == "ebrmaps.groups.VerificationError: relator does not close"
 
 
 def test_corrupted_dihedral_inversion_fails_under_python_O():
-    # f acts on C_12 by inversion; two of its entries swapped
+    # the coset table of <y t> as if t fixed both cosets: the rewritten
+    # y t no longer generates the quotient of the Schreier lattice
     build = "families.dihedral_family_1(5)"
-    proc = _run_optimized(_CORRUPT_ACTION.format(v=1, build=build))
+    proc = _run_optimized(_CORRUPT_ACTION.format(g=3, build=build))
     assert proc.returncode == 1
     last = proc.stderr.strip().splitlines()[-1]
-    assert last == "ValueError: action[1] is not an automorphism of A"
+    assert last == (
+        "ebrmaps.groups.VerificationError: the rewritten w does not generate the subgroup <w>"
+    )
 
 
 def test_wrong_relator_fails_under_python_O():
-    # the relators of j = 1 with the action of j = 4: both routes give
-    # order 20 and type (4, 10), but different maps
-    proc = _run_optimized(_WRONG_RELATOR)
-    assert proc.returncode == 1
-    last = proc.stderr.strip().splitlines()[-1]
-    assert last.startswith("ebrmaps.groups.VerificationError: cf(1,5,4): presentation and direct")
+    # the relators of j = 8 built for j = 1: order 84 and type (4, 42)
+    # agree, so the constructor accepts them; the semidirect reference
+    # tells the two maps apart
+    proc = _run_optimized(_WRONG_RELATOR.format(tests=str(Path(__file__).parent)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "True"]
 
 
 def test_family_order_check_survives_python_O():
@@ -464,26 +468,24 @@ def test_family_order_check_survives_python_O():
     assert last == "ebrmaps.groups.VerificationError: dh1(5): expected order 24, got 28"
 
 
-# --- certified orders through a cyclic subgroup ----------------------------
+# --- the regular action lifted through a cyclic subgroup -------------------
 
 
 def test_certificate_equals_hlt_index_and_map_for_small_p():
-    # the certificate is |G| from the cosets of a cyclic subgroup; the
+    # the lift goes through the cosets of a cyclic subgroup; the
     # trivial-subgroup enumeration is the independent reference
     built = {}
     for p in filter(is_prime, range(3, 102)):
         texts = [
-            ("dh1", dihedral_family_1_text(p), (1, 3), dihedral_family_1(p)),
-            ("dh2", dihedral_family_2_text(p), (0, 3), dihedral_family_2(p)),
+            ("dh1", dihedral_family_1_text(p), dihedral_family_1(p)),
+            ("dh2", dihedral_family_2_text(p), dihedral_family_2(p)),
         ]
         texts += [
-            ("hpj", cyclic_fitting_text(q), families._CYCLIC_FITTING_WORD, cyclic_fitting_map(q))
-            for q in cyclic_fitting_params(p)
+            ("hpj", cyclic_fitting_text(q), cyclic_fitting_map(q)) for q in cyclic_fitting_params(p)
         ]
-        for label, text, w, m in texts:
-            pres = parse_presentation(text)
-            reference = families._build(text, label, DEFAULT_MAX_COSETS)
-            assert cyclic_order_certificate(pres, w) == reference.order == m.order
+        for label, text, m in texts:
+            reference = map_from_action(regular_action(parse_presentation(text)), label)
+            assert reference.order == m.order
             assert standard_table(m.perms) == standard_table(reference.perms)
             built[label] = built.get(label, 0) + 1
     assert built == {"dh1": 25, "dh2": 25, "hpj": 106}
@@ -492,14 +494,67 @@ def test_certificate_equals_hlt_index_and_map_for_small_p():
 def test_certificate_on_small_presentations():
     # D12 through <a b> (index 2) and through <a> (index 6, a fixes cosets)
     d12 = parse_presentation("gens a b\nrel a^2\nrel b^2\nrel (a b)^6\n")
-    assert cyclic_order_certificate(d12, (0, 1)) == 12
-    assert cyclic_order_certificate(d12, (0,)) == 12
+    assert len(regular_action_through(d12, (0, 1))[0]) == 12
+    assert len(regular_action_through(d12, (0,))[0]) == 12
     # the infinite dihedral group: <a b> has index 2 and is infinite
     infinite = parse_presentation("gens a b\nrel a^2\nrel b^2\n")
-    assert cyclic_order_certificate(infinite, (0, 1)) is None
+    with pytest.raises(VerificationError, match="infinite"):
+        regular_action_through(infinite, (0, 1))
     # dh1 without s (y t)^(p+1): y t has infinite order
     pres = parse_presentation(presentation_text(("x y s",)))
-    assert cyclic_order_certificate(pres, (1, 3)) is None
+    with pytest.raises(VerificationError, match="infinite"):
+        regular_action_through(pres, (1, 3))
+
+
+def test_lift_equals_the_regular_action_of_d12():
+    # through <a b>, <a> and <b>; a and b fix cosets of <a> and <b>, whose
+    # edges are the variables with c = c g, of order 2 in the lattice; also
+    # through <(a b)^2>, of index 4, and the trivial <a a>
+    d12 = parse_presentation("gens a b\nrel a^2\nrel b^2\nrel (a b)^6\n")
+    reference = standard_table(regular_action(d12))
+    for w in ((0, 1), (0,), (1,), (0, 1, 0, 1), (0, 0)):
+        assert standard_table(regular_action_through(d12, w)) == reference, w
+    assert regular_action_through(d12, ()) == regular_action(d12)
+
+
+def test_lift_combines_the_pivots_by_gcd(monkeypatch):
+    # hpj(3,5,4) at p = 19: the lattice of <(s x)(t y)^2> has pivots 5 and
+    # 3, so the exponent of w is combined from two coordinates
+    q = FamilyParams(3, 5, 4)
+    echelon, pivots = families._echelon, []
+
+    def recording(rows, m):
+        basis = echelon(rows, m)
+        pivots.append([row[j] for j, row in enumerate(basis) if row[j] != 1])
+        return basis
+
+    monkeypatch.setattr(families, "_echelon", recording)
+    m = cyclic_fitting_map(q)
+    assert pivots == [[5, 3]]
+    assert equivalence_key(m) == equivalence_key(references.cyclic_fitting_reference(q))
+    reference = regular_action(parse_presentation(cyclic_fitting_text(q)))
+    assert standard_table(m.perms) == standard_table(reference)
+
+
+def test_cyclic_fitting_map_matches_its_semidirect_reference():
+    # every hpj member with p < 102 against (C_lam x C_kappa) x| V_4; the
+    # members of j and lam - j have equal keys
+    keys = {}
+    for p in filter(is_prime, range(3, 102)):
+        for q in cyclic_fitting_params(p):
+            keys[q.kappa, q.lam, q.j] = key = equivalence_key(cyclic_fitting_map(q))
+            assert key == equivalence_key(references.cyclic_fitting_reference(q)), q
+    assert len(keys) == 106
+    for (kappa, lam, j), key in keys.items():
+        assert keys[kappa, lam, lam - j] == key
+
+
+def test_valency_eight_map_matches_its_semidirect_reference():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # 9m - 4 is often composite
+        for m in range(1, 42, 2):
+            reference = references.valency_eight_reference(m)
+            assert equivalence_key(valency_eight_map(m)) == equivalence_key(reference), m
 
 
 def test_certified_families_never_enumerate_the_trivial_subgroup(monkeypatch):
@@ -513,7 +568,7 @@ def test_certified_families_never_enumerate_the_trivial_subgroup(monkeypatch):
     monkeypatch.setattr(presentations_module, "regular_action", refuse)
     monkeypatch.setattr(families, "regular_action", refuse)
     assert dihedral_family_1(997).order == 3992
-    # p = 1009 has no valency-eight member, which enumerates its quotient B
+    # p = 1009 has no valency-eight member
     # (test_valency_eight_map_enumerates_at_most_its_quotient)
     entries = census.classify(1009, "constructive")
     assert {e.family[:3] for e in entries} == {"dh1", "dh2", "hpj"}
@@ -531,14 +586,24 @@ def attempt(build):
     except VerificationError as exc:
         print(exc)
 
-good_build = families._split_extension
+good_log = families._discrete_log
 good_text = families.dihedral_family_1_text
-# t = y r^2 instead of y r: every relator holds except s (y t)^(p+1)
-families._split_extension = lambda n, kappa, action, marks: good_build(
-    n, kappa, action, (*marks[:3], (n - 2, marks[3][1]))
-)
-attempt(lambda: families.dihedral_family_1(5))
-families._split_extension = good_build
+exponents = []
+
+def bumped(k):
+    def log(*args):
+        a = good_log(*args)
+        exponents.append(len(a))
+        a[k] += 1
+        return a
+    return log
+
+# each exponent of the lift in turn one too large
+for k in range(4):
+    families._discrete_log = bumped(k)
+    attempt(lambda: families.dihedral_family_1(5))
+families._discrete_log = good_log
+print(exponents)
 # without s (y t)^(p+1) the presented group is infinite
 families.dihedral_family_1_text = lambda p: families.presentation_text(("x y s",))
 attempt(lambda: families.dihedral_family_1(5))
@@ -551,41 +616,23 @@ def test_certificate_rejections_survive_python_O():
     proc = _run_optimized(_CERTIFICATE_REJECTS)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "dh1(5): presentation and direct constructions disagree",
-        "dh1(5): expected order 24, got None",
+        "relator does not close",
+        "generator column is not an involution",
+        "generator column is not an involution",
+        "relator does not close",
+        "[4, 4, 4, 4]",
+        "the subgroup <w> is infinite",
         "24",
     ]
 
 
-def test_split_extension_adds_in_a_and_checks_like_the_reference():
-    # _added re-indexes by f -> f + g: column g of the dense C_lam x C_kappa
-    for lam, kappa in ((6, 1), (3, 2), (5, 3), (3, 5)):
-        a = direct_product(cyclic(lam), cyclic(kappa))
-        for g in range(a.order):
-            assert families._added(list(range(a.order)), g, kappa) == [row[g] for row in a.mul]
-    # C_2 on C_6, numbered as C_6 and as C_3 x C_2: every permutation as
-    # the action of the involution, against the exhaustive check; the one
-    # mark is B's generator
-    c2 = cyclic(2)
-    for lam, kappa in ((6, 1), (3, 2)):
-        a = direct_product(cyclic(lam), cyclic(kappa))
-        accepted = 0
-        for perm in itertools.permutations(range(6)):
-            action = (tuple(range(6)), perm)
-            marks = ((0, families._FLIP),)
-            got = rejection(families._split_extension, lam, kappa, action, marks)
-            assert got == rejection(check_action_exhaustive, a, c2, action), (lam, perm)
-            accepted += got is None
-        assert accepted == 2
-
-
 def test_broken_action_fails_exactly_one_relator():
+    # t' = t y t = y r^2 for r = y t: every relator holds but s (y t)^(p+1)
     p = 5
-    n = 2 * (p + 1)
     pres = parse_presentation(dihedral_family_1_text(p))
-    inversion, keep, flip = families._inversion(n), families._KEEP, families._FLIP
-    good = families._split_extension(n, 1, inversion, ((p + 1, flip), (0, flip), (p + 1, keep), (n - 1, flip)))
-    bad = families._split_extension(n, 1, inversion, ((p + 1, flip), (0, flip), (p + 1, keep), (n - 2, flip)))
+    good = regular_action_through(pres, (1, 3))
+    x, y, s, t = good
+    bad = (x, y, s, tuple(t[y[t[h]]] for h in range(len(t))))
     assert _table_fault(CosetTable(good), pres, ()) is None
     assert _table_fault(CosetTable(bad), pres, ()) == "relator does not close"
     one_relator = [Presentation(pres.generator_names, (f,)) for f in pres.relator_forms]

@@ -150,7 +150,7 @@ def test_every_private_helper_is_used_by_the_library():
                 uses.setdefault(node.id, []).append(node)
             elif isinstance(node, ast.Attribute):
                 uses.setdefault(node.attr, []).append(node)
-    assert len(helpers) > 60
+    assert len(helpers) > 50
     unused = []
     for helper in helpers:
         own = set(map(id, ast.walk(helper)))
