@@ -29,7 +29,7 @@ def main():
     print("cyclic and dihedral groups")
     for n in (4, 8, 12):
         describe(cyclic(n))
-        describe(dihedral(n).group)
+        describe(dihedral(n))
 
     print("\nquaternion-like and permutation groups")
     describe(dicyclic(2))  # Q8
@@ -45,7 +45,7 @@ def main():
     d12 = semidirect(c6, cyclic(2), (ident, flip), name="C6:C2")
     describe(d12)
     print("  C6:C2 is dihedral of order 12:",
-          are_isomorphic(d12, dihedral(12).group))
+          are_isomorphic(d12, dihedral(12)))
 
     print("\nunit groups")
     for n in (5, 8, 12):
@@ -53,7 +53,7 @@ def main():
         print(f"  units mod {n}: {u.units}, cyclic={max(u.element_orders) == u.order}")
 
     print("\nisomorphism testing distinguishes equal-order groups:")
-    print("  D8 vs Q8:", are_isomorphic(dihedral(8).group, dicyclic(2)))
+    print("  D8 vs Q8:", are_isomorphic(dihedral(8), dicyclic(2)))
     print("  C8 vs C4xC2:",
           are_isomorphic(cyclic(8), direct_product(cyclic(4), cyclic(2))))
 

@@ -44,7 +44,7 @@ def main():
     group = group_from_action(regular_action(pres), "D20")
     print("  realized group:", group.name, "order", group.order)
     print("  matches the table-built dihedral group:",
-          are_isomorphic(group, dihedral(20).group))
+          are_isomorphic(group, dihedral(20)))
 
     print("\nsubgroup indexes inside the same presentation")
     print("  index of <ab> :", coset_enumerate(pres, [(0, 1)]).num_cosets)

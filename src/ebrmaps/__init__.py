@@ -25,7 +25,6 @@ _EXPORTS = {
         "DEFAULT_MAX_COSETS",
         "CapacityExceeded",
         "FiniteGroup",
-        "MarkedGroup",
         "VerificationError",
         "alternating",
         "are_isomorphic",

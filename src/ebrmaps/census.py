@@ -114,10 +114,6 @@ def admissible_types(p: int) -> list[AdmissibleType]:
 # the atlas of groups of small order
 
 
-def _d(n: int) -> FiniteGroup:
-    return dihedral(n).group
-
-
 def _prod(*gs: FiniteGroup) -> FiniteGroup:
     acc = gs[0]
     for g in gs[1:]:
@@ -144,7 +140,7 @@ def _odd_by_d8(n: int) -> FiniteGroup:
     """
     inversion = tuple(-c % n for c in range(n))
     # D8's rotation r is element 1 and its reflection f is element 4
-    return _extension(cyclic(n), _d(8), {1: inversion, 4: tuple(range(n))}, f"C{n}:D8")
+    return _extension(cyclic(n), dihedral(8), {1: inversion, 4: tuple(range(n))}, f"C{n}:D8")
 
 
 def _sl23() -> FiniteGroup:
@@ -155,7 +151,7 @@ def _sl23() -> FiniteGroup:
 
 def _d8_circ_c4() -> FiniteGroup:
     """Central product D8 o C4: quotient of D8 x C4 gluing the centers."""
-    g = _prod(_d(8), cyclic(4))
+    g = _prod(dihedral(8), cyclic(4))
     # (r^2, 0) is element 2*4+0; glue with (e, 2): the diagonal {(e,0),(r^2,2)}
     return quotient(g, {0, 2 * 4 + 2}, name="D8oC4")
 
@@ -185,13 +181,13 @@ _RECIPES = {
         lambda: cyclic(8),
         lambda: _prod(cyclic(4), cyclic(2)),
         lambda: _prod(cyclic(2), cyclic(2), cyclic(2)),
-        lambda: _d(8),
+        lambda: dihedral(8),
         lambda: dicyclic(2),
     ),
     12: (
         lambda: cyclic(12),
         lambda: _prod(cyclic(6), cyclic(2)),
-        lambda: _d(12),
+        lambda: dihedral(12),
         lambda: alternating(4),
         lambda: dicyclic(3),
     ),
@@ -201,11 +197,11 @@ _RECIPES = {
         lambda: _prod(cyclic(4), cyclic(4)),
         lambda: _prod(cyclic(4), cyclic(2), cyclic(2)),
         lambda: _prod(cyclic(2), cyclic(2), cyclic(2), cyclic(2)),
-        lambda: _d(16),
+        lambda: dihedral(16),
         lambda: dicyclic(4),
         lambda: _unit_semidirect(8, 2, 3, "SD16"),
         lambda: _unit_semidirect(8, 2, 5, "M16"),
-        lambda: _prod(_d(8), cyclic(2)),
+        lambda: _prod(dihedral(8), cyclic(2)),
         lambda: _prod(dicyclic(2), cyclic(2)),
         lambda: _unit_semidirect(4, 4, 3, "C4:C4"),
         # V4 x| C4, the generator swapping the two coordinates of C2 x C2
@@ -215,7 +211,7 @@ _RECIPES = {
     20: (
         lambda: cyclic(20),
         lambda: _prod(cyclic(10), cyclic(2)),
-        lambda: _d(20),
+        lambda: dihedral(20),
         lambda: dicyclic(5),
         lambda: _unit_semidirect(5, 4, 2, "F20"),
     ),
@@ -226,14 +222,14 @@ _RECIPES = {
         lambda: symmetric(4),
         lambda: _sl23(),
         lambda: _prod(alternating(4), cyclic(2)),
-        lambda: _d(24),
+        lambda: dihedral(24),
         lambda: dicyclic(6),
         lambda: _unit_semidirect(3, 8, 2, "C3:C8"),
-        lambda: _prod(_d(8), cyclic(3)),
+        lambda: _prod(dihedral(8), cyclic(3)),
         lambda: _prod(dicyclic(2), cyclic(3)),
-        lambda: _prod(_d(6), cyclic(4)),
+        lambda: _prod(dihedral(6), cyclic(4)),
         lambda: _prod(dicyclic(3), cyclic(2)),
-        lambda: _prod(_d(12), cyclic(2)),
+        lambda: _prod(dihedral(12), cyclic(2)),
         lambda: _odd_by_d8(3),
     ),
     36: (
@@ -242,7 +238,7 @@ _RECIPES = {
         lambda: _prod(cyclic(12), cyclic(3)),
         lambda: _prod(cyclic(6), cyclic(6)),
         lambda: dicyclic(9),
-        lambda: _d(36),
+        lambda: dihedral(36),
         # V4 x| C9, the generator cycling the three involutions of C2 x C2
         lambda: _extension(_prod(cyclic(2), cyclic(2)), cyclic(9), {1: (0, 2, 3, 1)}, "V4:C9"),
         lambda: _prod(dicyclic(3), cyclic(3)),
@@ -251,9 +247,9 @@ _RECIPES = {
             _prod(cyclic(3), cyclic(3)), cyclic(4), {1: (0, 3, 6, 2, 5, 8, 1, 4, 7)}, "C3^2:C4(rot)"
         ),
         lambda: _extension(_prod(cyclic(3), cyclic(3)), cyclic(4), {1: _C3SQ_INV}, "C3^2:C4(inv)"),
-        lambda: _prod(_d(6), _d(6)),
+        lambda: _prod(dihedral(6), dihedral(6)),
         lambda: _prod(cyclic(3), alternating(4)),
-        lambda: _prod(cyclic(3), _d(12)),
+        lambda: _prod(cyclic(3), dihedral(12)),
         lambda: _prod(
             cyclic(2),
             _extension(_prod(cyclic(3), cyclic(3)), cyclic(2), {1: _C3SQ_INV}, "Dih(C3^2)"),
@@ -265,12 +261,12 @@ _RECIPES = {
         lambda: _prod(cyclic(10), cyclic(2), cyclic(2)),
         lambda: _unit_semidirect(5, 8, 4, "C5:C8(inv)"),
         lambda: _unit_semidirect(5, 8, 2, "C5:C8"),
-        lambda: _prod(_d(10), cyclic(4)),
+        lambda: _prod(dihedral(10), cyclic(4)),
         lambda: _prod(dicyclic(5), cyclic(2)),
         lambda: _prod(_unit_semidirect(5, 4, 2, "F20"), cyclic(2)),
-        lambda: _prod(_d(10), cyclic(2), cyclic(2)),
-        lambda: _prod(cyclic(5), _d(8)),
-        lambda: _d(40),
+        lambda: _prod(dihedral(10), cyclic(2), cyclic(2)),
+        lambda: _prod(cyclic(5), dihedral(8)),
+        lambda: dihedral(40),
         lambda: _odd_by_d8(5),
         lambda: _prod(cyclic(5), dicyclic(2)),
         lambda: dicyclic(10),
@@ -279,12 +275,12 @@ _RECIPES = {
         lambda: cyclic(56),
         lambda: _unit_semidirect(7, 8, 6, "C7:C8(inv)"),
         lambda: _prod(cyclic(28), cyclic(2)),
-        lambda: _prod(_d(14), cyclic(4)),
+        lambda: _prod(dihedral(14), cyclic(4)),
         lambda: _prod(dicyclic(7), cyclic(2)),
         lambda: _prod(cyclic(14), cyclic(2), cyclic(2)),
-        lambda: _prod(_d(14), cyclic(2), cyclic(2)),
-        lambda: _prod(cyclic(7), _d(8)),
-        lambda: _d(56),
+        lambda: _prod(dihedral(14), cyclic(2), cyclic(2)),
+        lambda: _prod(cyclic(7), dihedral(8)),
+        lambda: dihedral(56),
         lambda: _odd_by_d8(7),
         lambda: _prod(cyclic(7), dicyclic(2)),
         lambda: dicyclic(14),
@@ -305,10 +301,10 @@ _RECIPES = {
         lambda: dicyclic(15),
         lambda: _prod(cyclic(3), _unit_semidirect(5, 4, 2, "F20")),
         lambda: _unit_semidirect(15, 4, 2, "C15:C4"),
-        lambda: _prod(_d(10), cyclic(6)),
-        lambda: _prod(_d(6), cyclic(10)),
-        lambda: _d(60),
-        lambda: _prod(_d(6), _d(10)),
+        lambda: _prod(dihedral(10), cyclic(6)),
+        lambda: _prod(dihedral(6), cyclic(10)),
+        lambda: dihedral(60),
+        lambda: _prod(dihedral(6), dihedral(10)),
         lambda: _prod(cyclic(5), alternating(4)),
     ),
     84: (
@@ -317,12 +313,12 @@ _RECIPES = {
         lambda: _prod(_unit_semidirect(7, 3, 2, "C7:C3"), cyclic(4)),
         lambda: _unit_semidirect(7, 12, 3, "C7:C12"),
         lambda: _prod(cyclic(42), cyclic(2)),
-        lambda: _prod(_d(14), cyclic(6)),
+        lambda: _prod(dihedral(14), cyclic(6)),
         lambda: _prod(_unit_semidirect(7, 3, 2, "C7:C3"), cyclic(2), cyclic(2)),
         lambda: _prod(_unit_semidirect(7, 6, 3, "F42"), cyclic(2)),
-        lambda: _prod(cyclic(7), _d(12)),
-        lambda: _d(84),
-        lambda: _prod(_d(14), _d(6)),
+        lambda: _prod(cyclic(7), dihedral(12)),
+        lambda: dihedral(84),
+        lambda: _prod(dihedral(14), dihedral(6)),
         lambda: _prod(cyclic(7), alternating(4)),
         lambda: _c7_by_a4(),
         lambda: _prod(cyclic(7), dicyclic(3)),
@@ -332,12 +328,12 @@ _RECIPES = {
         lambda: cyclic(88),
         lambda: _unit_semidirect(11, 8, 10, "C11:C8(inv)"),
         lambda: _prod(cyclic(44), cyclic(2)),
-        lambda: _prod(_d(22), cyclic(4)),
+        lambda: _prod(dihedral(22), cyclic(4)),
         lambda: _prod(dicyclic(11), cyclic(2)),
         lambda: _prod(cyclic(22), cyclic(2), cyclic(2)),
-        lambda: _prod(_d(22), cyclic(2), cyclic(2)),
-        lambda: _prod(cyclic(11), _d(8)),
-        lambda: _d(88),
+        lambda: _prod(dihedral(22), cyclic(2), cyclic(2)),
+        lambda: _prod(cyclic(11), dihedral(8)),
+        lambda: dihedral(88),
         lambda: _odd_by_d8(11),
         lambda: _prod(cyclic(11), dicyclic(2)),
         lambda: dicyclic(22),
@@ -346,10 +342,10 @@ _RECIPES = {
         lambda: cyclic(132),
         lambda: _prod(dicyclic(11), cyclic(3)),
         lambda: _prod(cyclic(66), cyclic(2)),
-        lambda: _prod(_d(22), cyclic(6)),
-        lambda: _prod(cyclic(11), _d(12)),
-        lambda: _d(132),
-        lambda: _prod(_d(22), _d(6)),
+        lambda: _prod(dihedral(22), cyclic(6)),
+        lambda: _prod(cyclic(11), dihedral(12)),
+        lambda: dihedral(132),
+        lambda: _prod(dihedral(22), dihedral(6)),
         lambda: _prod(cyclic(11), alternating(4)),
         lambda: _prod(cyclic(11), dicyclic(3)),
         lambda: dicyclic(33),
@@ -560,7 +556,7 @@ def verify_chi_minus_1_dihedral() -> dict:
     rows = []
     passed = True
     for n in (8, 12):
-        reference = _d(n)
+        reference = dihedral(n)
         for group in atlas(n):
             found = enumerate_maps(group, want_chi=-1)
             is_dih = are_isomorphic(group, reference)

@@ -481,8 +481,8 @@ def chi_minus_2_catalog(max_cosets: int = DEFAULT_MAX_COSETS) -> list[EdgeBiregu
 def cyclic_by_dihedral_probe(p: int, lam: int) -> list[EdgeBiregularMap]:
     """Search every group C_p x| D_{2*lam} for edge-biregular maps.
 
-    The reflection marks of the dihedral group of order nu = 2*lam can act
-    on C_p only as multiplication by 1 or -1.  Each pair of these images
+    The generating reflections lam and lam + 1 of the dihedral group of
+    order nu = 2*lam can act on C_p only as multiplication by 1 or -1.  Each pair of these images
     gives the action of D_nu by the helper in ``groups``, ``semidirect``
     rejects the pairs that are no homomorphism (product -1, lam odd), and
     all maps found are listed up to duality, twins and isomorphism, one per
@@ -506,14 +506,14 @@ def cyclic_by_dihedral_probe(p: int, lam: int) -> list[EdgeBiregularMap]:
     nu = 2 * lam
     dih = dihedral(nu)
     cp = cyclic(p)
-    reflections = [[row[g] for row in dih.group.mul] for g in dih.marked]
+    reflections = [[row[g] for row in dih.mul] for g in (lam, lam + 1)]
     signs = (tuple(range(p)), tuple(-c % p for c in range(p)))  # multiplication by 1 and by -1
     found: dict[tuple[int, ...], EdgeBiregularMap] = {}
     for e1 in signs:
         for e2 in signs:
             action = _generated_action(reflections, (e1, e2))
             try:
-                grp = semidirect(cp, dih.group, action, name=f"C{p}:D{nu}")
+                grp = semidirect(cp, dih, action, name=f"C{p}:D{nu}")
             except ValueError:  # (e1 e2)^lam = -1: not a homomorphism
                 continue
             for key, m in enumerate_maps(grp).items():

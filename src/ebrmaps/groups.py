@@ -4,7 +4,10 @@ Every group in this library is a table over element indices 0..n-1, and
 element 0 is the identity: its row and its column are ``range(n)``.  The
 same holds for every action: point 0 of a regular action, like coset 0 of
 a coset table, stands for the identity, so no identity is searched for or
-passed around.  The builders make whole rows at a time from tuple slices,
+passed around.  Marks live there too, not beside a table: a marked
+structure (a map, a semi-edge map) is a tuple of permutations of its
+regular action, one per mark, and each mark is its permutation's image of
+point 0.  The builders make whole rows at a time from tuple slices,
 rotations and ``map`` over them, not entry by entry: a cyclic or dihedral
 row is a rotated or reversed ``range``, and a row of a direct or
 semidirect product adds A's row, scaled by |B| and each entry repeated |B|
@@ -163,26 +166,6 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-class MarkedGroup:
-    """A finite group together with an ordered tuple of marked elements.
-
-    The marked elements must generate the group; this is checked at
-    construction time.  Marked groups are equal only to themselves.
-    """
-
-    def __init__(self, group: FiniteGroup, marked: tuple[int, ...]) -> None:
-        n = group.order
-        if not marked or any(not (0 <= g < n) for g in marked):
-            raise ValueError("marked elements out of range")
-        if len(subgroup_closure(group, marked)) != n:
-            raise ValueError("marked elements do not generate the group")
-        self.group = group
-        self.marked = marked
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MarkedGroup({self.group.name}, marked={self.marked})"
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -196,12 +179,12 @@ def cyclic(n: int) -> FiniteGroup:
     return FiniteGroup(table, name=f"C{n}")
 
 
-def dihedral(n: int) -> MarkedGroup:
-    """Dihedral group OF ORDER n (n even), marked with two reflections.
+def dihedral(n: int) -> FiniteGroup:
+    """Dihedral group OF ORDER n (n even).
 
     Elements 0..n/2-1 are rotations r^i, elements n/2..n-1 are reflections
-    r^i*f.  The marks (a, b) are reflections with ord(a*b) = n/2; for the
-    degenerate n = 2 both marks are the unique reflection.
+    r^i*f.  The reflections n/2 and n/2 + 1 generate it, and their product
+    has order n/2; for the degenerate n = 2 the single reflection 1 does.
     """
     if n < 2 or n % 2:
         raise ValueError("dihedral order must be even and >= 2")
@@ -210,8 +193,7 @@ def dihedral(n: int) -> MarkedGroup:
     # r^i times r^j is r^(i+j); r^i f times r^j is r^(i-j) f
     table = [rot[i:] + rot[:i] + ref[i:] + ref[:i] for i in range(m)]
     table += [ref[i::-1] + ref[:i:-1] + rot[i::-1] + rot[:i:-1] for i in range(m)]
-    marks = (m, m) if m == 1 else (m, m + 1)
-    return MarkedGroup(FiniteGroup(tuple(table), name=f"D{n}"), marks)
+    return FiniteGroup(tuple(table), name=f"D{n}")
 
 
 def dicyclic(n: int) -> FiniteGroup:

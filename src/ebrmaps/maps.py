@@ -16,12 +16,12 @@ Both tests and the canonical key compare standardized tables, whose rows
 come from the one walk that numbers H, ``groups._standard_rows``.
 
 A map is stored as H acting on itself by right multiplication: four
-permutations of |H| points, one per mark, so its size is linear in |H|.
-Point 0 is the identity, as element 0 is in every group table and coset 0
-in every coset table, so each mark is its permutation's image of 0.  Every
-invariant below is computed from the permutations.  A dense multiplication
-table is built only on request (``m.group``), for abstract isomorphism
-tests.
+permutations of |H| points, one per mark, so its size is linear in |H|; a
+semi-edge map is stored the same way, with three.  Point 0 is the
+identity, as element 0 is in every group table and coset 0 in every coset
+table, so each mark is its permutation's image of 0.  Every invariant
+below is computed from the permutations.  A dense multiplication table is
+built only on request (``m.group``), for abstract isomorphism tests.
 
 Orientability is computed two independent ways (index of the subgroup of
 even words, and 2-colorability of the flag graph) which must agree.
@@ -29,13 +29,13 @@ even words, and 2-colorability of the flag graph) which must agree.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 
 from .groups import (
     DEFAULT_MAX_COSETS,
     FiniteGroup,
-    MarkedGroup,
     Perm,
     VerificationError,
     _Record,
@@ -119,23 +119,37 @@ class EdgeBiregularMap(_Record):
         return f"EdgeBiregularMap({self.name}, order={self.order}, type=({k},{l}))"
 
 
-def _check_marks(perms: tuple[Perm, ...]) -> None:
-    """The marks are distinct commuting pairs of involutions generating H.
-
-    Raises NotInvolution / NotDistinct / PairNotCommuting / NotGenerating,
-    each naming the offending marks, or MapStructureError for an entry
-    outside range(|H|).  O(|H|): point 0 is the identity, so in a regular
-    action an element is the identity iff it fixes point 0, and the marks
-    generate H iff the orbit of 0 under them, walked breadth first, is H in
-    full.
-    """
+def _check_involutions(perms: Sequence[Perm], names: Sequence[str]) -> None:
+    """One permutation per name, all of one nonempty length, each an
+    involution moving point 0 (its mark is not the identity).  Raises
+    MapStructureError for the wrong shape or an entry outside range(|H|),
+    else NotInvolution naming the first mark that fails."""
+    if len(perms) != len(names):
+        raise MapStructureError(f"expected {len(names)} marks ({', '.join(names)})")
     points = range(len(perms[0]))
-    for name, perm in zip(MARK_NAMES, perms):
+    if any(len(perm) != len(points) for perm in perms):
+        raise MapStructureError("mark permutations have different lengths")
+    if not points:
+        raise MapStructureError("mark permutations are empty")
+    for name, perm in zip(names, perms):
         try:
             if perm[0] == 0 or any(perm[perm[h]] != h for h in points):
                 raise NotInvolution(f"mark {name} is not an involution")
         except IndexError:
             raise MapStructureError(f"mark {name} has an entry outside range(|H|)") from None
+
+
+def _check_marks(perms: tuple[Perm, ...]) -> None:
+    """The marks are distinct commuting pairs of involutions generating H.
+
+    Raises as :func:`_check_involutions` does, then NotDistinct /
+    PairNotCommuting / NotGenerating, each naming the offending marks.
+    O(|H|): point 0 is the identity, so in a regular action an element is
+    the identity iff it fixes point 0, and the marks generate H iff the
+    orbit of 0 under them, walked breadth first, is H in full.
+    """
+    _check_involutions(perms, MARK_NAMES)
+    points = range(len(perms[0]))
     if len({perm[0] for perm in perms}) != 4:
         raise NotDistinct("marks x, y, s, t must be pairwise distinct")
     px, py, ps, pt = perms
@@ -162,16 +176,7 @@ def _orbit(perms: tuple[Perm, ...] | list[Perm]) -> list[int]:
 
 def map_from_action(perms: tuple[Perm, ...], name: str = "H") -> EdgeBiregularMap:
     """Validate the four mark permutations of a regular right action (point
-    0 the identity) and build the map; raises MapStructureError unless they
-    are four permutations of one nonempty length, else as
-    :func:`_check_marks` does."""
-    if len(perms) != 4:
-        raise MapStructureError("a map needs exactly four marked elements")
-    n = len(perms[0])
-    if any(len(perm) != n for perm in perms):
-        raise MapStructureError("mark permutations have different lengths")
-    if n == 0:
-        raise MapStructureError("mark permutations are empty")
+    0 the identity), as :func:`_check_marks` does, and build the map."""
     _check_marks(perms)
     return EdgeBiregularMap(tuple(perms), name)  # type: ignore[arg-type]
 
@@ -198,9 +203,10 @@ def _unchecked(group: FiniteGroup, marks: tuple[int, int, int, int]) -> EdgeBire
 # invariants
 
 
-def product_order(m: EdgeBiregularMap, first: int, second: int) -> int:
+def product_order(m: EdgeBiregularMap | SemiEdgeMap, first: int, second: int) -> int:
     """Order of the product of marks number ``first`` and ``second`` (0..3
-    for x, y, s, t), by walking its cycle through the identity, point 0."""
+    for x, y, s, t of a map, 0..2 for x, y, r of a semi-edge map), by
+    walking its cycle through the identity, point 0."""
     a, b = m.perms[first], m.perms[second]
     h, k = b[a[0]], 1
     while h != 0:
@@ -414,32 +420,21 @@ def equivalence_key(m: EdgeBiregularMap) -> tuple[int, ...]:
 
 
 class SemiEdgeMap(_Record):
-    """Map with a semi-edge at every corner: marks (x, y, r) with s = t = r."""
+    """Map with a semi-edge at every corner: marks (x, y, r) with s = t = r.
 
-    _fields = ("group", "marks")
+    Stored as an :class:`EdgeBiregularMap` is: ``perms`` are the permutations
+    of H by right multiplication by x, y and r, point 0 the identity.
+    """
 
-    def __init__(self, group: FiniteGroup, marks: tuple[int, int, int]) -> None:
-        self.group = group
-        self.marks = marks
+    _fields = ("perms",)
 
-    @property
-    def x(self) -> int:
-        return self.marks[0]
-
-    @property
-    def y(self) -> int:
-        return self.marks[1]
-
-    @property
-    def r(self) -> int:
-        return self.marks[2]
+    def __init__(self, perms: tuple[Perm, Perm, Perm]) -> None:
+        self.perms = perms
 
 
 def semi_edge_type(sm: SemiEdgeMap) -> tuple[int, int]:
-    g = sm.group
-    k = 2 * g.element_orders[g.mul[sm.r][sm.y]]
-    l = 2 * g.element_orders[g.mul[sm.r][sm.x]]
-    return k, l
+    """(k, l): twice the orders of r*y and r*x."""
+    return 2 * product_order(sm, 2, 1), 2 * product_order(sm, 2, 0)
 
 
 def semi_edge_counts(sm: SemiEdgeMap) -> dict[str, int]:
@@ -448,7 +443,7 @@ def semi_edge_counts(sm: SemiEdgeMap) -> dict[str, int]:
     Semi-edges carry two flags each, full edges four; the supporting surface
     is unchanged by semi-edge insertion, so chi = V - E_full + F.
     """
-    n = sm.group.order
+    n = len(sm.perms[0])
     k, l = semi_edge_type(sm)
     v, f = n // k, n // l
     full, semi = n // 4, n // 2
@@ -462,32 +457,30 @@ def semi_edge_counts(sm: SemiEdgeMap) -> dict[str, int]:
     }
 
 
-def insert_semi_edges(regular: MarkedGroup) -> SemiEdgeMap:
-    """From a fully regular map triple (r0, r1, r2), insert a semi-edge into
-    every corner: the result is the semi-edge map with marks (r0, r2, r1).
+def insert_semi_edges(regular: Sequence[Perm]) -> SemiEdgeMap:
+    """From a fully regular map triple (r0, r1, r2), permutations of a
+    regular action with point 0 the identity, insert a semi-edge into every
+    corner: the result is the semi-edge map with marks (r0, r2, r1).
 
-    Requires three distinct involutions with (r0*r2)^2 = 1 (they generate
-    the group, as ``MarkedGroup`` checks); distinctness excludes the
-    degenerate semi-star configurations.
-    The type doubles: (ord(r1 r2), ord(r0 r1)) becomes (2k0, 2l0).
-    """
-    g = regular.group
-    if len(regular.marked) != 3:
-        raise MapStructureError("expected three marked involutions (r0, r1, r2)")
-    r0, r1, r2 = regular.marked
-    for name, m in zip(("r0", "r1", "r2"), regular.marked):
-        if g.element_orders[m] != 2:
-            raise NotInvolution(f"mark {name} is not an involution")
-    if len({r0, r1, r2}) != 3:
+    The marks must be three distinct involutions generating H with
+    (r0*r2)^2 = 1, else this raises as :func:`map_from_action` does;
+    distinctness excludes the degenerate semi-star configurations.  The
+    type doubles: (ord(r1 r2), ord(r0 r1)) becomes (2k0, 2l0)."""
+    _check_involutions(regular, ("r0", "r1", "r2"))
+    r0, r1, r2 = regular
+    if len({r0[0], r1[0], r2[0]}) != 3:
         raise NotDistinct("semi-star configuration: marks must be distinct")
-    if g.mul[r0][r2] != g.mul[r2][r0]:
+    if any(r2[r0[h]] != r0[r2[h]] for h in range(len(r0))):
         raise PairNotCommuting("r0 and r2 do not commute")
-    return SemiEdgeMap(g, (r0, r2, r1))
+    if len(_orbit(regular)) != len(r0):
+        raise NotGenerating("marks do not generate the group")
+    return SemiEdgeMap((r0, r2, r1))
 
 
-def delete_semi_edges(sm: SemiEdgeMap) -> MarkedGroup:
+def delete_semi_edges(sm: SemiEdgeMap) -> tuple[Perm, Perm, Perm]:
     """Inverse of insert_semi_edges: recover the triple (r0, r1, r2)."""
-    return MarkedGroup(sm.group, (sm.x, sm.r, sm.y))
+    x, y, r = sm.perms
+    return x, r, y
 
 
 # ---------------------------------------------------------------------------

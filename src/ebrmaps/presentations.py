@@ -11,9 +11,10 @@ Presentation text format (one directive per line, ``#`` starts a comment):
 Every generator is taken to be an involution: the enumerator stores a single
 symmetric column per generator (g is its own inverse), so words never need
 explicit inverses.  A relator may expand to at most ``MAX_RELATOR_LENGTH``
-letters; the parser and :class:`Presentation` check this from the lengths
-of the factors, before anything is expanded.  A :class:`Presentation` keeps each relator once, as
-written, powers included, and expands it once into ``relators``.
+letters and nest at most ``MAX_NESTING`` deep; the parser and
+:class:`Presentation` check both before anything is expanded or recursed
+over.  A :class:`Presentation` keeps each relator once, as written, powers
+included, and expands it once into ``relators``.
 
 The enumerator is the HLT strategy with row filling: cosets are scanned in
 creation order against the relators in presentation order, gaps are filled
@@ -42,6 +43,9 @@ Word = tuple[int, ...]
 Form = tuple["int | tuple[Form, int]", ...]
 
 MAX_RELATOR_LENGTH = 1_000_000
+# The deepest nesting of parentheses or powers; 20 nested powers with k >= 2
+# already expand past MAX_RELATOR_LENGTH letters, since 2^20 > 10^6.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -67,6 +71,8 @@ class Presentation(_Record):
         if len(set(generator_names)) != len(generator_names):
             raise ValueError("generator names must be distinct")
         for f in relator_forms:
+            if _depth(f) > MAX_NESTING:
+                raise ValueError(f"relator nests powers more than {MAX_NESTING} deep")
             if (length := _length(f)) > MAX_RELATOR_LENGTH:
                 raise ValueError(
                     f"relator expands to {length} letters, more than {MAX_RELATOR_LENGTH}"
@@ -83,6 +89,14 @@ class Presentation(_Record):
     @property
     def num_generators(self) -> int:
         return len(self.generator_names)
+
+
+def _depth(form: Form) -> int:
+    """How deeply the powers of form nest, found level by level without recursion."""
+    depth, level = 0, [form]
+    while level := [f[0] for inner in level for f in inner if not isinstance(f, int)]:
+        depth += 1
+    return depth
 
 
 def _length(form: Form) -> int:
@@ -146,20 +160,23 @@ def _parse_word(
     pos: int,
     index: dict[str, int],
     lineno: int,
-    stop_at_close: bool,
+    depth: int,
 ) -> tuple[Form, int, int]:
     """The written form from tokens[pos], its expanded length and the
-    position after it."""
+    position after it.  ``depth`` counts the parentheses open around the
+    word; inside any, the word stops at its ')'."""
     form: list[int | tuple[Form, int]] = []
     length = 0
     while pos < len(tokens):
         kind, value, col = tokens[pos]
         if kind == ")":
-            if stop_at_close:
+            if depth:
                 break
             raise ParseError("unmatched ')'", lineno, col)
         if kind == "(":
-            inner_form, inner_length, pos = _parse_word(tokens, pos + 1, index, lineno, True)
+            if depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest more than {MAX_NESTING} deep", lineno, col)
+            inner_form, inner_length, pos = _parse_word(tokens, pos + 1, index, lineno, depth + 1)
             if pos >= len(tokens):
                 raise ParseError("expected ')'", lineno, col)
             close_col = tokens[pos][2]
@@ -239,7 +256,7 @@ def parse_presentation(text: str) -> Presentation:
         elif value == "rel":
             if names is None:
                 raise ParseError("rel before gens line", lineno, col)
-            forms.append(_parse_word(tokens, 1, index, lineno, False)[0])
+            forms.append(_parse_word(tokens, 1, index, lineno, 0)[0])
         else:
             raise ParseError(f"unknown directive {value!r}", lineno, col)
     if names is None:

@@ -12,7 +12,6 @@ from itertools import product
 from ebrmaps.families import FamilyParams, _assert_probe_conformance, valency_eight_text
 from ebrmaps.groups import (
     FiniteGroup,
-    MarkedGroup,
     VerificationError,
     _generated_action,
     cyclic,
@@ -125,12 +124,12 @@ def is_map_isomorphic(a: EdgeBiregularMap, b: EdgeBiregularMap) -> bool:
     return _extend_iso(a.group, a.marks, b.group, b.marks) is not None
 
 
-def group_from_presentation(pres: Presentation) -> MarkedGroup:
-    """The dense group of the presentation's regular action, marked with
-    the generator images in declaration order."""
+def group_from_presentation(pres: Presentation) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """The dense group of the presentation's regular action, and the
+    generator images in declaration order as its marks."""
     perms = regular_action(pres)
     group = group_from_action(perms, f"fp[{len(perms[0])}]")
-    return MarkedGroup(group, tuple(perm[0] for perm in perms))
+    return group, tuple(perm[0] for perm in perms)
 
 
 def cyclic_fitting_reference(q: FamilyParams) -> EdgeBiregularMap:
@@ -166,29 +165,36 @@ def valency_eight_reference(m: int) -> EdgeBiregularMap:
     while m % (3 * power) == 0:
         power *= 3
     lam = m // power
-    b = group_from_presentation(parse_presentation(valency_eight_text(power)))
+    b, b_marks = group_from_presentation(parse_presentation(valency_eight_text(power)))
     keep, invert = tuple(range(lam)), tuple(-c % lam for c in range(lam))
-    columns = [[row[g] for row in b.group.mul] for g in b.marked]
+    columns = [[row[g] for row in b.mul] for g in b_marks]
     action = _generated_action(columns, (invert, invert, invert, keep))
-    group = semidirect(cyclic(lam), b.group, action, name=f"ve({m})")
-    xb, yb, sb, tb = b.marked
-    return new_map(group, (xb, yb, 1 % lam * b.group.order + sb, tb))
+    group = semidirect(cyclic(lam), b, action, name=f"ve({m})")
+    xb, yb, sb, tb = b_marks
+    return new_map(group, (xb, yb, 1 % lam * b.order + sb, tb))
 
 
-def index_of_even_subgroup(marked: MarkedGroup) -> int:
+def index_of_even_subgroup(marked: tuple[FiniteGroup, tuple[int, ...]]) -> int:
     """Index (1 or 2) of the subgroup generated by all pairwise products of
-    the marked elements.  Requires every marked element to be an involution;
-    index 2 is the orientable case."""
-    g = marked.group
-    for m in marked.marked:
+    the marked elements of a pair (group, marks).  Requires every marked
+    element to be an involution; index 2 is the orientable case."""
+    g, marks = marked
+    for m in marks:
         if g.element_orders[m] != 2:
             raise ValueError("marked element is not an involution")
-    products = tuple(g.mul[u][v] for u in marked.marked for v in marked.marked)
+    products = tuple(g.mul[u][v] for u in marks for v in marks)
     size = len(subgroup_closure(g, products))
     index, remainder = divmod(g.order, size)
     if remainder or index not in (1, 2):
         raise VerificationError(f"even subgroup has unexpected index {index}")
     return index
+
+
+def semi_edge_type_dense(group: FiniteGroup, marks: tuple[int, int, int]) -> tuple[int, int]:
+    """The type (k, l) of the semi-edge map with marks (x, y, r) on a dense
+    group: twice the element orders of r*y and r*x, read from the table."""
+    x, y, r = marks
+    return 2 * group.element_orders[group.mul[r][y]], 2 * group.element_orders[group.mul[r][x]]
 
 
 def even_subgroup_index_of_products(m: EdgeBiregularMap) -> int:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from ebrmaps import census, families
 from ebrmaps.census import atlas, catalog_json, catalog_rows, classify, enumerate_maps
 from ebrmaps.families import FamilyParams, cyclic_fitting_map, cyclic_fitting_params
-from ebrmaps.groups import MarkedGroup, are_isomorphic, dihedral, group_from_action, symmetric
+from ebrmaps.groups import are_isomorphic, dihedral, group_from_action, symmetric
 from ebrmaps.maps import (
     _flag_graph_bipartite,
     equivalence_key,
@@ -126,20 +126,20 @@ def test_criterion_3_order_formulas():
     with _Gate(3, "presentation orders match the closed-form order formulas") as g:
         for p in (3, 5, 7, 11, 13):
             text1 = families.dihedral_family_1_text(p)
-            marked = group_from_presentation(parse_presentation(text1))
-            assert marked.group.order == 4 * (p + 1)
+            group, _ = group_from_presentation(parse_presentation(text1))
+            assert group.order == 4 * (p + 1)
             text2 = families.dihedral_family_2_text(p)
-            marked = group_from_presentation(parse_presentation(text2))
-            assert marked.group.order == 4 * (p + 2)
+            group, _ = group_from_presentation(parse_presentation(text2))
+            assert group.order == 4 * (p + 2)
         params = _hpj_parameter_range(200)
         assert len(params) == 84
         for q, m in zip(params, _hpj_maps()):
             assert m.group.order == 4 * q.kappa * q.lam
         for m_param in (1, 3, 5):
-            marked = group_from_presentation(
+            group, _ = group_from_presentation(
                 parse_presentation(families.valency_eight_text(m_param))
             )
-            assert marked.group.order == 24 * m_param
+            assert group.order == 24 * m_param
     assert g.elapsed < 30.0
 
 
@@ -194,7 +194,7 @@ def test_criterion_6_euler_identity_property_suite():
             assert chi_orbits == chi_formula, (
                 f"chi mismatch on order {m.group.order} type {(k, l)}"
             )
-            by_index = index_of_even_subgroup(MarkedGroup(m.group, m.marks)) == 2
+            by_index = index_of_even_subgroup((m.group, m.marks)) == 2
             by_flags = _flag_graph_bipartite(fs)
             assert by_index == by_flags, (
                 f"orientability routes disagree on order {m.group.order}"
@@ -226,7 +226,7 @@ def test_criterion_8_chi_minus_1_search():
         assert sorted(r["order"] for r in hits) == [8, 12]
         assert all(r["dihedral"] for r in hits)
         # cross-check one of the hits directly
-        d8_maps = enumerate_maps(dihedral(8).group, want_chi=-1)
+        d8_maps = enumerate_maps(dihedral(8), want_chi=-1)
         assert len(d8_maps) == 1
 
 

@@ -171,7 +171,7 @@ def test_atlas_against_the_dense_reference():
 
 def test_atlas_contains_expected_groups():
     assert any(are_isomorphic(g, symmetric(4)) for g in atlas(24))
-    assert any(are_isomorphic(g, dihedral(8).group) for g in atlas(8))
+    assert any(are_isomorphic(g, dihedral(8)) for g in atlas(8))
     assert any(
         are_isomorphic(g, direct_product(cyclic(2), cyclic(2))) for g in atlas(4)
     )
@@ -198,7 +198,7 @@ def test_extension_composes_the_action_from_generator_images():
         _extension(cyclic(4), cyclic(2), {1: (0, 2, 1, 3)}, "bad")
     # C5 x| D8, the rotation (element 1) inverting and the reflection
     # (element 4) centralizing; (0, d)(c, 0) = (c^d, d) is element c^d*8 + d
-    g = _extension(cyclic(5), dihedral(8).group, {1: (0, 4, 3, 2, 1), 4: tuple(range(5))}, "C5:D8")
+    g = _extension(cyclic(5), dihedral(8), {1: (0, 4, 3, 2, 1), 4: tuple(range(5))}, "C5:D8")
     for d in range(8):
         act = tuple(g.mul[d][c * 8] // 8 for c in range(5))
         assert act == ((0, 4, 3, 2, 1) if d % 2 else (0, 1, 2, 3, 4)), d
@@ -209,7 +209,7 @@ def test_enumerate_maps_small_groups():
     assert enumerate_maps(cyclic(8)) == {}
     assert enumerate_maps(direct_product(cyclic(2), cyclic(2))) == {}
     # D8 carries exactly one class with chi = -2
-    found = list(enumerate_maps(dihedral(8).group, want_chi=-2).values())
+    found = list(enumerate_maps(dihedral(8), want_chi=-2).values())
     assert len(found) == 1
     k, l = type_of(found[0])
     assert tuple(sorted((k, l))) == (8, 8)
@@ -234,7 +234,7 @@ def test_enumerate_maps_dedups_within_group():
 def test_enumerate_maps_dedup_is_complete():
     # re-scan: every raw quadruple with chi = -2 is equivalent to a
     # retained representative
-    d8 = dihedral(8).group
+    d8 = dihedral(8)
     kept = {equivalence_key(r) for r in enumerate_maps(d8, want_chi=-2).values()}
     for m in all_map_quadruples_by_scan(d8, want_chi=-2):
         assert equivalence_key(m) in kept

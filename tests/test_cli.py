@@ -16,6 +16,7 @@ from ebrmaps import census, families
 from ebrmaps.cli import _PROBE_GRID, main
 from ebrmaps.groups import VerificationError
 from ebrmaps.maps import load_map, map_file_text
+from ebrmaps.presentations import MAX_NESTING
 
 TRIANGLE_237 = """\
 gens a b c
@@ -114,6 +115,18 @@ def test_order_rejects_overlong_relator_exit_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "line 4" in err and "200000000 letters" in err
+
+
+def test_order_rejects_deeply_nested_relator_exit_2(tmp_path, capsys):
+    # 3,000 nested powers would exhaust the parser's recursion; the bracket
+    # that goes one level past MAX_NESTING is reported instead
+    f = tmp_path / "nested.txt"
+    f.write_text("gens x y\nrel " + "(" * 3000 + "x" + ")^1" * 3000 + "\n")
+    code, out, err = run(capsys, "order", str(f))
+    assert code == 2
+    assert out == ""
+    column = len("rel ") + MAX_NESTING + 1
+    assert err.startswith(f"error: line 2, column {column}: parentheses nest more than")
 
 
 def test_capacity_exceeded_exit_3(tmp_path, capsys):

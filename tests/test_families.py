@@ -93,7 +93,7 @@ def test_dihedral_family_1():
         assert type_of(m) == (4 * (p + 1), 4)
         assert counts(m) == (1, 2 * (p + 1), p + 1)
         assert euler_characteristic(m) == -p
-        assert are_isomorphic(m.group, dihedral(4 * (p + 1)).group)
+        assert are_isomorphic(m.group, dihedral(4 * (p + 1)))
         assert not is_fully_regular(m)
 
 
@@ -104,7 +104,7 @@ def test_dihedral_family_2():
         assert type_of(m) == (2 * (p + 2), 4)
         assert counts(m) == (2, 2 * (p + 2), p + 2)
         assert euler_characteristic(m) == -p
-        assert are_isomorphic(m.group, dihedral(4 * (p + 2)).group)
+        assert are_isomorphic(m.group, dihedral(4 * (p + 2)))
         assert not is_fully_regular(m)
 
 
@@ -320,7 +320,7 @@ def test_probe_builds_one_group_per_homomorphism(monkeypatch, p, lam):
     cyclic_by_dihedral_probe(p, lam)
     signs = (tuple(range(p)), tuple(-c % p for c in range(p)))
     pairs = [(e, e) for e in signs] if lam % 2 else [(e1, e2) for e1 in signs for e2 in signs]
-    marks = dihedral(2 * lam).marked
+    marks = (lam, lam + 1)  # the generating reflections of dihedral(2 * lam)
     assert [(action[marks[0]], action[marks[1]]) for action, _ in built] == pairs
     assert [group.name for _, group in built] == [f"C{p}:D{2 * lam}"] * len(pairs)
 

@@ -11,7 +11,6 @@ import pytest
 
 from ebrmaps.groups import (
     FiniteGroup,
-    MarkedGroup,
     _generated_action,
     _same_standard_table,
     alternating,
@@ -62,16 +61,15 @@ def test_cyclic_element_orders():
 def test_dihedral_is_of_order_n():
     # The constructor takes the ORDER of the group, not the polygon size.
     for n in (4, 6, 8, 20):
-        marked = dihedral(n)
-        g = marked.group
+        g = dihedral(n)
         assert g.order == n
         validate_group_table(g)
         m = n // 2
         # rotations occupy 0..m-1, reflections m..n-1
         assert all(g.element_orders[i] == m // math.gcd(i, m) for i in range(m))
         assert all(g.element_orders[i] == 2 for i in range(m, n))
-        # the two marks are reflections whose product has order m
-        a, b = marked.marked
+        # the generating reflections m and m + 1 have a product of order m
+        a, b = m, m + 1
         assert g.element_orders[a] == 2 and g.element_orders[b] == 2
         assert g.element_orders[g.mul[a][b]] == m
     with pytest.raises(ValueError):
@@ -81,9 +79,9 @@ def test_dihedral_is_of_order_n():
 
 
 def test_dihedral_degenerate_order_two():
-    marked = dihedral(2)
-    assert marked.group.order == 2
-    assert marked.marked == (1, 1)
+    g = dihedral(2)
+    assert g.order == 2
+    assert g.involutions() == [1]  # the single reflection generates it
 
 
 def test_dicyclic():
@@ -132,7 +130,7 @@ def test_semidirect_builds_dihedral():
     identity = tuple(range(6))
     g = semidirect(c6, cyclic(2), (identity, inversion), name="C6:C2")
     assert g.order == 12
-    assert are_isomorphic(g, dihedral(12).group)
+    assert are_isomorphic(g, dihedral(12))
 
 
 def test_semidirect_rejects_non_action():
@@ -178,7 +176,7 @@ def test_action_check_with_a_non_abelian_b():
     # every map from the 6 elements of D_6 (non-abelian) to {identity,
     # inversion} on C_5: the trivial map and the sign are the only
     # homomorphisms, checked on B's generators against every pair
-    c5, d6 = cyclic(5), dihedral(6).group
+    c5, d6 = cyclic(5), dihedral(6)
     choices = (tuple(range(5)), c5.inv)
     accepted = []
     for signs in itertools.product((0, 1), repeat=6):
@@ -196,7 +194,7 @@ def test_action_check_with_a_non_abelian_b():
 
 
 def test_quotient_of_dihedral_by_center():
-    d8 = dihedral(8).group
+    d8 = dihedral(8)
     center = {0, 2}  # identity and the half-turn rotation
     q = quotient(d8, center)
     assert q.order == 4
@@ -205,7 +203,7 @@ def test_quotient_of_dihedral_by_center():
 
 
 def test_quotient_rejects_non_normal_subset():
-    d8 = dihedral(8).group
+    d8 = dihedral(8)
     with pytest.raises(ValueError):
         quotient(d8, {0, 4})  # a reflection generates a non-normal C2
     with pytest.raises(ValueError, match="normal subgroup must contain the identity"):
@@ -231,11 +229,11 @@ def test_multiplicative_units():
 
 
 def test_subgroup_closure():
-    d8 = dihedral(8).group
+    d8 = dihedral(8)
     assert subgroup_closure(d8, (0,)) == (0,)
     refl = 4
     assert set(subgroup_closure(d8, (refl,))) == {0, refl}
-    assert len(subgroup_closure(d8, dihedral(8).marked)) == 8
+    assert len(subgroup_closure(d8, (4, 5))) == 8
     assert set(subgroup_closure(d8, (1,))) == {0, 1, 2, 3}
 
 
@@ -243,10 +241,10 @@ def test_generated_action_composes_b_from_generator_images():
     identity, inversion = tuple(range(5)), (0, 4, 3, 2, 1)
     # B = C4 given by a regular action's permutation v -> v + 1 of its generator
     assert _generated_action([(1, 2, 3, 0)], [inversion]) == (identity, inversion) * 2
-    # B = D8 given by its table's columns for the two reflection marks (the
-    # reflections are elements 4..7), each inverting C5
+    # B = D8 given by its table's columns for the two generating reflections
+    # (the reflections are elements 4..7), each inverting C5
     d8 = dihedral(8)
-    columns = [[row[g] for row in d8.group.mul] for g in d8.marked]
+    columns = [[row[g] for row in d8.mul] for g in (4, 5)]
     action = _generated_action(columns, [inversion, inversion])
     assert action == (identity,) * 4 + (inversion,) * 4
     # v -> v + 2 generates only a subgroup of order 2 of C4, in either form
@@ -261,13 +259,13 @@ def test_generated_action_composes_b_from_generator_images():
 
 
 def test_extends_to_isomorphism():
-    d8 = dihedral(8)
-    g = d8.group
+    g = dihedral(8)
+    reflections = (4, 5)
 
     def columns(group, elements):
         return [[row[z] for row in group.mul] for z in elements]
 
-    marks = columns(g, d8.marked)
+    marks = columns(g, reflections)
     # reflection marks can be rotated by an (inner) automorphism
     assert _same_standard_table(marks, columns(g, (6, 7)))
     # marks of mismatched orders cannot correspond
@@ -275,7 +273,7 @@ def test_extends_to_isomorphism():
     # across two numberings of D8, the renumbered marks correspond and two
     # commuting reflections (generating only a Klein four group) do not
     other, perm = relabelled(g, random.Random(0))
-    same = columns(other, [perm[z] for z in d8.marked])
+    same = columns(other, [perm[z] for z in reflections])
     assert _same_standard_table(marks, same)
     klein = columns(other, [perm[4], perm[6]])
     assert not _same_standard_table(marks, klein)
@@ -315,13 +313,13 @@ def test_are_isomorphic_positive():
     assert are_isomorphic(
         direct_product(cyclic(2), cyclic(4)), direct_product(cyclic(4), cyclic(2))
     )
-    assert are_isomorphic(symmetric(3), dihedral(6).group)
+    assert are_isomorphic(symmetric(3), dihedral(6))
 
 
 def test_are_isomorphic_negative():
-    assert not are_isomorphic(dihedral(8).group, dicyclic(2))  # D8 vs Q8
+    assert not are_isomorphic(dihedral(8), dicyclic(2))  # D8 vs Q8
     assert not are_isomorphic(cyclic(8), direct_product(cyclic(4), cyclic(2)))
-    assert not are_isomorphic(dihedral(24).group, dicyclic(6))
+    assert not are_isomorphic(dihedral(24), dicyclic(6))
     assert not are_isomorphic(cyclic(4), cyclic(5))
 
 
@@ -343,17 +341,9 @@ def test_fingerprint_is_computed_once():
 
 
 def test_greedy_generators():
-    for g in (cyclic(12), dihedral(16).group, symmetric(4)):
+    for g in (cyclic(12), dihedral(16), symmetric(4)):
         gens = greedy_generators(g)
         assert len(subgroup_closure(g, gens)) == g.order
-
-
-def test_marked_group_requires_generation():
-    d8 = dihedral(8).group
-    with pytest.raises(ValueError):
-        MarkedGroup(d8, (1,))  # the rotation alone generates C4 only
-    with pytest.raises(ValueError):
-        MarkedGroup(d8, (4, 9))  # out of range
 
 
 def test_finite_group_rejects_bad_tables():
@@ -380,7 +370,7 @@ def test_derived_data_agrees_with_the_dense_references(monkeypatch):
         symmetric(5),
         alternating(5),
         multiplicative_units(15),
-        quotient(dihedral(24).group, {0, 6}),
+        quotient(dihedral(24), {0, 6}),
         *probed,
         families.dihedral_family_1(5).group,
     ]

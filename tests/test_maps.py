@@ -1,6 +1,7 @@
 """Tests for the map layer: marked quadruples, invariants, flags,
 duality/twin operators, semi-edge maps and the map file format."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -15,7 +16,7 @@ import ebrmaps.maps as maps_module
 from ebrmaps import census, families
 from ebrmaps.census import ATLAS_ORDERS, _constructive_entries, admissible_types, atlas, classify
 from ebrmaps.families import chi_minus_2_catalog
-from ebrmaps.groups import MarkedGroup, cyclic, dihedral, direct_product, symmetric
+from ebrmaps.groups import cyclic, dihedral, direct_product, subgroup_closure, symmetric
 from ebrmaps.maps import (
     EdgeBiregularMap,
     MapStructureError,
@@ -23,6 +24,7 @@ from ebrmaps.maps import (
     NotGenerating,
     NotInvolution,
     PairNotCommuting,
+    SemiEdgeMap,
     all_map_quadruples,
     counts,
     delete_semi_edges,
@@ -57,6 +59,7 @@ from references import (
     is_map_isomorphic,
     is_self_dual_by_tables,
     relabelled,
+    semi_edge_type_dense,
     standard_table,
 )
 
@@ -104,7 +107,7 @@ def test_new_map_validation_taxonomy():
     with pytest.raises(MapStructureError):
         new_map(e16, (1, 2, 4, 99))  # out of range
 
-    d8 = dihedral(8).group
+    d8 = dihedral(8)
     # reflections 4 and 5 do not commute in D8 (their product is a quarter turn)
     with pytest.raises(PairNotCommuting) as exc:
         new_map(d8, (4, 5, 2, 6))
@@ -153,7 +156,7 @@ def test_flag_structure():
 
 def test_flag_orbits_count_cells():
     maps = [load_map(TORUS_LIKE)]
-    d8 = dihedral(8).group
+    d8 = dihedral(8)
     maps += list(all_map_quadruples_by_scan(d8))
     for m in maps:
         fs = flag_structure(m)
@@ -225,7 +228,7 @@ def test_euler_characteristic_formula_integer_or_fraction():
 def _small_quadruples():
     """Every quadruple on the groups of order 12 and on D16, the chi = -2
     ones included: 280 maps in 15 isomorphism classes."""
-    groups = list(atlas(12)) + [dihedral(16).group]
+    groups = list(atlas(12)) + [dihedral(16)]
     return [m for g in groups for m in all_map_quadruples_by_scan(g)]
 
 
@@ -307,7 +310,7 @@ def test_permutation_invariants_match_dense_references():
         l = 2 * g.element_orders[g.mul[s][x]]
         assert type_of(m) == (k, l)
         assert counts(m) == (g.order // k, g.order // 2, g.order // l)
-        assert is_orientable(m) == (index_of_even_subgroup(MarkedGroup(m.group, m.marks)) == 2)
+        assert is_orientable(m) == (index_of_even_subgroup((m.group, m.marks)) == 2)
         assert is_fully_regular(m) == is_map_isomorphic(m, twin(m))
         assert is_self_dual(m) == is_map_isomorphic(m, dual(m))
         assert equivalence_key(m) == _dense_key(m)
@@ -344,9 +347,9 @@ def test_map_from_presentation_holds_only_the_action(monkeypatch):
     assert "group" not in vars(m)  # no table until one is asked for
     assert m.order == 16 and len(m.perms) == 4
     assert m.marks == tuple(perm[0] for perm in m.perms)
-    marked = group_from_presentation(parse_presentation(strip_mark_lines(TORUS_LIKE)))
-    assert m.group.mul == marked.group.mul
-    assert m.marks == marked.marked
+    group, marks = group_from_presentation(parse_presentation(strip_mark_lines(TORUS_LIKE)))
+    assert m.group.mul == group.mul
+    assert m.marks == marks
     # a map found on a dense group rebuilds that group's table exactly: every
     # class kept over the p = 2 atlas orders and in the groups searched by
     # cyclic_by_dihedral_probe(5, 6), four semidirect products of order 60
@@ -384,7 +387,7 @@ def test_map_from_action_validates():
 
 
 def test_map_from_action_rejects_malformed_permutations():
-    d8 = new_map(dihedral(8).group, (4, 6, 5, 7))
+    d8 = new_map(dihedral(8), (4, 6, 5, 7))
     assert map_from_action(d8.perms) == d8
     px, py, ps, pt = d8.perms
     faults = [
@@ -409,13 +412,27 @@ def test_fully_regular_and_self_dual_flags():
     assert is_self_dual(flat)
 
 
-def test_semi_edge_tetrahedron():
+def _columns(group, elements):
+    """The permutations h -> h*z of the group's table, one per element z."""
+    return tuple(tuple(row[z] for row in group.mul) for z in elements)
+
+
+# the transpositions of points 0,1 and 1,2 and 2,3 of S4
+TETRAHEDRON = ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
+
+
+def _s4_columns(*images):
+    """The columns of symmetric(4)'s table for the permutations of 0..3
+    with the given images."""
     s4 = symmetric(4)
-    perm_index = {p: i for i, p in enumerate(s4.perms)}
-    r0 = perm_index[(1, 0, 2, 3)]  # transposition of points 0,1
-    r1 = perm_index[(0, 2, 1, 3)]  # transposition of points 1,2
-    r2 = perm_index[(0, 1, 3, 2)]  # transposition of points 2,3
-    sm = insert_semi_edges(MarkedGroup(s4, (r0, r1, r2)))
+    index = {p: i for i, p in enumerate(s4.perms)}
+    return _columns(s4, [index[p] for p in images])
+
+
+def test_semi_edge_tetrahedron():
+    triple = r0, r1, r2 = _s4_columns(*TETRAHEDRON)
+    sm = insert_semi_edges(triple)
+    assert sm == SemiEdgeMap((r0, r2, r1))
     # inserting a semi-edge into every corner of the tetrahedron doubles
     # both the valency and the face length
     assert semi_edge_type(sm) == (6, 6)
@@ -428,36 +445,52 @@ def test_semi_edge_tetrahedron():
         "flags": 48,
         "chi": 2,
     }
-    back = delete_semi_edges(sm)
-    assert back.marked == (r0, r1, r2)
-    assert back.group is s4
+    assert delete_semi_edges(sm) == triple
 
 
 def test_semi_edge_validation():
-    s4 = symmetric(4)
-    perm_index = {p: i for i, p in enumerate(s4.perms)}
-    r0 = perm_index[(1, 0, 2, 3)]
-    r1 = perm_index[(0, 2, 1, 3)]
-    r2 = perm_index[(0, 1, 3, 2)]
-    four_cycle = perm_index[(1, 2, 3, 0)]
-    # a duplicated mark is the semi-star degeneracy; two reflections of a
-    # dihedral group generate it, so construction reaches the distinctness check
-    d8 = dihedral(8).group
+    r0, r1, r2, double, four_cycle = _s4_columns(*TETRAHEDRON, (1, 0, 3, 2), (1, 2, 3, 0))
+    # a duplicated mark is the semi-star degeneracy
     with pytest.raises(NotDistinct):
-        insert_semi_edges(MarkedGroup(d8, (4, 5, 4)))
+        insert_semi_edges(_columns(dihedral(8), (4, 5, 4)))
     # adjacent transpositions in the r0/r2 slots do not commute
     with pytest.raises(PairNotCommuting):
-        insert_semi_edges(MarkedGroup(s4, (r0, r2, r1)))
-    # wrong arity (transposition and 4-cycle do generate S4)
-    with pytest.raises(MapStructureError):
-        insert_semi_edges(MarkedGroup(s4, (r0, four_cycle)))
-    # non-involution mark
-    with pytest.raises(NotInvolution):
-        insert_semi_edges(MarkedGroup(s4, (r0, four_cycle, r2)))
-    # (0 1), (0 1)(2 3) and (2 3) generate a Klein four subgroup of S4,
-    # which the MarkedGroup constructor refuses before any map is built
-    with pytest.raises(ValueError, match="do not generate"):
-        MarkedGroup(s4, (r0, perm_index[(1, 0, 3, 2)], r2))
+        insert_semi_edges((r0, r2, r1))
+    with pytest.raises(MapStructureError, match=r"^expected 3 marks \(r0, r1, r2\)$"):
+        insert_semi_edges((r0, four_cycle))
+    with pytest.raises(NotInvolution, match="^mark r1 is not an involution$"):
+        insert_semi_edges((r0, four_cycle, r2))
+    # (0 1), (0 1)(2 3) and (2 3) generate a Klein four subgroup of S4
+    with pytest.raises(NotGenerating):
+        insert_semi_edges((r0, double, r2))
+    with pytest.raises(MapStructureError, match=r"^mark r1 has an entry outside range\(\|H\|\)$"):
+        insert_semi_edges((r0, (24,) + r1[1:], r2))
+    with pytest.raises(MapStructureError, match="^mark permutations have different lengths$"):
+        insert_semi_edges((r0, r1, r2 + (24,)))
+
+
+def test_semi_edge_type_matches_the_dense_reference():
+    # every triple of involutions of S4 and of S4 x C2, as table columns: the
+    # triples insert_semi_edges accepts are those a dense check accepts, and
+    # the type read from the permutations is the one read from the table
+    for group in (symmetric(4), direct_product(symmetric(4), cyclic(2))):
+        accepted = 0
+        invs = group.involutions()
+        for r0, r1, r2 in itertools.product(invs, repeat=3):
+            valid = (
+                len({r0, r1, r2}) == 3
+                and group.mul[r0][r2] == group.mul[r2][r0]
+                and len(subgroup_closure(group, (r0, r1, r2))) == group.order
+            )
+            try:
+                sm = insert_semi_edges(_columns(group, (r0, r1, r2)))
+            except MapStructureError:
+                assert not valid, (group.name, r0, r1, r2)
+                continue
+            assert valid, (group.name, r0, r1, r2)
+            assert semi_edge_type(sm) == semi_edge_type_dense(group, (r0, r2, r1))
+            accepted += 1
+        assert accepted, group.name
 
 
 def test_load_map_round_trip():
@@ -505,7 +538,7 @@ def test_all_map_quadruples():
     # D8 carries valid quadruples; every yield passes full validation
     from ebrmaps.maps import new_map
 
-    d8 = dihedral(8).group
+    d8 = dihedral(8)
     found = list(all_map_quadruples(d8))
     assert found
     for m in found:
@@ -562,7 +595,7 @@ from ebrmaps.groups import dihedral
 
 assert False, "assert statements must be stripped"
 maps.euler_characteristic_formula = lambda order, k, l: -2
-list(maps.all_map_quadruples(dihedral(8).group, -2))
+list(maps.all_map_quadruples(dihedral(8), -2))
 """
 
 

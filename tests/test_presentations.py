@@ -16,7 +16,6 @@ import pytest
 
 import ebrmaps
 from ebrmaps.groups import (
-    MarkedGroup,
     VerificationError,
     are_isomorphic,
     dihedral,
@@ -25,6 +24,7 @@ from ebrmaps.groups import (
 )
 from ebrmaps import families, presentations
 from ebrmaps.presentations import (
+    MAX_NESTING,
     MAX_RELATOR_LENGTH,
     CapacityExceeded,
     CosetTable,
@@ -124,6 +124,29 @@ def test_presentation_bounds_the_expansion_of_hand_built_forms():
     ):
         with pytest.raises(ValueError, match=f"more than {limit}"):
             Presentation(("a",), (form,))
+
+
+def test_nesting_is_bounded_before_any_recursion():
+    # a parenthesis and a hand-built power nested 3,000 deep once exhausted
+    # the recursion of the parser and of the length check
+    ok, deep = MAX_NESTING, 3000
+    text = "gens x y\nrel {}x{}\n"
+    assert parse_presentation(text.format("(" * ok, ")^1" * ok)).relators == ((0,),)
+    with pytest.raises(ParseError) as exc:
+        parse_presentation(text.format("(" * deep, ")^1" * deep))
+    assert (exc.value.line, exc.value.column) == (2, len("rel (") + ok)
+    assert f"parentheses nest more than {ok} deep" in str(exc.value)
+
+    def nested(depth):
+        form = (0,)
+        for _ in range(depth):
+            form = ((form, 1),)
+        return form
+
+    assert Presentation(("a",), (nested(ok),)).relators == ((0,),)
+    for depth in (ok + 1, deep):
+        with pytest.raises(ValueError, match=f"^relator nests powers more than {ok} deep$"):
+            Presentation(("a",), (nested(depth),))
 
 
 def test_parse_errors_carry_line_and_column():
@@ -231,14 +254,12 @@ def test_capacity_exceeded():
 
 
 def test_group_from_presentation_dihedral():
-    marked = group_from_presentation(parse_presentation(DIHEDRAL_12))
-    g = marked.group
+    g, (a, b) = group_from_presentation(parse_presentation(DIHEDRAL_12))
     assert g.order == 12
-    a, b = marked.marked
     assert g.element_orders[a] == 2
     assert g.element_orders[b] == 2
     assert g.element_orders[g.mul[a][b]] == 6
-    assert are_isomorphic(g, dihedral(12).group)
+    assert are_isomorphic(g, dihedral(12))
 
 
 def test_group_from_presentation_four_generators():
@@ -251,22 +272,22 @@ def test_group_from_presentation_four_generators():
             for a, b in ("xy", "xs", "xt", "ys", "yt", "st")
         )
     )
-    marked = group_from_presentation(parse_presentation(text))
-    assert marked.group.order == 16
-    assert marked.group.is_abelian()
-    assert len(set(marked.marked)) == 4
+    group, marks = group_from_presentation(parse_presentation(text))
+    assert group.order == 16
+    assert group.is_abelian()
+    assert len(set(marks)) == 4
 
 
 def test_trivial_relator_collapse():
     # forcing a = b collapses D12 onto C2
     text = DIHEDRAL_12 + "rel a b\n"
-    marked = group_from_presentation(parse_presentation(text))
-    assert marked.group.order == 2
+    group, _ = group_from_presentation(parse_presentation(text))
+    assert group.order == 2
 
 
 def test_index_of_even_subgroup_two():
     # two reflections of a dihedral group: rotations form the index-2 subgroup
-    assert index_of_even_subgroup(dihedral(12)) == 2
+    assert index_of_even_subgroup((dihedral(12), (6, 7))) == 2
     tetra = _reflection_presentation(("a", "b", 3), ("b", "c", 3), ("a", "c", 2))
     marked = group_from_presentation(parse_presentation(tetra))
     assert index_of_even_subgroup(marked) == 2
@@ -275,27 +296,24 @@ def test_index_of_even_subgroup_two():
 def test_index_of_even_subgroup_one():
     # in the Klein four group marked with its three involutions, pairwise
     # products already cover the whole group: no index-2 "even" subgroup
-    v4 = group_from_presentation(
+    v4, _ = group_from_presentation(
         parse_presentation(
             "gens a b\nrel a^2\nrel b^2\nrel (a b)^2\n"
         )
-    ).group
+    )
     assert v4.order == 4
     invs = [g for g in range(4) if v4.element_orders[g] == 2]
-    marked = MarkedGroup(v4, tuple(invs))
-    assert index_of_even_subgroup(marked) == 1
+    assert index_of_even_subgroup((v4, tuple(invs))) == 1
 
 
 def test_index_of_even_subgroup_rejects_non_involutions():
-    d12 = dihedral(12)
-    rot_marked = MarkedGroup(d12.group, (1, 6))
     with pytest.raises(ValueError):
-        index_of_even_subgroup(rot_marked)
+        index_of_even_subgroup((dihedral(12), (1, 6)))
 
 
 def test_coset_table_marks_generate():
-    marked = group_from_presentation(parse_presentation(DIHEDRAL_12))
-    assert len(subgroup_closure(marked.group, marked.marked)) == 12
+    group, marks = group_from_presentation(parse_presentation(DIHEDRAL_12))
+    assert len(subgroup_closure(group, marks)) == 12
 
 
 def _sympy_group(pres: Presentation):
@@ -369,7 +387,7 @@ def test_regular_action_is_the_coset_table():
     perms = regular_action(pres)
     assert perms == coset_enumerate(pres).columns
     group = group_from_action(perms, "D12")
-    assert group.mul == group_from_presentation(pres).group.mul
+    assert group.mul == group_from_presentation(pres)[0].mul
     with pytest.raises(ValueError, match="the action is not transitive"):
         group_from_action(((1, 0, 2), (1, 0, 2)), "intransitive")
 
