@@ -13,7 +13,6 @@ from ebrmaps.groups import (
     dicyclic,
     dihedral,
     direct_product,
-    multiplicative_units,
     semidirect,
     symmetric,
 )
@@ -41,16 +40,11 @@ def main():
     describe(direct_product(cyclic(4), cyclic(2)))
     c6 = cyclic(6)
     flip = tuple(c6.inv)  # inversion automorphism
-    ident = tuple(range(6))
-    d12 = semidirect(c6, cyclic(2), (ident, flip), name="C6:C2")
+    # the generator 1 of C2 acts by inversion; semidirect composes the rest
+    d12 = semidirect(c6, cyclic(2), {1: flip}, name="C6:C2")
     describe(d12)
     print("  C6:C2 is dihedral of order 12:",
           are_isomorphic(d12, dihedral(12)))
-
-    print("\nunit groups")
-    for n in (5, 8, 12):
-        u = multiplicative_units(n)
-        print(f"  units mod {n}: {u.units}, cyclic={max(u.element_orders) == u.order}")
 
     print("\nisomorphism testing distinguishes equal-order groups:")
     print("  D8 vs Q8:", are_isomorphic(dihedral(8), dicyclic(2)))

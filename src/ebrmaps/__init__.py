@@ -34,8 +34,6 @@ _EXPORTS = {
         "direct_product",
         "group_from_action",
         "is_prime",
-        "multiplicative_units",
-        "quotient",
         "semidirect",
         "subgroup_closure",
         "symmetric",

@@ -9,13 +9,11 @@ maps up to duality, twins and isomorphism; and cross-match the survivors
 against the constructive family builders.
 
 The atlas is a table of constructor recipes (cyclic, dihedral, dicyclic,
-symmetric, direct and semidirect products, quotients), not a generator of
-groups by order.  A split extension A x| B is given as A, B and the images
-of generators of B on A's elements; the action of all of B is composed
-from them by the one helper that ``groups`` keeps for every split
-extension, and ``semidirect`` checks it with ``_check_action``.  Each atlas
-call re-verifies that its groups are pairwise non-isomorphic and match the
-documented count for that order.
+symmetric, direct and semidirect products), not a generator of groups by
+order.  A split extension A x| B is given as A, B and the images of
+generators of B on A's elements, which ``semidirect`` composes into the
+action of all of B and checks.  Each atlas call re-verifies that its groups
+are pairwise non-isomorphic and match the documented count for that order.
 """
 
 from __future__ import annotations
@@ -25,10 +23,8 @@ from functools import lru_cache
 
 from .groups import (
     FiniteGroup,
-    Perm,
     VerificationError,
     _Record,
-    _generated_action,
     alternating,
     are_isomorphic,
     cyclic,
@@ -36,7 +32,6 @@ from .groups import (
     dihedral,
     direct_product,
     is_prime,
-    quotient,
     semidirect,
     symmetric,
 )
@@ -121,15 +116,9 @@ def _prod(*gs: FiniteGroup) -> FiniteGroup:
     return acc
 
 
-def _extension(a: FiniteGroup, b: FiniteGroup, images: dict[int, Perm], name: str) -> FiniteGroup:
-    """A x| B, each generator g of B (the keys) acting on A's elements by images[g]."""
-    columns = [[row[g] for row in b.mul] for g in images]
-    return semidirect(a, b, _generated_action(columns, list(images.values())), name)
-
-
 def _unit_semidirect(n: int, m: int, unit: int, name: str) -> FiniteGroup:
     """C_n x| C_m, the generator of C_m acting as multiplication by ``unit``."""
-    return _extension(cyclic(n), cyclic(m), {1: tuple(c * unit % n for c in range(n))}, name)
+    return semidirect(cyclic(n), cyclic(m), {1: tuple(c * unit % n for c in range(n))}, name)
 
 
 def _odd_by_d8(n: int) -> FiniteGroup:
@@ -140,20 +129,13 @@ def _odd_by_d8(n: int) -> FiniteGroup:
     """
     inversion = tuple(-c % n for c in range(n))
     # D8's rotation r is element 1 and its reflection f is element 4
-    return _extension(cyclic(n), dihedral(8), {1: inversion, 4: tuple(range(n))}, f"C{n}:D8")
+    return semidirect(cyclic(n), dihedral(8), {1: inversion, 4: tuple(range(n))}, f"C{n}:D8")
 
 
 def _sl23() -> FiniteGroup:
     """Q8 x| C3 with the generator cycling i -> j -> ij."""
     # i, j and ij are elements 2, 1 and 3 of Q8 in its i*2+j encoding
-    return _extension(dicyclic(2), cyclic(3), {1: (0, 3, 1, 2, 4, 7, 5, 6)}, "SL(2,3)")
-
-
-def _d8_circ_c4() -> FiniteGroup:
-    """Central product D8 o C4: quotient of D8 x C4 gluing the centers."""
-    g = _prod(dihedral(8), cyclic(4))
-    # (r^2, 0) is element 2*4+0; glue with (e, 2): the diagonal {(e,0),(r^2,2)}
-    return quotient(g, {0, 2 * 4 + 2}, name="D8oC4")
+    return semidirect(dicyclic(2), cyclic(3), {1: (0, 3, 1, 2, 4, 7, 5, 6)}, "SL(2,3)")
 
 
 def _c7_by_a4() -> FiniteGroup:
@@ -161,7 +143,7 @@ def _c7_by_a4() -> FiniteGroup:
     as multiplication by 2, and an involution, in the kernel V4, trivially."""
     a4 = alternating(4)
     three, two = a4.element_orders.index(3), a4.element_orders.index(2)
-    return _extension(cyclic(7), a4, {three: (0, 2, 4, 6, 1, 3, 5), two: tuple(range(7))}, "C7:A4")
+    return semidirect(cyclic(7), a4, {three: (0, 2, 4, 6, 1, 3, 5), two: tuple(range(7))}, "C7:A4")
 
 
 # (i, m) -> (-i, -m) on C3 x C3, whose element (i, m) is i*3 + m
@@ -205,8 +187,12 @@ _RECIPES = {
         lambda: _prod(dicyclic(2), cyclic(2)),
         lambda: _unit_semidirect(4, 4, 3, "C4:C4"),
         # V4 x| C4, the generator swapping the two coordinates of C2 x C2
-        lambda: _extension(_prod(cyclic(2), cyclic(2)), cyclic(4), {1: (0, 2, 1, 3)}, "V4:C4"),
-        lambda: _d8_circ_c4(),
+        lambda: semidirect(_prod(cyclic(2), cyclic(2)), cyclic(4), {1: (0, 2, 1, 3)}, "V4:C4"),
+        # D8 o C4 as the Pauli group (C4 x C2) x| C2, the generator mapping
+        # (a, b) = a*2 + b to (a + 2b, b)
+        lambda: semidirect(
+            _prod(cyclic(4), cyclic(2)), cyclic(2), {1: (0, 5, 2, 7, 4, 1, 6, 3)}, "D8oC4"
+        ),
     ),
     20: (
         lambda: cyclic(20),
@@ -240,19 +226,19 @@ _RECIPES = {
         lambda: dicyclic(9),
         lambda: dihedral(36),
         # V4 x| C9, the generator cycling the three involutions of C2 x C2
-        lambda: _extension(_prod(cyclic(2), cyclic(2)), cyclic(9), {1: (0, 2, 3, 1)}, "V4:C9"),
+        lambda: semidirect(_prod(cyclic(2), cyclic(2)), cyclic(9), {1: (0, 2, 3, 1)}, "V4:C9"),
         lambda: _prod(dicyclic(3), cyclic(3)),
         # (C3 x C3) x| C4, the generator acting as (i, m) -> (m, -i), then by inversion
-        lambda: _extension(
+        lambda: semidirect(
             _prod(cyclic(3), cyclic(3)), cyclic(4), {1: (0, 3, 6, 2, 5, 8, 1, 4, 7)}, "C3^2:C4(rot)"
         ),
-        lambda: _extension(_prod(cyclic(3), cyclic(3)), cyclic(4), {1: _C3SQ_INV}, "C3^2:C4(inv)"),
+        lambda: semidirect(_prod(cyclic(3), cyclic(3)), cyclic(4), {1: _C3SQ_INV}, "C3^2:C4(inv)"),
         lambda: _prod(dihedral(6), dihedral(6)),
         lambda: _prod(cyclic(3), alternating(4)),
         lambda: _prod(cyclic(3), dihedral(12)),
         lambda: _prod(
             cyclic(2),
-            _extension(_prod(cyclic(3), cyclic(3)), cyclic(2), {1: _C3SQ_INV}, "Dih(C3^2)"),
+            semidirect(_prod(cyclic(3), cyclic(3)), cyclic(2), {1: _C3SQ_INV}, "Dih(C3^2)"),
         ),
     ),
     40: (
@@ -285,7 +271,7 @@ _RECIPES = {
         lambda: _prod(cyclic(7), dicyclic(2)),
         lambda: dicyclic(14),
         # C2^3 x| C7, the generator mapping (b1, b2, b3) = b1*4 + b2*2 + b3 to (b3, b1 + b3, b2)
-        lambda: _extension(
+        lambda: semidirect(
             _prod(cyclic(2), cyclic(2), cyclic(2)),
             cyclic(7),
             {1: (0, 6, 1, 7, 2, 4, 3, 5)},

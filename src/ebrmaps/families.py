@@ -42,7 +42,6 @@ from .groups import (
     CapacityExceeded,
     VerificationError,
     _Record,
-    _generated_action,
     cyclic,
     dihedral,
     is_prime,
@@ -482,11 +481,11 @@ def cyclic_by_dihedral_probe(p: int, lam: int) -> list[EdgeBiregularMap]:
     """Search every group C_p x| D_{2*lam} for edge-biregular maps.
 
     The generating reflections lam and lam + 1 of the dihedral group of
-    order nu = 2*lam can act on C_p only as multiplication by 1 or -1.  Each pair of these images
-    gives the action of D_nu by the helper in ``groups``, ``semidirect``
-    rejects the pairs that are no homomorphism (product -1, lam odd), and
-    all maps found are listed up to duality, twins and isomorphism, one per
-    class of ``census.enumerate_maps``.
+    order nu = 2*lam can act on C_p only as multiplication by 1 or -1.
+    ``semidirect`` takes each pair of these images, rejects the pairs that
+    are no homomorphism (product -1, lam odd), and all maps found are listed
+    up to duality, twins and isomorphism, one per class of
+    ``census.enumerate_maps``.
 
     Every found map of type (k, l) with l/2 >= 3 and p dividing neither k/2
     nor l/2 is checked against the structural restrictions: l = nu with
@@ -506,14 +505,12 @@ def cyclic_by_dihedral_probe(p: int, lam: int) -> list[EdgeBiregularMap]:
     nu = 2 * lam
     dih = dihedral(nu)
     cp = cyclic(p)
-    reflections = [[row[g] for row in dih.mul] for g in (lam, lam + 1)]
     signs = (tuple(range(p)), tuple(-c % p for c in range(p)))  # multiplication by 1 and by -1
     found: dict[tuple[int, ...], EdgeBiregularMap] = {}
     for e1 in signs:
         for e2 in signs:
-            action = _generated_action(reflections, (e1, e2))
             try:
-                grp = semidirect(cp, dih, action, name=f"C{p}:D{nu}")
+                grp = semidirect(cp, dih, {lam: e1, lam + 1: e2}, name=f"C{p}:D{nu}")
             except ValueError:  # (e1 e2)^lam = -1: not a homomorphism
                 continue
             for key, m in enumerate_maps(grp).items():

@@ -11,7 +11,9 @@ point 0.  The builders make whole rows at a time from tuple slices,
 rotations and ``map`` over them, not entry by entry: a cyclic or dihedral
 row is a rotated or reversed ``range``, and a row of a direct or
 semidirect product adds A's row, scaled by |B| and each entry repeated |B|
-times, to B's row tiled |A| times.  Element orders come from walking each
+times, to B's row tiled |A| times.  A semidirect product is given by the
+automorphisms of A attached to generators of B; it composes the action of
+the rest of B itself and checks it on those generators.  Element orders come from walking each
 cyclic subgroup once, with ord(a^j) = ord(a) / gcd(j, ord(a)).  The
 conjugates of x come from column x of the table, read one column at a time
 so the whole transpose is never held; the isomorphism fingerprint computes
@@ -28,7 +30,7 @@ formulas in this package follow that convention.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from functools import cached_property
 from itertools import permutations
 from math import gcd
@@ -244,9 +246,7 @@ def _group_from_perms(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
     table = tuple(
         tuple(index[_perm_compose(p, q)] for q in perms) for p in perms
     )
-    grp = FiniteGroup(table, name=name)
-    grp.perms = tuple(perms)  # carried for callers
-    return grp
+    return FiniteGroup(table, name=name)
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -285,27 +285,45 @@ def _spread(scaled: list[int], nb: int) -> list[int]:
 
 
 def semidirect(
-    a: FiniteGroup,
-    b: FiniteGroup,
-    action: list[tuple[int, ...]] | tuple[tuple[int, ...], ...],
-    name: str | None = None,
+    a: FiniteGroup, b: FiniteGroup, images: dict[int, Perm], name: str | None = None
 ) -> FiniteGroup:
-    """Semidirect product A x| B for a homomorphism B -> Aut(A).
+    """Semidirect product A x| B from the automorphisms attached to generators of B.
 
-    ``action[y]`` is the permutation of A's elements implementing the
-    automorphism attached to the element y of B, checked by
-    :func:`_check_action`.  Element (x, y) is encoded as x*|B| + y.
+    ``images`` maps each generator g of B (its keys) to the permutation of
+    A's elements implementing the automorphism attached to g.  The action of
+    all of B is composed walking B breadth first from the identity, with
+    action[v*g] = action[v] o images[g].  Element (x, y) is encoded as
+    x*|B| + y.  ValueError unless each image is an automorphism of A (checked
+    on generators of A, so every composite is one too), the keys generate B,
+    and action[v*g] = action[v] o images[g] for every v in B and every key g,
+    which makes v -> action[v] a homomorphism B -> Aut(A).
+    O(|A| (|gens of A| + |B| |images|)).
     """
     na, nb = a.order, b.order
-    if len(action) != nb or len(action[0]) != na:
-        raise ValueError("action must assign a permutation of A to every element of B")
     amul, bmul = a.mul, b.mul
-    _check_action(
-        action,
-        lambda g: [row[g] for row in amul],  # right multiplication by g
-        greedy_generators(a),
-        [[row[g] for row in bmul] for g in greedy_generators(b)],
-    )
+    identity, a_gens = tuple(range(na)), greedy_generators(a)
+    for g, image in images.items():
+        if g not in range(nb):
+            raise ValueError(f"{g} is not an element of B")
+        if sorted(image) != list(identity):
+            raise ValueError(f"the image of {g} is not a permutation of A")
+        for x in a_gens:  # image(y*x) = image(y)*image(x) for every y
+            image_x = image[x]
+            if [image[row[x]] for row in amul] != [amul[z][image_x] for z in image]:
+                raise ValueError(f"the image of {g} is not an automorphism of A")
+    action: list[Perm | None] = [None] * nb
+    action[0] = identity
+    walk = [0]
+    for v in walk:  # grows while it is walked
+        for g, image in images.items():
+            vg, composed = bmul[v][g], _perm_compose(action[v], image)  # type: ignore[arg-type]
+            if action[vg] is None:
+                action[vg] = composed
+                walk.append(vg)
+            elif action[vg] != composed:
+                raise ValueError("action is not a homomorphism B -> Aut(A)")
+    if len(walk) != nb:
+        raise ValueError("the keys do not generate B")
     scaled = [[x * nb for x in arow] for arow in amul]
     tiled = [brow * na for brow in bmul]
     table = tuple(
@@ -314,107 +332,6 @@ def semidirect(
         for y in range(nb)
     )
     return FiniteGroup(table, name=name or f"{a.name}:{b.name}")
-
-
-def _generated_action(b_gens: Sequence[Sequence[int]], images: Sequence[Perm]) -> tuple[Perm, ...]:
-    """The permutations of A attached to all of B, from those of generators.
-
-    Entry i of ``b_gens`` is v -> v*g_i on B's points (a column of B's table
-    or a regular action's permutation), and ``images[i]`` is the permutation
-    of A's elements attached to g_i.  B is walked breadth-first from the
-    identity, point 0, with action[v*g] = action[v] o images[g].
-    :func:`_check_action` checks the result; ValueError when the walk misses
-    a point of B.
-    """
-    action: list[Perm | None] = [None] * len(b_gens[0])
-    action[0] = tuple(range(len(images[0])))
-    walk = [0]
-    for v in walk:  # grows while it is walked
-        for by_g, image in zip(b_gens, images):
-            vg = by_g[v]
-            if action[vg] is None:
-                action[vg] = _perm_compose(action[v], image)  # type: ignore[arg-type]
-                walk.append(vg)
-    if len(walk) != len(action):
-        raise ValueError("the given generators do not generate B")
-    return tuple(action)  # type: ignore[arg-type]
-
-
-def _check_action(
-    action: Sequence[Sequence[int]],
-    right: Callable[[int], Sequence[int]],
-    gens: Sequence[int],
-    b_gens: Sequence[Sequence[int]],
-) -> None:
-    """Raise ValueError unless each action[v] is an automorphism of A and
-    v -> action[v] is a homomorphism B -> Aut(A).
-
-    A's elements are 0..len(action[0])-1, generated by ``gens``, and entry x
-    of ``right(g)`` is x*g; each entry of ``b_gens`` is v -> v*b on B's
-    elements 0..len(action)-1, 0 the identity, for generators b of B.
-    O(|A| (|gens| + |B| |b_gens|)): a map respecting right multiplication by
-    generators respects every product, in A and in B (given the identity's
-    image).
-    """
-    na = len(action[0])
-    for v, perm in enumerate(action):
-        if sorted(perm) != list(range(na)):
-            raise ValueError(f"action[{v}] is not a permutation of A")
-        for g in gens:  # perm(x*g) = perm(x)*perm(g) for every x
-            by_g, by_image = right(g), right(perm[g])
-            if [perm[y] for y in by_g] != [by_image[y] for y in perm]:
-                raise ValueError(f"action[{v}] is not an automorphism of A")
-    if list(action[0]) != list(range(na)):
-        raise ValueError("action is not a homomorphism B -> Aut(A)")
-    for by_b in b_gens:  # action[v*b] = action[v] o action[b] for every v
-        image = action[by_b[0]]
-        for v, vb in enumerate(by_b):
-            if tuple(action[vb]) != _perm_compose(action[v], image):
-                raise ValueError("action is not a homomorphism B -> Aut(A)")
-
-
-def quotient(g: FiniteGroup, normal: set[int] | frozenset[int], name: str | None = None) -> FiniteGroup:
-    """Quotient of g by a normal subgroup given as a set of element indices."""
-    n = g.order
-    nset = frozenset(normal)
-    if 0 not in nset:
-        raise ValueError("normal subgroup must contain the identity")
-    for x in nset:
-        if g.inv[x] not in nset or any(g.mul[x][y] not in nset for y in nset):
-            raise ValueError("subset is not a subgroup")
-    for x in range(n):
-        xinv = g.inv[x]
-        for h in nset:
-            if g.mul[g.mul[x][h]][xinv] not in nset:
-                raise ValueError("subgroup is not normal")
-    coset_of: list[int | None] = [None] * n
-    reps: list[int] = []
-    for x in range(n):
-        if coset_of[x] is None:
-            cid = len(reps)
-            reps.append(x)
-            for h in nset:
-                coset_of[g.mul[x][h]] = cid
-    table = tuple(
-        tuple(coset_of[g.mul[ra][rb]] for rb in reps) for ra in reps
-    )
-    return FiniteGroup(table, name=name or f"{g.name}/N{len(nset)}")
-
-
-def multiplicative_units(n: int) -> FiniteGroup:
-    """Group of units mod n; element i of the table is the i-th unit in order.
-
-    For prime p this is Aut(C_p) acting on C_p by multiplication.  U(1) is
-    trivial, its one unit listed as 0.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    units = [k for k in range(1, n) if gcd(k, n) == 1] or [0]
-    index = {u: i for i, u in enumerate(units)}
-    table = tuple(tuple(index[(u * v) % n] for v in units) for u in units)
-    grp = FiniteGroup(table, name=f"U({n})")
-    grp.units = tuple(units)  # carried for callers
-    return grp
 
 
 def group_from_action(perms: tuple[Perm, ...], name: str) -> FiniteGroup:

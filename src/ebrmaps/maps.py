@@ -20,8 +20,8 @@ permutations of |H| points, one per mark, so its size is linear in |H|; a
 semi-edge map is stored the same way, with three.  Point 0 is the
 identity, as element 0 is in every group table and coset 0 in every coset
 table, so each mark is its permutation's image of 0.  Every invariant
-below is computed from the permutations.  A dense multiplication table is
-built only on request (``m.group``), for abstract isomorphism tests.
+below is computed from the permutations, and a map keeps no dense
+multiplication table.
 
 Orientability is computed two independent ways (index of the subgroup of
 even words, and 2-colorability of the flag graph) which must agree.
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property
 
 from .groups import (
     DEFAULT_MAX_COSETS,
@@ -41,7 +40,6 @@ from .groups import (
     _Record,
     _same_standard_table,
     _standard_rows,
-    group_from_action,
     subgroup_closure,
 )
 
@@ -108,12 +106,6 @@ class EdgeBiregularMap(_Record):
     def t(self) -> int:
         return self.perms[3][0]
 
-    @cached_property
-    def group(self) -> FiniteGroup:
-        """The dense group, built from the action on first use (|H|^2 entries).
-        For a map found on a dense group it is that group's table again."""
-        return group_from_action(self.perms, self.name)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         k, l = type_of(self)
         return f"EdgeBiregularMap({self.name}, order={self.order}, type=({k},{l}))"
@@ -132,11 +124,10 @@ def _check_involutions(perms: Sequence[Perm], names: Sequence[str]) -> None:
     if not points:
         raise MapStructureError("mark permutations are empty")
     for name, perm in zip(names, perms):
-        try:
-            if perm[0] == 0 or any(perm[perm[h]] != h for h in points):
-                raise NotInvolution(f"mark {name} is not an involution")
-        except IndexError:
-            raise MapStructureError(f"mark {name} has an entry outside range(|H|)") from None
+        if min(perm) < 0 or max(perm) >= len(points):
+            raise MapStructureError(f"mark {name} has an entry outside range(|H|)")
+        if perm[0] == 0 or any(perm[perm[h]] != h for h in points):
+            raise NotInvolution(f"mark {name} is not an involution")
 
 
 def _check_marks(perms: tuple[Perm, ...]) -> None:

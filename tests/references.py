@@ -13,7 +13,6 @@ from ebrmaps.families import FamilyParams, _assert_probe_conformance, valency_ei
 from ebrmaps.groups import (
     FiniteGroup,
     VerificationError,
-    _generated_action,
     cyclic,
     direct_product,
     greedy_generators,
@@ -116,12 +115,27 @@ def relabelled(g: FiniteGroup, rng) -> tuple[FiniteGroup, list[int]]:
     return FiniteGroup(tuple(map(tuple, table)), name=g.name), perm
 
 
+def quotient(g: FiniteGroup, normal: set[int], name: str) -> FiniteGroup:
+    """The quotient of g by a normal subgroup, given as a set of elements
+    and not checked; each coset is numbered in the order of its least
+    element."""
+    coset_of: list[int | None] = [None] * g.order
+    reps: list[int] = []
+    for x in range(g.order):
+        if coset_of[x] is None:
+            for h in normal:
+                coset_of[g.mul[x][h]] = len(reps)
+            reps.append(x)
+    return FiniteGroup(tuple(tuple(coset_of[g.mul[a][b]] for b in reps) for a in reps), name)
+
+
 def is_map_isomorphic(a: EdgeBiregularMap, b: EdgeBiregularMap) -> bool:
     """Group isomorphism carrying a's quadruple to b's, in order, found on
     the dense groups."""
     if a.order != b.order or type_of(a) != type_of(b):
         return False
-    return _extend_iso(a.group, a.marks, b.group, b.marks) is not None
+    a_group, b_group = group_from_action(a.perms, a.name), group_from_action(b.perms, b.name)
+    return _extend_iso(a_group, a.marks, b_group, b.marks) is not None
 
 
 def group_from_presentation(pres: Presentation) -> tuple[FiniteGroup, tuple[int, ...]]:
@@ -140,16 +154,15 @@ def cyclic_fitting_reference(q: FamilyParams) -> EdgeBiregularMap:
     kappa, lam = q.kappa, q.lam
     a = direct_product(cyclic(lam), cyclic(kappa))  # u^i w^m is i*kappa + m
     v4 = direct_product(cyclic(2), cyclic(2))  # s^b1 t^b2 is 2*b1 + b2
-    action = [
-        tuple(
+    images = {  # for s and t
+        2 * b1 + b2: tuple(
             (i * (-1) ** b1 * (-q.j) ** b2) % lam * kappa + (m * (-1) ** b2) % kappa
             for i in range(lam)
             for m in range(kappa)
         )
-        for b1 in (0, 1)
-        for b2 in (0, 1)
-    ]
-    group = semidirect(a, v4, action, name=f"cf({kappa},{lam},{q.j})")
+        for b1, b2 in ((1, 0), (0, 1))
+    }
+    group = semidirect(a, v4, images, name=f"cf({kappa},{lam},{q.j})")
     s, t, st = 2, 1, 3  # (f, v) is f*4 + v
     x = (lam - 1) * kappa * 4 + s
     y = (q.a * kappa + (kappa - 1) // 2) * 4 + st
@@ -167,9 +180,8 @@ def valency_eight_reference(m: int) -> EdgeBiregularMap:
     lam = m // power
     b, b_marks = group_from_presentation(parse_presentation(valency_eight_text(power)))
     keep, invert = tuple(range(lam)), tuple(-c % lam for c in range(lam))
-    columns = [[row[g] for row in b.mul] for g in b_marks]
-    action = _generated_action(columns, (invert, invert, invert, keep))
-    group = semidirect(cyclic(lam), b, action, name=f"ve({m})")
+    images = dict(zip(b_marks, (invert, invert, invert, keep)))
+    group = semidirect(cyclic(lam), b, images, name=f"ve({m})")
     xb, yb, sb, tb = b_marks
     return new_map(group, (xb, yb, 1 % lam * b.order + sb, tb))
 
@@ -285,7 +297,7 @@ def check_action_exhaustive(a: FiniteGroup, b: FiniteGroup, action) -> None:
     """B acts on A through ``action``, checked on every pair of elements in
     O(|A|^2 |B|): each action[y] is a permutation of A preserving every
     product, and action[y1 y2] = action[y1] o action[y2].  Raises
-    ValueError with the messages of ``groups._check_action``."""
+    ValueError naming the first check that fails."""
     amul = a.mul
     for y, perm in enumerate(action):
         if sorted(perm) != list(range(a.order)):
@@ -299,6 +311,20 @@ def check_action_exhaustive(a: FiniteGroup, b: FiniteGroup, action) -> None:
             composed = tuple(action[y1][action[y2][x]] for x in range(a.order))
             if tuple(action[b.mul[y1][y2]]) != composed:
                 raise ValueError("action is not a homomorphism B -> Aut(A)")
+
+
+def composed_action(b: FiniteGroup, images: dict, na: int) -> list[tuple[int, ...]]:
+    """The permutations of A's na elements attached to every element of B,
+    composed from the images of the keys, which must generate B: sweeps
+    B in index order, action[v*g] = action[v] o images[g], until every
+    element has one.  Checks nothing."""
+    action = {0: tuple(range(na))}
+    while len(action) < b.order:
+        for v in range(b.order):
+            for g, image in images.items():
+                if v in action and b.mul[v][g] not in action:
+                    action[b.mul[v][g]] = tuple(action[v][image[x]] for x in range(na))
+    return [action[v] for v in range(b.order)]
 
 
 def element_orders(g: FiniteGroup) -> tuple[int, ...]:

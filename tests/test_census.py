@@ -20,7 +20,6 @@ from ebrmaps.census import (
     ATLAS_EXPECTED_COUNTS,
     ATLAS_ORDERS,
     UnsupportedOrder,
-    _extension,
     admissible_types,
     atlas,
     catalog_json,
@@ -43,6 +42,7 @@ from ebrmaps.groups import (
     cyclic,
     dihedral,
     direct_product,
+    semidirect,
     symmetric,
 )
 from ebrmaps.maps import (
@@ -55,6 +55,7 @@ from references import (
     all_map_quadruples_by_scan,
     are_isomorphic_by_extension,
     enumerate_maps_by_key,
+    quotient,
     relabelled,
 )
 
@@ -192,13 +193,13 @@ def test_extension_composes_the_action_from_generator_images():
     # C3's generator inverting C3 is no action: its cube would invert too
     inversion = (0, 2, 1)
     with pytest.raises(ValueError, match=r"^action is not a homomorphism B -> Aut\(A\)$"):
-        _extension(cyclic(3), cyclic(3), {1: inversion}, "bad")
+        semidirect(cyclic(3), cyclic(3), {1: inversion}, "bad")
     # swapping a generator of C4 with its involution is no automorphism
-    with pytest.raises(ValueError, match=r"^action\[1\] is not an automorphism of A$"):
-        _extension(cyclic(4), cyclic(2), {1: (0, 2, 1, 3)}, "bad")
+    with pytest.raises(ValueError, match=r"^the image of 1 is not an automorphism of A$"):
+        semidirect(cyclic(4), cyclic(2), {1: (0, 2, 1, 3)}, "bad")
     # C5 x| D8, the rotation (element 1) inverting and the reflection
     # (element 4) centralizing; (0, d)(c, 0) = (c^d, d) is element c^d*8 + d
-    g = _extension(cyclic(5), dihedral(8), {1: (0, 4, 3, 2, 1), 4: tuple(range(5))}, "C5:D8")
+    g = semidirect(cyclic(5), dihedral(8), {1: (0, 4, 3, 2, 1), 4: tuple(range(5))}, "C5:D8")
     for d in range(8):
         act = tuple(g.mul[d][c * 8] // 8 for c in range(5))
         assert act == ((0, 4, 3, 2, 1) if d % 2 else (0, 1, 2, 3, 4)), d
@@ -343,6 +344,15 @@ def test_atlas_tables_and_derived_data_are_pinned():
     # digests of the atlas as built entry by entry at commit 21841ad
     groups = [g for n in ATLAS_ORDERS for g in atlas(n)]
     assert len(groups) == 137
+    # D8 o C4 was then the quotient of D8 x C4 by {(e, 0), (r^2, 2)}; it is
+    # now built as (C4 x C2) x| C2, an isomorphic group with its own table
+    i = [g.name for g in groups].index("D8oC4")
+    glued = quotient(direct_product(dihedral(8), cyclic(4)), {0, 2 * 4 + 2}, "D8oC4")
+    assert are_isomorphic(groups[i], glued)
+    assert hashlib.sha256(repr(groups[i].mul).encode()).hexdigest() == (
+        "af6199318621c63453e0cde5803d671f2eba4e4ceffee3af312034f0dfc17cb6"
+    )
+    groups[i] = glued
     tables = repr([(g.name, g.mul) for g in groups]).encode()
     derived = repr(
         [(g.name, 0, g.inv, g.element_orders, g.fingerprint) for g in groups]

@@ -14,7 +14,7 @@ import pytest
 
 from ebrmaps import census, families
 from ebrmaps.cli import _PROBE_GRID, main
-from ebrmaps.groups import VerificationError
+from ebrmaps.groups import VerificationError, group_from_action
 from ebrmaps.maps import load_map, map_file_text
 from ebrmaps.presentations import MAX_NESTING
 
@@ -235,7 +235,7 @@ def test_construct_families_round_trip(tmp_path, capsys):
         code = main(["construct", *extra, "--out", str(out_file)])
         assert code == 0
         m = load_map(out_file.read_text())
-        assert m.group.order == order
+        assert group_from_action(m.perms, m.name).order == order
 
 
 def test_construct_requires_family_parameters(capsys):
@@ -524,10 +524,11 @@ def test_export_cayley_witnesses_defining_relation(tmp_path, capsys):
     x_edges = {frozenset((a, b)) for a, b, label, _ in edges if label == "x"}
 
     m = load_map(f.read_text())
-    mul = m.group.mul
+    group = group_from_action(m.perms, m.name)
+    mul = group.mul
     t, y = m.t, m.y
     tyt_edges = {
-        frozenset((h, mul[mul[mul[h][t]][y]][t])) for h in range(m.group.order)
+        frozenset((h, mul[mul[mul[h][t]][y]][t])) for h in range(group.order)
     }
     assert x_edges == tyt_edges
 

@@ -11,7 +11,6 @@ import pytest
 
 from ebrmaps.groups import (
     FiniteGroup,
-    _generated_action,
     _same_standard_table,
     alternating,
     are_isomorphic,
@@ -20,8 +19,7 @@ from ebrmaps.groups import (
     dihedral,
     direct_product,
     greedy_generators,
-    multiplicative_units,
-    quotient,
+    group_from_action,
     semidirect,
     subgroup_closure,
     symmetric,
@@ -29,6 +27,7 @@ from ebrmaps.groups import (
 from ebrmaps import census, families
 from references import (
     check_action_exhaustive,
+    composed_action,
     element_orders,
     fingerprint,
     is_abelian,
@@ -102,7 +101,13 @@ def test_dicyclic():
 def test_symmetric_and_alternating():
     s4 = symmetric(4)
     assert s4.order == 24
-    assert len(s4.perms) == 24
+    # element i is the i-th permutation in sorted order, and i*j applies j first
+    perms = sorted(itertools.permutations(range(4)))
+    assert all(
+        perms[s4.mul[i][j]] == tuple(p[k] for k in q)
+        for i, p in enumerate(perms)
+        for j, q in enumerate(perms)
+    )
     assert sorted(s4.element_orders) == sorted([1] + [2] * 9 + [3] * 8 + [4] * 6)
     a5 = alternating(5)
     assert a5.order == 60
@@ -126,106 +131,127 @@ def test_direct_product():
 
 def test_semidirect_builds_dihedral():
     c6 = cyclic(6)
-    inversion = tuple(c6.inv)
-    identity = tuple(range(6))
-    g = semidirect(c6, cyclic(2), (identity, inversion), name="C6:C2")
+    g = semidirect(c6, cyclic(2), {1: tuple(c6.inv)}, name="C6:C2")
     assert g.order == 12
     assert are_isomorphic(g, dihedral(12))
 
 
 def test_semidirect_rejects_non_action():
-    c4 = cyclic(4)
-    bad = (tuple(range(4)), (0, 2, 1, 3))  # not an automorphism of C4
-    with pytest.raises(ValueError):
-        semidirect(c4, cyclic(2), bad)
-    wrong_length = "action must assign a permutation of A to every element of B"
-    for action in ((tuple(range(4)),), (tuple(range(3)), (0, 2, 1))):
-        with pytest.raises(ValueError, match=wrong_length):
-            semidirect(c4, cyclic(2), action)
-    with pytest.raises(ValueError, match=r"action\[1\] is not a permutation of A"):
-        semidirect(c4, cyclic(2), (tuple(range(4)), (0, 0, 2, 3)))
+    inversion = (0, 4, 3, 2, 1)  # of C5
+    faults = [
+        (cyclic(4), cyclic(2), {1: (0, 0, 2, 3)}, "the image of 1 is not a permutation of A"),
+        (cyclic(4), cyclic(2), {1: (0, 2, 1)}, "the image of 1 is not a permutation of A"),
+        # swapping a generator of C4 with its involution
+        (cyclic(4), cyclic(2), {1: (0, 2, 1, 3)}, "the image of 1 is not an automorphism of A"),
+        # v -> v + 2 generates only a subgroup of order 2 of C4
+        (cyclic(5), cyclic(4), {2: inversion}, "the keys do not generate B"),
+        # two commuting reflections of D8 generate a Klein four subgroup
+        (cyclic(5), dihedral(8), {4: inversion, 6: inversion}, "the keys do not generate B"),
+        # C3's generator inverting C3 is no action: its cube would invert too
+        (cyclic(3), cyclic(3), {1: (0, 2, 1)}, "action is not a homomorphism B -> Aut(A)"),
+        # the identity of B must act trivially
+        (cyclic(5), cyclic(1), {0: inversion}, "action is not a homomorphism B -> Aut(A)"),
+        (cyclic(5), cyclic(2), {2: inversion}, "2 is not an element of B"),
+        (cyclic(5), cyclic(2), {-1: inversion}, "-1 is not an element of B"),
+    ]
+    for a, b, images, message in faults:
+        assert rejection(semidirect, a, b, images) == message, (a.name, b.name, images)
+    # a trivial B needs no generator
+    assert semidirect(cyclic(5), cyclic(1), {}).order == 5
+
+
+def _failed_check(message):
+    """The check a rejection message names, the same for semidirect and the
+    exhaustive reference; None when accepted."""
+    return message and message.split(" is not ")[-1]
+
+
+def _image_faults(*messages):
+    """Whether every message names a fault of a single image."""
+    return all(m and not m.endswith("B -> Aut(A)") for m in messages)
 
 
 def test_action_check_agrees_with_the_exhaustive_reference():
-    # semidirect checks through generators of A in O(|A|); the reference
-    # checks every pair of elements.  Same verdict, same message.
+    # semidirect checks each image on generators of A and composes the rest
+    # of B; the reference checks every pair of elements of the composed
+    # action.  Same verdict, on the same failed check.
     c2, v4 = cyclic(2), direct_product(cyclic(2), cyclic(2))
     accepted = {}
     for a in (cyclic(4), v4, cyclic(6), symmetric(3)):
         identity = tuple(range(a.order))
         accepted[a.name] = 0
         for perm in itertools.permutations(range(a.order)):
-            action = (identity, perm)
-            got = rejection(semidirect, a, c2, action)
-            assert got == rejection(check_action_exhaustive, a, c2, action), (a.name, perm)
+            got = rejection(semidirect, a, c2, {1: perm})
+            want = rejection(check_action_exhaustive, a, c2, (identity, perm))
+            assert _failed_check(got) == _failed_check(want), (a.name, perm)
             accepted[a.name] += got is None
     # the automorphisms of order at most 2
     assert accepted == {"C4": 2, "C2xC2": 4, "C6": 2, "S3": 4}
-    # V_4 on V_4: every assignment of permutations to the three
-    # non-identity elements; the 10 homomorphisms V_4 -> Aut(V_4) = S_3 pass
+    # V_4 on V_4 from any two permutations for its generators 1 and 2: the
+    # 10 homomorphisms V_4 -> Aut(V_4) = S_3 pass
     count = 0
-    for images in itertools.product(itertools.permutations(range(4)), repeat=3):
-        action = ((0, 1, 2, 3), *images)
-        got = rejection(semidirect, v4, v4, action)
-        assert got == rejection(check_action_exhaustive, v4, v4, action), images
+    for p1, p2 in itertools.product(itertools.permutations(range(4)), repeat=2):
+        got = rejection(semidirect, v4, v4, {1: p1, 2: p2})
+        want = rejection(check_action_exhaustive, v4, v4, composed_action(v4, {1: p1, 2: p2}, 4))
+        assert _failed_check(got) == _failed_check(want), (p1, p2)
         count += got is None
     assert count == 10
+    # random images of random elements of B, mostly automorphisms of A (unit
+    # multiples of a cyclic A, any permutation of V_4 fixing 0), some other
+    # permutations and some non-permutations
+    rng = random.Random(26)
+    autos = {
+        a: [tuple(x * u % a.order for x in range(a.order)) for u in range(1, a.order)
+            if math.gcd(u, a.order) == 1]
+        for a in (cyclic(5), cyclic(8), cyclic(7))
+    }
+    autos[v4] = [(0, *p) for p in itertools.permutations((1, 2, 3))]
+    bs = (cyclic(4), cyclic(6), dihedral(8), dihedral(6), dicyclic(2), v4)
+    outcomes = {}
+    for _ in range(400):
+        a, b = rng.choice(list(autos)), rng.choice(bs)
+        images = {}
+        for g in rng.sample(range(1, b.order), rng.randint(1, 3)):
+            image = list(rng.choice(autos[a]))
+            if rng.random() < 0.1:
+                rng.shuffle(image)
+            if rng.random() < 0.05:
+                image[rng.randrange(a.order)] = image[0]
+            images[g] = tuple(image)
+        got = rejection(semidirect, a, b, images)
+        if len(subgroup_closure(b, tuple(images))) < b.order:
+            assert got is not None
+            outcomes["keys"] = outcomes.get("keys", 0) + 1
+            continue
+        action = composed_action(b, images, a.order)
+        want = rejection(check_action_exhaustive, a, b, action)
+        # with several faulty images the two checks may name different ones
+        assert _failed_check(got) == _failed_check(want) or _image_faults(got, want), images
+        if got is None:
+            g = semidirect(a, b, images)
+            nb = b.order  # (0, y)(x, 0) is (action[y](x), y), element action[y](x)*|B| + y
+            assert all(g.mul[y][x * nb] == action[y][x] * nb + y for y in range(nb) for x in range(a.order))
+        outcomes[_failed_check(got)] = outcomes.get(_failed_check(got), 0) + 1
+    assert set(outcomes) == {
+        None, "keys", "a permutation of A", "an automorphism of A", "a homomorphism B -> Aut(A)"
+    }, outcomes
 
 
 def test_action_check_with_a_non_abelian_b():
-    # every map from the 6 elements of D_6 (non-abelian) to {identity,
-    # inversion} on C_5: the trivial map and the sign are the only
-    # homomorphisms, checked on B's generators against every pair
+    # D_6's generating reflections 3 and 4 each act on C_5 as the identity or
+    # inversion: the trivial action and the sign are the only homomorphisms,
+    # as the reference finds checking every pair of elements
     c5, d6 = cyclic(5), dihedral(6)
     choices = (tuple(range(5)), c5.inv)
     accepted = []
-    for signs in itertools.product((0, 1), repeat=6):
-        action = tuple(choices[sign] for sign in signs)
-        got = rejection(semidirect, c5, d6, action)
-        assert got == rejection(check_action_exhaustive, c5, d6, action), signs
+    for signs in itertools.product((0, 1), repeat=2):
+        images = {3: choices[signs[0]], 4: choices[signs[1]]}
+        got = rejection(semidirect, c5, d6, images)
+        want = rejection(check_action_exhaustive, c5, d6, composed_action(d6, images, 5))
+        assert _failed_check(got) == _failed_check(want), signs
         if got is None:
             accepted.append(signs)
-    assert accepted == [(0,) * 6, (0, 0, 0, 1, 1, 1)]
-    # a trivial B has no generators: only the identity's image is checked
-    for action in ((choices[0],), (choices[1],)):
-        got = rejection(semidirect, c5, cyclic(1), action)
-        assert got == rejection(check_action_exhaustive, c5, cyclic(1), action)
-    assert got == "action is not a homomorphism B -> Aut(A)"
-
-
-def test_quotient_of_dihedral_by_center():
-    d8 = dihedral(8)
-    center = {0, 2}  # identity and the half-turn rotation
-    q = quotient(d8, center)
-    assert q.order == 4
-    assert q.is_abelian()
-    assert sorted(q.element_orders) == [1, 2, 2, 2]  # Klein four group
-
-
-def test_quotient_rejects_non_normal_subset():
-    d8 = dihedral(8)
-    with pytest.raises(ValueError):
-        quotient(d8, {0, 4})  # a reflection generates a non-normal C2
-    with pytest.raises(ValueError, match="normal subgroup must contain the identity"):
-        quotient(d8, {2})
-    with pytest.raises(ValueError, match="subset is not a subgroup"):
-        quotient(d8, {0, 1})  # the rotation 1 has order 4
-
-
-def test_multiplicative_units():
-    u8 = multiplicative_units(8)
-    assert u8.order == 4
-    assert sorted(u8.units) == [1, 3, 5, 7]
-    assert sorted(u8.element_orders) == [1, 2, 2, 2]
-    u5 = multiplicative_units(5)
-    assert u5.order == 4
-    assert 4 in u5.element_orders  # 2 and 3 generate
-    u1 = multiplicative_units(1)
-    assert (u1.mul, u1.units, u1.name) == (((0,),), (0,), "U(1)")
-    assert multiplicative_units(2).units == (1,)
-    for n in (0, -5):
-        with pytest.raises(ValueError, match="n must be positive"):
-            multiplicative_units(n)
+    assert accepted == [(0, 0), (1, 1)]
 
 
 def test_subgroup_closure():
@@ -235,27 +261,6 @@ def test_subgroup_closure():
     assert set(subgroup_closure(d8, (refl,))) == {0, refl}
     assert len(subgroup_closure(d8, (4, 5))) == 8
     assert set(subgroup_closure(d8, (1,))) == {0, 1, 2, 3}
-
-
-def test_generated_action_composes_b_from_generator_images():
-    identity, inversion = tuple(range(5)), (0, 4, 3, 2, 1)
-    # B = C4 given by a regular action's permutation v -> v + 1 of its generator
-    assert _generated_action([(1, 2, 3, 0)], [inversion]) == (identity, inversion) * 2
-    # B = D8 given by its table's columns for the two generating reflections
-    # (the reflections are elements 4..7), each inverting C5
-    d8 = dihedral(8)
-    columns = [[row[g] for row in d8.mul] for g in (4, 5)]
-    action = _generated_action(columns, [inversion, inversion])
-    assert action == (identity,) * 4 + (inversion,) * 4
-    # v -> v + 2 generates only a subgroup of order 2 of C4, in either form
-    c4 = cyclic(4)
-    message = r"^the given generators do not generate B$"
-    with pytest.raises(ValueError, match=message):
-        _generated_action([(2, 3, 0, 1)], [inversion])
-    with pytest.raises(ValueError, match=message):
-        _generated_action([[row[2] for row in c4.mul]], [inversion])
-    with pytest.raises(ValueError, match=message):
-        census._extension(cyclic(5), c4, {2: inversion}, "x")
 
 
 def test_extends_to_isomorphism():
@@ -366,13 +371,15 @@ def test_derived_data_agrees_with_the_dense_references(monkeypatch):
     monkeypatch.setattr(families, "semidirect", recording_semidirect)
     families.cyclic_by_dihedral_probe(5, 3)
     assert [g.name for g in probed] == ["C5:D6", "C5:D6"]
+    dh1 = families.dihedral_family_1(5)
     groups = [
         symmetric(5),
         alternating(5),
-        multiplicative_units(15),
-        quotient(dihedral(24), {0, 6}),
+        dicyclic(8),
+        # the holomorph of C9: C9 x| C6, the generator multiplying by 2
+        semidirect(cyclic(9), cyclic(6), {1: tuple(2 * c % 9 for c in range(9))}, "Hol(C9)"),
         *probed,
-        families.dihedral_family_1(5).group,
+        group_from_action(dh1.perms, dh1.name),
     ]
     for g in groups:
         assert g.element_orders == element_orders(g), g.name

@@ -16,7 +16,14 @@ import ebrmaps.maps as maps_module
 from ebrmaps import census, families
 from ebrmaps.census import ATLAS_ORDERS, _constructive_entries, admissible_types, atlas, classify
 from ebrmaps.families import chi_minus_2_catalog
-from ebrmaps.groups import cyclic, dihedral, direct_product, subgroup_closure, symmetric
+from ebrmaps.groups import (
+    cyclic,
+    dihedral,
+    direct_product,
+    group_from_action,
+    subgroup_closure,
+    symmetric,
+)
 from ebrmaps.maps import (
     EdgeBiregularMap,
     MapStructureError,
@@ -127,7 +134,7 @@ def test_exception_hierarchy():
 def test_type_and_counts():
     m = load_map(TORUS_LIKE)
     # relator x y t s means xy = st is central of order 2: order 16 group
-    assert m.group.order == 16
+    assert group_from_action(m.perms, m.name).order == 16
     assert type_of(m) == (8, 8)
     assert counts(m) == (2, 8, 2)
     assert euler_characteristic(m) == -4
@@ -146,7 +153,7 @@ def test_euler_characteristic_formula_is_exact():
 def test_flag_structure():
     m = load_map(TORUS_LIKE)
     fs = flag_structure(m)
-    assert fs.num_flags == 2 * m.group.order
+    assert fs.num_flags == 2 * group_from_action(m.perms, m.name).order
     for p in (fs.rho0, fs.rho1, fs.rho2):
         assert sorted(p) == list(range(fs.num_flags))
         assert all(p[p[f]] == f for f in range(fs.num_flags))  # involutions
@@ -265,7 +272,7 @@ def test_equivalence_key_decides_equivalence_up_to_duality():
 
 def _relabelled(m, rng):
     """The same map with H renumbered by a random permutation."""
-    group, perm = relabelled(m.group, rng)
+    group, perm = relabelled(group_from_action(m.perms, m.name), rng)
     return new_map(group, tuple(perm[z] for z in m.marks))
 
 
@@ -296,7 +303,8 @@ def _dense_standard_table(group, marks):
 def _dense_key(m):
     x, y, s, t = m.marks
     orderings = ((x, y, s, t), (y, x, t, s), (s, t, x, y), (t, s, y, x))
-    return min(_dense_standard_table(m.group, marks) for marks in orderings)
+    group = group_from_action(m.perms, m.name)
+    return min(_dense_standard_table(group, marks) for marks in orderings)
 
 
 def test_permutation_invariants_match_dense_references():
@@ -304,13 +312,13 @@ def test_permutation_invariants_match_dense_references():
     # reference computed on the dense multiplication table
     maps = _small_quadruples() + chi_minus_2_catalog()
     for m in maps:
-        g = m.group
+        g = group_from_action(m.perms, m.name)
         x, y, s, t = m.marks
         k = 2 * g.element_orders[g.mul[t][y]]
         l = 2 * g.element_orders[g.mul[s][x]]
         assert type_of(m) == (k, l)
         assert counts(m) == (g.order // k, g.order // 2, g.order // l)
-        assert is_orientable(m) == (index_of_even_subgroup((m.group, m.marks)) == 2)
+        assert is_orientable(m) == (index_of_even_subgroup((g, m.marks)) == 2)
         assert is_fully_regular(m) == is_map_isomorphic(m, twin(m))
         assert is_self_dual(m) == is_map_isomorphic(m, dual(m))
         assert equivalence_key(m) == _dense_key(m)
@@ -348,7 +356,7 @@ def test_map_from_presentation_holds_only_the_action(monkeypatch):
     assert m.order == 16 and len(m.perms) == 4
     assert m.marks == tuple(perm[0] for perm in m.perms)
     group, marks = group_from_presentation(parse_presentation(strip_mark_lines(TORUS_LIKE)))
-    assert m.group.mul == group.mul
+    assert group_from_action(m.perms, m.name).mul == group.mul
     assert m.marks == marks
     # a map found on a dense group rebuilds that group's table exactly: every
     # class kept over the p = 2 atlas orders and in the groups searched by
@@ -370,7 +378,7 @@ def test_map_from_presentation_holds_only_the_action(monkeypatch):
     kept = [(g, m) for g, found in searched for m in found.values()]
     assert len(kept) == 12 + 28  # 12 at p = 2, 28 in the probe's groups
     for g, m in kept:
-        assert m.group.mul == g.mul, g.name
+        assert group_from_action(m.perms, m.name).mul == g.mul, g.name
 
 
 def test_map_from_action_validates():
@@ -393,6 +401,8 @@ def test_map_from_action_rejects_malformed_permutations():
     faults = [
         ((px, py, ps, pt + (8, 9)), "mark permutations have different lengths"),
         (((5, 0), (1, 0), (1, 0), (1, 0)), r"mark x has an entry outside range\(\|H\|\)"),
+        # an entry -1 must not be read, by negative indexing, as the last point
+        ((px[:3] + (-1,) + px[4:], py, ps, pt), r"mark x has an entry outside range\(\|H\|\)"),
         (((), (), (), ()), "mark permutations are empty"),
     ]
     for perms, message in faults:
@@ -424,9 +434,9 @@ TETRAHEDRON = ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
 def _s4_columns(*images):
     """The columns of symmetric(4)'s table for the permutations of 0..3
     with the given images."""
-    s4 = symmetric(4)
-    index = {p: i for i, p in enumerate(s4.perms)}
-    return _columns(s4, [index[p] for p in images])
+    # symmetric(4) numbers its elements in sorted order
+    index = {p: i for i, p in enumerate(sorted(itertools.permutations(range(4))))}
+    return _columns(symmetric(4), [index[p] for p in images])
 
 
 def test_semi_edge_tetrahedron():
@@ -465,6 +475,8 @@ def test_semi_edge_validation():
         insert_semi_edges((r0, double, r2))
     with pytest.raises(MapStructureError, match=r"^mark r1 has an entry outside range\(\|H\|\)$"):
         insert_semi_edges((r0, (24,) + r1[1:], r2))
+    with pytest.raises(MapStructureError, match=r"^mark r0 has an entry outside range\(\|H\|\)$"):
+        insert_semi_edges((r0[:3] + (-1,) + r0[4:], r1, r2))
     with pytest.raises(MapStructureError, match="^mark permutations have different lengths$"):
         insert_semi_edges((r0, r1, r2 + (24,)))
 
