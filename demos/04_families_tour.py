@@ -1,26 +1,25 @@
 """The parameterized families of maps with chi = -p, p an odd prime.
 
-Four constructions cover the classification on these surfaces:
+Each family constructor returns a Member (a catalog label, a presentation
+text and the order and type its map must have); ``build()`` makes the map
+and checks it.  Five constructions cover the classification on these
+surfaces:
 
-* dihedral_family_1(p): single-vertex maps of type (4(p+1), 4);
-* dihedral_family_2(p): two-vertex maps of type (2(p+2), 4);
-* cyclic_fitting_map(params): type (4 kappa, 2 lam) maps whose
-  largest nilpotent normal subgroup is cyclic, built as an explicit split
-  extension and certified against their relators;
-* valency_eight_map(m): type (8, 6m) maps of order 24m (chi = -(9m-4)),
-  built and certified the same way;
-* exceptional_order36_map(): the unique fully regular member, type (4, 6).
+* dh1(p): single-vertex maps of type (4(p+1), 4);
+* dh2(p): two-vertex maps of type (2(p+2), 4);
+* hpj(kappa, lam, j): type (4 kappa, 2 lam) maps whose largest nilpotent
+  normal subgroup is cyclic, built from the cosets of a cyclic subgroup
+  and certified against their relators;
+* hp(m): type (8, 6m) maps of order 24m (chi = -(9m-4)), built and
+  certified the same way;
+* h3(): the unique fully regular member, type (4, 6).
+
+``members(p)`` lists the members with chi = -p in catalog order.
 """
 
-from ebrmaps.families import (
-    FamilyParams,
-    cyclic_fitting_map,
-    cyclic_fitting_params,
-    dihedral_family_1,
-    dihedral_family_2,
-    exceptional_order36_map,
-    valency_eight_map,
-)
+import warnings
+
+from ebrmaps.families import cyclic_fitting_params, dh1, dh2, h3, hp, hpj, members
 from ebrmaps.maps import (
     counts,
     euler_characteristic,
@@ -40,27 +39,30 @@ def show(label, m):
 def main():
     print("the two dihedral families at small primes")
     for p in (3, 5, 7):
-        show(f"dh1(p={p})", dihedral_family_1(p))
-        show(f"dh2(p={p})", dihedral_family_2(p))
+        show(f"dh1(p={p})", dh1(p).build())
+        show(f"dh2(p={p})", dh2(p).build())
 
     print("\ncyclic-Fitting family: parameters attached to each prime")
     for p in (3, 19, 31):
         qs = cyclic_fitting_params(p)
         print(f"  p={p}: " + ", ".join(f"(kappa={q.kappa}, lam={q.lam}, j={q.j})" for q in qs))
-    print("  building all members for p=19 (certified against the presentation):")
-    for q in cyclic_fitting_params(19):
-        show(f"hpj{q.kappa, q.lam, q.j}", cyclic_fitting_map(q))
+    print("  the roster for p=19 (each map certified against its presentation):")
+    for member in members(19):
+        show(member.label, member.build())
 
-    print("\nan off-prime parameter set works too: chi = -49 here")
-    q = FamilyParams(3, 11, 10)
-    show(f"hpj{q.kappa, q.lam, q.j}", cyclic_fitting_map(q))
+    print("\nan off-prime parameter set works too, with a warning: chi = -49 here")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        member = hpj(3, 11, 10)
+    print(f"  warning: {caught[0].message}")
+    show(member.label, member.build())
 
     print("\nvalency-eight family")
     for m_param in (1, 3, 5):
-        show(f"hp(m={m_param})", valency_eight_map(m_param))
+        show(f"hp(m={m_param})", hp(m_param).build())
 
     print("\nthe exceptional order-36 map (the only fully regular one here)")
-    show("h3", exceptional_order36_map())
+    show("h3", h3().build())
 
 
 if __name__ == "__main__":

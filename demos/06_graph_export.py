@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 from ebrmaps.cli import main as cli_main
-from ebrmaps.families import dihedral_family_1_text
+from ebrmaps.families import dh1
 from ebrmaps.maps import map_file_text
 
 
@@ -26,7 +26,7 @@ def head(path, n=12):
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         map_file = Path(tmp) / "dh1-3.map"
-        map_file.write_text(map_file_text(dihedral_family_1_text(3)))
+        map_file.write_text(map_file_text(dh1(3).text))
         print("map file:")
         print(map_file.read_text())
 

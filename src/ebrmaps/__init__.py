@@ -85,22 +85,17 @@ _EXPORTS = {
         "CHI2_FULLY_REGULAR_INDICES",
         "CHI2_ORIENTABLE_INDICES",
         "FamilyParams",
-        "chi_minus_2_catalog",
-        "chi_minus_2_map",
-        "chi_minus_2_text",
+        "Member",
+        "chi2",
         "cyclic_by_dihedral_probe",
-        "cyclic_fitting_map",
         "cyclic_fitting_params",
-        "cyclic_fitting_text",
-        "dihedral_family_1",
-        "dihedral_family_1_text",
-        "dihedral_family_2",
-        "dihedral_family_2_text",
-        "exceptional_order36_map",
-        "exceptional_order36_text",
+        "dh1",
+        "dh2",
+        "h3",
+        "hp",
+        "hpj",
+        "members",
         "presentation_text",
-        "valency_eight_map",
-        "valency_eight_text",
     ),
     "census": (
         "ATLAS_EXPECTED_COUNTS",

@@ -407,39 +407,11 @@ class CatalogEntry(_Record):
 
 
 def _constructive_entries(p: int) -> dict[tuple[int, ...], CatalogEntry]:
-    """Every family constructor applicable at chi = -p, deduplicated, each
-    under the equivalence key of its map."""
+    """Every family member with chi = -p, deduplicated, each under the
+    equivalence key of its map."""
     from . import families
 
-    built: list[CatalogEntry] = []
-    if p == 2:
-        for i, m in enumerate(families.chi_minus_2_catalog(), start=1):
-            built.append(CatalogEntry(m, f"chi2({i})", families.chi_minus_2_text(i)))
-    else:
-        built.append(
-            CatalogEntry(families.dihedral_family_1(p), "dh1", families.dihedral_family_1_text(p))
-        )
-        built.append(
-            CatalogEntry(families.dihedral_family_2(p), "dh2", families.dihedral_family_2_text(p))
-        )
-        for params in families.cyclic_fitting_params(p):
-            label = f"hpj({params.kappa},{params.lam},{params.j})"
-            built.append(
-                CatalogEntry(
-                    families.cyclic_fitting_map(params), label, families.cyclic_fitting_text(params)
-                )
-            )
-        if (p + 4) % 9 == 0:
-            m = (p + 4) // 9
-            built.append(
-                CatalogEntry(families.valency_eight_map(m), f"hp({m})", families.valency_eight_text(m))
-            )
-        if p == 3:
-            built.append(
-                CatalogEntry(
-                    families.exceptional_order36_map(), "h3", families.exceptional_order36_text()
-                )
-            )
+    built = [CatalogEntry(mb.build(), mb.label, mb.text) for mb in families.members(p)]
     wrong = [entry.family for entry in built if euler_characteristic(entry.map) != -p]
     if wrong:
         raise VerificationError(f"constructors {wrong} do not give chi = {-p}")

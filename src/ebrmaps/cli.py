@@ -92,42 +92,33 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# the flags of each --family, in the order of its constructor's parameters
+_FAMILY_FLAGS = {
+    "dh1": ("p",),
+    "dh2": ("p",),
+    "hpj": ("kappa", "lambda", "j"),
+    "hp": ("m",),
+    "h3": (),
+    "chi2": ("index",),
+}
+_CONSTRUCT_FLAGS = tuple(dict.fromkeys(f for flags in _FAMILY_FLAGS.values() for f in flags))
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     from . import families
     from .maps import map_file_text
 
-    def need(flag: str, value) -> None:
-        if value is None:
-            raise ValueError(f"--family {args.family} requires {flag}")
-
-    # each family member is built (and so checked) before its file is written
-    if args.family in ("dh1", "dh2"):
-        need("--p", args.p)
-        if args.family == "dh1":
-            families.dihedral_family_1(args.p, max_cosets=args.max_cosets)
-            text = families.dihedral_family_1_text(args.p)
-        else:
-            families.dihedral_family_2(args.p, max_cosets=args.max_cosets)
-            text = families.dihedral_family_2_text(args.p)
-    elif args.family == "hpj":
-        need("--kappa", args.kappa)
-        need("--lambda", args.lam)
-        need("--j", args.j)
-        params = families.FamilyParams(args.kappa, args.lam, args.j)
-        families.cyclic_fitting_map(params, max_cosets=args.max_cosets)
-        text = families.cyclic_fitting_text(params)
-    elif args.family == "hp":
-        need("--m", args.m)
-        families.valency_eight_map(args.m, max_cosets=args.max_cosets)
-        text = families.valency_eight_text(args.m)
-    elif args.family == "h3":
-        families.exceptional_order36_map(max_cosets=args.max_cosets)
-        text = families.exceptional_order36_text()
-    else:  # chi2
-        need("--index", args.index)
-        families.chi_minus_2_map(args.index, max_cosets=args.max_cosets)
-        text = families.chi_minus_2_text(args.index)
-    _write_out(args, map_file_text(text))
+    given = vars(args)
+    takes = _FAMILY_FLAGS[args.family]
+    for flag in takes:
+        if given[flag] is None:
+            raise ValueError(f"--family {args.family} requires --{flag}")
+    for flag in _CONSTRUCT_FLAGS:
+        if flag not in takes and given[flag] is not None:
+            raise ValueError(f"--family {args.family} takes no --{flag}")
+    member = getattr(families, args.family)(*(given[flag] for flag in takes))
+    member.build(args.max_cosets)  # checked before its file is written
+    _write_out(args, map_file_text(member.text))
     return EXIT_OK
 
 
@@ -346,15 +337,9 @@ def _parser() -> argparse.ArgumentParser:
     p_inv.set_defaults(func=cmd_invariants)
 
     p_con = sub.add_parser("construct", help="emit a family member's map file")
-    p_con.add_argument(
-        "--family", required=True, choices=("dh1", "dh2", "hpj", "hp", "h3", "chi2")
-    )
-    p_con.add_argument("--p", type=int)
-    p_con.add_argument("--kappa", type=int)
-    p_con.add_argument("--lambda", dest="lam", type=int)
-    p_con.add_argument("--j", type=int)
-    p_con.add_argument("--m", type=int)
-    p_con.add_argument("--index", type=int)
+    p_con.add_argument("--family", required=True, choices=tuple(_FAMILY_FLAGS))
+    for flag in _CONSTRUCT_FLAGS:
+        p_con.add_argument(f"--{flag}", type=int)
     common(p_con)
     p_con.set_defaults(func=cmd_construct)
 

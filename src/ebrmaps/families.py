@@ -1,19 +1,20 @@
 """Constructors for the classified families of edge-biregular maps.
 
 Every map on a surface of Euler characteristic -p (p an odd prime) belongs,
-up to duality and twins, to one of the families built here:
+up to duality and twins, to one of the families built here.  Each
+constructor is named after its members' catalog label and returns a
+:class:`Member`, whose ``build`` makes and checks the map:
 
-* ``dihedral_family_1(p)``  - single-vertex map of type (4(p+1), 4) on the
-  dihedral group of order 4(p+1);
-* ``dihedral_family_2(p)``  - two-vertex map of type (2(p+2), 4) on the
-  dihedral group of order 4(p+2);
-* ``cyclic_fitting_map(params)`` - maps of type (4*kappa, 2*lambda) of
-  order 4*kappa*lambda whose group is C_{kappa*lambda} extended by V_4;
-* ``valency_eight_map(m)``  - maps of type (8, 6m) of order 24m (chi = -(9m-4));
-* ``exceptional_order36_map()`` - the unique fully regular example, of
-  type (4,6) on a group of order 36 isomorphic to D6 x D6;
-* ``chi_minus_2_map(index)`` - catalog entry index of the twelve maps
-  with chi = -2, which ``chi_minus_2_catalog()`` lists.
+* ``dh1(p)``, ``dh2(p)`` - one- and two-vertex maps of types (4(p+1), 4)
+  and (2(p+2), 4) on the dihedral groups of orders 4(p+1) and 4(p+2);
+* ``hpj(kappa, lam, j)`` - type (4*kappa, 2*lam), order 4*kappa*lam, on
+  C_{kappa*lam} extended by V_4;
+* ``hp(m)`` - type (8, 6m), order 24m, chi = -(9m-4);
+* ``h3()`` - the unique fully regular example, type (4,6), on D6 x D6;
+* ``chi2(index)`` - entry index of the twelve maps with chi = -2.
+
+``members(p)``, the one roster, lists the members with chi = -p in
+catalog order.
 
 ``cyclic_by_dihedral_probe`` exhaustively searches groups of the shape
 C_p x| D_nu for maps and checks the structural restrictions that any such
@@ -25,10 +26,10 @@ on itself by right multiplication, marked by its generators x, y, s, t.
 cyclic subgroup <w>, of index 2 (dh1, dh2), 4 (hpj) or 8 (hp), by
 Reidemeister-Schreier, in O(|H| log p) where enumerating the cosets of the
 trivial subgroup costs O(|H| p).  For h3 and the chi = -2 maps w is empty
-and the action is the coset table of the trivial subgroup.  Each
-constructor checks the order and type of what it built and raises
-VerificationError on a mismatch.  All presentation texts are kept
-verbatim, including redundant relators.
+and the action is the coset table of the trivial subgroup.  ``build``
+checks the order and type of what it built and raises VerificationError
+on a mismatch.  All presentation texts are kept verbatim, including
+redundant relators.
 """
 
 from __future__ import annotations
@@ -65,6 +66,17 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
+def _warn_unless_prime(minus_chi: int) -> None:
+    """A member whose -chi is not prime exists, but falls outside the
+    prime-characteristic classification: warn, at the caller's caller."""
+    if not is_prime(minus_chi):
+        warnings.warn(
+            f"-chi = {minus_chi} is not prime; the map exists but its"
+            " Euler characteristic is not minus a prime",
+            stacklevel=3,
+        )
+
+
 _COMMON_RELATORS = ("x^2", "y^2", "s^2", "t^2", "(x y)^2", "(s t)^2")
 
 
@@ -77,33 +89,60 @@ def presentation_text(extra_relators: tuple[str, ...] | list[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# one builder for every member: the regular action lifted through <w>
+# one record for every member: the regular action lifted through <w>
 
 
-def _member(
-    text: str,
-    name: str,
-    w: Word,
-    order: int,
-    map_type: tuple[int, int],
-    max_cosets: int,
-) -> EdgeBiregularMap:
-    """The group presented by text acting on itself, marked by its
-    generators x, y, s, t in that order, built through <w>.
+class Member(_Record):
+    """One family member: its catalog label and presentation text, the
+    word w whose cyclic subgroup the action is lifted through, and the
+    order and type its map must have.  Equal when label and text are."""
 
-    The text is parsed first and the family order held against max_cosets
-    before anything is enumerated; VerificationError unless the map has
-    the family's order and type.
-    """
-    pres = parse_presentation(text)
-    if order > max_cosets:
-        raise CapacityExceeded(max_cosets)
-    m = map_from_action(regular_action_through(pres, w, max_cosets), name)
-    if m.order != order:
-        raise VerificationError(f"{name}: expected order {order}, got {m.order}")
-    if type_of(m) != map_type:
-        raise VerificationError(f"{name}: expected type {map_type}, got {type_of(m)}")
-    return m
+    _fields = ("label", "text")
+
+    def __init__(
+        self, label: str, text: str, w: Word, order: int, map_type: tuple[int, int]
+    ) -> None:
+        self.label = label
+        self.text = text
+        self.w = w
+        self.order = order
+        self.map_type = map_type
+
+    def build(self, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBiregularMap:
+        """The group presented by the text acting on itself, marked by its
+        generators x, y, s, t in that order, built through <w>.
+
+        The text is parsed first and the order held against max_cosets
+        before anything is enumerated; VerificationError, naming the label,
+        unless the map has the member's order and type.
+        """
+        pres = parse_presentation(self.text)
+        if self.order > max_cosets:
+            raise CapacityExceeded(max_cosets)
+        m = map_from_action(regular_action_through(pres, self.w, max_cosets))
+        if m.order != self.order:
+            raise VerificationError(f"{self.label}: expected order {self.order}, got {m.order}")
+        if type_of(m) != self.map_type:
+            raise VerificationError(
+                f"{self.label}: expected type {self.map_type}, got {type_of(m)}"
+            )
+        return m
+
+
+def members(p: int) -> list[Member]:
+    """The family members with chi = -p, in catalog order: the twelve chi2
+    maps for p = 2; otherwise dh1, dh2, one hpj member per entry of
+    :func:`cyclic_fitting_params`, hp when 9 divides p + 4, and h3 when
+    p = 3.  ValueError unless p is prime."""
+    if p == 2:
+        return [chi2(index) for index in range(1, 13)]
+    out = [dh1(p), dh2(p)]
+    out += [hpj(q.kappa, q.lam, q.j) for q in cyclic_fitting_params(p)]
+    if (p + 4) % 9 == 0:
+        out.append(hp((p + 4) // 9))
+    if p == 3:
+        out.append(h3())
+    return out
 
 
 def regular_action_through(
@@ -246,11 +285,7 @@ def _discrete_log(basis: list[list[int]], v: list[int], n: int) -> list[int]:
 # the two dihedral families
 
 
-def dihedral_family_1_text(p: int) -> str:
-    return presentation_text(("x y s", f"s (y t)^{p + 1}"))
-
-
-def dihedral_family_1(p: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBiregularMap:
+def dh1(p: int) -> Member:
     """Single-vertex map of type (4(p+1), 4) on the dihedral group of order 4(p+1).
 
     The marks as r^c f^e, with r = y t of order 2(p+1) and f = y:
@@ -258,25 +293,21 @@ def dihedral_family_1(p: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBireg
     """
     _require_odd_prime(p)
     order = 4 * (p + 1)
+    text = presentation_text(("x y s", f"s (y t)^{p + 1}"))
     y_t = (1, 3)  # of index 2
-    return _member(dihedral_family_1_text(p), f"dh1({p})", y_t, order, (order, 4), max_cosets)
+    return Member("dh1", text, y_t, order, (order, 4))
 
 
-def dihedral_family_2_text(p: int) -> str:
-    return presentation_text(("x y s", f"s (x t)^{p + 2}"))
-
-
-def dihedral_family_2(p: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBiregularMap:
+def dh2(p: int) -> Member:
     """Two-vertex map of type (2(p+2), 4) on the dihedral group of order 4(p+2).
 
     The marks as r^c f^e, with r = x t of order 2(p+2) and f = x:
     x = f, y = x s = r^(p+2) f, s = r^(p+2) and t = x r = r^-1 f.
     """
     _require_odd_prime(p)
+    text = presentation_text(("x y s", f"s (x t)^{p + 2}"))
     x_t = (0, 3)  # of index 2
-    return _member(
-        dihedral_family_2_text(p), f"dh2({p})", x_t, 4 * (p + 2), (2 * (p + 2), 4), max_cosets
-    )
+    return Member("dh2", text, x_t, 4 * (p + 2), (2 * (p + 2), 4))
 
 
 # ---------------------------------------------------------------------------
@@ -348,46 +379,27 @@ def cyclic_fitting_params(p: int) -> list[FamilyParams]:
     return out
 
 
-def cyclic_fitting_text(params: FamilyParams) -> str:
-    kappa, lam, j, a = params.kappa, params.lam, params.j, params.a
-    closing = f"(t y)^{kappa} (s x)^{a} s" if a else f"(t y)^{kappa} s"
-    return presentation_text(
-        (
-            f"(s x)^{lam}",
-            f"(t y)^{2 * kappa}",
-            "s (y t)^2 s (t y)^2",
-            "x (y t)^2 x (t y)^2",
-            f"t s x t (s x)^{j}",
-            closing,
-        )
-    )
-
-
-# the word (s x)(t y)^2, whose cyclic subgroup has index 4
-_CYCLIC_FITTING_WORD = (2, 0, 3, 1, 3, 1)
-
-
-def cyclic_fitting_map(
-    params: FamilyParams, max_cosets: int = DEFAULT_MAX_COSETS
-) -> EdgeBiregularMap:
+def hpj(kappa: int, lam: int, j: int) -> Member:
     """Map of type (4*kappa, 2*lam) on the group of order 4*kappa*lam,
-    C_(kappa*lam) extended by V_4, built through <(s x)(t y)^2>."""
-    name = f"cf({params.kappa},{params.lam},{params.j})"
-    text = cyclic_fitting_text(params)
-    return _member(text, name, _CYCLIC_FITTING_WORD, params.order, params.map_type, max_cosets)
+    C_(kappa*lam) extended by V_4, built through <(s x)(t y)^2>.
+
+    The parameters are validated as :class:`FamilyParams`; when
+    p = 2*kappa*lam - 2*kappa - lam is not prime a warning is emitted.
+    """
+    q = FamilyParams(kappa, lam, j)
+    _warn_unless_prime(q.p)
+    closing = f"(t y)^{kappa} (s x)^{q.a} s" if q.a else f"(t y)^{kappa} s"
+    fitting = (f"(s x)^{lam}", f"(t y)^{2 * kappa}", "s (y t)^2 s (t y)^2", "x (y t)^2 x (t y)^2")
+    text = presentation_text((*fitting, f"t s x t (s x)^{j}", closing))
+    s_x_t_y_t_y = (2, 0, 3, 1, 3, 1)  # of index 4
+    return Member(f"hpj({kappa},{lam},{j})", text, s_x_t_y_t_y, q.order, q.map_type)
 
 
 # ---------------------------------------------------------------------------
 # the valency-eight family: type (8, 6m), order 24m
 
 
-def valency_eight_text(m: int) -> str:
-    return presentation_text(
-        (f"(s x)^{3 * m}", "(t y)^4", "(s x y)^2 t", "t x t y")
-    )
-
-
-def valency_eight_map(m: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBiregularMap:
+def hp(m: int) -> Member:
     """Map of type (8, 6m) on a group of order 24m, chi = -(9m - 4).
 
     m must be a positive odd integer.  When 9m - 4 is composite the
@@ -396,33 +408,24 @@ def valency_eight_map(m: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBireg
     """
     if m < 1 or m % 2 == 0:
         raise ValueError("m must be a positive odd integer")
-    if not is_prime(9 * m - 4):
-        warnings.warn(
-            f"9*m - 4 = {9 * m - 4} is composite; the map exists but its"
-            " Euler characteristic is not minus a prime",
-            stacklevel=2,
-        )
+    _warn_unless_prime(9 * m - 4)
+    text = presentation_text((f"(s x)^{3 * m}", "(t y)^4", "(s x y)^2 t", "t x t y"))
     s_x = (2, 0)  # of index 8
-    return _member(valency_eight_text(m), f"ve({m})", s_x, 24 * m, (8, 6 * m), max_cosets)
+    return Member(f"hp({m})", text, s_x, 24 * m, (8, 6 * m))
 
 
 # ---------------------------------------------------------------------------
 # the exceptional order-36 map
 
 
-def exceptional_order36_text() -> str:
-    return presentation_text(
-        ("(t y)^2", "(s x)^3", "(x y t)^3", "(s t y)^3", "(x y s t)^2")
-    )
-
-
-def exceptional_order36_map(max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBiregularMap:
+def h3() -> Member:
     """The unique fully regular map in the odd-prime classification.
 
     Type (4,6), group of order 36 isomorphic to D6 x D6, chi = -3,
     non-orientable.
     """
-    return _member(exceptional_order36_text(), "x36", (), 36, (4, 6), max_cosets)
+    text = presentation_text(("(t y)^2", "(s x)^3", "(x y t)^3", "(s t y)^3", "(x y s t)^2"))
+    return Member("h3", text, (), 36, (4, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -454,23 +457,13 @@ CHI2_ORIENTABLE_INDICES = frozenset({1, 3, 4, 7, 11, 12})
 CHI2_FULLY_REGULAR_INDICES = frozenset({1, 3, 7, 10, 12})
 
 
-def chi_minus_2_text(index: int) -> str:
-    """Presentation text of catalog entry ``index`` (1-based, 1..12)."""
+def chi2(index: int) -> Member:
+    """Catalog entry ``index`` (1-based, 1..12) of the maps with chi = -2."""
     if not 1 <= index <= 12:
         raise ValueError("index must be between 1 and 12")
-    return presentation_text(CHI2_EXTRA_RELATORS[index - 1])
-
-
-def chi_minus_2_map(index: int, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBiregularMap:
-    """Catalog entry ``index`` (1-based, 1..12) of the maps with chi = -2."""
-    text = chi_minus_2_text(index)
+    text = presentation_text(CHI2_EXTRA_RELATORS[index - 1])
     order, map_type = CHI2_EXPECTED_ORDERS[index - 1], CHI2_EXPECTED_TYPES[index - 1]
-    return _member(text, f"chi2({index})", (), order, map_type, max_cosets)
-
-
-def chi_minus_2_catalog(max_cosets: int = DEFAULT_MAX_COSETS) -> list[EdgeBiregularMap]:
-    """The twelve maps supported by surfaces with chi = -2, in catalog order."""
-    return [chi_minus_2_map(i, max_cosets) for i in range(1, 13)]
+    return Member(f"chi2({index})", text, (), order, map_type)
 
 
 # ---------------------------------------------------------------------------

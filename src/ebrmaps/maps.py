@@ -73,14 +73,14 @@ class EdgeBiregularMap(_Record):
     ``perms[i][h]`` is the point h times the i-th mark of (x, y, s, t), and
     point 0 is the identity, so the mark itself is ``perms[i][0]``.  Maps
     built from a presentation number H by coset; maps built on a dense group
-    use its element numbers.  Equality compares ``perms`` only.
+    use its element numbers.  A map is only its permutations, and equality
+    compares them.
     """
 
     _fields = ("perms",)
 
-    def __init__(self, perms: tuple[Perm, Perm, Perm, Perm], name: str = "H") -> None:
+    def __init__(self, perms: tuple[Perm, Perm, Perm, Perm]) -> None:
         self.perms = perms
-        self.name = name
 
     @property
     def order(self) -> int:
@@ -90,25 +90,9 @@ class EdgeBiregularMap(_Record):
     def marks(self) -> tuple[int, int, int, int]:
         return tuple(perm[0] for perm in self.perms)  # type: ignore[return-value]
 
-    @property
-    def x(self) -> int:
-        return self.perms[0][0]
-
-    @property
-    def y(self) -> int:
-        return self.perms[1][0]
-
-    @property
-    def s(self) -> int:
-        return self.perms[2][0]
-
-    @property
-    def t(self) -> int:
-        return self.perms[3][0]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         k, l = type_of(self)
-        return f"EdgeBiregularMap({self.name}, order={self.order}, type=({k},{l}))"
+        return f"EdgeBiregularMap(order={self.order}, type=({k},{l}))"
 
 
 def _check_involutions(perms: Sequence[Perm], names: Sequence[str]) -> None:
@@ -165,11 +149,11 @@ def _orbit(perms: tuple[Perm, ...] | list[Perm]) -> list[int]:
     return orbit
 
 
-def map_from_action(perms: tuple[Perm, ...], name: str = "H") -> EdgeBiregularMap:
+def map_from_action(perms: tuple[Perm, ...]) -> EdgeBiregularMap:
     """Validate the four mark permutations of a regular right action (point
     0 the identity), as :func:`_check_marks` does, and build the map."""
     _check_marks(perms)
-    return EdgeBiregularMap(tuple(perms), name)  # type: ignore[arg-type]
+    return EdgeBiregularMap(tuple(perms))  # type: ignore[arg-type]
 
 
 def new_map(group: FiniteGroup, marks: tuple[int, int, int, int]) -> EdgeBiregularMap:
@@ -182,12 +166,12 @@ def new_map(group: FiniteGroup, marks: tuple[int, int, int, int]) -> EdgeBiregul
     for z in marks:
         if not 0 <= z < group.order:
             raise MapStructureError(f"mark {z} out of range")
-    return map_from_action(_unchecked(group, marks).perms, group.name)
+    return map_from_action(_unchecked(group, marks).perms)
 
 
 def _unchecked(group: FiniteGroup, marks: tuple[int, int, int, int]) -> EdgeBiregularMap:
     perms = tuple(tuple(row[z] for row in group.mul) for z in marks)
-    return EdgeBiregularMap(perms, group.name)  # type: ignore[arg-type]
+    return EdgeBiregularMap(perms)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +338,7 @@ def is_orientable(m: EdgeBiregularMap) -> bool:
 
 def _reordered(m: EdgeBiregularMap, order: tuple[int, int, int, int]) -> EdgeBiregularMap:
     perms = tuple(m.perms[i] for i in order)
-    return EdgeBiregularMap(perms, m.name)  # type: ignore[arg-type]
+    return EdgeBiregularMap(perms)  # type: ignore[arg-type]
 
 
 def dual(m: EdgeBiregularMap) -> EdgeBiregularMap:
@@ -501,7 +485,7 @@ def load_map(text: str, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBiregularMa
         quad = tuple(images[nm] for nm in mark_names)
     except KeyError as exc:
         raise MapStructureError(f"mark line names unknown generator {exc}") from None
-    return map_from_action(quad, f"fp[{len(action[0])}]")
+    return map_from_action(quad)
 
 
 def strip_mark_lines(text: str) -> str:

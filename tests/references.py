@@ -9,7 +9,7 @@ against an independent computation on the same inputs.
 
 from itertools import product
 
-from ebrmaps.families import FamilyParams, _assert_probe_conformance, valency_eight_text
+from ebrmaps.families import FamilyParams, _assert_probe_conformance, hp
 from ebrmaps.groups import (
     FiniteGroup,
     VerificationError,
@@ -134,7 +134,7 @@ def is_map_isomorphic(a: EdgeBiregularMap, b: EdgeBiregularMap) -> bool:
     the dense groups."""
     if a.order != b.order or type_of(a) != type_of(b):
         return False
-    a_group, b_group = group_from_action(a.perms, a.name), group_from_action(b.perms, b.name)
+    a_group, b_group = group_from_action(a.perms, "A"), group_from_action(b.perms, "B")
     return _extend_iso(a_group, a.marks, b_group, b.marks) is not None
 
 
@@ -162,7 +162,7 @@ def cyclic_fitting_reference(q: FamilyParams) -> EdgeBiregularMap:
         )
         for b1, b2 in ((1, 0), (0, 1))
     }
-    group = semidirect(a, v4, images, name=f"cf({kappa},{lam},{q.j})")
+    group = semidirect(a, v4, images, name=f"hpj({kappa},{lam},{q.j})")
     s, t, st = 2, 1, 3  # (f, v) is f*4 + v
     x = (lam - 1) * kappa * 4 + s
     y = (q.a * kappa + (kappa - 1) // 2) * 4 + st
@@ -170,18 +170,18 @@ def cyclic_fitting_reference(q: FamilyParams) -> EdgeBiregularMap:
 
 
 def valency_eight_reference(m: int) -> EdgeBiregularMap:
-    """The valency-eight member ve(m) on the dense semidirect product
-    C_m' x| B, for m = 3^e m' with 3 not dividing m' and B = ve(3^e) the
-    group of its presentation.  x, y and s invert C_m' = <u> and t
-    centralizes it; the marks are x_B, y_B, u s_B and t_B."""
+    """The valency-eight member hp(m) on the dense semidirect product
+    C_m' x| B, for m = 3^e m' with 3 not dividing m' and B the group of
+    hp(3^e).  x, y and s invert C_m' = <u> and t centralizes it; the marks
+    are x_B, y_B, u s_B and t_B.  hp(9) warns, since 77 is not prime."""
     power = 1  # 3^e, the largest power of 3 dividing m
     while m % (3 * power) == 0:
         power *= 3
     lam = m // power
-    b, b_marks = group_from_presentation(parse_presentation(valency_eight_text(power)))
+    b, b_marks = group_from_presentation(parse_presentation(hp(power).text))
     keep, invert = tuple(range(lam)), tuple(-c % lam for c in range(lam))
     images = dict(zip(b_marks, (invert, invert, invert, keep)))
-    group = semidirect(cyclic(lam), b, images, name=f"ve({m})")
+    group = semidirect(cyclic(lam), b, images, name=f"hp({m})")
     xb, yb, sb, tb = b_marks
     return new_map(group, (xb, yb, 1 % lam * b.order + sb, tb))
 

@@ -8,11 +8,12 @@ Run with::
 
 import math
 import time
+import warnings
 from fractions import Fraction
 
 from ebrmaps import census, families
 from ebrmaps.census import atlas, catalog_json, catalog_rows, classify, enumerate_maps
-from ebrmaps.families import FamilyParams, cyclic_fitting_map, cyclic_fitting_params
+from ebrmaps.families import FamilyParams, hpj, is_prime, members
 from ebrmaps.groups import are_isomorphic, dihedral, group_from_action, symmetric
 from ebrmaps.maps import (
     _flag_graph_bipartite,
@@ -76,10 +77,16 @@ _BUILT: dict = {}
 
 def _hpj_maps() -> list:
     if "hpj" not in _BUILT:
-        # cyclic_fitting_map lifts the cosets of a cyclic subgroup to the
+        # each hpj member lifts the cosets of a cyclic subgroup to the
         # regular action of the presented group and checks every relator
-        # on it, for every parameter set
-        _BUILT["hpj"] = [cyclic_fitting_map(q) for q in _hpj_parameter_range()]
+        # on it, for every parameter set; a member whose p is not prime
+        # builds, with a warning
+        params = _hpj_parameter_range()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _BUILT["hpj"] = [hpj(q.kappa, q.lam, q.j).build() for q in params]
+        expected = [f"-chi = {q.p} is not prime" for q in params if not is_prime(q.p)]
+        assert [str(w.message).split(";")[0] for w in caught] == expected
     return _BUILT["hpj"]
 
 
@@ -107,13 +114,10 @@ def test_criterion_2_chi_minus_3_classification():
         constructive = classify(3, profile="constructive")
         assert catalog_json(exhaustive) == catalog_json(constructive)
         assert [e.family for e in exhaustive] == ["dh1", "dh2", "h3"]
-        # every constructor output lands in the catalog up to duality+twin,
+        # every member's map lands in the catalog up to duality+twin,
         # including both cyclic-Fitting members (they fold into dh2)
-        all_constructed = [
-            families.dihedral_family_1(3),
-            families.dihedral_family_2(3),
-            families.exceptional_order36_map(),
-        ] + [cyclic_fitting_map(q) for q in cyclic_fitting_params(3)]
+        all_constructed = [member.build() for member in members(3)]
+        assert len(all_constructed) == 5
         catalog_keys = {equivalence_key(e.map) for e in exhaustive}
         for m in all_constructed:
             assert equivalence_key(m) in catalog_keys, (
@@ -125,19 +129,19 @@ def test_criterion_2_chi_minus_3_classification():
 def test_criterion_3_order_formulas():
     with _Gate(3, "presentation orders match the closed-form order formulas") as g:
         for p in (3, 5, 7, 11, 13):
-            text1 = families.dihedral_family_1_text(p)
+            text1 = families.dh1(p).text
             group, _ = group_from_presentation(parse_presentation(text1))
             assert group.order == 4 * (p + 1)
-            text2 = families.dihedral_family_2_text(p)
+            text2 = families.dh2(p).text
             group, _ = group_from_presentation(parse_presentation(text2))
             assert group.order == 4 * (p + 2)
         params = _hpj_parameter_range(200)
         assert len(params) == 84
         for q, m in zip(params, _hpj_maps()):
-            assert group_from_action(m.perms, m.name).order == 4 * q.kappa * q.lam
+            assert group_from_action(m.perms, "hpj").order == 4 * q.kappa * q.lam
         for m_param in (1, 3, 5):
             group, _ = group_from_presentation(
-                parse_presentation(families.valency_eight_text(m_param))
+                parse_presentation(families.hp(m_param).text)
             )
             assert group.order == 24 * m_param
     assert g.elapsed < 30.0
@@ -145,9 +149,9 @@ def test_criterion_3_order_formulas():
 
 def test_criterion_4_quotient_certificate():
     with _Gate(4, "valency-8 family: index-24 coset action is S4") as g:
-        # ve(1) is the quotient of every ve(m) by <(s x)^3>
-        perms = regular_action(parse_presentation(families.valency_eight_text(1)))
-        assert are_isomorphic(group_from_action(perms, "ve(1)"), symmetric(4))
+        # the group of hp(1) is the quotient of every hp(m) by <(s x)^3>
+        perms = regular_action(parse_presentation(families.hp(1).text))
+        assert are_isomorphic(group_from_action(perms, "hp(1)"), symmetric(4))
 
 
 def test_criterion_5_route_cross_validation():
@@ -164,14 +168,14 @@ def test_criterion_5_route_cross_validation():
 
 
 def _corpus():
-    maps = list(families.chi_minus_2_catalog())
+    maps = [member.build() for member in members(2)]
     for p in (3, 5, 7, 11, 13):
-        maps.append(families.dihedral_family_1(p))
-        maps.append(families.dihedral_family_2(p))
+        maps.append(families.dh1(p).build())
+        maps.append(families.dh2(p).build())
     maps += _hpj_maps()
     for m_param in (1, 3, 5):
-        maps.append(families.valency_eight_map(m_param))
-    maps.append(families.exceptional_order36_map())
+        maps.append(families.hp(m_param).build())
+    maps.append(families.h3().build())
     maps += families.cyclic_by_dihedral_probe(5, 4)
     maps += families.cyclic_by_dihedral_probe(5, 6)
     for grp in atlas(16):
@@ -190,7 +194,7 @@ def test_criterion_6_euler_identity_property_suite():
             e = fs.orbit_count((fs.rho0, fs.rho2))
             f = fs.orbit_count((fs.rho0, fs.rho1))
             chi_orbits = Fraction(v - e + f)
-            group = group_from_action(m.perms, m.name)
+            group = group_from_action(m.perms, "H")
             chi_formula = euler_characteristic_formula(group.order, k, l)
             assert chi_orbits == chi_formula, (
                 f"chi mismatch on order {group.order} type {(k, l)}"
@@ -209,12 +213,12 @@ def test_criterion_7_full_regularity():
         for m in _hpj_maps():
             assert not is_fully_regular(m)
         for m_param in (1, 3, 5):
-            assert not is_fully_regular(families.valency_eight_map(m_param))
-        assert is_fully_regular(families.exceptional_order36_map())
+            assert not is_fully_regular(families.hp(m_param).build())
+        assert is_fully_regular(families.h3().build())
         regular = {
             i
-            for i, m in enumerate(families.chi_minus_2_catalog(), start=1)
-            if is_fully_regular(m)
+            for i, member in enumerate(members(2), start=1)
+            if is_fully_regular(member.build())
         }
         assert regular == {1, 3, 7, 10, 12}
 

@@ -32,7 +32,7 @@ from ebrmaps.census import (
 from ebrmaps.families import (
     CHI2_FULLY_REGULAR_INDICES,
     CHI2_ORIENTABLE_INDICES,
-    exceptional_order36_map,
+    h3,
     is_prime,
 )
 from ebrmaps import families
@@ -337,7 +337,7 @@ def test_exceptional_map_is_unique_at_order36():
     classes = {
         equivalence_key(m) for g in atlas(36) for m in enumerate_maps(g, want_chi=-3).values()
     }
-    assert classes == {equivalence_key(exceptional_order36_map())}
+    assert classes == {equivalence_key(h3().build())}
 
 
 def test_atlas_tables_and_derived_data_are_pinned():
@@ -366,8 +366,8 @@ def test_atlas_tables_and_derived_data_are_pinned():
 
 
 def test_constructor_with_the_wrong_chi_raises_verification_error(monkeypatch):
-    dh1 = families.dihedral_family_1
-    monkeypatch.setattr(families, "dihedral_family_1", lambda p: dh1(5))
+    dh1 = families.dh1
+    monkeypatch.setattr(families, "dh1", lambda p: dh1(5))
     with pytest.raises(VerificationError, match=r"constructors \['dh1'\] do not give chi = -3"):
         classify(3, profile="constructive")
 

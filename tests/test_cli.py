@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from ebrmaps import census, families
-from ebrmaps.cli import _PROBE_GRID, main
+from ebrmaps.cli import _FAMILY_FLAGS, _PROBE_GRID, main
 from ebrmaps.groups import VerificationError, group_from_action
 from ebrmaps.maps import load_map, map_file_text
 from ebrmaps.presentations import MAX_NESTING
@@ -71,7 +71,7 @@ def test_order_of_presentation(tmp_path, capsys):
 
 def test_order_ignores_mark_line(tmp_path, capsys):
     f = tmp_path / "h3.map"
-    f.write_text(map_file_text(families.exceptional_order36_text()))
+    f.write_text(map_file_text(families.h3().text))
     code, out, _ = run(capsys, "order", str(f))
     assert code == 0
     assert out.strip() == "36"
@@ -80,7 +80,7 @@ def test_order_ignores_mark_line(tmp_path, capsys):
 def test_mark_line_after_a_tab(tmp_path, capsys):
     # "mark\tx y s t" is a mark line for every command that reads map files
     f = tmp_path / "h3.map"
-    text = map_file_text(families.exceptional_order36_text())
+    text = map_file_text(families.h3().text)
     f.write_text(text.replace("mark ", "mark\t"))
     assert "mark\tx y s t" in f.read_text()
     code, out, _ = run(capsys, "order", str(f))
@@ -161,7 +161,7 @@ def test_max_cosets_is_accepted_only_where_it_is_honoured(capsys):
 def test_max_cosets_below_one_is_an_input_error(tmp_path, capsys, argv, bound):
     # no enumeration can meet such a bound, so it is rejected at parse time
     f = tmp_path / "h3.map"
-    f.write_text(map_file_text(families.exceptional_order36_text()))
+    f.write_text(map_file_text(families.h3().text))
     with pytest.raises(SystemExit) as exc:
         main([arg.format(file=f) for arg in argv] + ["--max-cosets", bound])
     assert exc.value.code == 2
@@ -180,7 +180,7 @@ def test_max_cosets_of_one_is_a_resource_limit(capsys):
 
 def test_invariants_self_dual_map(tmp_path, capsys):
     f = tmp_path / "m3.map"
-    f.write_text(map_file_text(families.chi_minus_2_text(3)))
+    f.write_text(map_file_text(families.chi2(3).text))
     code, out, _ = run(capsys, "invariants", str(f))
     assert code == 0
     inv = json.loads(out)
@@ -197,7 +197,7 @@ def test_invariants_self_dual_map(tmp_path, capsys):
 
 def test_invariants_exceptional_map(tmp_path, capsys):
     f = tmp_path / "h3.map"
-    f.write_text(map_file_text(families.exceptional_order36_text()))
+    f.write_text(map_file_text(families.h3().text))
     code, out, _ = run(capsys, "invariants", str(f))
     assert code == 0
     inv = json.loads(out)
@@ -235,7 +235,7 @@ def test_construct_families_round_trip(tmp_path, capsys):
         code = main(["construct", *extra, "--out", str(out_file)])
         assert code == 0
         m = load_map(out_file.read_text())
-        assert group_from_action(m.perms, m.name).order == order
+        assert group_from_action(m.perms, extra[1]).order == order
 
 
 def test_construct_requires_family_parameters(capsys):
@@ -244,6 +244,37 @@ def test_construct_requires_family_parameters(capsys):
     assert "--p" in err
     code, _, err = run(capsys, "construct", "--family", "hpj", "--kappa", "1")
     assert code == 2
+
+
+def test_construct_rejects_flags_its_family_does_not_take(capsys):
+    code, out, err = run(capsys, "construct", "--family", "h3", "--p", "5")
+    assert (code, out, err) == (2, "", "error: --family h3 takes no --p\n")
+    code, out, err = run(
+        capsys, "construct", "--family", "dh1", "--p", "5", "--m", "3", "--index", "2"
+    )
+    assert (code, out, err) == (2, "", "error: --family dh1 takes no --m\n")
+    # a missing flag is reported before a foreign one
+    code, out, err = run(capsys, "construct", "--family", "hpj", "--kappa", "1", "--p", "3")
+    assert (code, out, err) == (2, "", "error: --family hpj requires --lambda\n")
+    values = {"p": "3", "kappa": "1", "lambda": "5", "j": "4", "m": "1", "index": "1"}
+    for family, flags in _FAMILY_FLAGS.items():
+        given = [arg for flag in flags for arg in (f"--{flag}", values[flag])]
+        for foreign in values.keys() - set(flags):
+            argv = ["construct", "--family", family, *given, f"--{foreign}", values[foreign]]
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", f"error: --family {family} takes no --{foreign}\n")
+
+
+def test_construct_warns_when_minus_chi_is_not_prime(capsys):
+    # hpj(1,27,1) has p = 2*27 - 2 - 27 = 25, hp(9) has 9*9 - 4 = 77
+    for argv, minus_chi in (
+        (("--family", "hpj", "--kappa", "1", "--lambda", "27", "--j", "1"), 25),
+        (("--family", "hp", "--m", "9"), 77),
+    ):
+        with pytest.warns(UserWarning, match=f"-chi = {minus_chi} is not prime"):
+            code, out, _ = run(capsys, "construct", *argv)
+        assert code == 0
+        assert load_map(out).order in (108, 216)
 
 
 def test_construct_rejects_invalid_parameters(capsys):
@@ -292,7 +323,8 @@ def test_construct_hp_checks_capacity_before_building(monkeypatch, capsys):
     with pytest.warns(UserWarning):
         code, out, _ = run(capsys, "construct", "--family", "hp", "--m", "4165")
     assert code == 0
-    assert out == map_file_text(families.valency_eight_text(4165))
+    with pytest.warns(UserWarning):
+        assert out == map_file_text(families.hp(4165).text)
 
 
 def test_construct_deterministic(capsys):
@@ -493,7 +525,7 @@ def test_classify_fails_when_a_constructor_misses_a_class(monkeypatch, capsys):
 
 def _write_hp1(tmp_path):
     f = tmp_path / "hp1.map"
-    f.write_text(map_file_text(families.valency_eight_text(1)))
+    f.write_text(map_file_text(families.hp(1).text))
     return f
 
 
@@ -524,9 +556,9 @@ def test_export_cayley_witnesses_defining_relation(tmp_path, capsys):
     x_edges = {frozenset((a, b)) for a, b, label, _ in edges if label == "x"}
 
     m = load_map(f.read_text())
-    group = group_from_action(m.perms, m.name)
+    group = group_from_action(m.perms, "hp(1)")
     mul = group.mul
-    t, y = m.t, m.y
+    _, y, _, t = m.marks
     tyt_edges = {
         frozenset((h, mul[mul[mul[h][t]][y]][t])) for h in range(group.order)
     }
@@ -535,7 +567,7 @@ def test_export_cayley_witnesses_defining_relation(tmp_path, capsys):
 
 def test_export_flags_dot(tmp_path, capsys):
     f = tmp_path / "m1.map"
-    f.write_text(map_file_text(families.chi_minus_2_text(1)))
+    f.write_text(map_file_text(families.chi2(1).text))
     code, out, _ = run(capsys, "export", "flags", str(f))
     assert code == 0
     nodes, edges = parse_dot(out)
@@ -580,7 +612,7 @@ _EXPORT_DIGESTS = {
 def test_export_output_unchanged(tmp_path, capsys, family, what, fmt):
     if family == "chi2":
         f = tmp_path / "chi2_4.map"
-        f.write_text(map_file_text(families.chi_minus_2_text(4)))
+        f.write_text(map_file_text(families.chi2(4).text))
     else:
         f = _write_hp1(tmp_path)
     code, out, _ = run(capsys, "export", what, str(f), "--format", fmt)

@@ -1,8 +1,8 @@
 """Tests for the parameterized map families and the structured probes.
 
-Each family constructor checks its own order and type internally; the
+Each family member checks its own order and type when it is built; the
 tests here pin the expected values independently and exercise invariants,
-cross-route agreement and parameter validation.
+cross-route agreement, parameter validation and the roster of members.
 """
 
 import os
@@ -15,31 +15,29 @@ import pytest
 
 import ebrmaps
 from ebrmaps import census, families
-from ebrmaps.cli import _PROBE_GRID
+from ebrmaps.cli import _FAMILY_FLAGS, _PROBE_GRID
 from ebrmaps.families import (
     CHI2_EXPECTED_ORDERS,
     CHI2_EXPECTED_TYPES,
     CHI2_FULLY_REGULAR_INDICES,
     CHI2_ORIENTABLE_INDICES,
     FamilyParams,
-    chi_minus_2_catalog,
-    chi_minus_2_text,
+    Member,
+    chi2,
     cyclic_by_dihedral_probe,
-    cyclic_fitting_map,
     cyclic_fitting_params,
-    cyclic_fitting_text,
-    dihedral_family_1,
-    dihedral_family_1_text,
-    dihedral_family_2,
-    dihedral_family_2_text,
-    exceptional_order36_map,
+    dh1,
+    dh2,
+    h3,
+    hp,
+    hpj,
     is_prime,
+    members,
     presentation_text,
     regular_action_through,
-    valency_eight_map,
-    valency_eight_text,
 )
 from ebrmaps.groups import (
+    CapacityExceeded,
     FiniteGroup,
     VerificationError,
     are_isomorphic,
@@ -89,32 +87,32 @@ def test_presentation_text_shape():
 
 def test_dihedral_family_1():
     for p in (3, 5, 7):
-        m = dihedral_family_1(p)
-        assert group_from_action(m.perms, m.name).order == 4 * (p + 1)
+        m = dh1(p).build()
+        assert group_from_action(m.perms, "dh1").order == 4 * (p + 1)
         assert type_of(m) == (4 * (p + 1), 4)
         assert counts(m) == (1, 2 * (p + 1), p + 1)
         assert euler_characteristic(m) == -p
-        assert are_isomorphic(group_from_action(m.perms, m.name), dihedral(4 * (p + 1)))
+        assert are_isomorphic(group_from_action(m.perms, "dh1"), dihedral(4 * (p + 1)))
         assert not is_fully_regular(m)
 
 
 def test_dihedral_family_2():
     for p in (3, 5, 7):
-        m = dihedral_family_2(p)
-        assert group_from_action(m.perms, m.name).order == 4 * (p + 2)
+        m = dh2(p).build()
+        assert group_from_action(m.perms, "dh2").order == 4 * (p + 2)
         assert type_of(m) == (2 * (p + 2), 4)
         assert counts(m) == (2, 2 * (p + 2), p + 2)
         assert euler_characteristic(m) == -p
-        assert are_isomorphic(group_from_action(m.perms, m.name), dihedral(4 * (p + 2)))
+        assert are_isomorphic(group_from_action(m.perms, "dh2"), dihedral(4 * (p + 2)))
         assert not is_fully_regular(m)
 
 
 def test_dihedral_families_reject_bad_p():
     for bad in (2, 9, -3, 1):
-        with pytest.raises(ValueError):
-            dihedral_family_1(bad)
-        with pytest.raises(ValueError):
-            dihedral_family_2(bad)
+        with pytest.raises(ValueError, match=f"p must be an odd prime, got {bad}"):
+            dh1(bad)
+        with pytest.raises(ValueError, match=f"p must be an odd prime, got {bad}"):
+            dh2(bad)
 
 
 def test_family_params_derived_values():
@@ -175,21 +173,20 @@ def test_cyclic_fitting_map_both_routes():
     # the map is built as an explicit extension of a cyclic group by the
     # Klein four group and certified against its presentation
     for q in [FamilyParams(1, 5, 1), FamilyParams(1, 5, 4), FamilyParams(3, 5, 4)]:
-        m = cyclic_fitting_map(q)
-        assert group_from_action(m.perms, m.name).order == q.order
+        m = hpj(q.kappa, q.lam, q.j).build()
+        assert group_from_action(m.perms, "hpj").order == q.order
         assert type_of(m) == q.map_type
         assert euler_characteristic(m) == -q.p
         assert not is_fully_regular(m)
     # coset enumeration of the same presentation gives an isomorphic map
-    q = FamilyParams(1, 7, 6)
-    mp = load_map(map_file_text(cyclic_fitting_text(q)))
-    md = cyclic_fitting_map(q)
+    member = hpj(1, 7, 6)
+    mp = load_map(map_file_text(member.text))
+    md = member.build()
     assert is_map_isomorphic(mp, md)
 
 
 def test_cyclic_fitting_text_mentions_parameters():
-    q = FamilyParams(3, 5, 4)
-    text = cyclic_fitting_text(q)
+    text = hpj(3, 5, 4).text
     assert "(s x)^5" in text  # lambda
     assert "(t y)^6" in text  # 2*kappa
     assert "(s x)^4" in text  # j
@@ -197,32 +194,47 @@ def test_cyclic_fitting_text_mentions_parameters():
 
 def test_valency_eight_map():
     for m_param in (1, 3):
-        m = valency_eight_map(m_param)
-        assert group_from_action(m.perms, m.name).order == 24 * m_param
+        m = hp(m_param).build()
+        assert group_from_action(m.perms, "hp").order == 24 * m_param
         assert type_of(m) == (8, 6 * m_param)
         assert euler_characteristic(m) == -(9 * m_param - 4)
         assert not is_fully_regular(m)
     with pytest.raises(ValueError):
-        valency_eight_map(2)  # m must be odd
+        hp(2)  # m must be odd
     with pytest.raises(ValueError):
-        valency_eight_map(0)
+        hp(0)
 
 
 def test_valency_eight_map_warns_on_composite_characteristic():
     # m = 9 gives chi = -77 = -7*11: the construction still works but warns
-    with pytest.warns(UserWarning):
-        m = valency_eight_map(9)
-    assert group_from_action(m.perms, m.name).order == 216
+    with pytest.warns(UserWarning, match="-chi = 77 is not prime"):
+        member = hp(9)
+    assert group_from_action(member.build().perms, "hp").order == 216
+
+
+def test_hpj_warns_on_composite_characteristic():
+    # kappa = 1, lam = 27 gives p = 2*27 - 2 - 27 = 25, as hp warns for m = 9
+    with pytest.warns(UserWarning, match="-chi = 25 is not prime"):
+        member = hpj(1, 27, 1)
+    m = member.build()
+    assert (m.order, euler_characteristic(m)) == (108, -25)
+    # lam = 3, kappa = 1 gives p = 1, which is no prime either
+    with pytest.warns(UserWarning, match="-chi = 1 is not prime"):
+        hpj(1, 3, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hpj(1, 5, 4).label == "hpj(1,5,4)"  # p = 3
 
 
 def test_valency_eight_map_equals_the_enumerated_map():
-    # C_m' x| ve(3^e) against the regular action of the presentation found
+    # C_m' x| hp(3^e) against the regular action of the presentation found
     # by coset enumeration; m = 3, 9 and 27 have a quotient B other than S_4
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # 9m - 4 is often composite
         for m in range(1, 42, 2):
-            reference = load_map(map_file_text(valency_eight_text(m)))
-            assert equivalence_key(valency_eight_map(m)) == equivalence_key(reference), m
+            member = hp(m)
+            reference = load_map(map_file_text(member.text))
+            assert equivalence_key(member.build()) == equivalence_key(reference), m
 
 
 def test_valency_eight_map_enumerates_at_most_its_quotient(monkeypatch):
@@ -243,13 +255,13 @@ def test_valency_eight_map_enumerates_at_most_its_quotient(monkeypatch):
     monkeypatch.setattr(families, "coset_enumerate", counting)
     for m in (5, 35, 1103, 45):
         cosets.clear()
-        assert valency_eight_map(m).order == 24 * m
+        assert hp(m).build().order == 24 * m
         assert cosets == [8], m
 
 
 def test_exceptional_order36():
-    m = exceptional_order36_map()
-    assert group_from_action(m.perms, m.name).order == 36
+    m = h3().build()
+    assert group_from_action(m.perms, "h3").order == 36
     assert type_of(m) == (4, 6)
     assert counts(m) == (9, 18, 6)
     assert euler_characteristic(m) == -3
@@ -258,9 +270,9 @@ def test_exceptional_order36():
 
 
 def test_chi_minus_2_catalog():
-    cat = chi_minus_2_catalog()
+    cat = [member.build() for member in members(2)]
     assert len(cat) == 12
-    assert tuple(group_from_action(m.perms, m.name).order for m in cat) == CHI2_EXPECTED_ORDERS
+    assert tuple(group_from_action(m.perms, "chi2").order for m in cat) == CHI2_EXPECTED_ORDERS
     for i, m in enumerate(cat, start=1):
         k, l = type_of(m)
         if k > l:
@@ -276,10 +288,70 @@ def test_chi_minus_2_catalog():
 
 
 def test_chi_minus_2_text_validation():
-    assert "gens x y s t" in chi_minus_2_text(1)
+    assert "gens x y s t" in chi2(1).text
     for bad in (0, 13, -1):
-        with pytest.raises(ValueError):
-            chi_minus_2_text(bad)
+        with pytest.raises(ValueError, match="index must be between 1 and 12"):
+            chi2(bad)
+
+
+# --- the roster -------------------------------------------------------------
+
+
+def test_members_build_with_chi_minus_p_for_every_prime_below_100():
+    for p in filter(is_prime, range(100)):
+        roster = members(p)
+        labels = [member.label for member in roster]
+        assert len(set(labels)) == len(labels), p
+        for member in roster:
+            assert euler_characteristic(member.build()) == -p, member.label
+
+
+def test_members_roster_branches():
+    assert [member.label for member in members(2)] == [f"chi2({i})" for i in range(1, 13)]
+    assert [member.label for member in members(3)] == [
+        "dh1", "dh2", "hpj(1,5,1)", "hpj(1,5,4)", "h3"
+    ]
+    for p in filter(is_prime, range(3, 1000)):
+        families_of = [member.label.split("(")[0] for member in members(p)]
+        assert families_of[:2] == ["dh1", "dh2"], p
+        assert families_of.count("hpj") == len(cyclic_fitting_params(p)), p
+        assert families_of.count("hp") == ((p + 4) % 9 == 0), p
+        assert families_of.count("h3") == (p == 3), p
+    assert members(23)[-1] == hp(3)
+    with pytest.raises(ValueError, match="p must be an odd prime, got 9"):
+        members(9)
+
+
+def test_every_family_choice_names_its_member_constructor():
+    # the construct command resolves --family by name in families
+    sample = {"p": 5, "kappa": 1, "lambda": 5, "j": 4, "m": 1, "index": 3}
+    for family, flags in _FAMILY_FLAGS.items():
+        member = getattr(families, family)(*(sample[flag] for flag in flags))
+        assert isinstance(member, Member), family
+        assert member.label == family or member.label.startswith(f"{family}("), member.label
+    assert set(_FAMILY_FLAGS) == {"dh1", "dh2", "hpj", "hp", "h3", "chi2"}
+
+
+def test_member_build_checks_capacity_order_and_type(monkeypatch):
+    member = dh1(5)  # order 24
+    assert member.build(max_cosets=24).order == 24
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a permutation was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(families, "regular_action_through", refuse)
+        with pytest.raises(CapacityExceeded):
+            member.build(max_cosets=23)
+    wrong_order = Member("dh1", member.text, member.w, 28, member.map_type)
+    with pytest.raises(VerificationError, match=r"^dh1: expected order 28, got 24$"):
+        wrong_order.build()
+    wrong_type = Member("dh1", member.text, member.w, 24, (4, 24))
+    with pytest.raises(VerificationError, match=r"^dh1: expected type \(4, 24\), got \(24, 4\)$"):
+        wrong_type.build()
+    # a member is its label and text
+    assert member == Member("dh1", member.text, (), 0, (0, 0))
+    assert member != dh1(7)
 
 
 def test_probe_vacuous_cells():
@@ -302,7 +374,7 @@ def test_probe_even_lambda_cells():
     assert (12, 12) in norm_types  # chi = -20 member satisfying the hypothesis
     assert (4, 12) in norm_types  # its dual-form companion at chi = -10
     for m in maps:
-        assert group_from_action(m.perms, m.name).order == 60
+        assert group_from_action(m.perms, "C5:D12").order == 60
 
 
 @pytest.mark.parametrize("p, lam", [(5, 3), (7, 5), (5, 4), (5, 6)])
@@ -345,7 +417,7 @@ def test_probe_finds_and_checks_what_the_scan_of_every_quadruple_does(monkeypatc
     monkeypatch.setattr(references, "_assert_probe_conformance", recording(scanned, conformance))
     found = cyclic_by_dihedral_probe(p, lam)
     expected = probe_by_scan(p, 2 * lam, built)
-    assert [(m.name, m.marks) for m in found] == [(m.name, m.marks) for m in expected]
+    assert [m.perms for m in found] == [m.perms for m in expected]
     assert probed == scanned
 
 
@@ -374,7 +446,7 @@ def test_families_build_no_large_dense_group(monkeypatch):
         original(self)
 
     monkeypatch.setattr(FiniteGroup, "__post_init__", counting)
-    m = dihedral_family_1(997)
+    m = dh1(997).build()
     assert m.order == 3992
     entries = census.classify(101, "constructive")
     assert len(entries) == 3
@@ -414,27 +486,25 @@ from ebrmaps.maps import equivalence_key
 from references import cyclic_fitting_reference
 
 assert False, "assert statements must be stripped"
-q, other = families.FamilyParams(1, 21, 1), families.FamilyParams(1, 21, 8)
-text = families.cyclic_fitting_text
-families.cyclic_fitting_text = lambda params: text(other)
-key = equivalence_key(families.cyclic_fitting_map(q))
-print(key == equivalence_key(cyclic_fitting_reference(q)))
-print(key == equivalence_key(cyclic_fitting_reference(other)))
+q, other = families.hpj(1, 21, 1), families.hpj(1, 21, 8)
+key = equivalence_key(families.Member(q.label, other.text, q.w, q.order, q.map_type).build())
+print(key == equivalence_key(cyclic_fitting_reference(families.FamilyParams(1, 21, 1))))
+print(key == equivalence_key(cyclic_fitting_reference(families.FamilyParams(1, 21, 8))))
 """
 
 _WRONG_ORDER = """
 import ebrmaps.families as families
 
 assert False, "assert statements must be stripped"
-families.dihedral_family_1_text = families.dihedral_family_2_text
-families.dihedral_family_1(5)
+good, wrong = families.dh1(5), families.dh2(5)
+families.Member(good.label, wrong.text, good.w, good.order, good.map_type).build()
 """
 
 
 def test_corrupted_direct_action_fails_under_python_O():
     # the coset table of <(s x)(t y)^2> as if s fixed every coset: the
     # lifted action breaks a relator
-    build = "families.cyclic_fitting_map(families.FamilyParams(1, 5, 4))"
+    build = "families.hpj(1, 5, 4).build()"
     proc = _run_optimized(_CORRUPT_ACTION.format(g=2, build=build))
     assert proc.returncode == 1
     last = proc.stderr.strip().splitlines()[-1]
@@ -444,7 +514,7 @@ def test_corrupted_direct_action_fails_under_python_O():
 def test_corrupted_dihedral_inversion_fails_under_python_O():
     # the coset table of <y t> as if t fixed both cosets: the rewritten
     # y t no longer generates the quotient of the Schreier lattice
-    build = "families.dihedral_family_1(5)"
+    build = "families.dh1(5).build()"
     proc = _run_optimized(_CORRUPT_ACTION.format(g=3, build=build))
     assert proc.returncode == 1
     last = proc.stderr.strip().splitlines()[-1]
@@ -466,7 +536,7 @@ def test_family_order_check_survives_python_O():
     proc = _run_optimized(_WRONG_ORDER)
     assert proc.returncode == 1
     last = proc.stderr.strip().splitlines()[-1]
-    assert last == "ebrmaps.groups.VerificationError: dh1(5): expected order 24, got 28"
+    assert last == "ebrmaps.groups.VerificationError: dh1: expected order 24, got 28"
 
 
 # --- the regular action lifted through a cyclic subgroup -------------------
@@ -477,19 +547,14 @@ def test_certificate_equals_hlt_index_and_map_for_small_p():
     # trivial-subgroup enumeration is the independent reference
     built = {}
     for p in filter(is_prime, range(3, 102)):
-        texts = [
-            ("dh1", dihedral_family_1_text(p), dihedral_family_1(p)),
-            ("dh2", dihedral_family_2_text(p), dihedral_family_2(p)),
-        ]
-        texts += [
-            ("hpj", cyclic_fitting_text(q), cyclic_fitting_map(q)) for q in cyclic_fitting_params(p)
-        ]
-        for label, text, m in texts:
-            reference = map_from_action(regular_action(parse_presentation(text)), label)
+        for member in members(p):
+            m = member.build()
+            reference = map_from_action(regular_action(parse_presentation(member.text)))
             assert reference.order == m.order
             assert standard_table(m.perms) == standard_table(reference.perms)
-            built[label] = built.get(label, 0) + 1
-    assert built == {"dh1": 25, "dh2": 25, "hpj": 106}
+            family = member.label.split("(")[0]
+            built[family] = built.get(family, 0) + 1
+    assert built == {"dh1": 25, "dh2": 25, "hpj": 106, "hp": 4, "h3": 1}
 
 
 def test_certificate_on_small_presentations():
@@ -521,7 +586,7 @@ def test_lift_equals_the_regular_action_of_d12():
 def test_lift_combines_the_pivots_by_gcd(monkeypatch):
     # hpj(3,5,4) at p = 19: the lattice of <(s x)(t y)^2> has pivots 5 and
     # 3, so the exponent of w is combined from two coordinates
-    q = FamilyParams(3, 5, 4)
+    q, member = FamilyParams(3, 5, 4), hpj(3, 5, 4)
     echelon, pivots = families._echelon, []
 
     def recording(rows, m):
@@ -530,10 +595,10 @@ def test_lift_combines_the_pivots_by_gcd(monkeypatch):
         return basis
 
     monkeypatch.setattr(families, "_echelon", recording)
-    m = cyclic_fitting_map(q)
+    m = member.build()
     assert pivots == [[5, 3]]
     assert equivalence_key(m) == equivalence_key(references.cyclic_fitting_reference(q))
-    reference = regular_action(parse_presentation(cyclic_fitting_text(q)))
+    reference = regular_action(parse_presentation(member.text))
     assert standard_table(m.perms) == standard_table(reference)
 
 
@@ -543,7 +608,7 @@ def test_cyclic_fitting_map_matches_its_semidirect_reference():
     keys = {}
     for p in filter(is_prime, range(3, 102)):
         for q in cyclic_fitting_params(p):
-            keys[q.kappa, q.lam, q.j] = key = equivalence_key(cyclic_fitting_map(q))
+            keys[q.kappa, q.lam, q.j] = key = equivalence_key(hpj(q.kappa, q.lam, q.j).build())
             assert key == equivalence_key(references.cyclic_fitting_reference(q)), q
     assert len(keys) == 106
     for (kappa, lam, j), key in keys.items():
@@ -555,7 +620,7 @@ def test_valency_eight_map_matches_its_semidirect_reference():
         warnings.simplefilter("ignore", UserWarning)  # 9m - 4 is often composite
         for m in range(1, 42, 2):
             reference = references.valency_eight_reference(m)
-            assert equivalence_key(valency_eight_map(m)) == equivalence_key(reference), m
+            assert equivalence_key(hp(m).build()) == equivalence_key(reference), m
 
 
 def test_certified_families_never_enumerate_the_trivial_subgroup(monkeypatch):
@@ -568,7 +633,7 @@ def test_certified_families_never_enumerate_the_trivial_subgroup(monkeypatch):
 
     monkeypatch.setattr(presentations_module, "regular_action", refuse)
     monkeypatch.setattr(families, "regular_action", refuse)
-    assert dihedral_family_1(997).order == 3992
+    assert dh1(997).build().order == 3992
     # p = 1009 has no valency-eight member
     # (test_valency_eight_map_enumerates_at_most_its_quotient)
     entries = census.classify(1009, "constructive")
@@ -588,7 +653,7 @@ def attempt(build):
         print(exc)
 
 good_log = families._discrete_log
-good_text = families.dihedral_family_1_text
+dh1 = families.dh1(5)
 exponents = []
 
 def bumped(k):
@@ -602,14 +667,13 @@ def bumped(k):
 # each exponent of the lift in turn one too large
 for k in range(4):
     families._discrete_log = bumped(k)
-    attempt(lambda: families.dihedral_family_1(5))
+    attempt(dh1.build)
 families._discrete_log = good_log
 print(exponents)
 # without s (y t)^(p+1) the presented group is infinite
-families.dihedral_family_1_text = lambda p: families.presentation_text(("x y s",))
-attempt(lambda: families.dihedral_family_1(5))
-families.dihedral_family_1_text = good_text
-print(families.dihedral_family_1(5).order)
+text = families.presentation_text(("x y s",))
+attempt(families.Member(dh1.label, text, dh1.w, dh1.order, dh1.map_type).build)
+print(dh1.build().order)
 """
 
 
@@ -630,7 +694,7 @@ def test_certificate_rejections_survive_python_O():
 def test_broken_action_fails_exactly_one_relator():
     # t' = t y t = y r^2 for r = y t: every relator holds but s (y t)^(p+1)
     p = 5
-    pres = parse_presentation(dihedral_family_1_text(p))
+    pres = parse_presentation(dh1(p).text)
     good = regular_action_through(pres, (1, 3))
     x, y, s, t = good
     bad = (x, y, s, tuple(t[y[t[h]]] for h in range(len(t))))

@@ -371,7 +371,7 @@ def test_derived_data_agrees_with_the_dense_references(monkeypatch):
     monkeypatch.setattr(families, "semidirect", recording_semidirect)
     families.cyclic_by_dihedral_probe(5, 3)
     assert [g.name for g in probed] == ["C5:D6", "C5:D6"]
-    dh1 = families.dihedral_family_1(5)
+    dh1 = families.dh1(5).build()
     groups = [
         symmetric(5),
         alternating(5),
@@ -379,7 +379,7 @@ def test_derived_data_agrees_with_the_dense_references(monkeypatch):
         # the holomorph of C9: C9 x| C6, the generator multiplying by 2
         semidirect(cyclic(9), cyclic(6), {1: tuple(2 * c % 9 for c in range(9))}, "Hol(C9)"),
         *probed,
-        group_from_action(dh1.perms, dh1.name),
+        group_from_action(dh1.perms, "dh1"),
     ]
     for g in groups:
         assert g.element_orders == element_orders(g), g.name

@@ -15,7 +15,7 @@ import ebrmaps
 import ebrmaps.maps as maps_module
 from ebrmaps import census, families
 from ebrmaps.census import ATLAS_ORDERS, _constructive_entries, admissible_types, atlas, classify
-from ebrmaps.families import chi_minus_2_catalog
+from ebrmaps.families import members
 from ebrmaps.groups import (
     cyclic,
     dihedral,
@@ -134,7 +134,7 @@ def test_exception_hierarchy():
 def test_type_and_counts():
     m = load_map(TORUS_LIKE)
     # relator x y t s means xy = st is central of order 2: order 16 group
-    assert group_from_action(m.perms, m.name).order == 16
+    assert group_from_action(m.perms, "H").order == 16
     assert type_of(m) == (8, 8)
     assert counts(m) == (2, 8, 2)
     assert euler_characteristic(m) == -4
@@ -153,7 +153,7 @@ def test_euler_characteristic_formula_is_exact():
 def test_flag_structure():
     m = load_map(TORUS_LIKE)
     fs = flag_structure(m)
-    assert fs.num_flags == 2 * group_from_action(m.perms, m.name).order
+    assert fs.num_flags == 2 * group_from_action(m.perms, "H").order
     for p in (fs.rho0, fs.rho1, fs.rho2):
         assert sorted(p) == list(range(fs.num_flags))
         assert all(p[p[f]] == f for f in range(fs.num_flags))  # involutions
@@ -272,7 +272,7 @@ def test_equivalence_key_decides_equivalence_up_to_duality():
 
 def _relabelled(m, rng):
     """The same map with H renumbered by a random permutation."""
-    group, perm = relabelled(group_from_action(m.perms, m.name), rng)
+    group, perm = relabelled(group_from_action(m.perms, "H"), rng)
     return new_map(group, tuple(perm[z] for z in m.marks))
 
 
@@ -303,16 +303,16 @@ def _dense_standard_table(group, marks):
 def _dense_key(m):
     x, y, s, t = m.marks
     orderings = ((x, y, s, t), (y, x, t, s), (s, t, x, y), (t, s, y, x))
-    group = group_from_action(m.perms, m.name)
+    group = group_from_action(m.perms, "H")
     return min(_dense_standard_table(group, marks) for marks in orderings)
 
 
 def test_permutation_invariants_match_dense_references():
     # every invariant computed from the four mark permutations equals its
     # reference computed on the dense multiplication table
-    maps = _small_quadruples() + chi_minus_2_catalog()
+    maps = _small_quadruples() + [member.build() for member in members(2)]
     for m in maps:
-        g = group_from_action(m.perms, m.name)
+        g = group_from_action(m.perms, "H")
         x, y, s, t = m.marks
         k = 2 * g.element_orders[g.mul[t][y]]
         l = 2 * g.element_orders[g.mul[s][x]]
@@ -356,7 +356,7 @@ def test_map_from_presentation_holds_only_the_action(monkeypatch):
     assert m.order == 16 and len(m.perms) == 4
     assert m.marks == tuple(perm[0] for perm in m.perms)
     group, marks = group_from_presentation(parse_presentation(strip_mark_lines(TORUS_LIKE)))
-    assert group_from_action(m.perms, m.name).mul == group.mul
+    assert group_from_action(m.perms, "H").mul == group.mul
     assert m.marks == marks
     # a map found on a dense group rebuilds that group's table exactly: every
     # class kept over the p = 2 atlas orders and in the groups searched by
@@ -378,7 +378,7 @@ def test_map_from_presentation_holds_only_the_action(monkeypatch):
     kept = [(g, m) for g, found in searched for m in found.values()]
     assert len(kept) == 12 + 28  # 12 at p = 2, 28 in the probe's groups
     for g, m in kept:
-        assert group_from_action(m.perms, m.name).mul == g.mul, g.name
+        assert group_from_action(m.perms, "H").mul == g.mul, g.name
 
 
 def test_map_from_action_validates():

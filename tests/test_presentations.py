@@ -423,10 +423,10 @@ _S4_CERTIFICATE = families.presentation_text(("(t y)^4", "(s x y)^2 t", "t x t y
 def _enumeration_cases():
     texts = []
     for p in (3, 5, 13, 31):
-        texts += [families.dihedral_family_1_text(p), families.dihedral_family_2_text(p)]
+        texts += [families.dh1(p).text, families.dh2(p).text]
     for p in (5, 13, 41):
-        texts += [families.cyclic_fitting_text(q) for q in families.cyclic_fitting_params(p)]
-    texts += [families.valency_eight_text(m) for m in (1, 3, 5)]
+        texts += [families.hpj(q.kappa, q.lam, q.j).text for q in families.cyclic_fitting_params(p)]
+    texts += [families.hp(m).text for m in (1, 3, 5)]
     cases = [(parse_presentation(text), ()) for text in texts]
     cases.append((parse_presentation(_S4_CERTIFICATE), ((2, 0, 2, 0, 2, 0),)))  # (s x)^3
     cases.append((parse_presentation(DIHEDRAL_12), ((0,),)))
@@ -455,7 +455,7 @@ def test_early_stop_returns_the_full_sweep_table(monkeypatch):
 
 
 def test_early_stop_skips_scans(monkeypatch):
-    pres = parse_presentation(families.dihedral_family_1_text(31))
+    pres = parse_presentation(families.dh1(31).text)
     scans = []
     scan_and_fill = presentations._Enumeration.scan_and_fill
 
@@ -490,10 +490,10 @@ def _capacity_threshold(pres, subgens) -> tuple[int, tuple]:
 
 def test_capacity_thresholds_unchanged_by_early_stop(monkeypatch):
     cases = [
-        (parse_presentation(families.dihedral_family_1_text(5)), ()),
-        (parse_presentation(families.dihedral_family_2_text(13)), ()),
-        (parse_presentation(families.cyclic_fitting_text(families.cyclic_fitting_params(13)[0])), ()),
-        (parse_presentation(families.valency_eight_text(1)), ()),
+        (parse_presentation(families.dh1(5).text), ()),
+        (parse_presentation(families.dh2(13).text), ()),
+        (parse_presentation(families.hpj(1, 15, 1).text), ()),
+        (parse_presentation(families.hp(1).text), ()),
         (parse_presentation(_S4_CERTIFICATE), ((2, 0, 2, 0, 2, 0),)),
     ]
     infinite = parse_presentation(
