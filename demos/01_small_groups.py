@@ -20,8 +20,9 @@ from ebrmaps.groups import (
 
 def describe(g):
     orders = sorted(g.element_orders)
-    print(f"  {g.name:<12} order {g.order:>3}  abelian={g.is_abelian()!s:<5} "
-          f"involutions={len(g.involutions()):>2}  element orders {orders}")
+    abelian = g.mul == tuple(zip(*g.mul))  # the table is symmetric
+    print(f"  {g.name:<12} order {g.order:>3}  abelian={abelian!s:<5} "
+          f"involutions={orders.count(2):>2}  element orders {orders}")
 
 
 def main():

@@ -6,7 +6,7 @@ The enumerator completes a coset table for a subgroup given by generator
 words; with the trivial subgroup it realizes the whole group concretely.
 """
 
-from ebrmaps.groups import CapacityExceeded, are_isomorphic, dihedral, group_from_action
+from ebrmaps.groups import CapacityExceeded, dihedral
 from ebrmaps.presentations import coset_enumerate, parse_presentation, regular_action
 
 DIHEDRAL_20 = """\
@@ -41,10 +41,16 @@ def main():
     print("dihedral presentation, trivial subgroup = regular action")
     pres = parse_presentation(DIHEDRAL_20)
     print("  cosets:", coset_enumerate(pres).num_cosets)
-    group = group_from_action(regular_action(pres), "D20")
-    print("  realized group:", group.name, "order", group.order)
-    print("  matches the table-built dihedral group:",
-          are_isomorphic(group, dihedral(20)))
+    a, b = regular_action(pres)  # h -> h a and h -> h b on the 20 elements
+    print("  regular action:", len(a), "points, one permutation per generator")
+    # two involutions whose product has order n generate a dihedral group
+    # of order 2n; the table-built one has reflections 10 and 11
+    h, ab_order = b[a[0]], 1
+    while h != 0:
+        h, ab_order = b[a[h]], ab_order + 1
+    d20 = dihedral(20)
+    print(f"  order of a b: {ab_order}, and of the reflections' product in"
+          f" dihedral(20): {d20.element_orders[d20.mul[10][11]]}")
 
     print("\nsubgroup indexes inside the same presentation")
     print("  index of <ab> :", coset_enumerate(pres, [(0, 1)]).num_cosets)

@@ -3,7 +3,8 @@
 A map here is a group H with four marked involutions (x, y, s, t) where
 x,y commute, s,t commute, and the four together generate H.  The marks
 act on 2|H| flags; orbit counting recovers vertices, edges and faces, and
-V - E + F identifies the carrier surface.
+V - E + F identifies the carrier surface.  The flag structure is three
+permutations of the flags, rho0, rho1 and rho2, as a map is four of H.
 """
 
 from ebrmaps.maps import (
@@ -35,6 +36,24 @@ mark x y s t
 """
 
 
+def orbit_count(perms):
+    """The number of orbits of the permutations on the flags."""
+    seen, count = set(), 0
+    for start in range(len(perms[0])):
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            f = stack.pop()
+            for perm in perms:
+                if perm[f] not in seen:
+                    seen.add(perm[f])
+                    stack.append(perm[f])
+    return count
+
+
 def main():
     m = load_map(MAP_FILE)
     print("group order:", m.order)
@@ -44,12 +63,12 @@ def main():
     print(f"V, E, F = {v}, {e}, {f}; chi = {euler_characteristic(m)}")
 
     print("\nflag structure")
-    fs = flag_structure(m)
-    print("  flags:", fs.num_flags)
-    print("  vertex orbits:", fs.orbit_count((fs.rho1, fs.rho2)))
-    print("  edge orbits:  ", fs.orbit_count((fs.rho0, fs.rho2)))
-    print("  face orbits:  ", fs.orbit_count((fs.rho0, fs.rho1)))
-    print("  connected:    ", fs.orbit_count((fs.rho0, fs.rho1, fs.rho2)) == 1)
+    rho0, rho1, rho2 = flag_structure(m)
+    print("  flags:", len(rho0))
+    print("  vertex orbits:", orbit_count((rho1, rho2)))
+    print("  edge orbits:  ", orbit_count((rho0, rho2)))
+    print("  face orbits:  ", orbit_count((rho0, rho1)))
+    print("  connected:    ", orbit_count((rho0, rho1, rho2)) == 1)
 
     print("\nsurface and symmetry")
     print("  orientable:   ", is_orientable(m))

@@ -32,7 +32,6 @@ _EXPORTS = {
         "dicyclic",
         "dihedral",
         "direct_product",
-        "group_from_action",
         "is_prime",
         "semidirect",
         "subgroup_closure",
@@ -49,7 +48,6 @@ _EXPORTS = {
     ),
     "maps": (
         "EdgeBiregularMap",
-        "FlagStructure",
         "MapStructureError",
         "NotDistinct",
         "NotGenerating",
@@ -72,7 +70,6 @@ _EXPORTS = {
         "map_file_text",
         "map_from_action",
         "map_invariants",
-        "new_map",
         "product_order",
         "semi_edge_counts",
         "semi_edge_type",

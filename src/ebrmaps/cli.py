@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .groups import DEFAULT_MAX_COSETS, CapacityExceeded
@@ -267,10 +268,9 @@ def _cayley_edges(m: EdgeBiregularMap) -> list[tuple[int, int, str]]:
 def _flag_edges(m: EdgeBiregularMap) -> list[tuple[int, int, str]]:
     from .maps import flag_structure
 
-    fs = flag_structure(m)
     edges = []
-    for label, rho in (("rho0", fs.rho0), ("rho1", fs.rho1), ("rho2", fs.rho2)):
-        for f in range(fs.num_flags):
+    for label, rho in zip(("rho0", "rho1", "rho2"), flag_structure(m)):
+        for f in range(len(rho)):
             if f < rho[f]:
                 edges.append((f, rho[f], label))
     return edges
@@ -376,6 +376,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     if getattr(args, "jobs", None) is not None:
         print("warning: --jobs is ignored and will be removed", file=sys.stderr)
+    # one line per warning, as for --jobs: no install path or source line
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
     except CapacityExceeded as exc:
@@ -388,6 +391,8 @@ def main(argv: list[str] | None = None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"FAIL: verification assertion failed{detail}", file=sys.stderr)
         return EXIT_FAIL
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

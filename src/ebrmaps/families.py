@@ -359,24 +359,44 @@ class FamilyParams(_Record):
 
 
 def cyclic_fitting_params(p: int) -> list[FamilyParams]:
-    """All family parameters attached to the odd prime p.
+    """All family parameters attached to the odd prime p, by b, then by j.
 
     Factors p + 1 = b*d with b = 1 (mod 4) and gcd(b+1, d+1) = 1, sets
     kappa = (b+1)/2 and lam = d+1, and attaches every j with j^2 = 1 mod lam.
+    The pairs b, d are found up to sqrt(p+1), and the j by factoring lam.
     """
     _require_odd_prime(p)
+    n = p + 1
+    small = [b for b in range(1, math.isqrt(n) + 1) if n % b == 0]
     out: list[FamilyParams] = []
-    for b in range(1, p + 2):
-        if (p + 1) % b:
-            continue
-        d = (p + 1) // b
+    for b in small + [n // b for b in reversed(small) if b * b != n]:
+        d = n // b
         if b % 4 != 1 or math.gcd(b + 1, d + 1) != 1:
             continue
         kappa, lam = (b + 1) // 2, d + 1
-        for j in range(1, lam):
-            if (j * j) % lam == 1:
-                out.append(FamilyParams(kappa, lam, j))
+        out += [FamilyParams(kappa, lam, j) for j in _roots_of_one(lam)]
     return out
+
+
+def _roots_of_one(lam: int) -> list[int]:
+    """The j in (0, lam) with j^2 = 1 (mod lam), for odd lam >= 3, ascending.
+
+    Modulo an odd prime power the only roots are 1 and -1, so by the
+    Chinese remainder theorem each root is the j = 1 (mod u) with j = -1
+    (mod v) for one splitting lam = u*v into coprime products of lam's
+    prime powers: j = 1 + u*(-2/u mod v).
+    """
+    splits, rest, q = [1], lam, 3
+    while rest > 1:
+        if q * q > rest:
+            q = rest  # what is left is prime
+        if rest % q == 0:
+            power = 1
+            while rest % q == 0:
+                rest, power = rest // q, power * q
+            splits += [u * power for u in splits]
+        q += 2
+    return sorted(1 + u * (-2 * pow(u, -1, lam // u) % (lam // u)) for u in splits)
 
 
 def hpj(kappa: int, lam: int, j: int) -> Member:

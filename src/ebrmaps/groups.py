@@ -7,7 +7,9 @@ a coset table, stands for the identity, so no identity is searched for or
 passed around.  Marks live there too, not beside a table: a marked
 structure (a map, a semi-edge map) is a tuple of permutations of its
 regular action, one per mark, and each mark is its permutation's image of
-point 0.  The builders make whole rows at a time from tuple slices,
+point 0.  Only the exhaustive search, ``maps.all_map_quadruples``, reads
+marks off a table, as its columns, and nothing in the library builds a
+table from an action.  The builders make whole rows at a time from tuple slices,
 rotations and ``map`` over them, not entry by entry: a cyclic or dihedral
 row is a rotated or reversed ``range``, and a row of a direct or
 semidirect product adds A's row, scaled by |B| and each entry repeated |B|
@@ -134,12 +136,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.mul)
-
-    def is_abelian(self) -> bool:
-        return self.fingerprint[2]
-
-    def involutions(self) -> list[int]:
-        return [a for a in range(self.order) if self.element_orders[a] == 2]
 
     @cached_property
     def fingerprint(self) -> tuple:
@@ -332,31 +328,6 @@ def semidirect(
         for y in range(nb)
     )
     return FiniteGroup(table, name=name or f"{a.name}:{b.name}")
-
-
-def group_from_action(perms: tuple[Perm, ...], name: str) -> FiniteGroup:
-    """Dense group of a regular right action whose point 0 is the identity.
-
-    ``perms[g][h]`` is h times the g-th generator, and point h stands for
-    the element carrying 0 to h.  Column b of the table (h -> h*b) is
-    reached from the identity column along a breadth-first spanning tree,
-    since column b*g is column b followed by perms[g].  Builds |H|^2
-    entries, so it is meant for small groups and for tests.
-    """
-    n = len(perms[0])
-    columns: list[list[int] | None] = [None] * n
-    columns[0] = list(range(n))
-    found = [0]
-    for b in found:
-        col = columns[b]
-        for perm in perms:
-            d = perm[b]
-            if columns[d] is None:
-                columns[d] = [perm[c] for c in col]  # type: ignore[union-attr]
-                found.append(d)
-    if len(found) != n:
-        raise ValueError("the action is not transitive")
-    return FiniteGroup(tuple(zip(*columns)), name=name)  # type: ignore[arg-type]
 
 
 def is_prime(n: int) -> bool:

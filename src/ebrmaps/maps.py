@@ -21,7 +21,8 @@ semi-edge map is stored the same way, with three.  Point 0 is the
 identity, as element 0 is in every group table and coset 0 in every coset
 table, so each mark is its permutation's image of 0.  Every invariant
 below is computed from the permutations, and a map keeps no dense
-multiplication table.
+multiplication table.  The flags are permutations too: ``flag_structure``
+gives the triple (rho0, rho1, rho2) of adjacency involutions of 2|H| flags.
 
 Orientability is computed two independent ways (index of the subgroup of
 even words, and 2-colorability of the flag graph) which must agree.
@@ -156,24 +157,6 @@ def map_from_action(perms: tuple[Perm, ...]) -> EdgeBiregularMap:
     return EdgeBiregularMap(tuple(perms))  # type: ignore[arg-type]
 
 
-def new_map(group: FiniteGroup, marks: tuple[int, int, int, int]) -> EdgeBiregularMap:
-    """Validate a marked quadruple of a dense group and build the map from
-    the table's columns for the marks, by :func:`map_from_action`.
-
-    Raises MapStructureError for a mark outside the group, else as
-    :func:`map_from_action` does.
-    """
-    for z in marks:
-        if not 0 <= z < group.order:
-            raise MapStructureError(f"mark {z} out of range")
-    return map_from_action(_unchecked(group, marks).perms)
-
-
-def _unchecked(group: FiniteGroup, marks: tuple[int, int, int, int]) -> EdgeBiregularMap:
-    perms = tuple(tuple(row[z] for row in group.mul) for z in marks)
-    return EdgeBiregularMap(perms)  # type: ignore[arg-type]
-
-
 # ---------------------------------------------------------------------------
 # invariants
 
@@ -227,62 +210,18 @@ def euler_characteristic_formula(order: int, k: int, l: int) -> int | Fraction:
 # flags
 
 
-class FlagStructure(_Record):
-    """The 2|H| flags with the three adjacency involutions.
+def flag_structure(m: EdgeBiregularMap) -> tuple[Perm, Perm, Perm]:
+    """The three adjacency involutions (rho0, rho1, rho2) of the 2|H| flags.
 
     Flag 2*h + 0 is the bold-side flag at group element h, flag 2*h + 1 the
     dashed-side flag.  rho0 multiplies by x on the bold side and s on the
-    dashed side, rho2 by y and t, and rho1 swaps sides.
+    dashed side, rho2 by y and t, and rho1 swaps sides (f to f ^ 1).
     """
-
-    _fields = ("rho0", "rho1", "rho2")
-
-    def __init__(
-        self, rho0: tuple[int, ...], rho1: tuple[int, ...], rho2: tuple[int, ...]
-    ) -> None:
-        self.rho0 = rho0
-        self.rho1 = rho1
-        self.rho2 = rho2
-
-    @property
-    def num_flags(self) -> int:
-        return len(self.rho0)
-
-    def orbit_count(self, perms: tuple[tuple[int, ...], ...]) -> int:
-        return len(self.orbits(perms))
-
-    def orbits(self, perms: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-        n = self.num_flags
-        seen = [False] * n
-        out: list[list[int]] = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            orbit = [start]
-            seen[start] = True
-            for f in orbit:
-                for p in perms:
-                    g = p[f]
-                    if not seen[g]:
-                        seen[g] = True
-                        orbit.append(g)
-            out.append(orbit)
-        return out
-
-
-def flag_structure(m: EdgeBiregularMap) -> FlagStructure:
     px, py, ps, pt = m.perms
-    rho0 = [0] * (2 * m.order)
-    rho1 = [0] * (2 * m.order)
-    rho2 = [0] * (2 * m.order)
-    for h in range(m.order):
-        rho0[2 * h] = 2 * px[h]
-        rho0[2 * h + 1] = 2 * ps[h] + 1
-        rho2[2 * h] = 2 * py[h]
-        rho2[2 * h + 1] = 2 * pt[h] + 1
-        rho1[2 * h] = 2 * h + 1
-        rho1[2 * h + 1] = 2 * h
-    return FlagStructure(tuple(rho0), tuple(rho1), tuple(rho2))
+    rho0, rho2 = [0] * (2 * m.order), [0] * (2 * m.order)
+    rho0[0::2], rho0[1::2] = [2 * h for h in px], [2 * h + 1 for h in ps]
+    rho2[0::2], rho2[1::2] = [2 * h for h in py], [2 * h + 1 for h in pt]
+    return tuple(rho0), tuple(f ^ 1 for f in range(2 * m.order)), tuple(rho2)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +242,10 @@ def _even_subgroup_index(m: EdgeBiregularMap) -> int:
     return index
 
 
-def _flag_graph_bipartite(fs: FlagStructure) -> bool:
-    n = fs.num_flags
+def _flag_graph_bipartite(rhos: tuple[Perm, Perm, Perm]) -> bool:
+    """Whether the flags 2-color so that each of rho0, rho1, rho2 joins
+    flags of different colors."""
+    n = len(rhos[0])
     color = [-1] * n
     for start in range(n):
         if color[start] != -1:
@@ -314,7 +255,7 @@ def _flag_graph_bipartite(fs: FlagStructure) -> bool:
         while stack:
             f = stack.pop()
             c = 1 - color[f]
-            for p in (fs.rho0, fs.rho1, fs.rho2):
+            for p in rhos:
                 g = p[f]
                 if color[g] == -1:
                     color[g] = c
@@ -603,7 +544,8 @@ def all_map_quadruples(group: FiniteGroup, want_chi: int | None = None):
                             )
                     if len(subgroup_closure(group, (x, y, s, t))) != n:
                         continue
-                    yield _unchecked(group, (x, y, s, t))
+                    perms = tuple(tuple(row[z] for row in mul) for z in (x, y, s, t))
+                    yield EdgeBiregularMap(perms)  # type: ignore[arg-type]
 
 
 def map_invariants(m: EdgeBiregularMap) -> dict:

@@ -4,34 +4,117 @@ The library works on the four mark permutations of a map, and decides
 isomorphism by comparing standardized tables; these references work on
 dense multiplication tables instead, and decide isomorphism by extending a
 map of generators to a homomorphism, so the tests can hold the library
-against an independent computation on the same inputs.
+against an independent computation on the same inputs.  The bridges
+between the two that only tests need live here too: ``new_map`` (a dense
+group and four marks to a map), ``group_from_action`` (a regular action
+to a dense group) and ``flag_orbit_count``.
 """
 
 from itertools import product
+from math import gcd
 
-from ebrmaps.families import FamilyParams, _assert_probe_conformance, hp
+from ebrmaps.families import FamilyParams, _assert_probe_conformance, _require_odd_prime, hp
 from ebrmaps.groups import (
     FiniteGroup,
+    Perm,
     VerificationError,
     cyclic,
     direct_product,
     greedy_generators,
-    group_from_action,
     semidirect,
     subgroup_closure,
 )
 from ebrmaps.maps import (
     EdgeBiregularMap,
+    MapStructureError,
     _orbit,
-    _unchecked,
     dual,
     equivalence_key,
     euler_characteristic_formula,
-    new_map,
+    map_from_action,
     twin,
     type_of,
 )
 from ebrmaps.presentations import Presentation, parse_presentation, regular_action
+
+
+def mark_columns(group: FiniteGroup, marks: tuple[int, ...]) -> tuple[Perm, ...]:
+    """The table's column for each mark: h -> h * mark, the mark's
+    permutation of the group's right regular action.  Checks nothing."""
+    return tuple(tuple(row[z] for row in group.mul) for z in marks)
+
+
+def new_map(group: FiniteGroup, marks: tuple[int, int, int, int]) -> EdgeBiregularMap:
+    """The map of a marked quadruple of a dense group: MapStructureError
+    for a mark outside the group, else the map of the table's columns for
+    the marks, validated by ``map_from_action``."""
+    for z in marks:
+        if not 0 <= z < group.order:
+            raise MapStructureError(f"mark {z} out of range")
+    return map_from_action(mark_columns(group, marks))
+
+
+def group_from_action(perms: tuple[Perm, ...], name: str) -> FiniteGroup:
+    """Dense group of a regular right action whose point 0 is the identity.
+
+    ``perms[g][h]`` is h times the g-th generator, and point h stands for
+    the element carrying 0 to h.  Column b of the table (h -> h*b) is
+    reached from the identity column along a breadth-first spanning tree,
+    since column b*g is column b followed by perms[g].  Builds |H|^2
+    entries, so it is meant for small groups and for tests.
+    """
+    n = len(perms[0])
+    columns: list[list[int] | None] = [None] * n
+    columns[0] = list(range(n))
+    found = [0]
+    for b in found:
+        col = columns[b]
+        for perm in perms:
+            d = perm[b]
+            if columns[d] is None:
+                columns[d] = [perm[c] for c in col]  # type: ignore[union-attr]
+                found.append(d)
+    if len(found) != n:
+        raise ValueError("the action is not transitive")
+    return FiniteGroup(tuple(zip(*columns)), name=name)  # type: ignore[arg-type]
+
+
+def flag_orbit_count(perms) -> int:
+    """The number of orbits of the permutations ``perms`` (some of a map's
+    rho0, rho1, rho2) on the flags, each orbit walked from its least flag
+    not yet seen."""
+    n = len(perms[0])
+    seen = [False] * n
+    count = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        orbit = [start]
+        for f in orbit:
+            for perm in perms:
+                if not seen[perm[f]]:
+                    seen[perm[f]] = True
+                    orbit.append(perm[f])
+    return count
+
+
+def cyclic_fitting_params_by_scan(p: int) -> list[FamilyParams]:
+    """``families.cyclic_fitting_params`` by its former loops: every b from
+    1 to p + 1 is tried as a divisor of p + 1, and every j in (0, lam) as a
+    root of j^2 = 1 (mod lam).  O(p)."""
+    _require_odd_prime(p)
+    out = []
+    for b in range(1, p + 2):
+        if (p + 1) % b:
+            continue
+        d = (p + 1) // b
+        if b % 4 != 1 or gcd(b + 1, d + 1) != 1:
+            continue
+        kappa, lam = (b + 1) // 2, d + 1
+        out += [FamilyParams(kappa, lam, j) for j in range(1, lam) if j * j % lam == 1]
+    return out
 
 
 def extend_generator_map(
@@ -268,7 +351,7 @@ def all_map_quadruples_by_scan(group, want_chi=None):
                         if euler_characteristic_formula(n, k, l) != want_chi:
                             continue
                     if len(subgroup_closure(group, (x, y, s, t))) == n:
-                        yield _unchecked(group, (x, y, s, t))
+                        yield EdgeBiregularMap(mark_columns(group, (x, y, s, t)))
 
 
 def enumerate_maps_by_key(group, want_chi=None) -> list[EdgeBiregularMap]:

@@ -4,9 +4,11 @@ main(argv).  Exit codes: 0 success/PASS, 1 verification FAIL, 2 bad input,
 
 import hashlib
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -14,9 +16,10 @@ import pytest
 
 from ebrmaps import census, families
 from ebrmaps.cli import _FAMILY_FLAGS, _PROBE_GRID, main
-from ebrmaps.groups import VerificationError, group_from_action
+from ebrmaps.groups import VerificationError
 from ebrmaps.maps import load_map, map_file_text
 from ebrmaps.presentations import MAX_NESTING
+from references import group_from_action
 
 TRIANGLE_237 = """\
 gens a b c
@@ -277,6 +280,23 @@ def test_construct_warns_when_minus_chi_is_not_prime(capsys):
         assert load_map(out).order in (108, 216)
 
 
+def test_construct_warning_is_one_line_on_stderr():
+    # a fresh interpreter shows warnings its default way, which would name
+    # the install path and the source line; the CLI shows one line
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ebrmaps.cli", "construct", "--family", "hp", "--m", "9"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning: -chi = 77 is not prime; the map exists but its Euler"
+        " characteristic is not minus a prime\n"
+    )
+    assert load_map(proc.stdout).order == 216
+
+
 def test_construct_rejects_invalid_parameters(capsys):
     code, _, err = run(capsys, "construct", "--family", "dh1", "--p", "4")
     assert code == 2
@@ -336,6 +356,18 @@ def test_construct_deterministic(capsys):
 
 
 # --- classify -------------------------------------------------------------
+
+
+def test_classify_constructive_fails_fast_at_a_prime_too_large_to_build(capsys):
+    # the roster of p = 100000007 is listed in O(sqrt p), and the text of its
+    # first member, with s (y t)^(p + 1), is then too long to expand
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", "--p", "100000007", "--profile", "constructive")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: line 9, column 7: word expands to 200000017 letters, more than 1000000\n"
+    )
 
 
 def test_classify_p2_stdout(capsys):

@@ -42,7 +42,6 @@ from ebrmaps.groups import (
     VerificationError,
     are_isomorphic,
     dihedral,
-    group_from_action,
     semidirect,
 )
 from ebrmaps.maps import (
@@ -65,7 +64,13 @@ from ebrmaps.presentations import (
     regular_action,
 )
 import references
-from references import is_map_isomorphic, probe_by_scan, standard_table
+from references import (
+    cyclic_fitting_params_by_scan,
+    group_from_action,
+    is_map_isomorphic,
+    probe_by_scan,
+    standard_table,
+)
 
 
 def test_is_prime():
@@ -167,6 +172,15 @@ def test_cyclic_fitting_params_small_primes():
     for p in (3, 19, 31, 43):
         for q in cyclic_fitting_params(p):
             assert q.p == p
+
+
+def test_cyclic_fitting_params_equal_the_scan_of_every_b_and_j():
+    # the divisor pairs and the roots of j^2 = 1 from coprime splittings of
+    # lam give the parameters, in their order, that trying every b <= p + 1
+    # and every j < lam gives
+    for p in range(3, 3000, 2):
+        if is_prime(p):
+            assert cyclic_fitting_params(p) == cyclic_fitting_params_by_scan(p), p
 
 
 def test_cyclic_fitting_map_both_routes():

@@ -20,7 +20,6 @@ from ebrmaps.groups import (
     cyclic,
     dihedral,
     direct_product,
-    group_from_action,
     subgroup_closure,
     symmetric,
 )
@@ -48,7 +47,6 @@ from ebrmaps.maps import (
     map_file_text,
     map_from_action,
     map_invariants,
-    new_map,
     semi_edge_counts,
     semi_edge_type,
     strip_mark_lines,
@@ -60,11 +58,15 @@ import references
 from references import (
     all_map_quadruples_by_scan,
     even_subgroup_index_of_products,
+    flag_orbit_count,
+    group_from_action,
     group_from_presentation,
     index_of_even_subgroup,
     is_fully_regular_by_tables,
     is_map_isomorphic,
     is_self_dual_by_tables,
+    mark_columns,
+    new_map,
     relabelled,
     semi_edge_type_dense,
     standard_table,
@@ -94,8 +96,6 @@ def c2_to_the(k):
 
 
 def test_new_map_validation_taxonomy():
-    from ebrmaps.maps import new_map
-
     e16 = c2_to_the(4)  # elementary abelian, all 15 non-identity involutions
     # a valid quadruple: four independent generators
     m = new_map(e16, (1, 2, 4, 8))
@@ -152,13 +152,13 @@ def test_euler_characteristic_formula_is_exact():
 
 def test_flag_structure():
     m = load_map(TORUS_LIKE)
-    fs = flag_structure(m)
-    assert fs.num_flags == 2 * group_from_action(m.perms, "H").order
-    for p in (fs.rho0, fs.rho1, fs.rho2):
-        assert sorted(p) == list(range(fs.num_flags))
-        assert all(p[p[f]] == f for f in range(fs.num_flags))  # involutions
+    rho0, rho1, rho2 = flag_structure(m)
+    num_flags = 2 * group_from_action(m.perms, "H").order
+    for p in (rho0, rho1, rho2):
+        assert sorted(p) == list(range(num_flags))
+        assert all(p[p[f]] == f for f in range(num_flags))  # involutions
     # rho0 and rho2 commute flag-wise (they act on opposite ends)
-    assert all(fs.rho0[fs.rho2[f]] == fs.rho2[fs.rho0[f]] for f in range(fs.num_flags))
+    assert all(rho0[rho2[f]] == rho2[rho0[f]] for f in range(num_flags))
 
 
 def test_flag_orbits_count_cells():
@@ -166,12 +166,12 @@ def test_flag_orbits_count_cells():
     d8 = dihedral(8)
     maps += list(all_map_quadruples_by_scan(d8))
     for m in maps:
-        fs = flag_structure(m)
+        rho0, rho1, rho2 = flag_structure(m)
         v, e, f = counts(m)
-        assert fs.orbit_count((fs.rho1, fs.rho2)) == v
-        assert fs.orbit_count((fs.rho0, fs.rho2)) == e
-        assert fs.orbit_count((fs.rho0, fs.rho1)) == f
-        assert fs.orbit_count((fs.rho0, fs.rho1, fs.rho2)) == 1  # connected
+        assert flag_orbit_count((rho1, rho2)) == v
+        assert flag_orbit_count((rho0, rho2)) == e
+        assert flag_orbit_count((rho0, rho1)) == f
+        assert flag_orbit_count((rho0, rho1, rho2)) == 1  # connected
 
 
 def test_orientability():
@@ -181,8 +181,6 @@ def test_orientability():
     assert is_orientable(m) is True  # genus-3 orientable surface
     # elementary abelian C2^4 quadruple: chi = 16*(1/4 - 1/2 + 1/4) = 0, torus
     e16 = c2_to_the(4)
-    from ebrmaps.maps import new_map
-
     flat = new_map(e16, (1, 2, 4, 8))
     assert type_of(flat) == (4, 4)
     assert euler_characteristic(flat) == 0
@@ -212,8 +210,6 @@ def test_isomorphism_and_equivalence():
     assert equivalence_key(m) == equivalence_key(dual(twin(m)))
     # a map of different type on a different group is not equivalent
     e16 = c2_to_the(4)
-    from ebrmaps.maps import new_map
-
     other = new_map(e16, (1, 2, 4, 8))
     assert not is_map_isomorphic(m, other)
     assert equivalence_key(m) != equivalence_key(other)
@@ -415,16 +411,9 @@ def test_fully_regular_and_self_dual_flags():
     assert is_fully_regular(m) == is_map_isomorphic(m, twin(m))
     assert is_self_dual(m) == is_map_isomorphic(m, dual(m))
     # the C2^4 map is abelian and symmetric in all four marks
-    from ebrmaps.maps import new_map
-
     flat = new_map(c2_to_the(4), (1, 2, 4, 8))
     assert is_fully_regular(flat)
     assert is_self_dual(flat)
-
-
-def _columns(group, elements):
-    """The permutations h -> h*z of the group's table, one per element z."""
-    return tuple(tuple(row[z] for row in group.mul) for z in elements)
 
 
 # the transpositions of points 0,1 and 1,2 and 2,3 of S4
@@ -436,7 +425,7 @@ def _s4_columns(*images):
     with the given images."""
     # symmetric(4) numbers its elements in sorted order
     index = {p: i for i, p in enumerate(sorted(itertools.permutations(range(4))))}
-    return _columns(symmetric(4), [index[p] for p in images])
+    return mark_columns(symmetric(4), [index[p] for p in images])
 
 
 def test_semi_edge_tetrahedron():
@@ -462,7 +451,7 @@ def test_semi_edge_validation():
     r0, r1, r2, double, four_cycle = _s4_columns(*TETRAHEDRON, (1, 0, 3, 2), (1, 2, 3, 0))
     # a duplicated mark is the semi-star degeneracy
     with pytest.raises(NotDistinct):
-        insert_semi_edges(_columns(dihedral(8), (4, 5, 4)))
+        insert_semi_edges(mark_columns(dihedral(8), (4, 5, 4)))
     # adjacent transpositions in the r0/r2 slots do not commute
     with pytest.raises(PairNotCommuting):
         insert_semi_edges((r0, r2, r1))
@@ -487,7 +476,7 @@ def test_semi_edge_type_matches_the_dense_reference():
     # the type read from the permutations is the one read from the table
     for group in (symmetric(4), direct_product(symmetric(4), cyclic(2))):
         accepted = 0
-        invs = group.involutions()
+        invs = [a for a in range(group.order) if group.element_orders[a] == 2]
         for r0, r1, r2 in itertools.product(invs, repeat=3):
             valid = (
                 len({r0, r1, r2}) == 3
@@ -495,7 +484,7 @@ def test_semi_edge_type_matches_the_dense_reference():
                 and len(subgroup_closure(group, (r0, r1, r2))) == group.order
             )
             try:
-                sm = insert_semi_edges(_columns(group, (r0, r1, r2)))
+                sm = insert_semi_edges(mark_columns(group, (r0, r1, r2)))
             except MapStructureError:
                 assert not valid, (group.name, r0, r1, r2)
                 continue
@@ -548,8 +537,6 @@ def test_all_map_quadruples():
     v4 = c2_to_the(2)
     assert list(all_map_quadruples(v4)) == []
     # D8 carries valid quadruples; every yield passes full validation
-    from ebrmaps.maps import new_map
-
     d8 = dihedral(8)
     found = list(all_map_quadruples(d8))
     assert found

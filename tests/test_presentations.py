@@ -19,7 +19,6 @@ from ebrmaps.groups import (
     VerificationError,
     are_isomorphic,
     dihedral,
-    group_from_action,
     subgroup_closure,
 )
 from ebrmaps import families, presentations
@@ -35,7 +34,12 @@ from ebrmaps.presentations import (
     parse_presentation,
     regular_action,
 )
-from references import group_from_presentation, index_of_even_subgroup
+from references import (
+    group_from_action,
+    group_from_presentation,
+    index_of_even_subgroup,
+    is_abelian,
+)
 
 DIHEDRAL_12 = """\
 gens a b
@@ -274,7 +278,7 @@ def test_group_from_presentation_four_generators():
     )
     group, marks = group_from_presentation(parse_presentation(text))
     assert group.order == 16
-    assert group.is_abelian()
+    assert is_abelian(group)
     assert len(set(marks)) == 4
 
 
