@@ -14,8 +14,8 @@ Exit codes: 0 success or PASS, 1 verification FAIL, 2 input error,
 
 All output is deterministic byte-for-byte for fixed inputs and flags.
 DOT edge styling encodes the mark that labels each edge: x bold, y solid
-(thin), s dashed (long), t dotted (short).  Each undirected Cayley edge
-{h, h*g} is emitted once, from its smaller endpoint.
+(thin), s dashed (long), t dotted (short).  Each undirected edge, {h, h*g}
+or {f, rho(f)}, is emitted once, from its smaller endpoint.
 """
 
 from __future__ import annotations
@@ -23,15 +23,13 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from collections.abc import Sequence
 from pathlib import Path
 
-from .groups import DEFAULT_MAX_COSETS, CapacityExceeded
+from .groups import DEFAULT_MAX_COSETS, CapacityExceeded, Perm
 
 # Each subcommand imports the modules it runs, so that a process loads no
 # module its command does not use.
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .maps import EdgeBiregularMap
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -255,25 +253,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # graph exports
 
 
-def _cayley_edges(m: EdgeBiregularMap) -> list[tuple[int, int, str]]:
-    edges = []
-    for label, perm in zip(("x", "y", "s", "t"), m.perms):
-        for h in range(m.order):
-            other = perm[h]
-            if h < other:
-                edges.append((h, other, label))
-    return edges
-
-
-def _flag_edges(m: EdgeBiregularMap) -> list[tuple[int, int, str]]:
-    from .maps import flag_structure
-
-    edges = []
-    for label, rho in zip(("rho0", "rho1", "rho2"), flag_structure(m)):
-        for f in range(len(rho)):
-            if f < rho[f]:
-                edges.append((f, rho[f], label))
-    return edges
+def _edges(labels: Sequence[str], perms: Sequence[Perm]) -> list[tuple[int, int, str]]:
+    """Each pair {h, perm[h]} of each labelled involution once, from its
+    smaller end."""
+    return [
+        (h, other, label)
+        for label, perm in zip(labels, perms)
+        for h, other in enumerate(perm)
+        if h < other
+    ]
 
 
 def _dot_graph(name: str, num_nodes: int, edges: list[tuple[int, int, str]]) -> str:
@@ -296,13 +284,14 @@ def _json_graph(num_nodes: int, edges: list[tuple[int, int, str]]) -> str:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    from .maps import load_map
+    from .maps import MARK_NAMES, flag_structure, load_map
 
     m = load_map(_read_text(args.file), max_cosets=args.max_cosets)
     if args.what == "cayley":
-        num_nodes, edges = m.order, _cayley_edges(m)
+        labels, perms = MARK_NAMES, m.perms
     else:  # flags
-        num_nodes, edges = 2 * m.order, _flag_edges(m)
+        labels, perms = ("rho0", "rho1", "rho2"), flag_structure(m)
+    num_nodes, edges = len(perms[0]), _edges(labels, perms)
     if args.format == "dot":
         _write_out(args, _dot_graph(args.what, num_nodes, edges))
     else:

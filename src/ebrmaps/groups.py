@@ -20,10 +20,12 @@ cyclic subgroup once, with ord(a^j) = ord(a) / gcd(j, ord(a)).  The
 conjugates of x come from column x of the table, read one column at a time
 so the whole transpose is never held; the isomorphism fingerprint computes
 them once per conjugacy class; :func:`are_isomorphic` asks for it only when
-the sorted element orders tie, then compares standardized tables.  One
-walk, :func:`_standard_rows`, numbers H for every standardized table, here
-and in ``maps``.  Groups are immutable value objects, equal only to
-themselves.
+the sorted element orders tie, then compares standardized tables.  Two
+walks go breadth first from point 0, here and in ``maps``:
+:func:`_standard_rows` numbers H for every standardized table, and
+:func:`_orbit` only collects the orbit of 0, for every generation check,
+which :func:`subgroup_closure` makes on the table read as its regular
+action.  Groups are immutable value objects, equal only to themselves.
 
 Convention used throughout: ``dihedral(n)`` is the dihedral group OF ORDER
 ``n`` (so ``dihedral(12)`` has 6 rotations and 6 reflections).  All order
@@ -348,22 +350,24 @@ def is_prime(n: int) -> bool:
 
 
 def subgroup_closure(g: FiniteGroup, gens: tuple[int, ...] | list[int]) -> tuple[int, ...]:
-    """Sorted elements of the subgroup generated by ``gens``."""
-    mul = g.mul
+    """Sorted elements of the subgroup generated by ``gens``: the orbit of
+    0 under the table's columns for them, column z being h -> h*z.  They
+    are lists: freed tuples shorter than 20 stay in CPython's free lists."""
+    columns = [list(map(itemgetter(z), g.mul)) for z in dict.fromkeys(gens)]
+    return tuple(sorted(_orbit(columns)))
+
+
+def _orbit(perms: Sequence[Sequence[int]]) -> list[int]:
+    """The points reached from 0 by the permutations, breadth first."""
     seen = {0}
-    frontier = [0]
-    gens = tuple(dict.fromkeys(gens))
-    while frontier:
-        nxt = []
-        for a in frontier:
-            row = mul[a]
-            for z in gens:
-                b = row[z]
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return tuple(sorted(seen))
+    orbit = [0]
+    for h in orbit:  # grows while it is walked
+        for perm in perms:
+            g = perm[h]
+            if g not in seen:
+                seen.add(g)
+                orbit.append(g)
+    return orbit
 
 
 def _standard_rows(perms: Sequence[Sequence[int]]) -> Iterator[list[int]]:

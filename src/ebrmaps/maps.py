@@ -19,10 +19,11 @@ A map is stored as H acting on itself by right multiplication: four
 permutations of |H| points, one per mark, so its size is linear in |H|; a
 semi-edge map is stored the same way, with three.  Point 0 is the
 identity, as element 0 is in every group table and coset 0 in every coset
-table, so each mark is its permutation's image of 0.  Every invariant
-below is computed from the permutations, and a map keeps no dense
-multiplication table.  The flags are permutations too: ``flag_structure``
-gives the triple (rho0, rho1, rho2) of adjacency involutions of 2|H| flags.
+table, so each mark is its permutation's image of 0.  One check,
+``_check_marks``, validates the marks of both.  Every invariant below is
+computed from the permutations, and a map keeps no dense multiplication
+table.  The flags are permutations too: ``flag_structure`` gives the
+triple (rho0, rho1, rho2) of adjacency involutions of 2|H| flags.
 
 Orientability is computed two independent ways (index of the subgroup of
 even words, and 2-colorability of the flag graph) which must agree.
@@ -38,6 +39,7 @@ from .groups import (
     FiniteGroup,
     Perm,
     VerificationError,
+    _orbit,
     _Record,
     _same_standard_table,
     _standard_rows,
@@ -96,11 +98,18 @@ class EdgeBiregularMap(_Record):
         return f"EdgeBiregularMap(order={self.order}, type=({k},{l}))"
 
 
-def _check_involutions(perms: Sequence[Perm], names: Sequence[str]) -> None:
-    """One permutation per name, all of one nonempty length, each an
-    involution moving point 0 (its mark is not the identity).  Raises
-    MapStructureError for the wrong shape or an entry outside range(|H|),
-    else NotInvolution naming the first mark that fails."""
+def _check_marks(
+    perms: Sequence[Perm], names: Sequence[str], pairs: Sequence[tuple[int, int]]
+) -> None:
+    """The marks, one permutation per name, are distinct involutions that
+    generate H, and each listed pair of marks commutes.
+
+    Raises at the first failure, in this order: MapStructureError for the
+    wrong shape or an entry outside range(|H|), NotInvolution (a mark that
+    fixes point 0, the identity, is none), NotDistinct, PairNotCommuting,
+    NotGenerating, each naming the offending marks.  O(|H|): the marks
+    generate H iff the orbit of 0 under them is H in full.
+    """
     if len(perms) != len(names):
         raise MapStructureError(f"expected {len(names)} marks ({', '.join(names)})")
     points = range(len(perms[0]))
@@ -113,47 +122,21 @@ def _check_involutions(perms: Sequence[Perm], names: Sequence[str]) -> None:
             raise MapStructureError(f"mark {name} has an entry outside range(|H|)")
         if perm[0] == 0 or any(perm[perm[h]] != h for h in points):
             raise NotInvolution(f"mark {name} is not an involution")
-
-
-def _check_marks(perms: tuple[Perm, ...]) -> None:
-    """The marks are distinct commuting pairs of involutions generating H.
-
-    Raises as :func:`_check_involutions` does, then NotDistinct /
-    PairNotCommuting / NotGenerating, each naming the offending marks.
-    O(|H|): point 0 is the identity, so in a regular action an element is
-    the identity iff it fixes point 0, and the marks generate H iff the
-    orbit of 0 under them, walked breadth first, is H in full.
-    """
-    _check_involutions(perms, MARK_NAMES)
-    points = range(len(perms[0]))
-    if len({perm[0] for perm in perms}) != 4:
-        raise NotDistinct("marks x, y, s, t must be pairwise distinct")
-    px, py, ps, pt = perms
-    if any(py[px[h]] != px[py[h]] for h in points):
-        raise PairNotCommuting("x and y do not commute")
-    if any(pt[ps[h]] != ps[pt[h]] for h in points):
-        raise PairNotCommuting("s and t do not commute")
+    marks = [perm[0] for perm in perms]
+    if len(set(marks)) != len(marks):
+        raise NotDistinct(f"marks {', '.join(names)} must be pairwise distinct")
+    for i, j in pairs:
+        a, b = perms[i], perms[j]
+        if any(b[a[h]] != a[b[h]] for h in points):
+            raise PairNotCommuting(f"{names[i]} and {names[j]} do not commute")
     if len(_orbit(perms)) != len(points):
         raise NotGenerating("marks do not generate the group")
 
 
-def _orbit(perms: tuple[Perm, ...] | list[Perm]) -> list[int]:
-    """The points reached from 0 by the permutations, breadth first."""
-    seen = {0}
-    orbit = [0]
-    for h in orbit:  # grows while it is walked
-        for perm in perms:
-            g = perm[h]
-            if g not in seen:
-                seen.add(g)
-                orbit.append(g)
-    return orbit
-
-
 def map_from_action(perms: tuple[Perm, ...]) -> EdgeBiregularMap:
     """Validate the four mark permutations of a regular right action (point
-    0 the identity), as :func:`_check_marks` does, and build the map."""
-    _check_marks(perms)
+    0 the identity), x, y and s, t the commuting pairs, and build the map."""
+    _check_marks(perms, MARK_NAMES, ((0, 1), (2, 3)))
     return EdgeBiregularMap(tuple(perms))  # type: ignore[arg-type]
 
 
@@ -379,17 +362,11 @@ def insert_semi_edges(regular: Sequence[Perm]) -> SemiEdgeMap:
     corner: the result is the semi-edge map with marks (r0, r2, r1).
 
     The marks must be three distinct involutions generating H with
-    (r0*r2)^2 = 1, else this raises as :func:`map_from_action` does;
-    distinctness excludes the degenerate semi-star configurations.  The
-    type doubles: (ord(r1 r2), ord(r0 r1)) becomes (2k0, 2l0)."""
-    _check_involutions(regular, ("r0", "r1", "r2"))
+    (r0*r2)^2 = 1, else this raises as :func:`map_from_action` does, through
+    :func:`_check_marks`; distinctness excludes the semi-star configurations.
+    The type doubles: (ord(r1 r2), ord(r0 r1)) becomes (2k0, 2l0)."""
+    _check_marks(regular, ("r0", "r1", "r2"), ((0, 2),))
     r0, r1, r2 = regular
-    if len({r0[0], r1[0], r2[0]}) != 3:
-        raise NotDistinct("semi-star configuration: marks must be distinct")
-    if any(r2[r0[h]] != r0[r2[h]] for h in range(len(r0))):
-        raise PairNotCommuting("r0 and r2 do not commute")
-    if len(_orbit(regular)) != len(r0):
-        raise NotGenerating("marks do not generate the group")
     return SemiEdgeMap((r0, r2, r1))
 
 

@@ -7,7 +7,8 @@ map of generators to a homomorphism, so the tests can hold the library
 against an independent computation on the same inputs.  The bridges
 between the two that only tests need live here too: ``new_map`` (a dense
 group and four marks to a map), ``group_from_action`` (a regular action
-to a dense group) and ``flag_orbit_count``.
+to a dense group) and ``orbit_count``.  The generation checks of the
+references use :func:`frontier_closure`, not the library's orbit walk.
 """
 
 from itertools import product
@@ -22,12 +23,10 @@ from ebrmaps.groups import (
     direct_product,
     greedy_generators,
     semidirect,
-    subgroup_closure,
 )
 from ebrmaps.maps import (
     EdgeBiregularMap,
     MapStructureError,
-    _orbit,
     dual,
     equivalence_key,
     euler_characteristic_formula,
@@ -79,10 +78,31 @@ def group_from_action(perms: tuple[Perm, ...], name: str) -> FiniteGroup:
     return FiniteGroup(tuple(zip(*columns)), name=name)  # type: ignore[arg-type]
 
 
-def flag_orbit_count(perms) -> int:
-    """The number of orbits of the permutations ``perms`` (some of a map's
-    rho0, rho1, rho2) on the flags, each orbit walked from its least flag
-    not yet seen."""
+def frontier_closure(g: FiniteGroup, gens) -> tuple[int, ...]:
+    """Sorted elements of the subgroup generated by ``gens``, grown from the
+    identity one frontier at a time by multiplying on the right with each
+    generator, reading the table by rows."""
+    mul = g.mul
+    seen = {0}
+    frontier = [0]
+    gens = tuple(dict.fromkeys(gens))
+    while frontier:
+        nxt = []
+        for a in frontier:
+            row = mul[a]
+            for z in gens:
+                b = row[z]
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
+def orbit_count(perms) -> int:
+    """The number of orbits of the permutations ``perms`` (such as some of
+    a map's rho0, rho1, rho2 on its flags), each orbit walked from its
+    least point not yet seen."""
     n = len(perms[0])
     seen = [False] * n
     count = 0
@@ -278,7 +298,7 @@ def index_of_even_subgroup(marked: tuple[FiniteGroup, tuple[int, ...]]) -> int:
         if g.element_orders[m] != 2:
             raise ValueError("marked element is not an involution")
     products = tuple(g.mul[u][v] for u in marks for v in marks)
-    size = len(subgroup_closure(g, products))
+    size = len(frontier_closure(g, products))
     index, remainder = divmod(g.order, size)
     if remainder or index not in (1, 2):
         raise VerificationError(f"even subgroup has unexpected index {index}")
@@ -293,15 +313,15 @@ def semi_edge_type_dense(group: FiniteGroup, marks: tuple[int, int, int]) -> tup
 
 
 def even_subgroup_index_of_products(m: EdgeBiregularMap) -> int:
-    """Index of the subgroup generated by all twelve ordered products u*v of
-    two distinct marks: |H| over the orbit of 0 under them."""
+    """Index of the subgroup E generated by all twelve ordered products u*v
+    of two distinct marks: the number of orbits of E on H, its cosets."""
     products = [
         tuple(v[u[h]] for h in range(m.order))
         for i, u in enumerate(m.perms)
         for j, v in enumerate(m.perms)
         if i != j
     ]
-    return m.order // len(_orbit(products))
+    return orbit_count(products)
 
 
 def standard_table(perms) -> tuple[int, ...]:
@@ -350,7 +370,7 @@ def all_map_quadruples_by_scan(group, want_chi=None):
                         k = 2 * orders[mul[t][y]]
                         if euler_characteristic_formula(n, k, l) != want_chi:
                             continue
-                    if len(subgroup_closure(group, (x, y, s, t))) == n:
+                    if len(frontier_closure(group, (x, y, s, t))) == n:
                         yield EdgeBiregularMap(mark_columns(group, (x, y, s, t)))
 
 

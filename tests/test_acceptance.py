@@ -26,10 +26,10 @@ from ebrmaps.maps import (
 from ebrmaps.presentations import parse_presentation, regular_action
 from references import (
     cyclic_fitting_reference,
-    flag_orbit_count,
     group_from_action,
     group_from_presentation,
     index_of_even_subgroup,
+    orbit_count,
 )
 
 
@@ -196,9 +196,9 @@ def test_criterion_6_euler_identity_property_suite():
         for m in corpus:
             k, l = type_of(m)
             rhos = rho0, rho1, rho2 = flag_structure(m)
-            v = flag_orbit_count((rho1, rho2))
-            e = flag_orbit_count((rho0, rho2))
-            f = flag_orbit_count((rho0, rho1))
+            v = orbit_count((rho1, rho2))
+            e = orbit_count((rho0, rho2))
+            f = orbit_count((rho0, rho1))
             chi_orbits = Fraction(v - e + f)
             group = group_from_action(m.perms, "H")
             chi_formula = euler_characteristic_formula(group.order, k, l)

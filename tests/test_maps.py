@@ -20,7 +20,6 @@ from ebrmaps.groups import (
     cyclic,
     dihedral,
     direct_product,
-    subgroup_closure,
     symmetric,
 )
 from ebrmaps.maps import (
@@ -58,7 +57,7 @@ import references
 from references import (
     all_map_quadruples_by_scan,
     even_subgroup_index_of_products,
-    flag_orbit_count,
+    frontier_closure,
     group_from_action,
     group_from_presentation,
     index_of_even_subgroup,
@@ -67,6 +66,7 @@ from references import (
     is_self_dual_by_tables,
     mark_columns,
     new_map,
+    orbit_count,
     relabelled,
     semi_edge_type_dense,
     standard_table,
@@ -168,10 +168,10 @@ def test_flag_orbits_count_cells():
     for m in maps:
         rho0, rho1, rho2 = flag_structure(m)
         v, e, f = counts(m)
-        assert flag_orbit_count((rho1, rho2)) == v
-        assert flag_orbit_count((rho0, rho2)) == e
-        assert flag_orbit_count((rho0, rho1)) == f
-        assert flag_orbit_count((rho0, rho1, rho2)) == 1  # connected
+        assert orbit_count((rho1, rho2)) == v
+        assert orbit_count((rho0, rho2)) == e
+        assert orbit_count((rho0, rho1)) == f
+        assert orbit_count((rho0, rho1, rho2)) == 1  # connected
 
 
 def test_orientability():
@@ -450,7 +450,7 @@ def test_semi_edge_tetrahedron():
 def test_semi_edge_validation():
     r0, r1, r2, double, four_cycle = _s4_columns(*TETRAHEDRON, (1, 0, 3, 2), (1, 2, 3, 0))
     # a duplicated mark is the semi-star degeneracy
-    with pytest.raises(NotDistinct):
+    with pytest.raises(NotDistinct, match=r"^marks r0, r1, r2 must be pairwise distinct$"):
         insert_semi_edges(mark_columns(dihedral(8), (4, 5, 4)))
     # adjacent transpositions in the r0/r2 slots do not commute
     with pytest.raises(PairNotCommuting):
@@ -481,7 +481,7 @@ def test_semi_edge_type_matches_the_dense_reference():
             valid = (
                 len({r0, r1, r2}) == 3
                 and group.mul[r0][r2] == group.mul[r2][r0]
-                and len(subgroup_closure(group, (r0, r1, r2))) == group.order
+                and len(frontier_closure(group, (r0, r1, r2))) == group.order
             )
             try:
                 sm = insert_semi_edges(mark_columns(group, (r0, r1, r2)))
@@ -563,14 +563,16 @@ def test_search_equals_the_scan(monkeypatch):
     # scan that holds the first quadruple of every class, and it generates
     # no more subgroups than the scan does
     closures = [0]
-    counted = maps_module.subgroup_closure
 
-    def closure(*args):
-        closures[0] += 1
-        return counted(*args)
+    def counting(closure):
+        def counted(*args):
+            closures[0] += 1
+            return closure(*args)
 
-    monkeypatch.setattr(maps_module, "subgroup_closure", closure)
-    monkeypatch.setattr(references, "subgroup_closure", closure)
+        return counted
+
+    monkeypatch.setattr(maps_module, "subgroup_closure", counting(maps_module.subgroup_closure))
+    monkeypatch.setattr(references, "frontier_closure", counting(references.frontier_closure))
     cases = _searched_orders() + [(None, n) for n in ATLAS_ORDERS if n <= 16]
     for chi, n in cases:
         for g in atlas(n):
