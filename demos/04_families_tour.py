@@ -45,7 +45,7 @@ def main():
     print("\ncyclic-Fitting family: parameters attached to each prime")
     for p in (3, 19, 31):
         qs = cyclic_fitting_params(p)
-        print(f"  p={p}: " + ", ".join(f"(kappa={q.kappa}, lam={q.lam}, j={q.j})" for q in qs))
+        print(f"  p={p}: " + ", ".join(f"(kappa={k}, lam={lam}, j={j})" for k, lam, j in qs))
     print("  the roster for p=19 (each map certified against its presentation):")
     for member in members(19):
         show(member.label, member.build())

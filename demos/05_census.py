@@ -22,8 +22,7 @@ from ebrmaps.census import (
 
 def main():
     for p in (2, 3, 5):
-        rows = [(a.n, a.k, a.l) for a in admissible_types(p)]
-        print(f"admissible (order, k, l) for chi = -{p}: {rows}")
+        print(f"admissible (order, k, l) for chi = -{p}: {admissible_types(p)}")
 
     print("\natlas coverage (number of groups of each supported order):")
     print(" ", ATLAS_EXPECTED_COUNTS)

@@ -53,7 +53,6 @@ _EXPORTS = {
         "NotGenerating",
         "NotInvolution",
         "PairNotCommuting",
-        "SemiEdgeMap",
         "all_map_quadruples",
         "counts",
         "delete_semi_edges",
@@ -77,11 +76,8 @@ _EXPORTS = {
         "type_of",
     ),
     "families": (
-        "CHI2_EXPECTED_ORDERS",
-        "CHI2_EXPECTED_TYPES",
         "CHI2_FULLY_REGULAR_INDICES",
         "CHI2_ORIENTABLE_INDICES",
-        "FamilyParams",
         "Member",
         "chi2",
         "cyclic_by_dihedral_probe",
@@ -97,7 +93,6 @@ _EXPORTS = {
     "census": (
         "ATLAS_EXPECTED_COUNTS",
         "ATLAS_ORDERS",
-        "AdmissibleType",
         "CatalogEntry",
         "UnsupportedOrder",
         "admissible_types",

@@ -55,29 +55,11 @@ class UnsupportedOrder(ValueError):
 # admissible types
 
 
-class AdmissibleType(_Record):
-    """An (order, type) combination compatible with chi = -p.
-
-    Satisfies n*(1/k - 1/2 + 1/l) = -p with k <= l both even, k >= 4,
-    l >= 6, k | n, l | n, 4 | n.  nu = 2kl/(kl - 2(k+l)) = n/p is at
-    most 12.
-    """
-
-    _fields = ("n", "k", "l", "nu")
-
-    def __init__(self, n: int, k: int, l: int, nu: Fraction) -> None:
-        self.n = n
-        self.k = k
-        self.l = l
-        self.nu = nu
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return self.k, self.l
-
-
-def admissible_types(p: int) -> list[AdmissibleType]:
-    """All (n, k, l) with n*(1/k - 1/2 + 1/l) = -p, for prime p, sorted.
+def admissible_types(p: int) -> list[tuple[int, int, int]]:
+    """All (order, type) combinations compatible with chi = -p, for prime
+    p: the triples (n, k, l) with n*(1/k - 1/2 + 1/l) = -p, k <= l both
+    even, k >= 4, l >= 6 and k, l and 4 dividing n, sorted.  Each has
+    nu = 2kl/(kl - 2(k+l)) = n/p at most 12, or VerificationError.
 
     With V = n/k vertices and F = n/l faces the equation reads
     n = 2(V + F + p), so (k - 2)V = 2(F + p), and F | kV forces F | 2kp.
@@ -87,7 +69,7 @@ def admissible_types(p: int) -> list[AdmissibleType]:
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    out: list[AdmissibleType] = []
+    out = []
     for k in range(4, 2 * p + 5, 2):
         bound = 2 * p // (k - 4) if k > 4 else 2 * p
         faces = {d for d in range(1, min(2 * k, bound) + 1) if 2 * k % d == 0}
@@ -101,8 +83,8 @@ def admissible_types(p: int) -> list[AdmissibleType]:
             nu = Fraction(2 * k * l, k * l - 2 * (k + l))
             if euler_characteristic_formula(n, k, l) != -p or nu != Fraction(n, p) or nu > 12:
                 raise VerificationError(f"type ({k},{l}) at order {n} has nu = {nu}")
-            out.append(AdmissibleType(n, k, l, nu))
-    return sorted(out, key=lambda a: (a.n, a.k, a.l))
+            out.append((n, k, l))
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +430,7 @@ def classify(p: int, profile: str = "exhaustive") -> list[CatalogEntry]:
     if profile == "constructive":
         return _sort_entries(list(_constructive_entries(p).values()))
 
-    orders = sorted({a.n for a in admissible_types(p)})
+    orders = sorted({n for n, _, _ in admissible_types(p)})
     missing = [n for n in orders if n not in _RECIPES]
     if missing:
         raise UnsupportedOrder(
@@ -541,7 +523,7 @@ def verify_p_divides_exclusions(p: int) -> dict:
     """
     if p not in (5, 7, 11):
         raise ValueError("exclusion checks cover p in {5, 7, 11}")
-    orders = sorted({a.n for a in admissible_types(p) if a.n % p == 0})
+    orders = sorted({n for n, _, _ in admissible_types(p) if n % p == 0})
     rows = []
     passed = True
     for n in orders:

@@ -137,18 +137,16 @@ def _verify_thm_even(lines: list[str]) -> bool:
     from . import census, families
 
     rows = census.catalog_rows(census.classify(2, "exhaustive"))
-    expected = []
-    for i in range(1, 13):
-        k, l = families.CHI2_EXPECTED_TYPES[i - 1]
-        expected.append(
-            {
-                "family": f"chi2({i})",
-                "group_order": families.CHI2_EXPECTED_ORDERS[i - 1],
-                "type": [min(k, l), max(k, l)],
-                "orientable": i in families.CHI2_ORIENTABLE_INDICES,
-                "fully_regular": i in families.CHI2_FULLY_REGULAR_INDICES,
-            }
-        )
+    expected = [
+        {
+            "family": member.label,
+            "group_order": member.order,
+            "type": sorted(member.map_type),
+            "orientable": i in families.CHI2_ORIENTABLE_INDICES,
+            "fully_regular": i in families.CHI2_FULLY_REGULAR_INDICES,
+        }
+        for i, member in enumerate(families.members(2), start=1)
+    ]
     matched = 0
     by_family = {row["family"]: row for row in rows}
     for want in expected:

@@ -8,7 +8,8 @@ constructor is named after its members' catalog label and returns a
 * ``dh1(p)``, ``dh2(p)`` - one- and two-vertex maps of types (4(p+1), 4)
   and (2(p+2), 4) on the dihedral groups of orders 4(p+1) and 4(p+2);
 * ``hpj(kappa, lam, j)`` - type (4*kappa, 2*lam), order 4*kappa*lam, on
-  C_{kappa*lam} extended by V_4;
+  C_{kappa*lam} extended by V_4; it validates the triple, and
+  ``cyclic_fitting_params(p)`` lists the triples attached to p;
 * ``hp(m)`` - type (8, 6m), order 24m, chi = -(9m-4);
 * ``h3()`` - the unique fully regular example, type (4,6), on D6 x D6;
 * ``chi2(index)`` - entry index of the twelve maps with chi = -2.
@@ -137,7 +138,7 @@ def members(p: int) -> list[Member]:
     if p == 2:
         return [chi2(index) for index in range(1, 13)]
     out = [dh1(p), dh2(p)]
-    out += [hpj(q.kappa, q.lam, q.j) for q in cyclic_fitting_params(p)]
+    out += [hpj(*q) for q in cyclic_fitting_params(p)]
     if (p + 4) % 9 == 0:
         out.append(hp((p + 4) // 9))
     if p == 3:
@@ -314,67 +315,24 @@ def dh2(p: int) -> Member:
 # the cyclic-Fitting family: F = C_{kappa*lambda} extended by V_4
 
 
-class FamilyParams(_Record):
-    """Parameters (kappa, lam, j) of the cyclic-Fitting family.
+def cyclic_fitting_params(p: int) -> list[tuple[int, int, int]]:
+    """All triples (kappa, lam, j) of :func:`hpj` attached to the odd prime
+    p, by b, then by j.
 
-    kappa and lam are odd, coprime, with lam >= 3; j satisfies
-    0 < j < lam and j^2 = 1 (mod lam).  Derived values:
-
-    * p = 2*kappa*lam - 2*kappa - lam (minus the Euler characteristic);
-    * a = (j-1)(lam+1)/2 reduced into [0, lam).
-    """
-
-    _fields = ("kappa", "lam", "j")
-
-    def __init__(self, kappa: int, lam: int, j: int) -> None:
-        if kappa < 1 or kappa % 2 == 0:
-            raise ValueError("kappa must be a positive odd integer")
-        if lam < 3 or lam % 2 == 0:
-            raise ValueError("lam must be an odd integer >= 3")
-        if math.gcd(kappa, lam) != 1:
-            raise ValueError("kappa and lam must be coprime")
-        if not 0 < j < lam:
-            raise ValueError("j must satisfy 0 < j < lam")
-        if (j * j) % lam != 1:
-            raise ValueError("j^2 must be 1 modulo lam")
-        self.kappa = kappa
-        self.lam = lam
-        self.j = j
-
-    @property
-    def a(self) -> int:
-        return ((self.j - 1) * (self.lam + 1) // 2) % self.lam
-
-    @property
-    def p(self) -> int:
-        return 2 * self.kappa * self.lam - 2 * self.kappa - self.lam
-
-    @property
-    def order(self) -> int:
-        return 4 * self.kappa * self.lam
-
-    @property
-    def map_type(self) -> tuple[int, int]:
-        return 4 * self.kappa, 2 * self.lam
-
-
-def cyclic_fitting_params(p: int) -> list[FamilyParams]:
-    """All family parameters attached to the odd prime p, by b, then by j.
-
-    Factors p + 1 = b*d with b = 1 (mod 4) and gcd(b+1, d+1) = 1, sets
-    kappa = (b+1)/2 and lam = d+1, and attaches every j with j^2 = 1 mod lam.
-    The pairs b, d are found up to sqrt(p+1), and the j by factoring lam.
+    Factors p + 1 = b*d with b = 1 (mod 4), sets kappa = (b+1)/2 and
+    lam = d+1, and attaches every j with j^2 = 1 mod lam.  The pairs b, d
+    are found up to sqrt(p+1), and the j by factoring lam.  The condition
+    gcd(b+1, d+1) = 1 always holds: d+1 is odd, and an odd prime dividing
+    b+1 and d+1 divides bd - 1 = p, while b+1 is even and below 2p.
     """
     _require_odd_prime(p)
     n = p + 1
     small = [b for b in range(1, math.isqrt(n) + 1) if n % b == 0]
-    out: list[FamilyParams] = []
+    out = []
     for b in small + [n // b for b in reversed(small) if b * b != n]:
-        d = n // b
-        if b % 4 != 1 or math.gcd(b + 1, d + 1) != 1:
-            continue
-        kappa, lam = (b + 1) // 2, d + 1
-        out += [FamilyParams(kappa, lam, j) for j in _roots_of_one(lam)]
+        if b % 4 == 1:
+            kappa, lam = (b + 1) // 2, n // b + 1
+            out += [(kappa, lam, j) for j in _roots_of_one(lam)]
     return out
 
 
@@ -403,16 +361,29 @@ def hpj(kappa: int, lam: int, j: int) -> Member:
     """Map of type (4*kappa, 2*lam) on the group of order 4*kappa*lam,
     C_(kappa*lam) extended by V_4, built through <(s x)(t y)^2>.
 
-    The parameters are validated as :class:`FamilyParams`; when
+    kappa and lam must be odd and coprime, with lam >= 3, and j must
+    satisfy 0 < j < lam and j^2 = 1 (mod lam), else ValueError; when
     p = 2*kappa*lam - 2*kappa - lam is not prime a warning is emitted.
+    The closing relator uses a = (j-1)(lam+1)/2 reduced into [0, lam).
     """
-    q = FamilyParams(kappa, lam, j)
-    _warn_unless_prime(q.p)
-    closing = f"(t y)^{kappa} (s x)^{q.a} s" if q.a else f"(t y)^{kappa} s"
+    if kappa < 1 or kappa % 2 == 0:
+        raise ValueError("kappa must be a positive odd integer")
+    if lam < 3 or lam % 2 == 0:
+        raise ValueError("lam must be an odd integer >= 3")
+    if math.gcd(kappa, lam) != 1:
+        raise ValueError("kappa and lam must be coprime")
+    if not 0 < j < lam:
+        raise ValueError("j must satisfy 0 < j < lam")
+    if (j * j) % lam != 1:
+        raise ValueError("j^2 must be 1 modulo lam")
+    _warn_unless_prime(2 * kappa * lam - 2 * kappa - lam)
+    a = (j - 1) * (lam + 1) // 2 % lam
+    closing = f"(t y)^{kappa} (s x)^{a} s" if a else f"(t y)^{kappa} s"
     fitting = (f"(s x)^{lam}", f"(t y)^{2 * kappa}", "s (y t)^2 s (t y)^2", "x (y t)^2 x (t y)^2")
     text = presentation_text((*fitting, f"t s x t (s x)^{j}", closing))
     s_x_t_y_t_y = (2, 0, 3, 1, 3, 1)  # of index 4
-    return Member(f"hpj({kappa},{lam},{j})", text, s_x_t_y_t_y, q.order, q.map_type)
+    label = f"hpj({kappa},{lam},{j})"
+    return Member(label, text, s_x_t_y_t_y, 4 * kappa * lam, (4 * kappa, 2 * lam))
 
 
 # ---------------------------------------------------------------------------
@@ -452,26 +423,20 @@ def h3() -> Member:
 # the twelve maps with chi = -2
 
 
-CHI2_EXTRA_RELATORS: tuple[tuple[str, ...], ...] = (
-    ("(t y)^4", "(s x)^4", "y s x s", "t x s x", "x t y t", "s y t y"),
-    ("(t y)^2", "(s x)^6", "x y t", "t (s x)^3"),
-    ("(t y)^3", "(s x)^3", "s t y x"),
-    ("(t y)^2", "(s x)^4", "(y s)^4", "(t x)^2", "y s x s"),
-    ("(t y)^2", "(s x)^4", "(y s)^2", "(t x)^2", "y (s x)^2"),
-    ("(t y)^2", "(s x)^4", "(y s)^2", "(s t x)^2", "y (s x)^2"),
-    ("(t y)^2", "(s x)^4", "(y s)^2", "(t x)^2", "t y (s x)^2"),
-    ("(t y)^2", "(s x)^4", "(y s)^2", "(s t x)^2", "t y x s x"),
-    ("(t y)^2", "(s x)^4", "(y s)^2", "(s t x)^2", "t y s"),
-    ("(t y)^2", "(s x)^3", "t (s y)^2", "y (x t)^2"),
-    ("(t y)^2", "(s x)^3", "(y s x)^2", "(t x)^2"),
-    ("(t y)^2", "(s x)^3", "(y s)^2", "(t x)^2"),
-)
-
-CHI2_EXPECTED_ORDERS = (8, 12, 12, 16, 16, 16, 16, 16, 16, 24, 24, 24)
-CHI2_EXPECTED_TYPES = (
-    (8, 8), (4, 12), (6, 6),
-    (4, 8), (4, 8), (4, 8), (4, 8), (4, 8), (4, 8),
-    (4, 6), (4, 6), (4, 6),
+# each map's extra relators, order and type
+_CHI2 = (
+    (("(t y)^4", "(s x)^4", "y s x s", "t x s x", "x t y t", "s y t y"), 8, (8, 8)),
+    (("(t y)^2", "(s x)^6", "x y t", "t (s x)^3"), 12, (4, 12)),
+    (("(t y)^3", "(s x)^3", "s t y x"), 12, (6, 6)),
+    (("(t y)^2", "(s x)^4", "(y s)^4", "(t x)^2", "y s x s"), 16, (4, 8)),
+    (("(t y)^2", "(s x)^4", "(y s)^2", "(t x)^2", "y (s x)^2"), 16, (4, 8)),
+    (("(t y)^2", "(s x)^4", "(y s)^2", "(s t x)^2", "y (s x)^2"), 16, (4, 8)),
+    (("(t y)^2", "(s x)^4", "(y s)^2", "(t x)^2", "t y (s x)^2"), 16, (4, 8)),
+    (("(t y)^2", "(s x)^4", "(y s)^2", "(s t x)^2", "t y x s x"), 16, (4, 8)),
+    (("(t y)^2", "(s x)^4", "(y s)^2", "(s t x)^2", "t y s"), 16, (4, 8)),
+    (("(t y)^2", "(s x)^3", "t (s y)^2", "y (x t)^2"), 24, (4, 6)),
+    (("(t y)^2", "(s x)^3", "(y s x)^2", "(t x)^2"), 24, (4, 6)),
+    (("(t y)^2", "(s x)^3", "(y s)^2", "(t x)^2"), 24, (4, 6)),
 )
 CHI2_ORIENTABLE_INDICES = frozenset({1, 3, 4, 7, 11, 12})
 CHI2_FULLY_REGULAR_INDICES = frozenset({1, 3, 7, 10, 12})
@@ -481,9 +446,8 @@ def chi2(index: int) -> Member:
     """Catalog entry ``index`` (1-based, 1..12) of the maps with chi = -2."""
     if not 1 <= index <= 12:
         raise ValueError("index must be between 1 and 12")
-    text = presentation_text(CHI2_EXTRA_RELATORS[index - 1])
-    order, map_type = CHI2_EXPECTED_ORDERS[index - 1], CHI2_EXPECTED_TYPES[index - 1]
-    return Member(f"chi2({index})", text, (), order, map_type)
+    relators, order, map_type = _CHI2[index - 1]
+    return Member(f"chi2({index})", presentation_text(relators), (), order, map_type)
 
 
 # ---------------------------------------------------------------------------

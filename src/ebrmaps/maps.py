@@ -17,7 +17,7 @@ come from the one walk that numbers H, ``groups._standard_rows``.
 
 A map is stored as H acting on itself by right multiplication: four
 permutations of |H| points, one per mark, so its size is linear in |H|; a
-semi-edge map is stored the same way, with three.  Point 0 is the
+semi-edge map is the triple of its three permutations.  Point 0 is the
 identity, as element 0 is in every group table and coset 0 in every coset
 table, so each mark is its permutation's image of 0.  One check,
 ``_check_marks``, validates the marks of both.  Every invariant below is
@@ -144,11 +144,11 @@ def map_from_action(perms: tuple[Perm, ...]) -> EdgeBiregularMap:
 # invariants
 
 
-def product_order(m: EdgeBiregularMap | SemiEdgeMap, first: int, second: int) -> int:
-    """Order of the product of marks number ``first`` and ``second`` (0..3
-    for x, y, s, t of a map, 0..2 for x, y, r of a semi-edge map), by
-    walking its cycle through the identity, point 0."""
-    a, b = m.perms[first], m.perms[second]
+def product_order(perms: Sequence[Perm], first: int, second: int) -> int:
+    """Order of the product of marks number ``first`` and ``second`` of a
+    regular action (0..3 for x, y, s, t of a map, 0..2 for x, y, r of a
+    semi-edge map), by walking its cycle through the identity, point 0."""
+    a, b = perms[first], perms[second]
     h, k = b[a[0]], 1
     while h != 0:
         h = b[a[h]]
@@ -159,7 +159,7 @@ def product_order(m: EdgeBiregularMap | SemiEdgeMap, first: int, second: int) ->
 def type_of(m: EdgeBiregularMap) -> tuple[int, int]:
     """(k, l): twice the orders of t*y and s*x.  Not normalized; the census
     layer sorts k <= l for reporting."""
-    return 2 * product_order(m, 3, 1), 2 * product_order(m, 2, 0)
+    return 2 * product_order(m.perms, 3, 1), 2 * product_order(m.perms, 2, 0)
 
 
 def counts(m: EdgeBiregularMap) -> tuple[int, int, int]:
@@ -315,34 +315,22 @@ def equivalence_key(m: EdgeBiregularMap) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# semi-edge maps (the s = t degeneracy)
+# semi-edge maps (the s = t degeneracy): a semi-edge at every corner, marks
+# (x, y, r) with s = t = r, held as the triple of their permutations
 
 
-class SemiEdgeMap(_Record):
-    """Map with a semi-edge at every corner: marks (x, y, r) with s = t = r.
-
-    Stored as an :class:`EdgeBiregularMap` is: ``perms`` are the permutations
-    of H by right multiplication by x, y and r, point 0 the identity.
-    """
-
-    _fields = ("perms",)
-
-    def __init__(self, perms: tuple[Perm, Perm, Perm]) -> None:
-        self.perms = perms
-
-
-def semi_edge_type(sm: SemiEdgeMap) -> tuple[int, int]:
+def semi_edge_type(sm: tuple[Perm, Perm, Perm]) -> tuple[int, int]:
     """(k, l): twice the orders of r*y and r*x."""
     return 2 * product_order(sm, 2, 1), 2 * product_order(sm, 2, 0)
 
 
-def semi_edge_counts(sm: SemiEdgeMap) -> dict[str, int]:
+def semi_edge_counts(sm: tuple[Perm, Perm, Perm]) -> dict[str, int]:
     """Vertices, full edges, semi-edges, faces and flags of the semi-edge map.
 
     Semi-edges carry two flags each, full edges four; the supporting surface
     is unchanged by semi-edge insertion, so chi = V - E_full + F.
     """
-    n = len(sm.perms[0])
+    n = len(sm[0])
     k, l = semi_edge_type(sm)
     v, f = n // k, n // l
     full, semi = n // 4, n // 2
@@ -356,10 +344,10 @@ def semi_edge_counts(sm: SemiEdgeMap) -> dict[str, int]:
     }
 
 
-def insert_semi_edges(regular: Sequence[Perm]) -> SemiEdgeMap:
+def insert_semi_edges(regular: Sequence[Perm]) -> tuple[Perm, Perm, Perm]:
     """From a fully regular map triple (r0, r1, r2), permutations of a
     regular action with point 0 the identity, insert a semi-edge into every
-    corner: the result is the semi-edge map with marks (r0, r2, r1).
+    corner: the result is the semi-edge map (r0, r2, r1), marks (x, y, r).
 
     The marks must be three distinct involutions generating H with
     (r0*r2)^2 = 1, else this raises as :func:`map_from_action` does, through
@@ -367,12 +355,12 @@ def insert_semi_edges(regular: Sequence[Perm]) -> SemiEdgeMap:
     The type doubles: (ord(r1 r2), ord(r0 r1)) becomes (2k0, 2l0)."""
     _check_marks(regular, ("r0", "r1", "r2"), ((0, 2),))
     r0, r1, r2 = regular
-    return SemiEdgeMap((r0, r2, r1))
+    return r0, r2, r1
 
 
-def delete_semi_edges(sm: SemiEdgeMap) -> tuple[Perm, Perm, Perm]:
+def delete_semi_edges(sm: tuple[Perm, Perm, Perm]) -> tuple[Perm, Perm, Perm]:
     """Inverse of insert_semi_edges: recover the triple (r0, r1, r2)."""
-    x, y, r = sm.perms
+    x, y, r = sm
     return x, r, y
 
 
@@ -431,21 +419,15 @@ def map_file_text(presentation_text: str) -> str:
 def _vertex_valency_for(group: FiniteGroup, want_chi: int) -> dict[int, int]:
     """The vertex valency k that gives chi = want_chi, keyed by face valency l.
 
-    k and l range over the doubled element orders.  At a fixed order, chi =
-    |H| (1/k - 1/2 + 1/l) strictly decreases in k, so each l has at most one
-    such k; a second one raises VerificationError.
+    k and l range over the doubled element orders.  Solving chi = n (1/k -
+    1/2 + 1/l) for k gives k = 2nl / (2 chi l + nl - 2n), kept when the
+    denominator is positive and divides 2nl.
     """
-    valencies = sorted({2 * o for o in group.element_orders})
-    k_for_l: dict[int, int] = {}
+    n, valencies = group.order, {2 * o for o in group.element_orders}
+    k_for_l = {}
     for l in valencies:
-        for k in valencies:
-            if euler_characteristic_formula(group.order, k, l) != want_chi:
-                continue
-            if l in k_for_l:
-                raise VerificationError(
-                    f"face valency {l} gives chi = {want_chi} with vertex valencies"
-                    f" {k_for_l[l]} and {k} on a group of order {group.order}"
-                )
+        den = 2 * want_chi * l + n * l - 2 * n
+        if den > 0 and 2 * n * l % den == 0 and (k := 2 * n * l // den) in valencies:
             k_for_l[l] = k
     return k_for_l
 

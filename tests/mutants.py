@@ -110,6 +110,63 @@ MUTANTS = (
         "",
         ("tests/test_families.py::test_members_roster_branches",),
     ),
+    Mutant(
+        "hpj accepts kappa and lam with a common factor",
+        "src/ebrmaps/families.py",
+        '    if math.gcd(kappa, lam) != 1:\n        raise ValueError("kappa and lam must be coprime")\n',
+        "",
+        ("tests/test_families.py::test_family_params_validation",),
+    ),
+    Mutant(
+        "hpj computes the exponent a from j + 1",
+        "src/ebrmaps/families.py",
+        "    a = (j - 1) * (lam + 1) // 2 % lam",
+        "    a = (j + 1) * (lam + 1) // 2 % lam",
+        (
+            "tests/test_families.py::test_family_params_derived_values",
+            "tests/test_families.py::test_cyclic_fitting_map_matches_its_semidirect_reference",
+        ),
+    ),
+    Mutant(
+        "cyclic_fitting_params takes every odd b, not only b = 1 (mod 4)",
+        "src/ebrmaps/families.py",
+        "        if b % 4 == 1:",
+        "        if b % 2 == 1:",
+        (
+            "tests/test_families.py::test_cyclic_fitting_params_small_primes",
+            "tests/test_families.py::test_cyclic_fitting_params_equal_the_scan_of_every_b_and_j",
+        ),
+    ),
+    Mutant(
+        "admissible_types returns its rows unsorted",
+        "src/ebrmaps/census.py",
+        "    return sorted(out)\n",
+        "    return out\n",
+        (
+            "tests/test_census.py::test_admissible_types_p2",
+            "tests/test_census.py::test_admissible_types_match_the_scan",
+        ),
+    ),
+    Mutant(
+        "insert_semi_edges returns the triple in its input order",
+        "src/ebrmaps/maps.py",
+        "    return r0, r2, r1\n",
+        "    return r0, r1, r2\n",
+        (
+            "tests/test_maps.py::test_semi_edge_tetrahedron",
+            "tests/test_maps.py::test_semi_edge_type_matches_the_dense_reference",
+        ),
+    ),
+    Mutant(
+        "the solved vertex valency skips its divisibility test",
+        "src/ebrmaps/maps.py",
+        " and 2 * n * l % den == 0 and ",
+        " and ",
+        (
+            "tests/test_maps.py::test_search_equals_the_scan",
+            "tests/test_census.py::test_classify_p3_exhaustive_matches_constructive",
+        ),
+    ),
 )
 
 

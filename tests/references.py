@@ -14,7 +14,7 @@ references use :func:`frontier_closure`, not the library's orbit walk.
 from itertools import product
 from math import gcd
 
-from ebrmaps.families import FamilyParams, _assert_probe_conformance, _require_odd_prime, hp
+from ebrmaps.families import _assert_probe_conformance, _require_odd_prime, hp
 from ebrmaps.groups import (
     FiniteGroup,
     Perm,
@@ -120,7 +120,7 @@ def orbit_count(perms) -> int:
     return count
 
 
-def cyclic_fitting_params_by_scan(p: int) -> list[FamilyParams]:
+def cyclic_fitting_params_by_scan(p: int) -> list[tuple[int, int, int]]:
     """``families.cyclic_fitting_params`` by its former loops: every b from
     1 to p + 1 is tried as a divisor of p + 1, and every j in (0, lam) as a
     root of j^2 = 1 (mod lam).  O(p)."""
@@ -133,7 +133,7 @@ def cyclic_fitting_params_by_scan(p: int) -> list[FamilyParams]:
         if b % 4 != 1 or gcd(b + 1, d + 1) != 1:
             continue
         kappa, lam = (b + 1) // 2, d + 1
-        out += [FamilyParams(kappa, lam, j) for j in range(1, lam) if j * j % lam == 1]
+        out += [(kappa, lam, j) for j in range(1, lam) if j * j % lam == 1]
     return out
 
 
@@ -249,26 +249,28 @@ def group_from_presentation(pres: Presentation) -> tuple[FiniteGroup, tuple[int,
     return group, tuple(perm[0] for perm in perms)
 
 
-def cyclic_fitting_reference(q: FamilyParams) -> EdgeBiregularMap:
-    """The cyclic-Fitting member of parameters q on the dense semidirect
-    product (C_lam x C_kappa) x| V_4, with V_4 = <s, t> acting on
-    <u> x <w> by s: u -> u^-1, w -> w and t: u -> u^-j, w -> w^-1.  The
-    marks are x = u^-1 s, y = u^a w^((kappa-1)/2) s t, s and t."""
-    kappa, lam = q.kappa, q.lam
-    a = direct_product(cyclic(lam), cyclic(kappa))  # u^i w^m is i*kappa + m
+def cyclic_fitting_reference(q: tuple[int, int, int]) -> EdgeBiregularMap:
+    """The cyclic-Fitting member of parameters q = (kappa, lam, j) on the
+    dense semidirect product (C_lam x C_kappa) x| V_4, with V_4 = <s, t>
+    acting on <u> x <w> by s: u -> u^-1, w -> w and t: u -> u^-j,
+    w -> w^-1.  The marks are x = u^-1 s, y = u^a w^((kappa-1)/2) s t, s
+    and t, with a = (j-1)(lam+1)/2 mod lam."""
+    kappa, lam, j = q
+    a = (j - 1) * (lam + 1) // 2 % lam
+    uw = direct_product(cyclic(lam), cyclic(kappa))  # u^i w^m is i*kappa + m
     v4 = direct_product(cyclic(2), cyclic(2))  # s^b1 t^b2 is 2*b1 + b2
     images = {  # for s and t
         2 * b1 + b2: tuple(
-            (i * (-1) ** b1 * (-q.j) ** b2) % lam * kappa + (m * (-1) ** b2) % kappa
+            (i * (-1) ** b1 * (-j) ** b2) % lam * kappa + (m * (-1) ** b2) % kappa
             for i in range(lam)
             for m in range(kappa)
         )
         for b1, b2 in ((1, 0), (0, 1))
     }
-    group = semidirect(a, v4, images, name=f"hpj({kappa},{lam},{q.j})")
+    group = semidirect(uw, v4, images, name=f"hpj({kappa},{lam},{j})")
     s, t, st = 2, 1, 3  # (f, v) is f*4 + v
     x = (lam - 1) * kappa * 4 + s
-    y = (q.a * kappa + (kappa - 1) // 2) * 4 + st
+    y = (a * kappa + (kappa - 1) // 2) * 4 + st
     return new_map(group, (x, y, s, t))
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from ebrmaps import census, families
 from ebrmaps.census import atlas, catalog_json, catalog_rows, classify, enumerate_maps
-from ebrmaps.families import FamilyParams, hpj, is_prime, members
+from ebrmaps.families import hpj, is_prime, members
 from ebrmaps.groups import are_isomorphic, dihedral, symmetric
 from ebrmaps.maps import (
     _flag_graph_bipartite,
@@ -64,7 +64,7 @@ class _Gate:
         return False
 
 
-def _hpj_parameter_range(max_order: int = 200) -> list[FamilyParams]:
+def _hpj_parameter_range(max_order: int = 200) -> list[tuple[int, int, int]]:
     """Every valid (kappa, lam, j) with 4*kappa*lam <= max_order."""
     out = []
     for kappa in range(1, max_order // 12 + 1, 2):
@@ -73,7 +73,7 @@ def _hpj_parameter_range(max_order: int = 200) -> list[FamilyParams]:
                 continue
             for j in range(1, lam):
                 if (j * j) % lam == 1:
-                    out.append(FamilyParams(kappa, lam, j))
+                    out.append((kappa, lam, j))
     return out
 
 
@@ -90,8 +90,9 @@ def _hpj_maps() -> list:
         params = _hpj_parameter_range()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _BUILT["hpj"] = [hpj(q.kappa, q.lam, q.j).build() for q in params]
-        expected = [f"-chi = {q.p} is not prime" for q in params if not is_prime(q.p)]
+            _BUILT["hpj"] = [hpj(*q).build() for q in params]
+        minus_chi = [2 * kappa * lam - 2 * kappa - lam for kappa, lam, _ in params]
+        expected = [f"-chi = {p} is not prime" for p in minus_chi if not is_prime(p)]
         assert [str(w.message).split(";")[0] for w in caught] == expected
     return _BUILT["hpj"]
 
@@ -143,8 +144,8 @@ def test_criterion_3_order_formulas():
             assert group.order == 4 * (p + 2)
         params = _hpj_parameter_range(200)
         assert len(params) == 84
-        for q, m in zip(params, _hpj_maps()):
-            assert group_from_action(m.perms, "hpj").order == 4 * q.kappa * q.lam
+        for (kappa, lam, _), m in zip(params, _hpj_maps()):
+            assert group_from_action(m.perms, "hpj").order == 4 * kappa * lam
         for m_param in (1, 3, 5):
             group, _ = group_from_presentation(
                 parse_presentation(families.hp(m_param).text)
@@ -169,7 +170,7 @@ def test_criterion_5_route_cross_validation():
         maps = _hpj_maps()  # each one the regular action of the presented group
         assert len(maps) == 84
         for q, m in zip(_hpj_parameter_range(), maps):
-            assert type_of(m) == (4 * q.kappa, 2 * q.lam)
+            assert type_of(m) == (4 * q[0], 2 * q[1])
             assert equivalence_key(m) == equivalence_key(cyclic_fitting_reference(q)), q
 
 

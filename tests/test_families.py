@@ -17,11 +17,8 @@ import ebrmaps
 from ebrmaps import census, families
 from ebrmaps.cli import _FAMILY_FLAGS, _PROBE_GRID
 from ebrmaps.families import (
-    CHI2_EXPECTED_ORDERS,
-    CHI2_EXPECTED_TYPES,
     CHI2_FULLY_REGULAR_INDICES,
     CHI2_ORIENTABLE_INDICES,
-    FamilyParams,
     Member,
     chi2,
     cyclic_by_dihedral_probe,
@@ -121,40 +118,44 @@ def test_dihedral_families_reject_bad_p():
 
 
 def test_family_params_derived_values():
-    q = FamilyParams(1, 5, 1)
-    assert (q.a, q.p, q.order, q.map_type) == (0, 3, 20, (4, 10))
-    q = FamilyParams(1, 5, 4)
-    assert q.a == ((4 - 1) * 6 // 2) % 5  # = 4
-    assert q.p == 3
-    q = FamilyParams(3, 5, 4)
-    assert q.p == 2 * 3 * 5 - 2 * 3 - 5  # = 19
-    assert q.order == 60
-    assert q.map_type == (12, 10)
+    # order 4 kappa lam, type (4 kappa, 2 lam), chi = -(2 kappa lam - 2 kappa
+    # - lam), and the exponent a = (j - 1)(lam + 1)/2 mod lam of the closing
+    # relator (t y)^kappa (s x)^a s
+    member = hpj(1, 5, 1)
+    assert (member.order, member.map_type) == (20, (4, 10))
+    assert member.text.endswith("\nrel (t y)^1 s\n")  # a = 0
+    assert euler_characteristic(member.build()) == -3
+    member = hpj(1, 5, 4)
+    assert member.text.endswith("\nrel (t y)^1 (s x)^4 s\n")  # a = 9 mod 5
+    assert euler_characteristic(member.build()) == -3
+    member = hpj(3, 5, 4)
+    assert (member.order, member.map_type) == (60, (12, 10))
+    assert member.text.endswith("\nrel (t y)^3 (s x)^4 s\n")  # a = 9 mod 5, whatever kappa
+    assert euler_characteristic(member.build()) == -(2 * 3 * 5 - 2 * 3 - 5)
 
 
 def test_family_params_validation():
-    with pytest.raises(ValueError):
-        FamilyParams(2, 5, 1)  # kappa must be odd
-    with pytest.raises(ValueError):
-        FamilyParams(1, 4, 1)  # lambda must be odd
-    with pytest.raises(ValueError):
-        FamilyParams(1, 1, 0)  # lambda >= 3
-    with pytest.raises(ValueError):
-        FamilyParams(3, 9, 1)  # kappa, lambda coprime
-    with pytest.raises(ValueError):
-        FamilyParams(1, 5, 0)  # 0 < j < lambda
-    with pytest.raises(ValueError):
-        FamilyParams(1, 5, 5)
-    with pytest.raises(ValueError):
-        FamilyParams(1, 5, 2)  # j^2 = 4 is not 1 mod 5
+    for params, message in [
+        ((2, 5, 1), "kappa must be a positive odd integer"),
+        ((1, 4, 1), "lam must be an odd integer >= 3"),
+        ((1, 1, 0), "lam must be an odd integer >= 3"),
+        ((3, 9, 1), "kappa and lam must be coprime"),
+        ((1, 5, 0), "j must satisfy 0 < j < lam"),
+        ((1, 5, 5), "j must satisfy 0 < j < lam"),
+        ((1, 5, 2), r"j\^2 must be 1 modulo lam"),  # j^2 = 4 is not 1 mod 5
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            hpj(*params)
 
 
 def test_cyclic_fitting_params_small_primes():
-    assert [(q.kappa, q.lam, q.j) for q in cyclic_fitting_params(3)] == [
+    assert cyclic_fitting_params(3) == [
         (1, 5, 1),
         (1, 5, 4),
     ]
-    assert [(q.kappa, q.lam, q.j) for q in cyclic_fitting_params(19)] == [
+    # p + 1 = 12 = 3 * 4, and b = 3 is not 1 (mod 4)
+    assert cyclic_fitting_params(11) == [(1, 13, 1), (1, 13, 12)]
+    assert cyclic_fitting_params(19) == [
         (1, 21, 1),
         (1, 21, 8),
         (1, 21, 13),
@@ -162,7 +163,7 @@ def test_cyclic_fitting_params_small_primes():
         (3, 5, 1),
         (3, 5, 4),
     ]
-    assert [(q.kappa, q.lam, q.j) for q in cyclic_fitting_params(31)] == [
+    assert cyclic_fitting_params(31) == [
         (1, 33, 1),
         (1, 33, 10),
         (1, 33, 23),
@@ -170,8 +171,8 @@ def test_cyclic_fitting_params_small_primes():
     ]
     # every parameter set reproduces p
     for p in (3, 19, 31, 43):
-        for q in cyclic_fitting_params(p):
-            assert q.p == p
+        for kappa, lam, _ in cyclic_fitting_params(p):
+            assert 2 * kappa * lam - 2 * kappa - lam == p
 
 
 def test_cyclic_fitting_params_equal_the_scan_of_every_b_and_j():
@@ -186,11 +187,11 @@ def test_cyclic_fitting_params_equal_the_scan_of_every_b_and_j():
 def test_cyclic_fitting_map_both_routes():
     # the map is built as an explicit extension of a cyclic group by the
     # Klein four group and certified against its presentation
-    for q in [FamilyParams(1, 5, 1), FamilyParams(1, 5, 4), FamilyParams(3, 5, 4)]:
-        m = hpj(q.kappa, q.lam, q.j).build()
-        assert group_from_action(m.perms, "hpj").order == q.order
-        assert type_of(m) == q.map_type
-        assert euler_characteristic(m) == -q.p
+    for kappa, lam, j in [(1, 5, 1), (1, 5, 4), (3, 5, 4)]:
+        m = hpj(kappa, lam, j).build()
+        assert group_from_action(m.perms, "hpj").order == 4 * kappa * lam
+        assert type_of(m) == (4 * kappa, 2 * lam)
+        assert euler_characteristic(m) == -(2 * kappa * lam - 2 * kappa - lam)
         assert not is_fully_regular(m)
     # coset enumeration of the same presentation gives an isomorphic map
     member = hpj(1, 7, 6)
@@ -286,12 +287,15 @@ def test_exceptional_order36():
 def test_chi_minus_2_catalog():
     cat = [member.build() for member in members(2)]
     assert len(cat) == 12
-    assert tuple(group_from_action(m.perms, "chi2").order for m in cat) == CHI2_EXPECTED_ORDERS
+    # the orders and types of the paper's table, with k <= l
+    orders = [8, 12, 12] + [16] * 6 + [24] * 3
+    assert [group_from_action(m.perms, "chi2").order for m in cat] == orders
+    types = [(8, 8), (4, 12), (6, 6)] + [(4, 8)] * 6 + [(4, 6)] * 3
     for i, m in enumerate(cat, start=1):
         k, l = type_of(m)
         if k > l:
             k, l = l, k
-        assert (k, l) == CHI2_EXPECTED_TYPES[i - 1]
+        assert (k, l) == types[i - 1]
         assert euler_characteristic(m) == -2
         assert is_orientable(m) == (i in CHI2_ORIENTABLE_INDICES)
         assert is_fully_regular(m) == (i in CHI2_FULLY_REGULAR_INDICES)
@@ -502,8 +506,8 @@ from references import cyclic_fitting_reference
 assert False, "assert statements must be stripped"
 q, other = families.hpj(1, 21, 1), families.hpj(1, 21, 8)
 key = equivalence_key(families.Member(q.label, other.text, q.w, q.order, q.map_type).build())
-print(key == equivalence_key(cyclic_fitting_reference(families.FamilyParams(1, 21, 1))))
-print(key == equivalence_key(cyclic_fitting_reference(families.FamilyParams(1, 21, 8))))
+print(key == equivalence_key(cyclic_fitting_reference((1, 21, 1))))
+print(key == equivalence_key(cyclic_fitting_reference((1, 21, 8))))
 """
 
 _WRONG_ORDER = """
@@ -600,7 +604,7 @@ def test_lift_equals_the_regular_action_of_d12():
 def test_lift_combines_the_pivots_by_gcd(monkeypatch):
     # hpj(3,5,4) at p = 19: the lattice of <(s x)(t y)^2> has pivots 5 and
     # 3, so the exponent of w is combined from two coordinates
-    q, member = FamilyParams(3, 5, 4), hpj(3, 5, 4)
+    member = hpj(3, 5, 4)
     echelon, pivots = families._echelon, []
 
     def recording(rows, m):
@@ -611,7 +615,7 @@ def test_lift_combines_the_pivots_by_gcd(monkeypatch):
     monkeypatch.setattr(families, "_echelon", recording)
     m = member.build()
     assert pivots == [[5, 3]]
-    assert equivalence_key(m) == equivalence_key(references.cyclic_fitting_reference(q))
+    assert equivalence_key(m) == equivalence_key(references.cyclic_fitting_reference((3, 5, 4)))
     reference = regular_action(parse_presentation(member.text))
     assert standard_table(m.perms) == standard_table(reference)
 
@@ -622,7 +626,7 @@ def test_cyclic_fitting_map_matches_its_semidirect_reference():
     keys = {}
     for p in filter(is_prime, range(3, 102)):
         for q in cyclic_fitting_params(p):
-            keys[q.kappa, q.lam, q.j] = key = equivalence_key(hpj(q.kappa, q.lam, q.j).build())
+            keys[q] = key = equivalence_key(hpj(*q).build())
             assert key == equivalence_key(references.cyclic_fitting_reference(q)), q
     assert len(keys) == 106
     for (kappa, lam, j), key in keys.items():

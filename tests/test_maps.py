@@ -29,7 +29,6 @@ from ebrmaps.maps import (
     NotGenerating,
     NotInvolution,
     PairNotCommuting,
-    SemiEdgeMap,
     all_map_quadruples,
     counts,
     delete_semi_edges,
@@ -360,7 +359,7 @@ def test_map_from_presentation_holds_only_the_action(monkeypatch):
     enumerate_maps = census.enumerate_maps
     searched = [
         (g, enumerate_maps(g, want_chi=-2))
-        for n in sorted({a.n for a in admissible_types(2)})
+        for n in sorted({n for n, _, _ in admissible_types(2)})
         for g in atlas(n)
     ]
 
@@ -431,7 +430,7 @@ def _s4_columns(*images):
 def test_semi_edge_tetrahedron():
     triple = r0, r1, r2 = _s4_columns(*TETRAHEDRON)
     sm = insert_semi_edges(triple)
-    assert sm == SemiEdgeMap((r0, r2, r1))
+    assert sm == (r0, r2, r1)
     # inserting a semi-edge into every corner of the tetrahedron doubles
     # both the valency and the face length
     assert semi_edge_type(sm) == (6, 6)
@@ -551,9 +550,9 @@ def test_all_map_quadruples():
 def _searched_orders():
     """(chi, order) for every atlas order that classify --p 2/3 and verify
     exclusions --p 5/7/11 search, and for chi = -1 on orders 8 and 12."""
-    out = [(-p, n) for p in (2, 3) for n in sorted({a.n for a in admissible_types(p)})]
+    out = [(-p, n) for p in (2, 3) for n in sorted({n for n, _, _ in admissible_types(p)})]
     for p in (5, 7, 11):
-        orders = {a.n for a in admissible_types(p) if a.n % p == 0}
+        orders = {n for n, _, _ in admissible_types(p) if n % p == 0}
         out += [(-p, n) for n in sorted(orders) if n in ATLAS_ORDERS]
     return out + [(-1, 8), (-1, 12)]
 
@@ -590,20 +589,22 @@ def test_search_equals_the_scan(monkeypatch):
             assert set(firsts.values()) <= kept, (chi, g.name)
 
 
-_TWO_VALENCIES = """
+_WRONG_CHI = """
 from ebrmaps import maps
 from ebrmaps.groups import dihedral
 
 assert False, "assert statements must be stripped"
-maps.euler_characteristic_formula = lambda order, k, l: -2
+maps.euler_characteristic_formula = lambda order, k, l: -1
 list(maps.all_map_quadruples(dihedral(8), -2))
 """
 
 
-def test_two_vertex_valencies_for_one_face_valency_raise_under_python_O():
+def test_solved_vertex_valency_is_rechecked_under_python_O():
+    # on dihedral(8), chi = -2 solves to the type (8, 8); a chi formula that
+    # disagrees with the solve fails the recheck before the generation check
     env = dict(os.environ, PYTHONPATH=str(Path(ebrmaps.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _TWO_VALENCIES],
+        [sys.executable, "-O", "-c", _WRONG_CHI],
         capture_output=True,
         text=True,
         env=env,
@@ -611,7 +612,7 @@ def test_two_vertex_valencies_for_one_face_valency_raise_under_python_O():
     )
     assert proc.returncode == 1
     last = proc.stderr.strip().splitlines()[-1]
-    assert last.startswith("ebrmaps.groups.VerificationError: face valency 2 gives chi = -2")
+    assert last == "ebrmaps.groups.VerificationError: type (8,8) was solved for chi = -2 but gives -1"
 
 
 def test_chi_search_equals_post_filtering_on_random_groups():

@@ -429,7 +429,7 @@ def _enumeration_cases():
     for p in (3, 5, 13, 31):
         texts += [families.dh1(p).text, families.dh2(p).text]
     for p in (5, 13, 41):
-        texts += [families.hpj(q.kappa, q.lam, q.j).text for q in families.cyclic_fitting_params(p)]
+        texts += [families.hpj(*q).text for q in families.cyclic_fitting_params(p)]
     texts += [families.hp(m).text for m in (1, 3, 5)]
     cases = [(parse_presentation(text), ()) for text in texts]
     cases.append((parse_presentation(_S4_CERTIFICATE), ((2, 0, 2, 0, 2, 0),)))  # (s x)^3
