@@ -56,7 +56,7 @@ def orbit_count(perms):
 
 def main():
     m = load_map(MAP_FILE)
-    print("group order:", m.order)
+    print("group order:", len(m[0]))
     k, l = type_of(m)
     print(f"type (k, l) = ({k}, {l}): vertex valency {k}, face length {l}")
     v, e, f = counts(m)

@@ -31,7 +31,7 @@ from ebrmaps.maps import (
 
 def show(label, m):
     v, e, f = counts(m)
-    print(f"  {label:<18} |H|={m.order:>3}  type {type_of(m)!s:<9} "
+    print(f"  {label:<18} |H|={len(m[0]):>3}  type {type_of(m)!s:<9} "
           f"V,E,F=({v},{e},{f})  chi={euler_characteristic(m):>3}  "
           f"orientable={is_orientable(m)!s:<5} fully_regular={is_fully_regular(m)}")
 

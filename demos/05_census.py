@@ -38,8 +38,8 @@ def main():
               f"  V,E,F=({row['vertices']},{row['edges']},{row['faces']})  [{flags or '-'}]")
 
     print("\nexhaustive classification at chi = -3 (matched to constructors)")
-    for e in classify(3, profile="exhaustive"):
-        print(f"  {e.family:<4} on a group of order {e.map.order}")
+    for m, member in classify(3, profile="exhaustive"):
+        print(f"  {member.label:<4} on a group of order {len(m[0])}")
 
     print("\nby-product: chi = -1 maps exist only in dihedral groups")
     report = verify_chi_minus_1_dihedral()

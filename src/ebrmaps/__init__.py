@@ -93,7 +93,6 @@ _EXPORTS = {
     "census": (
         "ATLAS_EXPECTED_COUNTS",
         "ATLAS_ORDERS",
-        "CatalogEntry",
         "UnsupportedOrder",
         "admissible_types",
         "atlas",

@@ -286,7 +286,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
     m = load_map(_read_text(args.file), max_cosets=args.max_cosets)
     if args.what == "cayley":
-        labels, perms = MARK_NAMES, m.perms
+        labels, perms = MARK_NAMES, m
     else:  # flags
         labels, perms = ("rho0", "rho1", "rho2"), flag_structure(m)
     num_nodes, edges = len(perms[0]), _edges(labels, perms)

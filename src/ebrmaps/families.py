@@ -121,8 +121,8 @@ class Member(_Record):
         if self.order > max_cosets:
             raise CapacityExceeded(max_cosets)
         m = map_from_action(regular_action_through(pres, self.w, max_cosets))
-        if m.order != self.order:
-            raise VerificationError(f"{self.label}: expected order {self.order}, got {m.order}")
+        if len(m[0]) != self.order:
+            raise VerificationError(f"{self.label}: expected order {self.order}, got {len(m[0])}")
         if type_of(m) != self.map_type:
             raise VerificationError(
                 f"{self.label}: expected type {self.map_type}, got {type_of(m)}"
@@ -369,13 +369,13 @@ def hpj(kappa: int, lam: int, j: int) -> Member:
     if kappa < 1 or kappa % 2 == 0:
         raise ValueError("kappa must be a positive odd integer")
     if lam < 3 or lam % 2 == 0:
-        raise ValueError("lam must be an odd integer >= 3")
+        raise ValueError("lambda must be an odd integer >= 3")
     if math.gcd(kappa, lam) != 1:
-        raise ValueError("kappa and lam must be coprime")
+        raise ValueError("kappa and lambda must be coprime")
     if not 0 < j < lam:
-        raise ValueError("j must satisfy 0 < j < lam")
+        raise ValueError("j must satisfy 0 < j < lambda")
     if (j * j) % lam != 1:
-        raise ValueError("j^2 must be 1 modulo lam")
+        raise ValueError("j^2 must be 1 modulo lambda")
     _warn_unless_prime(2 * kappa * lam - 2 * kappa - lam)
     a = (j - 1) * (lam + 1) // 2 % lam
     closing = f"(t y)^{kappa} (s x)^{a} s" if a else f"(t y)^{kappa} s"

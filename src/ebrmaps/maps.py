@@ -15,15 +15,17 @@ when it is isomorphic to its twin and self-dual when isomorphic to its dual.
 Both tests and the canonical key compare standardized tables, whose rows
 come from the one walk that numbers H, ``groups._standard_rows``.
 
-A map is stored as H acting on itself by right multiplication: four
-permutations of |H| points, one per mark, so its size is linear in |H|; a
-semi-edge map is the triple of its three permutations.  Point 0 is the
-identity, as element 0 is in every group table and coset 0 in every coset
-table, so each mark is its permutation's image of 0.  One check,
-``_check_marks``, validates the marks of both.  Every invariant below is
-computed from the permutations, and a map keeps no dense multiplication
-table.  The flags are permutations too: ``flag_structure`` gives the
-triple (rho0, rho1, rho2) of adjacency involutions of 2|H| flags.
+A map (``EdgeBiregularMap`` in annotations) is the 4-tuple (x, y, s, t)
+of the permutations of H acting on itself by right multiplication by the
+marks, each of length |H|; a semi-edge map is the triple (x, y, r).
+``perm[h]`` is the point h times the mark, numbered by coset or by a dense
+group's elements.  Point 0 is the identity, as element 0 is in every group
+table and coset 0 in every coset table, so each mark is its permutation's
+image of 0.  One check, ``_check_marks``, validates the marks of both.
+Every invariant below is computed from the permutations, and a map keeps
+no dense multiplication table.  The flags are permutations too:
+``flag_structure`` gives the triple (rho0, rho1, rho2) of adjacency
+involutions of 2|H| flags.
 
 Orientability is computed two independent ways (index of the subgroup of
 even words, and 2-colorability of the flag graph) which must agree.
@@ -40,7 +42,6 @@ from .groups import (
     Perm,
     VerificationError,
     _orbit,
-    _Record,
     _same_standard_table,
     _standard_rows,
     subgroup_closure,
@@ -70,32 +71,7 @@ class NotGenerating(MapStructureError):
 MARK_NAMES = ("x", "y", "s", "t")
 
 
-class EdgeBiregularMap(_Record):
-    """Value object: H acting on itself by right multiplication by the marks.
-
-    ``perms[i][h]`` is the point h times the i-th mark of (x, y, s, t), and
-    point 0 is the identity, so the mark itself is ``perms[i][0]``.  Maps
-    built from a presentation number H by coset; maps built on a dense group
-    use its element numbers.  A map is only its permutations, and equality
-    compares them.
-    """
-
-    _fields = ("perms",)
-
-    def __init__(self, perms: tuple[Perm, Perm, Perm, Perm]) -> None:
-        self.perms = perms
-
-    @property
-    def order(self) -> int:
-        return len(self.perms[0])
-
-    @property
-    def marks(self) -> tuple[int, int, int, int]:
-        return tuple(perm[0] for perm in self.perms)  # type: ignore[return-value]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        k, l = type_of(self)
-        return f"EdgeBiregularMap(order={self.order}, type=({k},{l}))"
+EdgeBiregularMap = tuple[Perm, Perm, Perm, Perm]
 
 
 def _check_marks(
@@ -135,9 +111,10 @@ def _check_marks(
 
 def map_from_action(perms: tuple[Perm, ...]) -> EdgeBiregularMap:
     """Validate the four mark permutations of a regular right action (point
-    0 the identity), x, y and s, t the commuting pairs, and build the map."""
+    0 the identity), x, y and s, t the commuting pairs, and return them as
+    the map."""
     _check_marks(perms, MARK_NAMES, ((0, 1), (2, 3)))
-    return EdgeBiregularMap(tuple(perms))  # type: ignore[arg-type]
+    return tuple(perms)  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +136,12 @@ def product_order(perms: Sequence[Perm], first: int, second: int) -> int:
 def type_of(m: EdgeBiregularMap) -> tuple[int, int]:
     """(k, l): twice the orders of t*y and s*x.  Not normalized; the census
     layer sorts k <= l for reporting."""
-    return 2 * product_order(m.perms, 3, 1), 2 * product_order(m.perms, 2, 0)
+    return 2 * product_order(m, 3, 1), 2 * product_order(m, 2, 0)
 
 
 def counts(m: EdgeBiregularMap) -> tuple[int, int, int]:
     """(vertices, edges, faces)."""
-    n = m.order
+    n = len(m[0])
     k, l = type_of(m)
     if n % k or n % l or n % 2:
         raise VerificationError(f"type ({k},{l}) does not divide the order {n}")
@@ -200,11 +177,12 @@ def flag_structure(m: EdgeBiregularMap) -> tuple[Perm, Perm, Perm]:
     dashed-side flag.  rho0 multiplies by x on the bold side and s on the
     dashed side, rho2 by y and t, and rho1 swaps sides (f to f ^ 1).
     """
-    px, py, ps, pt = m.perms
-    rho0, rho2 = [0] * (2 * m.order), [0] * (2 * m.order)
+    px, py, ps, pt = m
+    flags = 2 * len(px)
+    rho0, rho2 = [0] * flags, [0] * flags
     rho0[0::2], rho0[1::2] = [2 * h for h in px], [2 * h + 1 for h in ps]
     rho2[0::2], rho2[1::2] = [2 * h for h in py], [2 * h + 1 for h in pt]
-    return tuple(rho0), tuple(f ^ 1 for f in range(2 * m.order)), tuple(rho2)
+    return tuple(rho0), tuple(f ^ 1 for f in range(flags)), tuple(rho2)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +194,12 @@ def _even_subgroup_index(m: EdgeBiregularMap) -> int:
     the size of the orbit of 0 under x*y, x*s and x*t.  These three
     generate every product a*b of two marks, since a*b = (x*a)^-1 (x*b)
     when x and a are involutions."""
-    px, *others = m.perms
+    px, *others = m
     products = [tuple(map(a.__getitem__, px)) for a in others]
     size = len(_orbit(products))
-    index, remainder = divmod(m.order, size)
+    index, remainder = divmod(len(px), size)
     if remainder or index not in (1, 2):
-        raise VerificationError(f"even subgroup of order {size} in a group of order {m.order}")
+        raise VerificationError(f"even subgroup of order {size} in a group of order {len(px)}")
     return index
 
 
@@ -260,35 +238,32 @@ def is_orientable(m: EdgeBiregularMap) -> bool:
 # duality, twins, isomorphism
 
 
-def _reordered(m: EdgeBiregularMap, order: tuple[int, int, int, int]) -> EdgeBiregularMap:
-    perms = tuple(m.perms[i] for i in order)
-    return EdgeBiregularMap(perms)  # type: ignore[arg-type]
-
-
 def dual(m: EdgeBiregularMap) -> EdgeBiregularMap:
-    return _reordered(m, (1, 0, 3, 2))
+    x, y, s, t = m
+    return y, x, t, s
 
 
 def twin(m: EdgeBiregularMap) -> EdgeBiregularMap:
-    return _reordered(m, (2, 3, 0, 1))
+    x, y, s, t = m
+    return s, t, x, y
 
 
 def is_fully_regular(m: EdgeBiregularMap) -> bool:
     """m is isomorphic to its twin."""
-    return _same_standard_table(m.perms, twin(m).perms)
+    return _same_standard_table(m, twin(m))
 
 
 def is_self_dual(m: EdgeBiregularMap) -> bool:
     """m is isomorphic to its dual."""
-    return _same_standard_table(m.perms, dual(m).perms)
+    return _same_standard_table(m, dual(m))
 
 
 def equivalence_key(m: EdgeBiregularMap) -> tuple[int, ...]:
     """Canonical key of m up to isomorphism, duality and twinning.
 
-    The least standardized table (``groups._standard_rows``) over the
-    orderings of m, dual(m), twin(m) and dual(twin(m)); two maps are
-    equivalent iff their keys are equal.
+    The least standardized table (``groups._standard_rows``) over the four
+    reorderings of the tuple m: m, dual(m), twin(m) and dual(twin(m)); two
+    maps are equivalent iff their keys are equal.
 
     The four walks all number the orbit of 0, so their tables have
     the same length; they are drawn from one row (one element of H) at a
@@ -296,11 +271,7 @@ def equivalence_key(m: EdgeBiregularMap) -> tuple[int, ...]:
     least row, and the last one left is drained alone, so a variant that
     loses early costs only its first rows.
     """
-    x, y, s, t = m.perms
-    walks = [
-        _standard_rows(perms)
-        for perms in ((x, y, s, t), (y, x, t, s), (s, t, x, y), (t, s, y, x))
-    ]
+    walks = [_standard_rows(variant) for variant in (m, dual(m), twin(m), dual(twin(m)))]
     key: list[int] = []
     while len(walks) > 1:
         rows = [next(walk, None) for walk in walks]
@@ -503,8 +474,7 @@ def all_map_quadruples(group: FiniteGroup, want_chi: int | None = None):
                             )
                     if len(subgroup_closure(group, (x, y, s, t))) != n:
                         continue
-                    perms = tuple(tuple(row[z] for row in mul) for z in (x, y, s, t))
-                    yield EdgeBiregularMap(perms)  # type: ignore[arg-type]
+                    yield tuple(tuple(row[z] for row in mul) for z in (x, y, s, t))
 
 
 def map_invariants(m: EdgeBiregularMap) -> dict:

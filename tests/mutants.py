@@ -113,7 +113,7 @@ MUTANTS = (
     Mutant(
         "hpj accepts kappa and lam with a common factor",
         "src/ebrmaps/families.py",
-        '    if math.gcd(kappa, lam) != 1:\n        raise ValueError("kappa and lam must be coprime")\n',
+        '    if math.gcd(kappa, lam) != 1:\n        raise ValueError("kappa and lambda must be coprime")\n',
         "",
         ("tests/test_families.py::test_family_params_validation",),
     ),
@@ -155,6 +155,36 @@ MUTANTS = (
         (
             "tests/test_maps.py::test_semi_edge_tetrahedron",
             "tests/test_maps.py::test_semi_edge_type_matches_the_dense_reference",
+        ),
+    ),
+    Mutant(
+        "dual keeps s and t in place",
+        "src/ebrmaps/maps.py",
+        "    return y, x, t, s\n",
+        "    return y, x, s, t\n",
+        (
+            "tests/test_maps.py::test_equivalence_key_decides_equivalence_up_to_duality",
+            "tests/test_cli.py::test_invariants_self_dual_map",
+        ),
+    ),
+    Mutant(
+        "twin swaps x and y as it swaps the sides",
+        "src/ebrmaps/maps.py",
+        "    return s, t, x, y\n",
+        "    return s, t, y, x\n",
+        (
+            "tests/test_maps.py::test_dual_and_twin_are_involutions",
+            "tests/test_census.py::test_classify_p2",
+        ),
+    ),
+    Mutant(
+        "catalog entries of equal order and type keep their search order",
+        "src/ebrmaps/census.py",
+        "(*_order_and_type(e[0]), e[1].label)",
+        "_order_and_type(e[0])",
+        (
+            "tests/test_census.py::test_classify_p2",
+            "tests/test_acceptance.py::test_criterion_1_chi_minus_2_classification",
         ),
     ),
     Mutant(

@@ -5,9 +5,10 @@ isomorphism by comparing standardized tables; these references work on
 dense multiplication tables instead, and decide isomorphism by extending a
 map of generators to a homomorphism, so the tests can hold the library
 against an independent computation on the same inputs.  The bridges
-between the two that only tests need live here too: ``new_map`` (a dense
-group and four marks to a map), ``group_from_action`` (a regular action
-to a dense group) and ``orbit_count``.  The generation checks of the
+between the two that only tests need live here too: ``marks`` (a map's
+four marks), ``new_map`` (a dense group and four marks to a map),
+``group_from_action`` (a regular action to a dense group) and
+``orbit_count``.  The generation checks of the
 references use :func:`frontier_closure`, not the library's orbit walk.
 """
 
@@ -41,6 +42,12 @@ def mark_columns(group: FiniteGroup, marks: tuple[int, ...]) -> tuple[Perm, ...]
     """The table's column for each mark: h -> h * mark, the mark's
     permutation of the group's right regular action.  Checks nothing."""
     return tuple(tuple(row[z] for row in group.mul) for z in marks)
+
+
+def marks(m: EdgeBiregularMap) -> tuple[int, int, int, int]:
+    """The marks (x, y, s, t) of a map: each permutation's image of point
+    0, the identity."""
+    return tuple(perm[0] for perm in m)  # type: ignore[return-value]
 
 
 def new_map(group: FiniteGroup, marks: tuple[int, int, int, int]) -> EdgeBiregularMap:
@@ -235,10 +242,10 @@ def quotient(g: FiniteGroup, normal: set[int], name: str) -> FiniteGroup:
 def is_map_isomorphic(a: EdgeBiregularMap, b: EdgeBiregularMap) -> bool:
     """Group isomorphism carrying a's quadruple to b's, in order, found on
     the dense groups."""
-    if a.order != b.order or type_of(a) != type_of(b):
+    if len(a[0]) != len(b[0]) or type_of(a) != type_of(b):
         return False
-    a_group, b_group = group_from_action(a.perms, "A"), group_from_action(b.perms, "B")
-    return _extend_iso(a_group, a.marks, b_group, b.marks) is not None
+    a_group, b_group = group_from_action(a, "A"), group_from_action(b, "B")
+    return _extend_iso(a_group, marks(a), b_group, marks(b)) is not None
 
 
 def group_from_presentation(pres: Presentation) -> tuple[FiniteGroup, tuple[int, ...]]:
@@ -318,9 +325,9 @@ def even_subgroup_index_of_products(m: EdgeBiregularMap) -> int:
     """Index of the subgroup E generated by all twelve ordered products u*v
     of two distinct marks: the number of orbits of E on H, its cosets."""
     products = [
-        tuple(v[u[h]] for h in range(m.order))
-        for i, u in enumerate(m.perms)
-        for j, v in enumerate(m.perms)
+        tuple(v[u[h]] for h in range(len(m[0])))
+        for i, u in enumerate(m)
+        for j, v in enumerate(m)
         if i != j
     ]
     return orbit_count(products)
@@ -343,12 +350,12 @@ def standard_table(perms) -> tuple[int, ...]:
 
 def is_fully_regular_by_tables(m: EdgeBiregularMap) -> bool:
     """m and its twin have equal standardized tables, each built in full."""
-    return standard_table(m.perms) == standard_table(twin(m).perms)
+    return standard_table(m) == standard_table(twin(m))
 
 
 def is_self_dual_by_tables(m: EdgeBiregularMap) -> bool:
     """m and its dual have equal standardized tables, each built in full."""
-    return standard_table(m.perms) == standard_table(dual(m).perms)
+    return standard_table(m) == standard_table(dual(m))
 
 
 def all_map_quadruples_by_scan(group, want_chi=None):
@@ -373,7 +380,7 @@ def all_map_quadruples_by_scan(group, want_chi=None):
                         if euler_characteristic_formula(n, k, l) != want_chi:
                             continue
                     if len(frontier_closure(group, (x, y, s, t))) == n:
-                        yield EdgeBiregularMap(mark_columns(group, (x, y, s, t)))
+                        yield mark_columns(group, (x, y, s, t))
 
 
 def enumerate_maps_by_key(group, want_chi=None) -> list[EdgeBiregularMap]:

@@ -29,6 +29,7 @@ from references import (
     group_from_action,
     group_from_presentation,
     index_of_even_subgroup,
+    marks,
     orbit_count,
 )
 
@@ -120,12 +121,12 @@ def test_criterion_2_chi_minus_3_classification():
         exhaustive = classify(3, profile="exhaustive")
         constructive = classify(3, profile="constructive")
         assert catalog_json(exhaustive) == catalog_json(constructive)
-        assert [e.family for e in exhaustive] == ["dh1", "dh2", "h3"]
+        assert [member.label for _, member in exhaustive] == ["dh1", "dh2", "h3"]
         # every member's map lands in the catalog up to duality+twin,
         # including both cyclic-Fitting members (they fold into dh2)
         all_constructed = [member.build() for member in members(3)]
         assert len(all_constructed) == 5
-        catalog_keys = {equivalence_key(e.map) for e in exhaustive}
+        catalog_keys = {equivalence_key(m) for m, _ in exhaustive}
         for m in all_constructed:
             assert equivalence_key(m) in catalog_keys, (
                 f"unmatched constructed map of type {type_of(m)}"
@@ -145,7 +146,7 @@ def test_criterion_3_order_formulas():
         params = _hpj_parameter_range(200)
         assert len(params) == 84
         for (kappa, lam, _), m in zip(params, _hpj_maps()):
-            assert group_from_action(m.perms, "hpj").order == 4 * kappa * lam
+            assert group_from_action(m, "hpj").order == 4 * kappa * lam
         for m_param in (1, 3, 5):
             group, _ = group_from_presentation(
                 parse_presentation(families.hp(m_param).text)
@@ -201,12 +202,12 @@ def test_criterion_6_euler_identity_property_suite():
             e = orbit_count((rho0, rho2))
             f = orbit_count((rho0, rho1))
             chi_orbits = Fraction(v - e + f)
-            group = group_from_action(m.perms, "H")
+            group = group_from_action(m, "H")
             chi_formula = euler_characteristic_formula(group.order, k, l)
             assert chi_orbits == chi_formula, (
                 f"chi mismatch on order {group.order} type {(k, l)}"
             )
-            by_index = index_of_even_subgroup((group, m.marks)) == 2
+            by_index = index_of_even_subgroup((group, marks(m))) == 2
             by_flags = _flag_graph_bipartite(rhos)
             assert by_index == by_flags, (
                 f"orientability routes disagree on order {group.order}"

@@ -56,6 +56,7 @@ from references import (
     are_isomorphic_by_extension,
     enumerate_maps_by_key,
     is_abelian,
+    marks,
     quotient,
     relabelled,
 )
@@ -258,14 +259,14 @@ def _searched_groups():
 
 def test_orbit_dedup_keeps_the_one_key_per_quadruple_representatives():
     for group, chi in _searched_groups():
-        got = [m.marks for m in enumerate_maps(group, want_chi=chi).values()]
-        assert got == [m.marks for m in enumerate_maps_by_key(group, chi)], (
+        got = [marks(m) for m in enumerate_maps(group, want_chi=chi).values()]
+        assert got == [marks(m) for m in enumerate_maps_by_key(group, chi)], (
             group.name,
             chi,
         )
 
 
-def _may_be_least(group, marks):
+def _may_be_least(group, quad):
     """The three tests that every class's least quadruple passes, from
     their definitions: x is least in its conjugacy class, no conjugate of
     y, s or t is below x, and no conjugate of y by an element commuting
@@ -275,7 +276,7 @@ def _may_be_least(group, marks):
     def conjugates(a, by):
         return [mul[mul[g][a]][inv[g]] for g in by]
 
-    x, y, s, t = marks
+    x, y, s, t = quad
     centralizer = [g for g in range(n) if mul[g][x] == mul[x][g]]
     return (
         min(conjugates(x, range(n))) == x
@@ -293,8 +294,8 @@ def test_least_search_yields_the_full_scan_quadruples_that_pass_the_tests(order)
     for group, chi in _searched_groups():
         if group.order != order:
             continue
-        got = [m.marks for m in all_map_quadruples(group, chi)]
-        full = [m.marks for m in all_map_quadruples_by_scan(group, chi)]
+        got = [marks(m) for m in all_map_quadruples(group, chi)]
+        full = [marks(m) for m in all_map_quadruples_by_scan(group, chi)]
         assert got == [q for q in full if _may_be_least(group, q)], (group.name, chi)
 
 
@@ -425,6 +426,29 @@ def test_classify_p3_exhaustive_matches_constructive():
         (20, (4, 10), "dh2"),
         (36, (4, 6), "h3"),
     ]
+
+
+def test_catalog_entry_pairs_a_map_with_its_member():
+    # an exhaustive entry holds the search's representative of its class,
+    # not the member's built map; a constructive entry holds the built map;
+    # either way a row's family and presentation are its member's
+    searched = {}
+    for n in sorted({n for n, _, _ in admissible_types(3)}):
+        for group in atlas(n):
+            for key, m in enumerate_maps(group, want_chi=-3).items():
+                searched.setdefault(key, m)
+    exhaustive = classify(3, profile="exhaustive")
+    constructive = classify(3, profile="constructive")
+    assert len(exhaustive) == len(searched) == 3
+    for m, member in exhaustive:
+        built = member.build()
+        assert m == searched[equivalence_key(built)] != built
+    for m, member in constructive:
+        assert m == member.build()
+    for entries in (exhaustive, constructive):
+        assert [(r["family"], r["presentation"]) for r in catalog_rows(entries)] == [
+            (member.label, member.text) for _, member in entries
+        ]
 
 
 def test_classify_p5_constructive():

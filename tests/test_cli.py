@@ -19,7 +19,7 @@ from ebrmaps.cli import _FAMILY_FLAGS, _PROBE_GRID, main
 from ebrmaps.groups import VerificationError
 from ebrmaps.maps import load_map, map_file_text
 from ebrmaps.presentations import MAX_NESTING
-from references import group_from_action
+from references import group_from_action, marks
 
 TRIANGLE_237 = """\
 gens a b c
@@ -238,7 +238,7 @@ def test_construct_families_round_trip(tmp_path, capsys):
         code = main(["construct", *extra, "--out", str(out_file)])
         assert code == 0
         m = load_map(out_file.read_text())
-        assert group_from_action(m.perms, extra[1]).order == order
+        assert group_from_action(m, extra[1]).order == order
 
 
 def test_construct_requires_family_parameters(capsys):
@@ -277,7 +277,7 @@ def test_construct_warns_when_minus_chi_is_not_prime(capsys):
         with pytest.warns(UserWarning, match=f"-chi = {minus_chi} is not prime"):
             code, out, _ = run(capsys, "construct", *argv)
         assert code == 0
-        assert load_map(out).order in (108, 216)
+        assert len(load_map(out)[0]) in (108, 216)
 
 
 def test_construct_warning_is_one_line_on_stderr():
@@ -294,7 +294,7 @@ def test_construct_warning_is_one_line_on_stderr():
         "warning: -chi = 77 is not prime; the map exists but its Euler"
         " characteristic is not minus a prime\n"
     )
-    assert load_map(proc.stdout).order == 216
+    assert len(load_map(proc.stdout)[0]) == 216
 
 
 def test_construct_rejects_invalid_parameters(capsys):
@@ -540,7 +540,7 @@ def test_classify_fails_when_a_constructor_misses_a_class(monkeypatch, capsys):
     entries = census._constructive_entries
 
     def without_h3(p):
-        return {key: e for key, e in entries(p).items() if e.family != "h3"}
+        return {key: e for key, e in entries(p).items() if e[1].label != "h3"}
 
     monkeypatch.setattr(census, "_constructive_entries", without_h3)
     message = "found only by search [(36, 4, 6)], only by constructors []"
@@ -588,9 +588,9 @@ def test_export_cayley_witnesses_defining_relation(tmp_path, capsys):
     x_edges = {frozenset((a, b)) for a, b, label, _ in edges if label == "x"}
 
     m = load_map(f.read_text())
-    group = group_from_action(m.perms, "hp(1)")
+    group = group_from_action(m, "hp(1)")
     mul = group.mul
-    _, y, _, t = m.marks
+    _, y, _, t = marks(m)
     tyt_edges = {
         frozenset((h, mul[mul[mul[h][t]][y]][t])) for h in range(group.order)
     }

@@ -383,7 +383,7 @@ def test_derived_data_agrees_with_the_dense_references(monkeypatch):
         # the holomorph of C9: C9 x| C6, the generator multiplying by 2
         semidirect(cyclic(9), cyclic(6), {1: tuple(2 * c % 9 for c in range(9))}, "Hol(C9)"),
         *probed,
-        group_from_action(dh1.perms, "dh1"),
+        group_from_action(dh1, "dh1"),
     ]
     for g in groups:
         assert g.element_orders == element_orders(g), g.name
