@@ -12,14 +12,14 @@ The atlas is a table of constructor recipes (cyclic, dihedral, dicyclic,
 symmetric, direct and semidirect products), not a generator of groups by
 order.  A split extension A x| B is given as A, B and the images of
 generators of B on A's elements, which ``semidirect`` composes into the
-action of all of B and checks.  Each atlas call re-verifies that its groups
-are pairwise non-isomorphic and match the documented count for that order.
+action of all of B and checks.  Each atlas call builds its groups afresh
+(a command asks for each order once) and verifies that they are pairwise
+non-isomorphic and match the documented count for that order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .groups import (
     FiniteGroup,
@@ -328,7 +328,6 @@ _RECIPES = {
 ATLAS_ORDERS = tuple(sorted(_RECIPES))
 
 
-@lru_cache(maxsize=None)
 def atlas(order: int) -> tuple[FiniteGroup, ...]:
     """Every group of the given order, pairwise non-isomorphic (verified).
 

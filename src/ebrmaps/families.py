@@ -43,7 +43,6 @@ from .groups import (
     DEFAULT_MAX_COSETS,
     CapacityExceeded,
     VerificationError,
-    _Record,
     cyclic,
     dihedral,
     is_prime,
@@ -51,7 +50,6 @@ from .groups import (
 )
 from .maps import EdgeBiregularMap, dual, euler_characteristic, map_from_action, type_of
 from .presentations import (
-    CosetTable,
     Perm,
     Presentation,
     Word,
@@ -90,15 +88,13 @@ def presentation_text(extra_relators: tuple[str, ...] | list[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# one record for every member: the regular action lifted through <w>
+# one class for every member: the regular action lifted through <w>
 
 
-class Member(_Record):
+class Member:
     """One family member: its catalog label and presentation text, the
     word w whose cyclic subgroup the action is lifted through, and the
-    order and type its map must have.  Equal when label and text are."""
-
-    _fields = ("label", "text")
+    order and type its map must have."""
 
     def __init__(
         self, label: str, text: str, w: Word, order: int, map_type: tuple[int, int]
@@ -225,7 +221,7 @@ def regular_action_through(
             perm[c::n] = block[shift:] + block[:shift]
         perms.append(tuple(perm))
     action = tuple(perms)
-    _check_table(CosetTable(action), pres, ())
+    _check_table(action, pres, ())
     return action
 
 

@@ -67,31 +67,6 @@ class CapacityExceeded(RuntimeError):
         self.max_cosets = max_cosets
 
 
-class _Record:
-    """Base of the library's value records.
-
-    Two records are equal when they are of the same class and agree on the
-    attributes named in ``_fields``; a record hashes and prints by them.
-    """
-
-    _fields: tuple[str, ...] = ()
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
 class FiniteGroup:
     """Immutable finite group given by its multiplication table.
 

@@ -26,9 +26,11 @@ close, the enumeration stops there, since every later HLT step would
 define nothing and merge nothing.  That check composes the columns along
 the written form, taking each power ``(w)^k`` of w's permutation by
 repeated squaring, so it costs O(|H| x written size x log k) rather than
-O(|H| x expanded length).  Identical input yields an identical numbered
-table.  Enumerations that would exceed ``max_cosets`` raise
-:class:`CapacityExceeded` rather than returning a wrong answer.
+O(|H| x expanded length).  It reads only the tuple of columns, so it
+checks any action given as one permutation per generator.  Identical
+input yields an identical numbered table.  Enumerations that would exceed
+``max_cosets`` raise :class:`CapacityExceeded` rather than returning a
+wrong answer.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 
-from .groups import DEFAULT_MAX_COSETS, CapacityExceeded, Perm, VerificationError, _Record
+from .groups import DEFAULT_MAX_COSETS, CapacityExceeded, Perm, VerificationError
 
 Word = tuple[int, ...]
 # A written word: each factor is a generator or a pair (form, k) for form^k.
@@ -57,13 +59,10 @@ class ParseError(ValueError):
         self.column = column
 
 
-class Presentation(_Record):
+class Presentation:
     """Generators and relators, each relator kept once as written, with its
     powers (a plain word is a form with no powers).  ``relators`` holds
-    their expansions, each at most ``MAX_RELATOR_LENGTH`` letters; equality
-    compares those, so it ignores how powers were written."""
-
-    _fields = ("generator_names", "relators")
+    their expansions, each at most ``MAX_RELATOR_LENGTH`` letters."""
 
     def __init__(self, generator_names: tuple[str, ...], relator_forms: tuple[Form, ...]) -> None:
         if not generator_names:
@@ -268,15 +267,13 @@ def parse_presentation(text: str) -> Presentation:
 # Todd-Coxeter (HLT with row filling), specialized to involutory generators
 
 
-class CosetTable(_Record):
+class CosetTable:
     """Completed, compacted coset table on live cosets 0..n-1, by column.
 
     ``columns[g][c]`` is the coset reached from c by the (involutory)
     generator g, so each column is the permutation of the cosets by g and
     columns[g][columns[g][c]] == c.
     """
-
-    _fields = ("columns",)
 
     def __init__(self, columns: tuple[Perm, ...]) -> None:
         self.columns = columns
@@ -385,7 +382,7 @@ class _Enumeration:
         """The compacted table if it is complete and passes every check of
         :func:`_check_table`, else None."""
         table = self.compact()
-        if table is None or _table_fault(table, self.pres, self.subgens) is not None:
+        if table is None or _table_fault(table.columns, self.pres, self.subgens) is not None:
             return None
         return table
 
@@ -424,7 +421,7 @@ class _Enumeration:
         table = self.compact()
         if table is None:
             raise VerificationError("table incomplete after enumeration")
-        _check_table(table, self.pres, self.subgens)
+        _check_table(table.columns, self.pres, self.subgens)
         return table
 
 
@@ -476,11 +473,12 @@ def _word_permutation(form: Form, columns: tuple[Perm, ...]) -> Sequence[int]:
     return perm  # type: ignore[return-value]
 
 
-def _table_fault(ct: CosetTable, pres: Presentation, subgens: tuple[Word, ...]) -> str | None:
-    """The first way ct fails to be a coset table of the presentation in
-    which every subgroup generator fixes coset 0, or None."""
-    columns = ct.columns
-    identity = list(range(ct.num_cosets))
+def _table_fault(
+    columns: tuple[Perm, ...], pres: Presentation, subgens: tuple[Word, ...]
+) -> str | None:
+    """The first way the columns fail to be a coset table of the
+    presentation in which every subgroup generator fixes coset 0, or None."""
+    identity = list(range(len(columns[0])))
     for col in columns:
         if [col[d] for d in col] != identity:
             return "generator column is not an involution"
@@ -496,8 +494,8 @@ def _table_fault(ct: CosetTable, pres: Presentation, subgens: tuple[Word, ...]) 
     return None
 
 
-def _check_table(ct: CosetTable, pres: Presentation, subgens: tuple[Word, ...]) -> None:
-    fault = _table_fault(ct, pres, subgens)
+def _check_table(columns: tuple[Perm, ...], pres: Presentation, subgens: tuple[Word, ...]) -> None:
+    fault = _table_fault(columns, pres, subgens)
     if fault is not None:
         raise VerificationError(fault)
 

@@ -197,6 +197,53 @@ MUTANTS = (
             "tests/test_census.py::test_classify_p3_exhaustive_matches_constructive",
         ),
     ),
+    Mutant(
+        "_table_fault skips its check that each column is an involution",
+        "src/ebrmaps/presentations.py",
+        "    for col in columns:\n        if [col[d] for d in col] != identity:",
+        "    for col in columns[:0]:\n        if [col[d] for d in col] != identity:",
+        ("tests/test_families.py::test_certificate_rejections_survive_python_O",),
+    ),
+    Mutant(
+        "_table_fault checks only the first relator form",
+        "src/ebrmaps/presentations.py",
+        "    for form in pres.relator_forms:\n        if form and ",
+        "    for form in pres.relator_forms[:1]:\n        if form and ",
+        (
+            "tests/test_families.py::test_broken_action_fails_exactly_one_relator",
+            "tests/test_presentations.py::test_check_table_rejects_a_power_failing_at_some_cosets",
+        ),
+    ),
+    Mutant(
+        "--max-cosets accepts 0",
+        "src/ebrmaps/cli.py",
+        "    if value < 1:\n",
+        "    if value < 0:\n",
+        (
+            "tests/test_cli.py::test_max_cosets_below_one_is_an_input_error[argv0-0]",
+            "tests/test_cli.py::test_max_cosets_below_one_is_an_input_error[argv2-0]",
+        ),
+    ),
+    Mutant(
+        "element orders are the cycle length, without the gcd",
+        "src/ebrmaps/groups.py",
+        "orders[power] = k // gcd(j, k)",
+        "orders[power] = k",
+        (
+            "tests/test_groups.py::test_cyclic_element_orders",
+            "tests/test_groups.py::test_dihedral_is_of_order_n",
+        ),
+    ),
+    Mutant(
+        "_same_standard_table compares only the first rows",
+        "src/ebrmaps/groups.py",
+        "    return all(map(eq, _standard_rows(a), _standard_rows(b)))",
+        "    return next(_standard_rows(a)) == next(_standard_rows(b))",
+        (
+            "tests/test_groups.py::test_extends_to_isomorphism",
+            "tests/test_maps.py::test_permutation_invariants_match_dense_references",
+        ),
+    ),
 )
 
 

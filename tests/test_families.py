@@ -54,7 +54,6 @@ from ebrmaps.maps import (
     type_of,
 )
 from ebrmaps.presentations import (
-    CosetTable,
     Presentation,
     _table_fault,
     parse_presentation,
@@ -335,7 +334,8 @@ def test_members_roster_branches():
         assert families_of.count("hpj") == len(cyclic_fitting_params(p)), p
         assert families_of.count("hp") == ((p + 4) % 9 == 0), p
         assert families_of.count("h3") == (p == 3), p
-    assert members(23)[-1] == hp(3)
+    last, expected = members(23)[-1], hp(3)
+    assert (last.label, last.text) == (expected.label, expected.text)
     with pytest.raises(ValueError, match="p must be an odd prime, got 9"):
         members(9)
 
@@ -367,9 +367,6 @@ def test_member_build_checks_capacity_order_and_type(monkeypatch):
     wrong_type = Member("dh1", member.text, member.w, 24, (4, 24))
     with pytest.raises(VerificationError, match=r"^dh1: expected type \(4, 24\), got \(24, 4\)$"):
         wrong_type.build()
-    # a member is its label and text
-    assert member == Member("dh1", member.text, (), 0, (0, 0))
-    assert member != dh1(7)
 
 
 def test_probe_vacuous_cells():
@@ -716,8 +713,8 @@ def test_broken_action_fails_exactly_one_relator():
     good = regular_action_through(pres, (1, 3))
     x, y, s, t = good
     bad = (x, y, s, tuple(t[y[t[h]]] for h in range(len(t))))
-    assert _table_fault(CosetTable(good), pres, ()) is None
-    assert _table_fault(CosetTable(bad), pres, ()) == "relator does not close"
+    assert _table_fault(good, pres, ()) is None
+    assert _table_fault(bad, pres, ()) == "relator does not close"
     one_relator = [Presentation(pres.generator_names, (f,)) for f in pres.relator_forms]
-    failing = [q.relators for q in one_relator if _table_fault(CosetTable(bad), q, ())]
+    failing = [q.relators for q in one_relator if _table_fault(bad, q, ())]
     assert failing == [parse_presentation(f"gens x y s t\nrel s (y t)^{p + 1}\n").relators]
