@@ -19,8 +19,6 @@ non-isomorphic and match the documented count for that order.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .groups import (
     FiniteGroup,
     VerificationError,
@@ -64,7 +62,9 @@ def admissible_types(p: int) -> list[tuple[int, int, int]]:
     """All (order, type) combinations compatible with chi = -p, for prime
     p: the triples (n, k, l) with n*(1/k - 1/2 + 1/l) = -p, k <= l both
     even, k >= 4, l >= 6 and k, l and 4 dividing n, sorted.  Each has
-    nu = 2kl/(kl - 2(k+l)) = n/p at most 12, or VerificationError.
+    nu = 2kl/(kl - 2(k+l)) = n/p at most 12, or VerificationError.  Both
+    checks are integer equations: chi from ``euler_characteristic_formula``
+    and n(kl - 2(k+l)) = 2klp, the same equation computed the other way.
 
     With V = n/k vertices and F = n/l faces the equation reads
     n = 2(V + F + p), so (k - 2)V = 2(F + p), and F | kV forces F | 2kp.
@@ -85,9 +85,10 @@ def admissible_types(p: int) -> list[tuple[int, int, int]]:
             if rem or n % f or n % 4 or (n // f) % 2:
                 continue
             l = n // f
-            nu = Fraction(2 * k * l, k * l - 2 * (k + l))
-            if euler_characteristic_formula(n, k, l) != -p or nu != Fraction(n, p) or nu > 12:
-                raise VerificationError(f"type ({k},{l}) at order {n} has nu = {nu}")
+            den = k * l - 2 * (k + l)  # nu = 2kl/den, and den >= 4
+            chi = euler_characteristic_formula(n, k, l)
+            if chi != -p or n * den != 2 * k * l * p or n > 12 * p:
+                raise VerificationError(f"type ({k},{l}) at order {n} has nu = {2 * k * l}/{den}")
             out.append((n, k, l))
     return sorted(out)
 

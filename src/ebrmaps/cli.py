@@ -24,7 +24,6 @@ import argparse
 import sys
 import warnings
 from collections.abc import Sequence
-from pathlib import Path
 
 from .groups import DEFAULT_MAX_COSETS, CapacityExceeded, Perm
 
@@ -44,7 +43,8 @@ _MARK_STYLES = {"x": "bold", "y": "solid", "s": "dashed", "t": "dotted"}
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def _positive_int(text: str) -> int:
@@ -63,7 +63,8 @@ def _write_out(args: argparse.Namespace, text: str) -> None:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(text)
 
 
 # ---------------------------------------------------------------------------

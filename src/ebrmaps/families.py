@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from fractions import Fraction
 
 from .groups import (
     DEFAULT_MAX_COSETS,
@@ -507,9 +506,8 @@ def _assert_probe_conformance(p: int, nu: int, m: EdgeBiregularMap) -> None:
     if half_k not in (2, half_l):
         raise VerificationError(f"vertex parameter {half_k} not in {{2, {half_l}}}")
     chi = euler_characteristic(m)
-    if half_k == 2:
-        expected = Fraction(p * (2 - half_l), 2)
-    else:
-        expected = Fraction(p * (2 - half_l), 1)
+    # the predictions p(1 - l/4) for k = 4 and p(2 - l/2) for k = l are
+    # integers, as l = nu = 4 (mod 8) makes l/4 = half_l // 2
+    expected = p * (1 - half_l // 2) if half_k == 2 else p * (2 - half_l)
     if chi != expected:
         raise VerificationError(f"chi {chi} differs from the predicted {expected}")

@@ -18,9 +18,8 @@ automorphisms of A attached to generators of B; it composes the action of
 the rest of B itself and checks it on those generators.  Element orders come from walking each
 cyclic subgroup once, with ord(a^j) = ord(a) / gcd(j, ord(a)).  The
 conjugates of x come from column x of the table, read one column at a time
-so the whole transpose is never held; the isomorphism fingerprint computes
-them once per conjugacy class; :func:`are_isomorphic` asks for it only when
-the sorted element orders tie, then compares standardized tables.  Two
+so the whole transpose is never held.  :func:`are_isomorphic` compares the
+sorted element orders and, when they tie, standardized tables.  Two
 walks go breadth first from point 0, here and in ``maps``:
 :func:`_standard_rows` numbers H for every standardized table, and
 :func:`_orbit` only collects the orbit of 0, for every generation check,
@@ -35,7 +34,6 @@ formulas in this package follow that convention.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from functools import cached_property
 from itertools import permutations
 from math import gcd
 from operator import add, eq, getitem, itemgetter
@@ -113,23 +111,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.mul)
-
-    @cached_property
-    def fingerprint(self) -> tuple:
-        """Isomorphism invariants, computed once per group: order, sorted
-        element orders, abelian flag, center size, conjugacy class sizes."""
-        n = self.order
-        seen = [False] * n
-        sizes = []
-        for x in range(n):
-            if not seen[x]:
-                cls = set(self.conjugates(x))
-                for c in cls:
-                    seen[c] = True
-                sizes.append(len(cls))
-        center = sizes.count(1)
-        orders = tuple(sorted(self.element_orders))
-        return (n, orders, center == n, center, tuple(sorted(sizes)))
 
     def conjugates(self, x: int) -> tuple[int, ...]:
         """g x g^-1 for every element g, in the order of g: column x of the
@@ -387,7 +368,12 @@ def _same_standard_table(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]])
 
 def greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
     """Small generating set, grown by repeatedly adding the lowest index
-    element outside the running closure (deterministic)."""
+    element outside the running closure (deterministic).
+
+    A closure contains its generators, so each step adds a new element and
+    at most |G| - 1 steps are made; VerificationError if a closure lacks one
+    of them, where the loop would otherwise add elements for ever.
+    """
     gens: list[int] = []
     closure = {0}
     while len(closure) < g.order:
@@ -395,6 +381,8 @@ def greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
             if x not in closure:
                 gens.append(x)
                 closure = set(subgroup_closure(g, tuple(gens)))
+                if not closure.issuperset(gens):
+                    raise VerificationError(f"the closure of {gens} lacks a generator")
                 break
     return tuple(gens)
 
@@ -402,18 +390,16 @@ def greedy_generators(g: FiniteGroup) -> tuple[int, ...]:
 def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
     """Abstract group isomorphism test.
 
-    Compares the sorted element orders first and the fingerprint, with its
-    conjugacy class sizes, only when they tie.  Then searches the images in
-    ``b`` of a greedy generating set of ``a`` by element order, pruned by
-    pairwise product orders, and compares each full tuple's standardized
-    table with the generators': as they generate ``a`` and |a| = |b|, the
-    tables are equal exactly when an isomorphism carries one to the other.
+    Compares the sorted element orders first.  When they tie, searches the
+    images in ``b`` of a greedy generating set of ``a`` by element order,
+    pruned by pairwise product orders, and compares each full tuple's
+    standardized table with the generators': as they generate ``a`` and
+    |a| = |b|, the tables are equal exactly when an isomorphism carries one
+    to the other.
     """
     if a is b:
         return True
     if sorted(a.element_orders) != sorted(b.element_orders):
-        return False
-    if a.fingerprint != b.fingerprint:
         return False
     gens = greedy_generators(a)
     columns = [[row[g] for row in a.mul] for g in gens]

@@ -34,7 +34,6 @@ even words, and 2-colorability of the flag graph) which must agree.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .groups import (
     DEFAULT_MAX_COSETS,
@@ -46,6 +45,12 @@ from .groups import (
     _standard_rows,
     subgroup_closure,
 )
+
+# Only an annotation names Fraction here; the one function that makes a
+# Fraction imports it when it does, and no command's chi value needs one.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class MapStructureError(ValueError):
@@ -156,12 +161,15 @@ def euler_characteristic(m: EdgeBiregularMap) -> int:
 def euler_characteristic_formula(order: int, k: int, l: int) -> int | Fraction:
     """|H| * (1/k - 1/2 + 1/l) as an exact rational: an int when integral.
 
-    Integer arithmetic on |H| * (2l - kl + 2k) / (2kl); a Fraction is made
-    only for the rare non-integral value.
+    Integer arithmetic on |H| * (2l - kl + 2k) / (2kl).  Only a non-integral
+    value imports and makes a Fraction, and no caller in the library meets
+    one: both pass orders and types that give an integer by construction.
     """
     num = order * (2 * l - k * l + 2 * k)
     den = 2 * k * l
     if num % den:
+        from fractions import Fraction
+
         return Fraction(num, den)
     return num // den
 

@@ -13,9 +13,7 @@ no:cacheprovider``.  A mutant is killed when every one of its tests fails
 within ``TIMEOUT`` seconds.  The runner exits 1 when a mutant survives,
 when a test errors or runs out of time instead of failing, or when a
 mutant's old text does not occur exactly once in its file, so that a stale
-mutant fails loudly; otherwise it exits 0.  A mutant of the orbit walk or
-of ``subgroup_closure`` makes ``greedy_generators`` loop for ever, so such
-a mutant names tests that build no split extension.
+mutant fails loudly; otherwise it exits 0.
 
 pytest does not collect this file: its name does not start with ``test_``.
 A change that adds a check adds the mutant that the check kills.
@@ -242,6 +240,34 @@ MUTANTS = (
         (
             "tests/test_groups.py::test_extends_to_isomorphism",
             "tests/test_maps.py::test_permutation_invariants_match_dense_references",
+        ),
+    ),
+    Mutant(
+        "greedy_generators trusts a closure that lacks its generators",
+        "src/ebrmaps/groups.py",
+        "                if not closure.issuperset(gens):\n"
+        '                    raise VerificationError(f"the closure of {gens} lacks a generator")\n',
+        "",
+        ("tests/test_groups.py::test_greedy_generators_rejects_a_closure_without_its_generators",),
+    ),
+    Mutant(
+        "admissible_types drops the factor 2 from nu = 2kl/(kl - 2(k+l))",
+        "src/ebrmaps/census.py",
+        "n * den != 2 * k * l * p",
+        "n * den != k * l * p",
+        (
+            "tests/test_census.py::test_admissible_types_p2",
+            "tests/test_census.py::test_admissible_types_match_the_scan",
+        ),
+    ),
+    Mutant(
+        "the probe predicts chi for k = 4 and for k = l the other way round",
+        "src/ebrmaps/families.py",
+        "p * (1 - half_l // 2) if half_k == 2 else p * (2 - half_l)",
+        "p * (2 - half_l) if half_k == 2 else p * (1 - half_l // 2)",
+        (
+            "tests/test_cli.py::test_verify_lemma_4_3",
+            "tests/test_families.py::test_probe_reports_chi_against_its_integer_prediction",
         ),
     ),
 )

@@ -459,8 +459,9 @@ def is_abelian(g: FiniteGroup) -> bool:
 
 
 def fingerprint(g: FiniteGroup) -> tuple:
-    """``FiniteGroup.fingerprint`` computed entry by entry: the center from
-    every pair and the class of every element, central or not."""
+    """Isomorphism invariants computed entry by entry: order, sorted element
+    orders, abelian flag, center size and sorted conjugacy class sizes, the
+    center from every pair and the class of every element, central or not."""
     n, mul = g.order, g.mul
     center = sum(1 for x in range(n) if all(mul[x][y] == mul[y][x] for y in range(n)))
     seen = [False] * n

@@ -35,7 +35,7 @@ from ebrmaps.families import (
     h3,
     is_prime,
 )
-from ebrmaps import families
+from ebrmaps import census, families
 from ebrmaps.groups import (
     VerificationError,
     are_isomorphic,
@@ -55,6 +55,7 @@ from references import (
     all_map_quadruples_by_scan,
     are_isomorphic_by_extension,
     enumerate_maps_by_key,
+    fingerprint,
     is_abelian,
     marks,
     quotient,
@@ -109,6 +110,13 @@ def _admissible_types_by_scan(p):
     return out
 
 
+def test_admissible_types_cross_checks_chi_in_integers(monkeypatch):
+    # nu = 2kl/(kl - 2(k+l)) is printed as that quotient, unreduced
+    monkeypatch.setattr(census, "euler_characteristic_formula", lambda n, k, l: 0)
+    with pytest.raises(VerificationError, match=r"^type \(4,12\) at order 12 has nu = 96/16$"):
+        admissible_types(2)
+
+
 def test_admissible_types_match_the_scan():
     primes = [p for p in range(2, 300) if is_prime(p)] + [1009, 2003, 10007]
     for p in primes:
@@ -152,8 +160,8 @@ def test_atlas_against_the_dense_reference():
             other, _ = relabelled(g, rng)
             assert are_isomorphic(g, other), g.name
             assert are_isomorphic_by_extension(g, other), g.name
-    # 7 pairs tie on element orders; only these 2 also tie on class sizes,
-    # so only they reach the table comparison with a fingerprint match
+    # 7 pairs tie on element orders, so are_isomorphic compares tables for
+    # each and rejects it; only these 2 also tie on conjugacy class sizes
     tied = [
         (a, b)
         for order in ATLAS_ORDERS
@@ -161,10 +169,11 @@ def test_atlas_against_the_dense_reference():
         if sorted(a.element_orders) == sorted(b.element_orders)
     ]
     assert len(tied) == 7
-    tied = [(a, b) for a, b in tied if a.fingerprint == b.fingerprint]
+    for a, b in tied:
+        assert not are_isomorphic(a, b), (a.name, b.name)
+    tied = [(a, b) for a, b in tied if fingerprint(a) == fingerprint(b)]
     assert [(a.name, b.name) for a, b in tied] == [("Q8xC2", "C4:C4"), ("V4:C4", "D8oC4")]
     for a, b in tied:
-        assert not are_isomorphic(a, b)
         assert not are_isomorphic_by_extension(a, b)
         assert not are_isomorphic_by_extension(b, a)
 
@@ -316,8 +325,6 @@ def test_classify_computes_each_key_once(monkeypatch):
     # enumerate_maps and _constructive_entries return their keys, and
     # classify matches on them: 260 search keys and 12 constructor keys at
     # p = 2, 20 and 5 at p = 3
-    from ebrmaps import census
-
     calls = []
     key = census.equivalence_key
     monkeypatch.setattr(census, "equivalence_key", lambda m: calls.append(m) or key(m))
@@ -354,7 +361,7 @@ def test_atlas_tables_and_derived_data_are_pinned():
     groups[i] = glued
     tables = repr([(g.name, g.mul) for g in groups]).encode()
     derived = repr(
-        [(g.name, 0, g.inv, g.element_orders, g.fingerprint) for g in groups]
+        [(g.name, 0, g.inv, g.element_orders, fingerprint(g)) for g in groups]
     ).encode()
     assert hashlib.sha256(tables).hexdigest() == (
         "3ce48d2be272544fe977dad0f20892b7c4ebfdd34d1ed0d212f6bdad65c0a003"

@@ -43,6 +43,7 @@ from ebrmaps.groups import (
 )
 from ebrmaps.maps import (
     counts,
+    dual,
     equivalence_key,
     euler_characteristic,
     is_fully_regular,
@@ -390,6 +391,24 @@ def test_probe_even_lambda_cells():
     assert (4, 12) in norm_types  # its dual-form companion at chi = -10
     for m in maps:
         assert group_from_action(m, "C5:D12").order == 60
+
+
+def test_probe_reports_chi_against_its_integer_prediction(monkeypatch):
+    # at (p, lambda) = (5, 6) both predictions are met: chi = p(1 - l/4) =
+    # -10 for k = 4 and p(2 - l/2) = -20 for k = l = 12
+    maps = cyclic_by_dihedral_probe(5, 6)
+    monkeypatch.setattr(families, "euler_characteristic", lambda m: 0)
+    reports = set()
+    for m in maps:
+        for form in (m, dual(m)):
+            try:
+                families._assert_probe_conformance(5, 12, form)
+            except VerificationError as exc:
+                reports.add((type_of(form), str(exc)))
+    assert reports == {
+        ((4, 12), "chi 0 differs from the predicted -10"),
+        ((12, 12), "chi 0 differs from the predicted -20"),
+    }
 
 
 @pytest.mark.parametrize("p, lam", [(5, 3), (7, 5), (5, 4), (5, 6)])

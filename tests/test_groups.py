@@ -11,6 +11,7 @@ import pytest
 
 from ebrmaps.groups import (
     FiniteGroup,
+    VerificationError,
     _same_standard_table,
     alternating,
     are_isomorphic,
@@ -23,12 +24,11 @@ from ebrmaps.groups import (
     subgroup_closure,
     symmetric,
 )
-from ebrmaps import census, families
+from ebrmaps import census, families, groups
 from references import (
     check_action_exhaustive,
     composed_action,
     element_orders,
-    fingerprint,
     group_from_action,
     is_abelian,
     rejection,
@@ -333,8 +333,8 @@ def test_are_isomorphic_negative():
 
 
 def test_are_isomorphic_keeps_no_group_alive():
-    # the invariants are cached on the group, so comparing groups must not
-    # keep them reachable after the caller drops them
+    # comparing groups must not keep them reachable after the caller
+    # drops them
     g = direct_product(cyclic(4), cyclic(3))
     ref = weakref.ref(g)
     assert are_isomorphic(g, cyclic(12))
@@ -343,16 +343,27 @@ def test_are_isomorphic_keeps_no_group_alive():
     assert ref() is None
 
 
-def test_fingerprint_is_computed_once():
-    g = symmetric(4)
-    assert g.fingerprint is g.fingerprint
-    assert g.fingerprint == (24, tuple(sorted(g.element_orders)), False, 1, (1, 3, 6, 6, 8))
-
-
 def test_greedy_generators():
     for g in (cyclic(12), dihedral(16), symmetric(4)):
         gens = greedy_generators(g)
         assert len(subgroup_closure(g, gens)) == g.order
+
+
+def test_greedy_generators_rejects_a_closure_without_its_generators(monkeypatch):
+    # without its check the loop would add elements for ever; the patch
+    # gives up after 10 calls so that such a loop fails this test, not hangs
+    calls = []
+
+    def faulty_closure(g, gens):
+        calls.append(gens)
+        if len(calls) > 10:
+            raise RuntimeError("greedy_generators kept asking a faulty closure")
+        return (0,)
+
+    monkeypatch.setattr(groups, "subgroup_closure", faulty_closure)
+    with pytest.raises(VerificationError, match=r"the closure of \[1\] lacks a generator"):
+        greedy_generators(cyclic(12))
+    assert calls == [(1,)]
 
 
 def test_finite_group_rejects_bad_tables():
@@ -387,7 +398,6 @@ def test_derived_data_agrees_with_the_dense_references(monkeypatch):
     ]
     for g in groups:
         assert g.element_orders == element_orders(g), g.name
-        assert g.fingerprint == fingerprint(g), g.name
 
 
 @pytest.mark.parametrize(

@@ -16,10 +16,14 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_fresh(code: str) -> str:
+def run_fresh(code: str, *options: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *options, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -80,24 +84,61 @@ def test_unknown_attribute_raises_attribute_error():
     assert out == "module 'ebrmaps' has no attribute 'no_such_name'\n"
 
 
-def test_exclusions_command_loads_only_what_it_runs():
-    # as `python -m ebrmaps.cli verify exclusions --p 11`
+# The commands the benchmark runs: each with its first output line, the
+# modules it must load and the modules it must not.
+BENCHMARK_COMMANDS = [
+    (
+        ["verify", "exclusions", "--p", "11"],
+        "verify exclusions: PASS",
+        {"ebrmaps.census", "ebrmaps.groups", "ebrmaps.maps"},
+        {"ebrmaps.families", "ebrmaps.presentations", "dataclasses", "json"},
+    ),
+    (
+        ["classify", "--p", "3"],
+        "[",
+        {"ebrmaps.census", "ebrmaps.families", "json"},
+        {"dataclasses"},
+    ),
+    (
+        ["classify", "--p", "401", "--profile", "constructive"],
+        "[",
+        {"ebrmaps.census", "ebrmaps.families", "ebrmaps.presentations", "json"},
+        {"dataclasses"},
+    ),
+    (
+        ["construct", "--family", "dh1", "--p", "997"],
+        "gens x y s t",
+        {"ebrmaps.families", "ebrmaps.presentations", "ebrmaps.maps"},
+        {"ebrmaps.census", "dataclasses", "json"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, first, loads, skips",
+    BENCHMARK_COMMANDS,
+    ids=["exclusions", "exhaustive", "constructive", "construct"],
+)
+def test_command_loads_only_what_it_runs(argv, first, loads, skips):
+    # as `python -m ebrmaps.cli ARGV`, under -S so that site preloads nothing;
+    # every chi check is an integer equation and file I/O uses open, so no
+    # command loads fractions (with decimal and numbers) or pathlib
     out = run_fresh(
         "import runpy, sys\n"
         "before = set(sys.modules)\n"
-        "sys.argv = ['ebrmaps', 'verify', 'exclusions', '--p', '11']\n"
+        f"sys.argv = ['ebrmaps', *{argv!r}]\n"
         "try:\n"
         "    runpy.run_module('ebrmaps.cli', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        "print(sorted(set(sys.modules) - before))\n"
+        "print(sorted(set(sys.modules) - before))\n",
+        "-S",
     )
-    verdict, *_, loaded = out.splitlines()
-    assert verdict == "verify exclusions: PASS"
-    loaded = eval(loaded)
-    assert {"ebrmaps.census", "ebrmaps.groups", "ebrmaps.maps"} <= set(loaded)
-    for module in ("ebrmaps.families", "ebrmaps.presentations", "dataclasses", "json"):
-        assert module not in loaded
+    head, *_, loaded = out.splitlines()
+    assert head == first
+    loaded = set(eval(loaded))
+    assert loads <= loaded
+    assert loaded & (skips | {"fractions", "decimal", "numbers", "pathlib"}) == set()
 
 
 def _imports():
