@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from .groups import DEFAULT_MAX_COSETS, CapacityExceeded, Perm
 
@@ -302,45 +302,53 @@ def cmd_export(args: argparse.Namespace) -> int:
 # parser and entry point
 
 
+def _fixed_width(prog: str) -> argparse.HelpFormatter:
+    """Help and usage at argparse's width with no terminal, whatever
+    $COLUMNS says; given a width, argparse does not import shutil."""
+    return argparse.HelpFormatter(prog, width=78)
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="ebrmaps",
         description="Construct, analyze, classify and export edge-biregular maps.",
+        formatter_class=_fixed_width,
     )
     sub = top.add_subparsers(dest="subcommand", required=True)
+
+    def command(name: str, help: str, func: Callable) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, formatter_class=_fixed_width)
+        p.set_defaults(func=func)
+        return p
 
     def common(p: argparse.ArgumentParser, max_cosets: bool = True) -> None:
         if max_cosets:
             p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
         p.add_argument("--out", default="-", help="output path (default stdout)")
 
-    p_order = sub.add_parser("order", help="order of a finitely presented group")
+    p_order = command("order", "order of a finitely presented group", cmd_order)
     p_order.add_argument("file", help="presentation or map file")
     common(p_order)
-    p_order.set_defaults(func=cmd_order)
 
-    p_inv = sub.add_parser("invariants", help="map invariants as JSON")
+    p_inv = command("invariants", "map invariants as JSON", cmd_invariants)
     p_inv.add_argument("file", help="map file")
     common(p_inv)
-    p_inv.set_defaults(func=cmd_invariants)
 
-    p_con = sub.add_parser("construct", help="emit a family member's map file")
+    p_con = command("construct", "emit a family member's map file", cmd_construct)
     p_con.add_argument("--family", required=True, choices=tuple(_FAMILY_FLAGS))
     for flag in _CONSTRUCT_FLAGS:
         p_con.add_argument(f"--{flag}", type=int)
     common(p_con)
-    p_con.set_defaults(func=cmd_construct)
 
-    p_cls = sub.add_parser("classify", help="catalog of maps with chi = -p")
+    p_cls = command("classify", "catalog of maps with chi = -p", cmd_classify)
     p_cls.add_argument("--p", type=int, required=True)
     p_cls.add_argument(
         "--profile", choices=("exhaustive", "constructive"), default="exhaustive"
     )
     p_cls.add_argument("--jobs", type=int, help=_JOBS_HELP)
     common(p_cls, max_cosets=False)
-    p_cls.set_defaults(func=cmd_classify)
 
-    p_ver = sub.add_parser("verify", help="run a named verification")
+    p_ver = command("verify", "run a named verification", cmd_verify)
     p_ver.add_argument(
         "target",
         choices=("thm-odd", "thm-even", "lemma-4-2", "lemma-4-3", "exclusions"),
@@ -348,14 +356,12 @@ def _parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--p", type=int)
     p_ver.add_argument("--jobs", type=int, help=_JOBS_HELP)
     common(p_ver, max_cosets=False)
-    p_ver.set_defaults(func=cmd_verify)
 
-    p_exp = sub.add_parser("export", help="graph view of a map")
+    p_exp = command("export", "graph view of a map", cmd_export)
     p_exp.add_argument("what", choices=("cayley", "flags"))
     p_exp.add_argument("file", help="map file")
     p_exp.add_argument("--format", choices=("dot", "json"), default="dot")
     common(p_exp)
-    p_exp.set_defaults(func=cmd_export)
 
     return top
 

@@ -25,12 +25,13 @@ Each member is a presentation text and a word w: the presented group acts
 on itself by right multiplication, marked by its generators x, y, s, t.
 ``regular_action_through`` builds that action from the cosets of the
 cyclic subgroup <w>, of index 2 (dh1, dh2), 4 (hpj) or 8 (hp), by
-Reidemeister-Schreier, in O(|H| log p) where enumerating the cosets of the
-trivial subgroup costs O(|H| p).  For h3 and the chi = -2 maps w is empty
-and the action is the coset table of the trivial subgroup.  ``build``
-checks the order and type of what it built and raises VerificationError
-on a mismatch.  All presentation texts are kept verbatim, including
-redundant relators.
+Reidemeister-Schreier: one triangular basis of the rewritten relators and
+w gives |<w>| and each Schreier generator as a power of w.  It costs
+O(|H| log p) where enumerating the cosets of the trivial subgroup costs
+O(|H| p).  For h3 and the chi = -2 maps w is empty and the action is the
+coset table of the trivial subgroup.  ``build`` checks the order and type
+of what it built and raises VerificationError on a mismatch.  All
+presentation texts are kept verbatim, including redundant relators.
 """
 
 from __future__ import annotations
@@ -153,18 +154,22 @@ def regular_action_through(
     and O'Brien, Handbook of Computational Group Theory, section 2.5).  A
     generator is an involution, so the edges (c, g) and (c g, g) share one
     variable with opposite signs; tree edges are trivial.  K is cyclic, so
-    it equals its abelianization Z^m / L, L the span of the rows, and
-    N = |K| is the lattice index.  :func:`_discrete_log` writes each
-    variable as a power of w, so t_c g = w^a(c,g) t_(c g): point
+    it equals its abelianization Z^m / L, L the span of the rows.  The row
+    v of w from coset 0 joins them with a counter coordinate, 0 on the
+    relator rows and 1 on v, and :func:`_echelon` reduces them to one
+    triangular basis of {(x, c) : x = c v mod L} over m + 1 columns.  Its
+    first m pivots are 1 exactly when v generates Z^m / L, and its last
+    pivot is then N = |K|.  :func:`_discrete_log` reads each variable as
+    a power of w off that basis, so t_c g = w^a(c,g) t_(c g): point
     i [G:K] + c stands for w^i t_c, and g sends it to
     ((i + a(c, g)) mod N) [G:K] + c g.  Point 0 is the identity.  The cost
     is the enumeration, [G:K] passes over the expanded relators and O(|G|)
     per generator.
 
     An empty w gives :func:`regular_action`.  VerificationError when K is
-    infinite; CapacityExceeded when |G| exceeds max_cosets, before the
-    action is built.  Like a coset table, the action is checked by
-    :func:`_check_table` before it is returned.
+    infinite or v does not generate it; CapacityExceeded when |G| exceeds
+    max_cosets, before the action is built.  Like a coset table, the action
+    is checked by :func:`_check_table` before it is returned.
     """
     if not w:
         return regular_action(pres, max_cosets)
@@ -202,13 +207,17 @@ def regular_action_through(
         return row
 
     words = (*pres.relators, *((g, g) for g in range(len(columns))))
-    basis = _echelon([rewritten(word, c) for word in words for c in range(n)], m)
+    rows = [rewritten(word, c) + [0] for word in words for c in range(n)]
+    rows.append(rewritten(w, 0) + [1])
+    basis = _echelon(rows)
     if basis is None:
         raise VerificationError("the subgroup <w> is infinite")
-    order = math.prod(row[j] for j, row in enumerate(basis))
+    if any(row[j] != 1 for j, row in enumerate(basis[:m])):
+        raise VerificationError("the rewritten w does not generate the subgroup <w>")
+    order = basis[m][m]
     if n * order > max_cosets:
         raise CapacityExceeded(max_cosets)
-    a = _discrete_log(basis, rewritten(w, 0), order)
+    a = _discrete_log(basis, order)
     points = list(range(n * order))  # entries share these int objects
     perms = []
     for g, col in enumerate(columns):
@@ -224,11 +233,11 @@ def regular_action_through(
     return action
 
 
-def _echelon(rows: list[list[int]], m: int) -> list[list[int]] | None:
-    """An upper-triangular basis of the span of rows in Z^m, pivots
-    positive, by gcd row reduction; None when the rows have rank below m."""
+def _echelon(rows: list[list[int]]) -> list[list[int]] | None:
+    """An upper-triangular basis of the span of rows, pivots positive, by
+    gcd row reduction; None when the rows have rank below their width."""
     basis = []
-    for j in range(m):
+    for j in range(len(rows[0])):
         pivot = None
         rest = []
         for row in rows:
@@ -246,35 +255,18 @@ def _echelon(rows: list[list[int]], m: int) -> list[list[int]] | None:
     return basis
 
 
-def _discrete_log(basis: list[list[int]], v: list[int], n: int) -> list[int]:
-    """A functional a on Z^m, as its values mod n on the unit vectors, with
-    a . b = 0 (mod n) for every row b of basis and a . v = 1 (mod n).
+def _discrete_log(basis: list[list[int]], n: int) -> list[int]:
+    """The exponents a mod n with e_j = w^a_j for the m variables, from the
+    basis of :func:`regular_action_through`, whose first m pivots are 1.
 
-    basis is upper triangular with positive pivots whose product is n, so
-    adj = n basis^-1 is integral, and the functionals that vanish on the
-    rows mod n are adj lam for lam in Z^m.  With u = v adj, lam is built one
-    coordinate at a time so that u . lam = gcd(n, u_0, ..., u_k) (mod n);
-    VerificationError unless that gcd ends at 1, that is unless v generates
-    Z^m / span(basis).
+    Row j reads e_j + sum_(i>j) b_ji e_i = w^(b_jm), so a is solved from
+    the last row up.
     """
-    m = len(basis)
-    u: list[int] = []  # u basis = n v, solved column by column
-    for j in range(m):
-        u.append((n * v[j] - sum(u[i] * basis[i][j] for i in range(j))) // basis[j][j])
-    lam, g = [0] * m, n
-    for k, uk in enumerate(u):
-        d = math.gcd(g, uk)
-        beta = pow(uk // d, -1, g // d)
-        alpha = (d - beta * uk) // g  # alpha g + beta uk = d
-        lam = [alpha * x % n for x in lam]
-        lam[k] = beta
-        g = d
-    if g != 1:
-        raise VerificationError("the rewritten w does not generate the subgroup <w>")
-    a = [0] * m  # basis a = n lam, solved from the last row up
+    m = len(basis) - 1
+    a = [0] * m
     for j in reversed(range(m)):
-        a[j] = (n * lam[j] - sum(basis[j][i] * a[i] for i in range(j + 1, m))) // basis[j][j]
-    return [x % n for x in a]
+        a[j] = (basis[j][m] - sum(basis[j][i] * a[i] for i in range(j + 1, m))) % n
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,24 @@ MUTANTS = (
             "tests/test_families.py::test_probe_reports_chi_against_its_integer_prediction",
         ),
     ),
+    Mutant(
+        "the lift skips its unit-pivot check",
+        "src/ebrmaps/families.py",
+        "    if any(row[j] != 1 for j, row in enumerate(basis[:m])):\n"
+        '        raise VerificationError("the rewritten w does not generate the subgroup <w>")\n',
+        "",
+        ("tests/test_families.py::test_corrupted_dihedral_inversion_fails_under_python_O",),
+    ),
+    Mutant(
+        "the back-substitution adds the later exponents",
+        "src/ebrmaps/families.py",
+        "(basis[j][m] - sum(",
+        "(basis[j][m] + sum(",
+        (
+            "tests/test_families.py::test_certificate_equals_hlt_index_and_map_for_small_p",
+            "tests/test_families.py::test_back_substitution_equals_the_adjugate_solve",
+        ),
+    ),
 )
 
 

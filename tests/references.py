@@ -8,8 +8,10 @@ against an independent computation on the same inputs.  The bridges
 between the two that only tests need live here too: ``marks`` (a map's
 four marks), ``new_map`` (a dense group and four marks to a map),
 ``group_from_action`` (a regular action to a dense group) and
-``orbit_count``.  The generation checks of the
-references use :func:`frontier_closure`, not the library's orbit walk.
+``orbit_count``.  ``discrete_log_by_adjugate`` is the lift's former
+solve for the powers of w, kept to check its back-substitution.  The
+generation checks of the references use :func:`frontier_closure`, not
+the library's orbit walk.
 """
 
 from itertools import product
@@ -254,6 +256,37 @@ def group_from_presentation(pres: Presentation) -> tuple[FiniteGroup, tuple[int,
     perms = regular_action(pres)
     group = group_from_action(perms, f"fp[{len(perms[0])}]")
     return group, tuple(perm[0] for perm in perms)
+
+
+def discrete_log_by_adjugate(basis: list[list[int]], v: list[int], n: int) -> list[int]:
+    """A functional a on Z^m, as its values mod n on the unit vectors, with
+    a . b = 0 (mod n) for every row b of basis and a . v = 1 (mod n).
+
+    basis is upper triangular with positive pivots whose product is n, so
+    adj = n basis^-1 is integral, and the functionals that vanish on the
+    rows mod n are adj lam for lam in Z^m.  With u = v adj, lam is built one
+    coordinate at a time so that u . lam = gcd(n, u_0, ..., u_k) (mod n);
+    VerificationError unless that gcd ends at 1, that is unless v generates
+    Z^m / span(basis).
+    """
+    m = len(basis)
+    u: list[int] = []  # u basis = n v, solved column by column
+    for j in range(m):
+        u.append((n * v[j] - sum(u[i] * basis[i][j] for i in range(j))) // basis[j][j])
+    lam, g = [0] * m, n
+    for k, uk in enumerate(u):
+        d = gcd(g, uk)
+        beta = pow(uk // d, -1, g // d)
+        alpha = (d - beta * uk) // g  # alpha g + beta uk = d
+        lam = [alpha * x % n for x in lam]
+        lam[k] = beta
+        g = d
+    if g != 1:
+        raise VerificationError("the rewritten w does not generate the subgroup <w>")
+    a = [0] * m  # basis a = n lam, solved from the last row up
+    for j in reversed(range(m)):
+        a[j] = (n * lam[j] - sum(basis[j][i] * a[i] for i in range(j + 1, m))) // basis[j][j]
+    return [x % n for x in a]
 
 
 def cyclic_fitting_reference(q: tuple[int, int, int]) -> EdgeBiregularMap:

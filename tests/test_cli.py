@@ -178,6 +178,24 @@ def test_max_cosets_of_one_is_a_resource_limit(capsys):
     assert (code, out, err) == (3, "", "error: coset capacity 1 exceeded\n")
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]])
+def test_help_has_one_width_whatever_the_terminal(monkeypatch, capsys, argv):
+    # help is formatted at 78 columns, argparse's width with no terminal,
+    # so $COLUMNS changes no byte of it
+    texts = []
+    for columns in ("40", "200", None):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0].startswith("usage: ebrmaps")
+    assert texts[0] == texts[1] == texts[2]
+
+
 # --- invariants -----------------------------------------------------------
 
 

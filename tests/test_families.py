@@ -617,23 +617,70 @@ def test_lift_equals_the_regular_action_of_d12():
     assert regular_action_through(d12, ()) == regular_action(d12)
 
 
-def test_lift_combines_the_pivots_by_gcd(monkeypatch):
-    # hpj(3,5,4) at p = 19: the lattice of <(s x)(t y)^2> has pivots 5 and
-    # 3, so the exponent of w is combined from two coordinates
-    member = hpj(3, 5, 4)
-    echelon, pivots = families._echelon, []
+def _lattice_and_w(rows):
+    """The rows the lift passes to _echelon, split by their last (counter)
+    coordinate into the relator rows and the row of w, each without it."""
+    lattice = [row[:-1] for row in rows if row[-1] == 0]
+    (v,) = [row[:-1] for row in rows if row[-1] == 1]
+    return lattice, v
 
-    def recording(rows, m):
-        basis = echelon(rows, m)
-        pivots.append([row[j] for j, row in enumerate(basis) if row[j] != 1])
-        return basis
+
+def test_lift_reads_the_order_of_w_off_the_last_pivot(monkeypatch):
+    # hpj(3,5,4) at p = 19: the relator lattice of <(s x)(t y)^2> has
+    # pivots 5 and 3; with the row of w joined, the basis has unit pivots
+    # and the last pivot 15 = |<w>|
+    member = hpj(3, 5, 4)
+    echelon, calls = families._echelon, []
+
+    def recording(rows):
+        calls.append((rows, echelon(rows)))
+        return calls[-1][1]
 
     monkeypatch.setattr(families, "_echelon", recording)
     m = member.build()
-    assert pivots == [[5, 3]]
+    [(rows, basis)] = calls
+    lattice, _ = _lattice_and_w(rows)
+    assert [row[j] for j, row in enumerate(echelon(lattice)) if row[j] != 1] == [5, 3]
+    assert [row[j] for j, row in enumerate(basis)] == [1] * (len(basis) - 1) + [15]
     assert equivalence_key(m) == equivalence_key(references.cyclic_fitting_reference((3, 5, 4)))
     reference = regular_action(parse_presentation(member.text))
     assert standard_table(m) == standard_table(reference)
+
+
+def test_back_substitution_equals_the_adjugate_solve(monkeypatch):
+    # every lift's |<w>| and powers of w, read off its one basis, against
+    # the former solve from the echelon of the relator lattice alone
+    echelon, log, lifts = families._echelon, families._discrete_log, []
+
+    def recording_echelon(rows):
+        lifts.append([rows])
+        return echelon(rows)
+
+    def recording_log(basis, n):
+        a = log(basis, n)
+        lifts[-1] += [n, list(a)]
+        return a
+
+    monkeypatch.setattr(families, "_echelon", recording_echelon)
+    monkeypatch.setattr(families, "_discrete_log", recording_log)
+    d12 = parse_presentation("gens a b\nrel a^2\nrel b^2\nrel (a b)^6\n")
+    for w in ((0, 1), (0,), (1,), (0, 1, 0, 1), (0, 0)):
+        regular_action_through(d12, w)
+    for p in filter(is_prime, range(3, 102)):
+        for member in members(p):
+            member.build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # 9m - 4 is often composite
+        for m in range(1, 42, 2):
+            hp(m).build()
+    assert len(lifts) == 5 + 160 + 21  # h3 is not lifted
+    for rows, n, a in lifts:
+        lattice, v = _lattice_and_w(rows)
+        basis = echelon(lattice)
+        order = 1
+        for j, row in enumerate(basis):
+            order *= row[j]
+        assert (n, a) == (order, references.discrete_log_by_adjugate(basis, v, order))
 
 
 def test_cyclic_fitting_map_matches_its_semidirect_reference():
