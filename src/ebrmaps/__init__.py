@@ -55,13 +55,11 @@ _EXPORTS = {
         "PairNotCommuting",
         "all_map_quadruples",
         "counts",
-        "delete_semi_edges",
         "dual",
         "equivalence_key",
         "euler_characteristic",
         "euler_characteristic_formula",
         "flag_structure",
-        "insert_semi_edges",
         "is_fully_regular",
         "is_orientable",
         "is_self_dual",
@@ -70,8 +68,6 @@ _EXPORTS = {
         "map_from_action",
         "map_invariants",
         "product_order",
-        "semi_edge_counts",
-        "semi_edge_type",
         "twin",
         "type_of",
     ),

@@ -4,8 +4,8 @@ Every group in this library is a table over element indices 0..n-1, and
 element 0 is the identity: its row and its column are ``range(n)``.  The
 same holds for every action: point 0 of a regular action, like coset 0 of
 a coset table, stands for the identity, so no identity is searched for or
-passed around.  Marks live there too, not beside a table: a marked
-structure (a map, a semi-edge map) is a plain tuple of permutations of its
+passed around.  Marks live there too, not beside a table: a map, the one
+marked structure here, is a plain tuple of permutations of its
 regular action, one per mark, and each mark is its permutation's image of
 point 0.  Only the exhaustive search, ``maps.all_map_quadruples``, reads
 marks off a table, as its columns, and nothing in the library builds a

@@ -17,13 +17,13 @@ come from the one walk that numbers H, ``groups._standard_rows``.
 
 A map (``EdgeBiregularMap`` in annotations) is the 4-tuple (x, y, s, t)
 of the permutations of H acting on itself by right multiplication by the
-marks, each of length |H|; a semi-edge map is the triple (x, y, r).
-``perm[h]`` is the point h times the mark, numbered by coset or by a dense
-group's elements.  Point 0 is the identity, as element 0 is in every group
-table and coset 0 in every coset table, so each mark is its permutation's
-image of 0.  One check, ``_check_marks``, validates the marks of both.
-Every invariant below is computed from the permutations, and a map keeps
-no dense multiplication table.  The flags are permutations too:
+marks, each of length |H|.  ``perm[h]`` is the point h times the mark,
+numbered by coset or by a dense group's elements.  Point 0 is the
+identity, as element 0 is in every group table and coset 0 in every coset
+table, so each mark is its permutation's image of 0.  One check,
+``map_from_action``, validates the marks.  Every invariant below is
+computed from the permutations, and a map keeps no dense multiplication
+table.  The flags are permutations too:
 ``flag_structure`` gives the triple (rho0, rho1, rho2) of adjacency
 involutions of 2|H| flags.
 
@@ -79,11 +79,10 @@ MARK_NAMES = ("x", "y", "s", "t")
 EdgeBiregularMap = tuple[Perm, Perm, Perm, Perm]
 
 
-def _check_marks(
-    perms: Sequence[Perm], names: Sequence[str], pairs: Sequence[tuple[int, int]]
-) -> None:
-    """The marks, one permutation per name, are distinct involutions that
-    generate H, and each listed pair of marks commutes.
+def map_from_action(perms: tuple[Perm, ...]) -> EdgeBiregularMap:
+    """Validate the four mark permutations of a regular right action (point
+    0 the identity) and return them as the map: distinct involutions x, y,
+    s, t that generate H, with x, y and s, t the commuting pairs.
 
     Raises at the first failure, in this order: MapStructureError for the
     wrong shape or an entry outside range(|H|), NotInvolution (a mark that
@@ -91,34 +90,27 @@ def _check_marks(
     NotGenerating, each naming the offending marks.  O(|H|): the marks
     generate H iff the orbit of 0 under them is H in full.
     """
-    if len(perms) != len(names):
-        raise MapStructureError(f"expected {len(names)} marks ({', '.join(names)})")
+    if len(perms) != 4:
+        raise MapStructureError("expected 4 marks (x, y, s, t)")
     points = range(len(perms[0]))
     if any(len(perm) != len(points) for perm in perms):
         raise MapStructureError("mark permutations have different lengths")
     if not points:
         raise MapStructureError("mark permutations are empty")
-    for name, perm in zip(names, perms):
+    for name, perm in zip(MARK_NAMES, perms):
         if min(perm) < 0 or max(perm) >= len(points):
             raise MapStructureError(f"mark {name} has an entry outside range(|H|)")
         if perm[0] == 0 or any(perm[perm[h]] != h for h in points):
             raise NotInvolution(f"mark {name} is not an involution")
     marks = [perm[0] for perm in perms]
     if len(set(marks)) != len(marks):
-        raise NotDistinct(f"marks {', '.join(names)} must be pairwise distinct")
-    for i, j in pairs:
-        a, b = perms[i], perms[j]
+        raise NotDistinct("marks x, y, s, t must be pairwise distinct")
+    for i in (0, 2):
+        a, b = perms[i], perms[i + 1]
         if any(b[a[h]] != a[b[h]] for h in points):
-            raise PairNotCommuting(f"{names[i]} and {names[j]} do not commute")
+            raise PairNotCommuting(f"{MARK_NAMES[i]} and {MARK_NAMES[i + 1]} do not commute")
     if len(_orbit(perms)) != len(points):
         raise NotGenerating("marks do not generate the group")
-
-
-def map_from_action(perms: tuple[Perm, ...]) -> EdgeBiregularMap:
-    """Validate the four mark permutations of a regular right action (point
-    0 the identity), x, y and s, t the commuting pairs, and return them as
-    the map."""
-    _check_marks(perms, MARK_NAMES, ((0, 1), (2, 3)))
     return tuple(perms)  # type: ignore[return-value]
 
 
@@ -128,8 +120,8 @@ def map_from_action(perms: tuple[Perm, ...]) -> EdgeBiregularMap:
 
 def product_order(perms: Sequence[Perm], first: int, second: int) -> int:
     """Order of the product of marks number ``first`` and ``second`` of a
-    regular action (0..3 for x, y, s, t of a map, 0..2 for x, y, r of a
-    semi-edge map), by walking its cycle through the identity, point 0."""
+    regular action (0..3 for x, y, s, t of a map), by walking its cycle
+    through the identity, point 0."""
     a, b = perms[first], perms[second]
     h, k = b[a[0]], 1
     while h != 0:
@@ -291,56 +283,6 @@ def equivalence_key(m: EdgeBiregularMap) -> tuple[int, ...]:
     for row in walks[0]:
         key += row
     return tuple(key)
-
-
-# ---------------------------------------------------------------------------
-# semi-edge maps (the s = t degeneracy): a semi-edge at every corner, marks
-# (x, y, r) with s = t = r, held as the triple of their permutations
-
-
-def semi_edge_type(sm: tuple[Perm, Perm, Perm]) -> tuple[int, int]:
-    """(k, l): twice the orders of r*y and r*x."""
-    return 2 * product_order(sm, 2, 1), 2 * product_order(sm, 2, 0)
-
-
-def semi_edge_counts(sm: tuple[Perm, Perm, Perm]) -> dict[str, int]:
-    """Vertices, full edges, semi-edges, faces and flags of the semi-edge map.
-
-    Semi-edges carry two flags each, full edges four; the supporting surface
-    is unchanged by semi-edge insertion, so chi = V - E_full + F.
-    """
-    n = len(sm[0])
-    k, l = semi_edge_type(sm)
-    v, f = n // k, n // l
-    full, semi = n // 4, n // 2
-    return {
-        "vertices": v,
-        "edges": full,
-        "semi_edges": semi,
-        "faces": f,
-        "flags": 4 * full + 2 * semi,
-        "chi": v - full + f,
-    }
-
-
-def insert_semi_edges(regular: Sequence[Perm]) -> tuple[Perm, Perm, Perm]:
-    """From a fully regular map triple (r0, r1, r2), permutations of a
-    regular action with point 0 the identity, insert a semi-edge into every
-    corner: the result is the semi-edge map (r0, r2, r1), marks (x, y, r).
-
-    The marks must be three distinct involutions generating H with
-    (r0*r2)^2 = 1, else this raises as :func:`map_from_action` does, through
-    :func:`_check_marks`; distinctness excludes the semi-star configurations.
-    The type doubles: (ord(r1 r2), ord(r0 r1)) becomes (2k0, 2l0)."""
-    _check_marks(regular, ("r0", "r1", "r2"), ((0, 2),))
-    r0, r1, r2 = regular
-    return r0, r2, r1
-
-
-def delete_semi_edges(sm: tuple[Perm, Perm, Perm]) -> tuple[Perm, Perm, Perm]:
-    """Inverse of insert_semi_edges: recover the triple (r0, r1, r2)."""
-    x, y, r = sm
-    return x, r, y
 
 
 # ---------------------------------------------------------------------------

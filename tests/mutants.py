@@ -46,7 +46,7 @@ MUTANTS = (
         "        for perm in perms:\n            g = perm[h]\n            if g not in seen:",
         "        for perm in perms[:-1]:\n            g = perm[h]\n            if g not in seen:",
         (
-            "tests/test_maps.py::test_semi_edge_type_matches_the_dense_reference",
+            "tests/test_maps.py::test_map_from_action_matches_the_dense_reference",
             "tests/test_groups.py::test_subgroup_closure",
         ),
     ),
@@ -61,17 +61,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "_check_marks skips the commutation of its pairs",
+        "map_from_action skips the commutation of its pairs",
         "src/ebrmaps/maps.py",
-        "    for i, j in pairs:",
-        "    for i, j in pairs[:0]:",
+        "    for i in (0, 2):",
+        "    for i in ():",
         (
             "tests/test_maps.py::test_map_from_action_validates",
-            "tests/test_maps.py::test_semi_edge_validation",
+            "tests/test_maps.py::test_map_from_action_matches_the_dense_reference",
         ),
     ),
     Mutant(
-        "_check_marks checks the first three marks only for distinctness",
+        "the range check lets an entry equal to |H| through",
+        "src/ebrmaps/maps.py",
+        "max(perm) >= len(points)",
+        "max(perm) > len(points)",
+        ("tests/test_maps.py::test_map_from_action_rejects_malformed_permutations",),
+    ),
+    Mutant(
+        "map_from_action checks the first three marks only for distinctness",
         "src/ebrmaps/maps.py",
         "    if len(set(marks)) != len(marks):",
         "    if len(set(marks[:3])) != len(marks[:3]):",
@@ -143,16 +150,6 @@ MUTANTS = (
         (
             "tests/test_census.py::test_admissible_types_p2",
             "tests/test_census.py::test_admissible_types_match_the_scan",
-        ),
-    ),
-    Mutant(
-        "insert_semi_edges returns the triple in its input order",
-        "src/ebrmaps/maps.py",
-        "    return r0, r2, r1\n",
-        "    return r0, r1, r2\n",
-        (
-            "tests/test_maps.py::test_semi_edge_tetrahedron",
-            "tests/test_maps.py::test_semi_edge_type_matches_the_dense_reference",
         ),
     ),
     Mutant(

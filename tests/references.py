@@ -347,13 +347,6 @@ def index_of_even_subgroup(marked: tuple[FiniteGroup, tuple[int, ...]]) -> int:
     return index
 
 
-def semi_edge_type_dense(group: FiniteGroup, marks: tuple[int, int, int]) -> tuple[int, int]:
-    """The type (k, l) of the semi-edge map with marks (x, y, r) on a dense
-    group: twice the element orders of r*y and r*x, read from the table."""
-    x, y, r = marks
-    return 2 * group.element_orders[group.mul[r][y]], 2 * group.element_orders[group.mul[r][x]]
-
-
 def even_subgroup_index_of_products(m: EdgeBiregularMap) -> int:
     """Index of the subgroup E generated by all twelve ordered products u*v
     of two distinct marks: the number of orbits of E on H, its cosets."""

@@ -1,5 +1,5 @@
 """Tests for the map layer: marked quadruples, invariants, flags,
-duality/twin operators, semi-edge maps and the map file format."""
+duality/twin operators and the map file format."""
 
 import itertools
 import os
@@ -30,13 +30,11 @@ from ebrmaps.maps import (
     PairNotCommuting,
     all_map_quadruples,
     counts,
-    delete_semi_edges,
     dual,
     equivalence_key,
     euler_characteristic,
     euler_characteristic_formula,
     flag_structure,
-    insert_semi_edges,
     is_fully_regular,
     is_orientable,
     is_self_dual,
@@ -44,8 +42,6 @@ from ebrmaps.maps import (
     map_file_text,
     map_from_action,
     map_invariants,
-    semi_edge_counts,
-    semi_edge_type,
     strip_mark_lines,
     twin,
     type_of,
@@ -67,7 +63,6 @@ from references import (
     new_map,
     orbit_count,
     relabelled,
-    semi_edge_type_dense,
     standard_table,
 )
 
@@ -383,8 +378,48 @@ def test_map_from_action_validates():
         map_from_action((px, px, ps, pt))
     with pytest.raises(PairNotCommuting):
         map_from_action((px, ps, py, pt))  # x and s generate a group of order 8
-    with pytest.raises(MapStructureError):
+    with pytest.raises(MapStructureError, match=r"^expected 4 marks \(x, y, s, t\)$"):
         map_from_action((px, py, ps))
+
+
+def _dense_fault(group, quadruple):
+    """The exception class and message that ``map_from_action`` must raise
+    for the columns of the marks, read from the table, or None."""
+    mul = group.mul
+    for name, mark in zip("xyst", quadruple):
+        if group.element_orders[mark] != 2:
+            return NotInvolution, f"mark {name} is not an involution"
+    if len(set(quadruple)) != 4:
+        return NotDistinct, "marks x, y, s, t must be pairwise distinct"
+    for pair, (a, b) in (("x and y", quadruple[:2]), ("s and t", quadruple[2:])):
+        ab = mul[a][b]
+        if mul[ab][ab] != 0:
+            return PairNotCommuting, f"{pair} do not commute"
+    if len(frontier_closure(group, quadruple)) != group.order:
+        return NotGenerating, "marks do not generate the group"
+    return None
+
+
+def test_map_from_action_matches_the_dense_reference():
+    # every quadruple over the involutions and the identity of S4 and of
+    # D8 x C2, as table columns: map_from_action accepts exactly the
+    # quadruples of distinct involutions with (xy)^2 = (st)^2 = 1 that
+    # generate the group, and raises the first fault of the others
+    for group in (symmetric(4), direct_product(dihedral(8), cyclic(2))):
+        elements = [a for a in range(group.order) if group.element_orders[a] <= 2]
+        columns = dict(zip(elements, mark_columns(group, elements)))
+        accepted = 0
+        for quadruple in itertools.product(elements, repeat=4):
+            perms = tuple(columns[mark] for mark in quadruple)
+            fault = _dense_fault(group, quadruple)
+            try:
+                m = map_from_action(perms)
+            except MapStructureError as exc:
+                assert (type(exc), str(exc)) == fault, (group.name, quadruple)
+                continue
+            assert fault is None and m == perms, (group.name, quadruple)
+            accepted += 1
+        assert accepted, group.name
 
 
 def test_map_from_action_rejects_malformed_permutations():
@@ -397,6 +432,10 @@ def test_map_from_action_rejects_malformed_permutations():
         # an entry -1 must not be read, by negative indexing, as the last point
         ((px[:3] + (-1,) + px[4:], py, ps, pt), r"mark x has an entry outside range\(\|H\|\)"),
         (((), (), (), ()), "mark permutations are empty"),
+        # an entry equal to |H| must not be read as a point
+        ((px, (8,) + py[1:], ps, pt), r"mark y has an entry outside range\(\|H\|\)"),
+        # a quarter turn of D8 is no involution, though it moves point 0
+        ((px, py, mark_columns(dihedral(8), (1,))[0], pt), "mark s is not an involution"),
     ]
     for perms, message in faults:
         with pytest.raises(MapStructureError, match=f"^{message}$"):
@@ -411,84 +450,6 @@ def test_fully_regular_and_self_dual_flags():
     flat = new_map(c2_to_the(4), (1, 2, 4, 8))
     assert is_fully_regular(flat)
     assert is_self_dual(flat)
-
-
-# the transpositions of points 0,1 and 1,2 and 2,3 of S4
-TETRAHEDRON = ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
-
-
-def _s4_columns(*images):
-    """The columns of symmetric(4)'s table for the permutations of 0..3
-    with the given images."""
-    # symmetric(4) numbers its elements in sorted order
-    index = {p: i for i, p in enumerate(sorted(itertools.permutations(range(4))))}
-    return mark_columns(symmetric(4), [index[p] for p in images])
-
-
-def test_semi_edge_tetrahedron():
-    triple = r0, r1, r2 = _s4_columns(*TETRAHEDRON)
-    sm = insert_semi_edges(triple)
-    assert sm == (r0, r2, r1)
-    # inserting a semi-edge into every corner of the tetrahedron doubles
-    # both the valency and the face length
-    assert semi_edge_type(sm) == (6, 6)
-    stats = semi_edge_counts(sm)
-    assert stats == {
-        "vertices": 4,
-        "edges": 6,
-        "semi_edges": 12,
-        "faces": 4,
-        "flags": 48,
-        "chi": 2,
-    }
-    assert delete_semi_edges(sm) == triple
-
-
-def test_semi_edge_validation():
-    r0, r1, r2, double, four_cycle = _s4_columns(*TETRAHEDRON, (1, 0, 3, 2), (1, 2, 3, 0))
-    # a duplicated mark is the semi-star degeneracy
-    with pytest.raises(NotDistinct, match=r"^marks r0, r1, r2 must be pairwise distinct$"):
-        insert_semi_edges(mark_columns(dihedral(8), (4, 5, 4)))
-    # adjacent transpositions in the r0/r2 slots do not commute
-    with pytest.raises(PairNotCommuting):
-        insert_semi_edges((r0, r2, r1))
-    with pytest.raises(MapStructureError, match=r"^expected 3 marks \(r0, r1, r2\)$"):
-        insert_semi_edges((r0, four_cycle))
-    with pytest.raises(NotInvolution, match="^mark r1 is not an involution$"):
-        insert_semi_edges((r0, four_cycle, r2))
-    # (0 1), (0 1)(2 3) and (2 3) generate a Klein four subgroup of S4
-    with pytest.raises(NotGenerating):
-        insert_semi_edges((r0, double, r2))
-    with pytest.raises(MapStructureError, match=r"^mark r1 has an entry outside range\(\|H\|\)$"):
-        insert_semi_edges((r0, (24,) + r1[1:], r2))
-    with pytest.raises(MapStructureError, match=r"^mark r0 has an entry outside range\(\|H\|\)$"):
-        insert_semi_edges((r0[:3] + (-1,) + r0[4:], r1, r2))
-    with pytest.raises(MapStructureError, match="^mark permutations have different lengths$"):
-        insert_semi_edges((r0, r1, r2 + (24,)))
-
-
-def test_semi_edge_type_matches_the_dense_reference():
-    # every triple of involutions of S4 and of S4 x C2, as table columns: the
-    # triples insert_semi_edges accepts are those a dense check accepts, and
-    # the type read from the permutations is the one read from the table
-    for group in (symmetric(4), direct_product(symmetric(4), cyclic(2))):
-        accepted = 0
-        invs = [a for a in range(group.order) if group.element_orders[a] == 2]
-        for r0, r1, r2 in itertools.product(invs, repeat=3):
-            valid = (
-                len({r0, r1, r2}) == 3
-                and group.mul[r0][r2] == group.mul[r2][r0]
-                and len(frontier_closure(group, (r0, r1, r2))) == group.order
-            )
-            try:
-                sm = insert_semi_edges(mark_columns(group, (r0, r1, r2)))
-            except MapStructureError:
-                assert not valid, (group.name, r0, r1, r2)
-                continue
-            assert valid, (group.name, r0, r1, r2)
-            assert semi_edge_type(sm) == semi_edge_type_dense(group, (r0, r2, r1))
-            accepted += 1
-        assert accepted, group.name
 
 
 def test_load_map_round_trip():

@@ -195,7 +195,7 @@ def test_every_private_helper_is_used_by_the_library():
                 uses.setdefault(node.id, []).append(node)
             elif isinstance(node, ast.Attribute):
                 uses.setdefault(node.attr, []).append(node)
-    assert {"_orbit", "_check_marks", "_table_fault"} <= {helper.name for helper in helpers}
+    assert {"_orbit", "_mark_names", "_table_fault"} <= {helper.name for helper in helpers}
     unused = []
     for helper in helpers:
         own = set(map(id, ast.walk(helper)))
