@@ -23,15 +23,11 @@ map must satisfy.
 
 Each member is a presentation text and a word w: the presented group acts
 on itself by right multiplication, marked by its generators x, y, s, t.
-``regular_action_through`` builds that action from the cosets of the
-cyclic subgroup <w>, of index 2 (dh1, dh2), 4 (hpj) or 8 (hp), by
-Reidemeister-Schreier: one triangular basis of the rewritten relators and
-w gives |<w>| and each Schreier generator as a power of w.  It costs
-O(|H| log p) where enumerating the cosets of the trivial subgroup costs
-O(|H| p).  For h3 and the chi = -2 maps w is empty and the action is the
-coset table of the trivial subgroup.  ``build`` checks the order and type
-of what it built and raises VerificationError on a mismatch.  All
-presentation texts are kept verbatim, including redundant relators.
+``presentations.regular_action`` builds that action through the cyclic
+subgroup <w>, of index 2 (dh1, dh2), 4 (hpj) or 8 (hp); for h3 and the
+chi = -2 maps w is empty.  ``build`` checks the order and type of what it
+built and raises VerificationError on a mismatch.  All presentation texts
+are kept verbatim, including redundant relators.
 """
 
 from __future__ import annotations
@@ -49,15 +45,7 @@ from .groups import (
     semidirect,
 )
 from .maps import EdgeBiregularMap, dual, euler_characteristic, map_from_action, type_of
-from .presentations import (
-    Perm,
-    Presentation,
-    Word,
-    _check_table,
-    coset_enumerate,
-    parse_presentation,
-    regular_action,
-)
+from .presentations import Word, parse_presentation, regular_action
 
 
 def _require_odd_prime(p: int) -> None:
@@ -116,7 +104,7 @@ class Member:
         pres = parse_presentation(self.text)
         if self.order > max_cosets:
             raise CapacityExceeded(max_cosets)
-        m = map_from_action(regular_action_through(pres, self.w, max_cosets))
+        m = map_from_action(regular_action(pres, self.w, max_cosets))
         if len(m[0]) != self.order:
             raise VerificationError(f"{self.label}: expected order {self.order}, got {len(m[0])}")
         if type_of(m) != self.map_type:
@@ -140,133 +128,6 @@ def members(p: int) -> list[Member]:
     if p == 3:
         out.append(h3())
     return out
-
-
-def regular_action_through(
-    pres: Presentation, w: Word, max_cosets: int = DEFAULT_MAX_COSETS
-) -> tuple[Perm, ...]:
-    """The presented group G acting on itself by right multiplication,
-    lifted from the cosets of the cyclic subgroup K = <w>.
-
-    Enumerates the cosets of K, then rewrites every relator, and g g for
-    every generator, from every coset into abelianized Schreier generators
-    over a breadth-first transversal t_c (Reidemeister-Schreier; Holt, Eick
-    and O'Brien, Handbook of Computational Group Theory, section 2.5).  A
-    generator is an involution, so the edges (c, g) and (c g, g) share one
-    variable with opposite signs; tree edges are trivial.  K is cyclic, so
-    it equals its abelianization Z^m / L, L the span of the rows.  The row
-    v of w from coset 0 joins them with a counter coordinate, 0 on the
-    relator rows and 1 on v, and :func:`_echelon` reduces them to one
-    triangular basis of {(x, c) : x = c v mod L} over m + 1 columns.  Its
-    first m pivots are 1 exactly when v generates Z^m / L, and its last
-    pivot is then N = |K|.  :func:`_discrete_log` reads each variable as
-    a power of w off that basis, so t_c g = w^a(c,g) t_(c g): point
-    i [G:K] + c stands for w^i t_c, and g sends it to
-    ((i + a(c, g)) mod N) [G:K] + c g.  Point 0 is the identity.  The cost
-    is the enumeration, [G:K] passes over the expanded relators and O(|G|)
-    per generator.
-
-    An empty w gives :func:`regular_action`.  VerificationError when K is
-    infinite or v does not generate it; CapacityExceeded when |G| exceeds
-    max_cosets, before the action is built.  Like a coset table, the action
-    is checked by :func:`_check_table` before it is returned.
-    """
-    if not w:
-        return regular_action(pres, max_cosets)
-    columns = coset_enumerate(pres, (tuple(w),), max_cosets).columns
-    n = len(columns[0])
-    seen = [False] * n
-    seen[0] = True
-    tree = set()
-    found = [0]
-    for c in found:  # grows while it is walked
-        for g, col in enumerate(columns):
-            d = col[c]
-            if not seen[d]:
-                seen[d] = True
-                found.append(d)
-                tree.add((c, g))
-    # coefficient[g][c]: the edge (c, g) is variable abs(v) - 1 to the power
-    # sign(v), or trivial when v is 0
-    coefficient = [[0] * n for _ in columns]
-    m = 0
-    for g, col in enumerate(columns):
-        for c, d in enumerate(col):
-            if c <= d and (c, g) not in tree and (d, g) not in tree:
-                m += 1
-                coefficient[g][c] = m
-                coefficient[g][d] = m if c == d else -m
-
-    def rewritten(word: Word, c: int) -> list[int]:
-        row = [0] * m
-        for g in word:
-            v = coefficient[g][c]
-            if v:
-                row[abs(v) - 1] += 1 if v > 0 else -1
-            c = columns[g][c]
-        return row
-
-    words = (*pres.relators, *((g, g) for g in range(len(columns))))
-    rows = [rewritten(word, c) + [0] for word in words for c in range(n)]
-    rows.append(rewritten(w, 0) + [1])
-    basis = _echelon(rows)
-    if basis is None:
-        raise VerificationError("the subgroup <w> is infinite")
-    if any(row[j] != 1 for j, row in enumerate(basis[:m])):
-        raise VerificationError("the rewritten w does not generate the subgroup <w>")
-    order = basis[m][m]
-    if n * order > max_cosets:
-        raise CapacityExceeded(max_cosets)
-    a = _discrete_log(basis, order)
-    points = list(range(n * order))  # entries share these int objects
-    perms = []
-    for g, col in enumerate(columns):
-        perm = [0] * (n * order)
-        for c, d in enumerate(col):
-            v = coefficient[g][c]
-            shift = (a[v - 1] if v > 0 else -a[-v - 1]) % order if v else 0
-            block = points[d::n]
-            perm[c::n] = block[shift:] + block[:shift]
-        perms.append(tuple(perm))
-    action = tuple(perms)
-    _check_table(action, pres, ())
-    return action
-
-
-def _echelon(rows: list[list[int]]) -> list[list[int]] | None:
-    """An upper-triangular basis of the span of rows, pivots positive, by
-    gcd row reduction; None when the rows have rank below their width."""
-    basis = []
-    for j in range(len(rows[0])):
-        pivot = None
-        rest = []
-        for row in rows:
-            if row[j] and pivot is None:
-                pivot = row
-                continue
-            while row[j]:  # Euclid on column j
-                q = pivot[j] // row[j]  # type: ignore[index]
-                pivot, row = row, [a - q * b for a, b in zip(pivot, row)]  # type: ignore[arg-type]
-            rest.append(row)
-        if pivot is None:
-            return None
-        basis.append(pivot if pivot[j] > 0 else [-a for a in pivot])
-        rows = rest
-    return basis
-
-
-def _discrete_log(basis: list[list[int]], n: int) -> list[int]:
-    """The exponents a mod n with e_j = w^a_j for the m variables, from the
-    basis of :func:`regular_action_through`, whose first m pivots are 1.
-
-    Row j reads e_j + sum_(i>j) b_ji e_i = w^(b_jm), so a is solved from
-    the last row up.
-    """
-    m = len(basis) - 1
-    a = [0] * m
-    for j in reversed(range(m)):
-        a[j] = (basis[j][m] - sum(basis[j][i] * a[i] for i in range(j + 1, m))) % n
-    return a
 
 
 # ---------------------------------------------------------------------------

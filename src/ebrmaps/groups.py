@@ -34,6 +34,7 @@ formulas in this package follow that convention.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from functools import cache
 from itertools import permutations
 from math import gcd
 from operator import add, eq, getitem, itemgetter
@@ -288,6 +289,7 @@ def semidirect(
     return FiniteGroup(table, name=name or f"{a.name}:{b.name}")
 
 
+@cache  # a roster asks about the same p once per member
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -306,7 +306,7 @@ def load_map(text: str, max_cosets: int = DEFAULT_MAX_COSETS) -> EdgeBiregularMa
     if len(mark_names) != 4:
         raise MapStructureError("mark line must name exactly four generators")
     pres = parse_presentation(strip_mark_lines(text))  # line numbers kept for parse errors
-    action = regular_action(pres, max_cosets)
+    action = regular_action(pres, max_cosets=max_cosets)
     images = dict(zip(pres.generator_names, action))
     try:
         quad = tuple(images[nm] for nm in mark_names)

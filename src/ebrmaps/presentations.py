@@ -31,6 +31,16 @@ checks any action given as one permutation per generator.  Identical
 input yields an identical numbered table.  Enumerations that would exceed
 ``max_cosets`` raise :class:`CapacityExceeded` rather than returning a
 wrong answer.
+
+:func:`regular_action` builds the presented group acting on itself.  With
+an empty word w it is the coset table of the trivial subgroup; otherwise
+it lifts the cosets of the cyclic subgroup <w> by Reidemeister-Schreier
+(Holt, Eick and O'Brien, Handbook of Computational Group Theory, section
+2.5): one triangular basis of the rewritten relators and w gives |<w>|
+and each Schreier generator as a power of w.  For a family member of
+chi = -p, whose relators are about p letters long and whose <w> has index
+at most 8, it costs O(|H| log p) where enumerating the cosets of the
+trivial subgroup costs O(|H| p).
 """
 
 from __future__ import annotations
@@ -500,11 +510,129 @@ def _check_table(columns: tuple[Perm, ...], pres: Presentation, subgens: tuple[W
         raise VerificationError(fault)
 
 
-def regular_action(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> tuple[Perm, ...]:
-    """The presented group acting on itself by right multiplication.
+def regular_action(
+    pres: Presentation, w: Word = (), max_cosets: int = DEFAULT_MAX_COSETS
+) -> tuple[Perm, ...]:
+    """The presented group G acting on itself by right multiplication, one
+    permutation per generator on |G| points, point 0 the identity; no
+    multiplication table is built.
 
-    One permutation per generator: the columns of the coset table of the
-    trivial subgroup, on |H| points with point 0 the identity.  Its size is
-    linear in |H|; no multiplication table is built.
+    An empty w gives the columns of the coset table of the trivial
+    subgroup.  Any other w lifts the cosets of the cyclic subgroup K = <w>:
+    every relator, and g g for every generator, is rewritten from every
+    coset into abelianized Schreier generators over a breadth-first
+    transversal t_c.  A generator is an involution, so the edges (c, g) and
+    (c g, g) share one variable with opposite signs; tree edges are
+    trivial.  K is cyclic, so it equals its abelianization Z^m / L, L the
+    span of the rows.  The row v of w from coset 0 joins them with a
+    counter coordinate, 0 on the relator rows and 1 on v, and
+    :func:`_echelon` reduces them to one triangular basis of
+    {(x, c) : x = c v mod L} over m + 1 columns.  Its first m pivots are 1
+    exactly when v generates Z^m / L, and its last pivot is then N = |K|.
+    :func:`_discrete_log` reads each variable as a power of w off that
+    basis, so t_c g = w^a(c,g) t_(c g): point i [G:K] + c stands for
+    w^i t_c, and g sends it to ((i + a(c, g)) mod N) [G:K] + c g.  The
+    cost is the enumeration, [G:K] passes over the expanded relators and
+    O(|G|) per generator.
+
+    VerificationError when K is infinite or v does not generate it;
+    CapacityExceeded when |G| exceeds max_cosets, before the action is
+    built.  Like a coset table, the lifted action is checked by
+    :func:`_check_table` before it is returned.
     """
-    return coset_enumerate(pres, (), max_cosets).columns
+    if not w:
+        return coset_enumerate(pres, (), max_cosets).columns
+    columns = coset_enumerate(pres, (tuple(w),), max_cosets).columns
+    n = len(columns[0])
+    seen = [False] * n
+    seen[0] = True
+    tree = set()
+    found = [0]
+    for c in found:  # grows while it is walked
+        for g, col in enumerate(columns):
+            d = col[c]
+            if not seen[d]:
+                seen[d] = True
+                found.append(d)
+                tree.add((c, g))
+    # coefficient[g][c]: the edge (c, g) is variable abs(v) - 1 to the power
+    # sign(v), or trivial when v is 0
+    coefficient = [[0] * n for _ in columns]
+    m = 0
+    for g, col in enumerate(columns):
+        for c, d in enumerate(col):
+            if c <= d and (c, g) not in tree and (d, g) not in tree:
+                m += 1
+                coefficient[g][c] = m
+                coefficient[g][d] = m if c == d else -m
+
+    def rewritten(word: Word, c: int) -> list[int]:
+        row = [0] * m
+        for g in word:
+            v = coefficient[g][c]
+            if v:
+                row[abs(v) - 1] += 1 if v > 0 else -1
+            c = columns[g][c]
+        return row
+
+    words = (*pres.relators, *((g, g) for g in range(len(columns))))
+    rows = [rewritten(word, c) + [0] for word in words for c in range(n)]
+    rows.append(rewritten(w, 0) + [1])
+    basis = _echelon(rows)
+    if basis is None:
+        raise VerificationError("the subgroup <w> is infinite")
+    if any(row[j] != 1 for j, row in enumerate(basis[:m])):
+        raise VerificationError("the rewritten w does not generate the subgroup <w>")
+    order = basis[m][m]
+    if n * order > max_cosets:
+        raise CapacityExceeded(max_cosets)
+    a = _discrete_log(basis, order)
+    points = list(range(n * order))  # entries share these int objects
+    perms = []
+    for g, col in enumerate(columns):
+        perm = [0] * (n * order)
+        for c, d in enumerate(col):
+            v = coefficient[g][c]
+            shift = (a[v - 1] if v > 0 else -a[-v - 1]) % order if v else 0
+            block = points[d::n]
+            perm[c::n] = block[shift:] + block[:shift]
+        perms.append(tuple(perm))
+    action = tuple(perms)
+    _check_table(action, pres, ())
+    return action
+
+
+def _echelon(rows: list[list[int]]) -> list[list[int]] | None:
+    """An upper-triangular basis of the span of rows, pivots positive, by
+    gcd row reduction; None when the rows have rank below their width."""
+    basis = []
+    for j in range(len(rows[0])):
+        pivot = None
+        rest = []
+        for row in rows:
+            if row[j] and pivot is None:
+                pivot = row
+                continue
+            while row[j]:  # Euclid on column j
+                q = pivot[j] // row[j]  # type: ignore[index]
+                pivot, row = row, [a - q * b for a, b in zip(pivot, row)]  # type: ignore[arg-type]
+            rest.append(row)
+        if pivot is None:
+            return None
+        basis.append(pivot if pivot[j] > 0 else [-a for a in pivot])
+        rows = rest
+    return basis
+
+
+def _discrete_log(basis: list[list[int]], n: int) -> list[int]:
+    """The exponents a mod n with e_j = w^a_j for the m variables, from the
+    basis of :func:`regular_action`, whose first m pivots are 1.
+
+    Row j reads e_j + sum_(i>j) b_ji e_i = w^(b_jm), so a is solved from
+    the last row up.
+    """
+    m = len(basis) - 1
+    a = [0] * m
+    for j in reversed(range(m)):
+        a[j] = (basis[j][m] - sum(basis[j][i] * a[i] for i in range(j + 1, m))) % n
+    return a

@@ -269,7 +269,7 @@ MUTANTS = (
     ),
     Mutant(
         "the lift skips its unit-pivot check",
-        "src/ebrmaps/families.py",
+        "src/ebrmaps/presentations.py",
         "    if any(row[j] != 1 for j, row in enumerate(basis[:m])):\n"
         '        raise VerificationError("the rewritten w does not generate the subgroup <w>")\n',
         "",
@@ -277,13 +277,20 @@ MUTANTS = (
     ),
     Mutant(
         "the back-substitution adds the later exponents",
-        "src/ebrmaps/families.py",
+        "src/ebrmaps/presentations.py",
         "(basis[j][m] - sum(",
         "(basis[j][m] + sum(",
         (
             "tests/test_families.py::test_certificate_equals_hlt_index_and_map_for_small_p",
             "tests/test_families.py::test_back_substitution_equals_the_adjugate_solve",
         ),
+    ),
+    Mutant(
+        "is_prime forgets its answers",
+        "src/ebrmaps/groups.py",
+        "@cache  # a roster asks about the same p once per member\n",
+        "",
+        ("tests/test_families.py::test_a_roster_tests_its_prime_once",),
     ),
 )
 

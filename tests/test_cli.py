@@ -331,7 +331,7 @@ def test_construct_checks_text_and_capacity_before_building(monkeypatch, capsys)
     def refuse(*args, **kwargs):
         raise AssertionError("a permutation was built")
 
-    monkeypatch.setattr(families, "regular_action_through", refuse)
+    monkeypatch.setattr(families, "regular_action", refuse)
     # the text is parsed first: s (y t)^1000004 is too long to expand
     code, out, err = run(capsys, "construct", "--family", "dh1", "--p", "1000003")
     assert (code, out) == (2, "")
@@ -353,7 +353,7 @@ def test_construct_hp_checks_capacity_before_building(monkeypatch, capsys):
     # composite for both m, which warns
     start = time.perf_counter()
     with monkeypatch.context() as patched, pytest.warns(UserWarning):
-        patched.setattr(families, "regular_action_through", refuse)
+        patched.setattr(families, "regular_action", refuse)
         code, out, err = run(capsys, "construct", "--family", "hp", "--m", "4167")
     assert time.perf_counter() - start < 1.0
     assert (code, out, err) == (3, "", "error: coset capacity 100000 exceeded\n")

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import ebrmaps
-from ebrmaps import census, families
+from ebrmaps import census, families, presentations
 from ebrmaps.cli import _FAMILY_FLAGS, _PROBE_GRID
 from ebrmaps.families import (
     CHI2_FULLY_REGULAR_INDICES,
@@ -31,7 +31,6 @@ from ebrmaps.families import (
     is_prime,
     members,
     presentation_text,
-    regular_action_through,
 )
 from ebrmaps.groups import (
     CapacityExceeded,
@@ -57,6 +56,7 @@ from ebrmaps.maps import (
 from ebrmaps.presentations import (
     Presentation,
     _table_fault,
+    coset_enumerate,
     parse_presentation,
     regular_action,
 )
@@ -76,6 +76,14 @@ def test_is_prime():
         assert is_prime(n) == (n in primes)
     assert is_prime(7919)
     assert not is_prime(7917)
+
+
+def test_a_roster_tests_its_prime_once():
+    # each of the nine members at p = 401 asks about p, as p itself or as
+    # -chi; trial division runs on the first question only
+    is_prime.cache_clear()
+    assert len(members(401)) == 9
+    assert is_prime.cache_info().misses == 1
 
 
 def test_presentation_text_shape():
@@ -256,9 +264,7 @@ def test_valency_eight_map_enumerates_at_most_its_quotient(monkeypatch):
     # the one enumeration is of the cosets of <s x> (index 8), never the
     # 24m cosets of the trivial subgroup of H nor the 24*3^e of its
     # quotient B
-    import ebrmaps.presentations as presentations_module
-
-    enumerate_cosets = presentations_module.coset_enumerate
+    enumerate_cosets = presentations.coset_enumerate
     cosets = []
 
     def counting(*args, **kwargs):
@@ -266,8 +272,7 @@ def test_valency_eight_map_enumerates_at_most_its_quotient(monkeypatch):
         cosets.append(table.num_cosets)
         return table
 
-    monkeypatch.setattr(presentations_module, "coset_enumerate", counting)
-    monkeypatch.setattr(families, "coset_enumerate", counting)
+    monkeypatch.setattr(presentations, "coset_enumerate", counting)
     for m in (5, 35, 1103, 45):
         cosets.clear()
         assert len(hp(m).build()[0]) == 24 * m
@@ -359,7 +364,7 @@ def test_member_build_checks_capacity_order_and_type(monkeypatch):
         raise AssertionError("a permutation was built")
 
     with monkeypatch.context() as patched:
-        patched.setattr(families, "regular_action_through", refuse)
+        patched.setattr(families, "regular_action", refuse)
         with pytest.raises(CapacityExceeded):
             member.build(max_cosets=23)
     wrong_order = Member("dh1", member.text, member.w, 28, member.map_type)
@@ -500,15 +505,15 @@ def _run_optimized(script):
 
 _CORRUPT_ACTION = """
 import ebrmaps.families as families
-from ebrmaps.presentations import CosetTable
+import ebrmaps.presentations as presentations
 
 assert False, "assert statements must be stripped"
-good = families.coset_enumerate
+good = presentations.coset_enumerate
 def corrupted(*args, **kwargs):
     columns = list(good(*args, **kwargs).columns)
     columns[{g}] = tuple(range(len(columns[{g}])))
-    return CosetTable(tuple(columns))
-families.coset_enumerate = corrupted
+    return presentations.CosetTable(tuple(columns))
+presentations.coset_enumerate = corrupted
 {build}
 """
 
@@ -594,16 +599,16 @@ def test_certificate_equals_hlt_index_and_map_for_small_p():
 def test_certificate_on_small_presentations():
     # D12 through <a b> (index 2) and through <a> (index 6, a fixes cosets)
     d12 = parse_presentation("gens a b\nrel a^2\nrel b^2\nrel (a b)^6\n")
-    assert len(regular_action_through(d12, (0, 1))[0]) == 12
-    assert len(regular_action_through(d12, (0,))[0]) == 12
+    assert len(regular_action(d12, (0, 1))[0]) == 12
+    assert len(regular_action(d12, (0,))[0]) == 12
     # the infinite dihedral group: <a b> has index 2 and is infinite
     infinite = parse_presentation("gens a b\nrel a^2\nrel b^2\n")
     with pytest.raises(VerificationError, match="infinite"):
-        regular_action_through(infinite, (0, 1))
+        regular_action(infinite, (0, 1))
     # dh1 without s (y t)^(p+1): y t has infinite order
     pres = parse_presentation(presentation_text(("x y s",)))
     with pytest.raises(VerificationError, match="infinite"):
-        regular_action_through(pres, (1, 3))
+        regular_action(pres, (1, 3))
 
 
 def test_lift_equals_the_regular_action_of_d12():
@@ -613,8 +618,8 @@ def test_lift_equals_the_regular_action_of_d12():
     d12 = parse_presentation("gens a b\nrel a^2\nrel b^2\nrel (a b)^6\n")
     reference = standard_table(regular_action(d12))
     for w in ((0, 1), (0,), (1,), (0, 1, 0, 1), (0, 0)):
-        assert standard_table(regular_action_through(d12, w)) == reference, w
-    assert regular_action_through(d12, ()) == regular_action(d12)
+        assert standard_table(regular_action(d12, w)) == reference, w
+    assert regular_action(d12, ()) == coset_enumerate(d12).columns
 
 
 def _lattice_and_w(rows):
@@ -630,13 +635,13 @@ def test_lift_reads_the_order_of_w_off_the_last_pivot(monkeypatch):
     # pivots 5 and 3; with the row of w joined, the basis has unit pivots
     # and the last pivot 15 = |<w>|
     member = hpj(3, 5, 4)
-    echelon, calls = families._echelon, []
+    echelon, calls = presentations._echelon, []
 
     def recording(rows):
         calls.append((rows, echelon(rows)))
         return calls[-1][1]
 
-    monkeypatch.setattr(families, "_echelon", recording)
+    monkeypatch.setattr(presentations, "_echelon", recording)
     m = member.build()
     [(rows, basis)] = calls
     lattice, _ = _lattice_and_w(rows)
@@ -650,7 +655,7 @@ def test_lift_reads_the_order_of_w_off_the_last_pivot(monkeypatch):
 def test_back_substitution_equals_the_adjugate_solve(monkeypatch):
     # every lift's |<w>| and powers of w, read off its one basis, against
     # the former solve from the echelon of the relator lattice alone
-    echelon, log, lifts = families._echelon, families._discrete_log, []
+    echelon, log, lifts = presentations._echelon, presentations._discrete_log, []
 
     def recording_echelon(rows):
         lifts.append([rows])
@@ -661,11 +666,11 @@ def test_back_substitution_equals_the_adjugate_solve(monkeypatch):
         lifts[-1] += [n, list(a)]
         return a
 
-    monkeypatch.setattr(families, "_echelon", recording_echelon)
-    monkeypatch.setattr(families, "_discrete_log", recording_log)
+    monkeypatch.setattr(presentations, "_echelon", recording_echelon)
+    monkeypatch.setattr(presentations, "_discrete_log", recording_log)
     d12 = parse_presentation("gens a b\nrel a^2\nrel b^2\nrel (a b)^6\n")
     for w in ((0, 1), (0,), (1,), (0, 1, 0, 1), (0, 0)):
-        regular_action_through(d12, w)
+        regular_action(d12, w)
     for p in filter(is_prime, range(3, 102)):
         for member in members(p):
             member.build()
@@ -705,15 +710,16 @@ def test_valency_eight_map_matches_its_semidirect_reference():
 
 
 def test_certified_families_never_enumerate_the_trivial_subgroup(monkeypatch):
-    # families calls regular_action through its own import, load_map
-    # through presentations
-    import ebrmaps.presentations as presentations_module
+    # every enumeration is of the cosets of some <w>, never of the trivial
+    # subgroup
+    enumerate_cosets = presentations.coset_enumerate
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("trivial-subgroup enumeration")
+    def refuse_trivial(pres, subgroup_generators=(), *args, **kwargs):
+        if not subgroup_generators:
+            raise AssertionError("trivial-subgroup enumeration")
+        return enumerate_cosets(pres, subgroup_generators, *args, **kwargs)
 
-    monkeypatch.setattr(presentations_module, "regular_action", refuse)
-    monkeypatch.setattr(families, "regular_action", refuse)
+    monkeypatch.setattr(presentations, "coset_enumerate", refuse_trivial)
     assert len(dh1(997).build()[0]) == 3992
     # p = 1009 has no valency-eight member
     # (test_valency_eight_map_enumerates_at_most_its_quotient)
@@ -723,6 +729,7 @@ def test_certified_families_never_enumerate_the_trivial_subgroup(monkeypatch):
 
 _CERTIFICATE_REJECTS = """
 import ebrmaps.families as families
+import ebrmaps.presentations as presentations
 from ebrmaps.groups import VerificationError
 
 assert False, "assert statements must be stripped"
@@ -733,7 +740,7 @@ def attempt(build):
     except VerificationError as exc:
         print(exc)
 
-good_log = families._discrete_log
+good_log = presentations._discrete_log
 dh1 = families.dh1(5)
 exponents = []
 
@@ -747,9 +754,9 @@ def bumped(k):
 
 # each exponent of the lift in turn one too large
 for k in range(4):
-    families._discrete_log = bumped(k)
+    presentations._discrete_log = bumped(k)
     attempt(dh1.build)
-families._discrete_log = good_log
+presentations._discrete_log = good_log
 print(exponents)
 # without s (y t)^(p+1) the presented group is infinite
 text = families.presentation_text(("x y s",))
@@ -776,7 +783,7 @@ def test_broken_action_fails_exactly_one_relator():
     # t' = t y t = y r^2 for r = y t: every relator holds but s (y t)^(p+1)
     p = 5
     pres = parse_presentation(dh1(p).text)
-    good = regular_action_through(pres, (1, 3))
+    good = regular_action(pres, (1, 3))
     x, y, s, t = good
     bad = (x, y, s, tuple(t[y[t[h]]] for h in range(len(t))))
     assert _table_fault(good, pres, ()) is None
