@@ -8,7 +8,7 @@ or explicit group constructions, computes their invariants (type, vertex/
 edge/face counts, Euler characteristic, orientability, full regularity,
 self-duality), constructs the classified families on surfaces of negative
 prime Euler characteristic, and reproduces the classification exhaustively
-for chi in {-2, -3} from a self-verifying atlas of small groups.
+for chi in {-2, -3, -5} from a self-verifying atlas of small groups.
 
 Importing the package loads none of its modules: each exported name is
 looked up in ``_EXPORTS`` on first access (PEP 562) and its module is
@@ -76,7 +76,6 @@ _EXPORTS = {
         "CHI2_ORIENTABLE_INDICES",
         "Member",
         "chi2",
-        "cyclic_by_dihedral_probe",
         "cyclic_fitting_params",
         "dh1",
         "dh2",
@@ -95,6 +94,7 @@ _EXPORTS = {
         "catalog_json",
         "catalog_rows",
         "classify",
+        "cyclic_by_dihedral_probe",
         "enumerate_maps",
         "verify_chi_minus_1_dihedral",
         "verify_p_divides_exclusions",

@@ -183,12 +183,12 @@ _PROBE_GRID = ((3, 5), (5, 3), (7, 3), (7, 5), (5, 4), (5, 6))
 
 
 def _verify_lemma_4_3(lines: list[str]) -> bool:
-    from . import families
+    from . import census
 
     ok = True
     for p, lam in _PROBE_GRID:
         try:
-            found = families.cyclic_by_dihedral_probe(p, lam)
+            found = census.cyclic_by_dihedral_probe(p, lam)
         except AssertionError as exc:
             lines.append(f"  p={p} lambda={lam}: COUNTEREXAMPLE ({exc})")
             ok = False

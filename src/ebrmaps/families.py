@@ -17,10 +17,6 @@ constructor is named after its members' catalog label and returns a
 ``members(p)``, the one roster, lists the members with chi = -p in
 catalog order.
 
-``cyclic_by_dihedral_probe`` exhaustively searches groups of the shape
-C_p x| D_nu for maps and checks the structural restrictions that any such
-map must satisfy.
-
 Each member is a presentation text and a word w: the presented group acts
 on itself by right multiplication, marked by its generators x, y, s, t.
 ``presentations.regular_action`` builds that action through the cyclic
@@ -39,18 +35,11 @@ from .groups import (
     DEFAULT_MAX_COSETS,
     CapacityExceeded,
     VerificationError,
-    cyclic,
-    dihedral,
+    _require_odd_prime,
     is_prime,
-    semidirect,
 )
-from .maps import EdgeBiregularMap, dual, euler_characteristic, map_from_action, type_of
+from .maps import EdgeBiregularMap, map_from_action, type_of
 from .presentations import Word, parse_presentation, regular_action
-
-
-def _require_odd_prime(p: int) -> None:
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
 
 
 def _warn_unless_prime(minus_chi: int) -> None:
@@ -296,71 +285,3 @@ def chi2(index: int) -> Member:
         raise ValueError("index must be between 1 and 12")
     relators, order, map_type = _CHI2[index - 1]
     return Member(f"chi2({index})", presentation_text(relators), (), order, map_type)
-
-
-# ---------------------------------------------------------------------------
-# probe: exhaustive map search in C_p x| D_nu
-
-
-def cyclic_by_dihedral_probe(p: int, lam: int) -> list[EdgeBiregularMap]:
-    """Search every group C_p x| D_{2*lam} for edge-biregular maps.
-
-    The generating reflections lam and lam + 1 of the dihedral group of
-    order nu = 2*lam can act on C_p only as multiplication by 1 or -1.
-    ``semidirect`` takes each pair of these images, rejects the pairs that
-    are no homomorphism (product -1, lam odd), and all maps found are listed
-    up to duality, twins and isomorphism, one per class of
-    ``census.enumerate_maps``.
-
-    Every found map of type (k, l) with l/2 >= 3 and p dividing neither k/2
-    nor l/2 is checked against the structural restrictions: l = nu with
-    nu = 4 (mod 8), k/2 in {2, l/2}, and chi = p(1 - l/4) for k = 4 or
-    chi = p(2 - l/2) for k = l.  Violations raise VerificationError.  Type
-    and chi are invariant under Aut(H) and the twin keeps (k, l), so checking
-    each class's representative and its dual, of type (l, k), checks every
-    map of the class.
-    """
-    from .census import enumerate_maps
-
-    _require_odd_prime(p)
-    if lam < 3:
-        raise ValueError("lam must be at least 3")
-    if lam % p == 0:
-        raise ValueError("p must not divide lam")
-    nu = 2 * lam
-    dih = dihedral(nu)
-    cp = cyclic(p)
-    signs = (tuple(range(p)), tuple(-c % p for c in range(p)))  # multiplication by 1 and by -1
-    found: dict[tuple[int, ...], EdgeBiregularMap] = {}
-    for e1 in signs:
-        for e2 in signs:
-            try:
-                grp = semidirect(cp, dih, {lam: e1, lam + 1: e2}, name=f"C{p}:D{nu}")
-            except ValueError:  # (e1 e2)^lam = -1: not a homomorphism
-                continue
-            for key, m in enumerate_maps(grp).items():
-                _assert_probe_conformance(p, nu, m)
-                _assert_probe_conformance(p, nu, dual(m))
-                found.setdefault(key, m)
-    return list(found.values())
-
-
-def _assert_probe_conformance(p: int, nu: int, m: EdgeBiregularMap) -> None:
-    k, l = type_of(m)
-    half_k, half_l = k // 2, l // 2
-    if half_l < 3 or half_k % p == 0 or half_l % p == 0:
-        return  # outside the hypotheses; nothing is claimed
-    if l != nu:
-        raise VerificationError(
-            f"found type ({k},{l}) but the dihedral complement has order {nu}"
-        )
-    if nu % 8 != 4:
-        raise VerificationError(f"map of type ({k},{l}) found although {nu} != 4 mod 8")
-    if half_k not in (2, half_l):
-        raise VerificationError(f"vertex parameter {half_k} not in {{2, {half_l}}}")
-    chi = euler_characteristic(m)
-    # the predictions p(1 - l/4) for k = 4 and p(2 - l/2) for k = l are
-    # integers, as l = nu = 4 (mod 8) makes l/4 = half_l // 2
-    expected = p * (1 - half_l // 2) if half_k == 2 else p * (2 - half_l)
-    if chi != expected:
-        raise VerificationError(f"chi {chi} differs from the predicted {expected}")

@@ -303,6 +303,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _require_odd_prime(p: int) -> None:
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"p must be an odd prime, got {p}")
+
+
 # ---------------------------------------------------------------------------
 # closure and isomorphism
 

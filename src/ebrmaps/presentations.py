@@ -447,9 +447,12 @@ def coset_enumerate(
     by construction of the table.  Before it is returned the table is
     checked: every column is an involution, every subgroup generator fixes
     coset 0 and every relator closes at every coset; a failure raises
-    VerificationError.
+    VerificationError; a subgroup word naming an unknown generator, ValueError.
     """
     subgens = tuple(tuple(w) for w in subgroup_generators)
+    ng = pres.num_generators
+    if any(not (0 <= g < ng) for w in subgens for g in w):
+        raise ValueError("subgroup generator references unknown generator")
     return _Enumeration(pres, subgens, max_cosets).run()
 
 

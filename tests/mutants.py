@@ -259,7 +259,7 @@ MUTANTS = (
     ),
     Mutant(
         "the probe predicts chi for k = 4 and for k = l the other way round",
-        "src/ebrmaps/families.py",
+        "src/ebrmaps/census.py",
         "p * (1 - half_l // 2) if half_k == 2 else p * (2 - half_l)",
         "p * (2 - half_l) if half_k == 2 else p * (1 - half_l // 2)",
         (
@@ -291,6 +291,23 @@ MUTANTS = (
         "@cache  # a roster asks about the same p once per member\n",
         "",
         ("tests/test_families.py::test_a_roster_tests_its_prime_once",),
+    ),
+    Mutant(
+        "a subgroup word may name a generator by a negative index",
+        "src/ebrmaps/presentations.py",
+        "not (0 <= g < ng) for w in subgens",
+        "not (g < ng) for w in subgens",
+        ("tests/test_presentations.py::test_subgroup_words_name_only_known_generators",),
+    ),
+    Mutant(
+        "the atlas lists C28 twice, once as C7 x C4",
+        "src/ebrmaps/census.py",
+        "        lambda: dicyclic(7),\n",
+        "        lambda: _prod(cyclic(7), cyclic(4)),\n",
+        (
+            "tests/test_census.py::test_atlas_counts",
+            "tests/test_census.py::test_classify_p5_exhaustive_matches_constructive",
+        ),
     ),
 )
 

@@ -17,11 +17,13 @@ the library's orbit walk.
 from itertools import product
 from math import gcd
 
-from ebrmaps.families import _assert_probe_conformance, _require_odd_prime, hp
+from ebrmaps.census import _assert_probe_conformance
+from ebrmaps.families import hp
 from ebrmaps.groups import (
     FiniteGroup,
     Perm,
     VerificationError,
+    _require_odd_prime,
     cyclic,
     direct_product,
     greedy_generators,
@@ -420,7 +422,7 @@ def enumerate_maps_by_key(group, want_chi=None) -> list[EdgeBiregularMap]:
 
 
 def probe_by_scan(p: int, nu: int, groups) -> list[EdgeBiregularMap]:
-    """``families.cyclic_by_dihedral_probe`` on the given groups by its
+    """``census.cyclic_by_dihedral_probe`` on the given groups by its
     former loop: every quadruple of each group is checked for conformance
     and keyed, and the first quadruple of each key is kept."""
     found: dict[tuple[int, ...], EdgeBiregularMap] = {}

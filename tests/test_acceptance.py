@@ -184,8 +184,8 @@ def _corpus():
     for m_param in (1, 3, 5):
         maps.append(families.hp(m_param).build())
     maps.append(families.h3().build())
-    maps += families.cyclic_by_dihedral_probe(5, 4)
-    maps += families.cyclic_by_dihedral_probe(5, 6)
+    maps += census.cyclic_by_dihedral_probe(5, 4)
+    maps += census.cyclic_by_dihedral_probe(5, 6)
     for grp in atlas(16):
         maps += enumerate_maps(grp, want_chi=-2).values()
     return maps
@@ -246,7 +246,7 @@ def test_criterion_8_chi_minus_1_search():
 def test_criterion_9_structured_probe():
     with _Gate(9, "C_p semidirect D_2lambda probe: zero counterexamples") as g:
         for p, lam in ((3, 5), (5, 3), (7, 3), (7, 5)):
-            found = families.cyclic_by_dihedral_probe(p, lam)
+            found = census.cyclic_by_dihedral_probe(p, lam)
             # conformance of every found map was asserted inside the probe;
             # these four cells happen to carry no maps at all
             assert found == []

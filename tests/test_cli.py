@@ -536,14 +536,14 @@ def test_verify_exclusions_fails_on_an_order_the_atlas_does_not_cover(monkeypatc
 
 
 def test_verify_lemma_4_3_reports_a_counterexample(monkeypatch, capsys):
-    conform = families._assert_probe_conformance
+    conform = census._assert_probe_conformance
 
     def planted(p, nu, m):
         if (p, nu) == (5, 8):
             raise VerificationError("planted")
         conform(p, nu, m)
 
-    monkeypatch.setattr(families, "_assert_probe_conformance", planted)
+    monkeypatch.setattr(census, "_assert_probe_conformance", planted)
     code, out, err = run(capsys, "verify", "lemma-4-3")
     lines = out.splitlines()
     assert (code, err) == (1, "")

@@ -15,13 +15,13 @@ import pytest
 
 import ebrmaps
 from ebrmaps import census, families, presentations
+from ebrmaps.census import cyclic_by_dihedral_probe
 from ebrmaps.cli import _FAMILY_FLAGS, _PROBE_GRID
 from ebrmaps.families import (
     CHI2_FULLY_REGULAR_INDICES,
     CHI2_ORIENTABLE_INDICES,
     Member,
     chi2,
-    cyclic_by_dihedral_probe,
     cyclic_fitting_params,
     dh1,
     dh2,
@@ -402,12 +402,12 @@ def test_probe_reports_chi_against_its_integer_prediction(monkeypatch):
     # at (p, lambda) = (5, 6) both predictions are met: chi = p(1 - l/4) =
     # -10 for k = 4 and p(2 - l/2) = -20 for k = l = 12
     maps = cyclic_by_dihedral_probe(5, 6)
-    monkeypatch.setattr(families, "euler_characteristic", lambda m: 0)
+    monkeypatch.setattr(census, "euler_characteristic", lambda m: 0)
     reports = set()
     for m in maps:
         for form in (m, dual(m)):
             try:
-                families._assert_probe_conformance(5, 12, form)
+                census._assert_probe_conformance(5, 12, form)
             except VerificationError as exc:
                 reports.add((type_of(form), str(exc)))
     assert reports == {
@@ -428,7 +428,7 @@ def test_probe_builds_one_group_per_homomorphism(monkeypatch, p, lam):
         built.append((images, group))
         return group
 
-    monkeypatch.setattr(families, "semidirect", record)
+    monkeypatch.setattr(census, "semidirect", record)
     cyclic_by_dihedral_probe(p, lam)
     signs = (tuple(range(p)), tuple(-c % p for c in range(p)))
     pairs = [(e, e) for e in signs] if lam % 2 else [(e1, e2) for e1 in signs for e2 in signs]
@@ -450,9 +450,9 @@ def test_probe_finds_and_checks_what_the_scan_of_every_quadruple_does(monkeypatc
     def recording(into, check):
         return lambda p, nu, m: into.add((type_of(m), euler_characteristic(m))) or check(p, nu, m)
 
-    monkeypatch.setattr(families, "semidirect", record)
-    conformance = families._assert_probe_conformance
-    monkeypatch.setattr(families, "_assert_probe_conformance", recording(probed, conformance))
+    monkeypatch.setattr(census, "semidirect", record)
+    conformance = census._assert_probe_conformance
+    monkeypatch.setattr(census, "_assert_probe_conformance", recording(probed, conformance))
     monkeypatch.setattr(references, "_assert_probe_conformance", recording(scanned, conformance))
     found = cyclic_by_dihedral_probe(p, lam)
     expected = probe_by_scan(p, 2 * lam, built)

@@ -383,8 +383,8 @@ def test_derived_data_agrees_with_the_dense_references(monkeypatch):
         probed.append(semidirect(*args, **kwargs))
         return probed[-1]
 
-    monkeypatch.setattr(families, "semidirect", recording_semidirect)
-    families.cyclic_by_dihedral_probe(5, 3)
+    monkeypatch.setattr(census, "semidirect", recording_semidirect)
+    census.cyclic_by_dihedral_probe(5, 3)
     assert [g.name for g in probed] == ["C5:D6", "C5:D6"]
     dh1 = families.dh1(5).build()
     groups = [

@@ -361,7 +361,7 @@ def test_map_from_presentation_holds_only_the_action(monkeypatch):
         return searched[-1][1]
 
     monkeypatch.setattr(census, "enumerate_maps", recording)
-    families.cyclic_by_dihedral_probe(5, 6)
+    census.cyclic_by_dihedral_probe(5, 6)
     assert [g.name for g, _ in searched[-4:]] == ["C5:D12"] * 4
     kept = [(g, m) for g, found in searched for m in found.values()]
     assert len(kept) == 12 + 28  # 12 at p = 2, 28 in the probe's groups

@@ -147,13 +147,34 @@ def test_command_loads_only_what_it_runs(argv, first, loads, skips):
 
 def _imports():
     """(module file name, imported module name, import level) for every
-    import statement in the package; level 0 is an absolute import."""
+    import statement in the package, at module level or in a function;
+    level 0 is an absolute import, and ``from . import m`` imports m."""
     for path in sorted((SRC / "ebrmaps").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 yield from ((path.name, alias.name, 0) for alias in node.names)
             elif isinstance(node, ast.ImportFrom):
-                yield path.name, node.module or "", node.level
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+                yield from ((path.name, name, node.level) for name in names)
+
+
+# every module imports only the modules before it, so the graph has no cycle
+MODULE_ORDER = ("groups", "presentations", "maps", "families", "census", "cli")
+
+
+def test_modules_import_only_the_modules_before_them():
+    # families builds members and census searches, so census may call the
+    # families but not the reverse; __init__ names every module lazily, and
+    # a relative import is the only way to name a sibling, as every absolute
+    # import is of the standard library
+    rank = {name: i for i, name in enumerate(MODULE_ORDER)}
+    assert {p.stem for p in (SRC / "ebrmaps").glob("*.py")} == {*MODULE_ORDER, "__init__"}
+    backward = []
+    for path, name, level in _imports():
+        module, sibling = path.removesuffix(".py"), name.split(".")[0]
+        if level and module != "__init__" and rank[sibling] >= rank[module]:
+            backward.append((module, sibling))
+    assert backward == []
 
 
 def test_no_module_imports_dataclasses():

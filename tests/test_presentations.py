@@ -240,6 +240,18 @@ def test_coset_enumeration_subgroup_index():
     assert coset_enumerate(pres, [(0,)]).num_cosets == 6
 
 
+def test_subgroup_words_name_only_known_generators():
+    # a negative index is no generator, though Python would read it as one
+    # counted from the end; an index past the last is no generator either
+    pres = parse_presentation(_reflection_presentation(("a", "b", 3)))
+    for word in ((-1,), (2,), (0, -2)):
+        with pytest.raises(ValueError, match="^subgroup generator references unknown generator$"):
+            coset_enumerate(pres, [word])
+    with pytest.raises(ValueError, match="^subgroup generator references unknown generator$"):
+        regular_action(pres, (-1, -2))
+    assert coset_enumerate(pres, [(1,)]).num_cosets == 3
+
+
 def test_coset_enumeration_reflection_groups():
     # spherical reflection groups of the tetrahedron and octahedron
     tetra = _reflection_presentation(("a", "b", 3), ("b", "c", 3), ("a", "c", 2))
